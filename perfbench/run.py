@@ -2,16 +2,22 @@
 
 Usage, from the repository root:
 
-    python3 perfbench/run.py --workload census-monomial --seed 0 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload census-monomial --seed 0 --seconds 25 --trace 0
     python3 perfbench/run.py                      # every workload, one after another
     python3 perfbench/run.py --workload report-deep --pin   # rewrite expected/report-deep.json
 
 Each repetition runs in its own interpreter (``worker.py``), so set-up
 time, peak RSS and module-level caches belong to that repetition alone.
 Repetitions run one after another, at least two, for as many as bring the
-run's length closest to ``--seconds``; set-up-only probes then bring the
-set-up samples up to seven. Every ring of every repetition goes through the verdict gate
+run's length closest to ``--seconds``; seven set-up-only probes then give
+the set-up times. Every ring of every repetition goes through the verdict gate
 (``gate.py``).
+
+Every timing is scaled to the reference machine speed of ``speed.py``: the
+worker samples a calibration kernel on a timer through its timed phase, and
+the parent times a reference interpreter start right before and after each
+set-up probe. The unscaled figures and
+the kernel's median time are printed as comment lines.
 
 ``--trace 0`` prints the end-to-end metrics. ``--trace 1`` alternates an
 untraced and a traced repetition (at least two of each) and prints the
@@ -36,6 +42,7 @@ import time
 from pathlib import Path
 
 import gate
+from speed import REFERENCE_S, REFERENCE_START_S, start_s
 from tracer import SPAN_NAMES, layer_table
 from workloads import WORKLOADS
 
@@ -44,7 +51,7 @@ ROOT = HERE.parent
 DEFAULT_SEED = 0
 DEADLINE_S = 170.0
 MIN_ROUNDS = 2  # repetitions (untraced + traced pairs with --trace 1) per run
-SETUP_SAMPLES = 7  # set-up times per run; set-up-only probes make up the rest
+SETUP_SAMPLES = 7  # set-up-only probes per untraced run
 
 RATIOS = {
     "groebner.gb_cache_hit_frac": "groebner.Ideal.groebner_basis",
@@ -62,12 +69,17 @@ def run_rep(workload: str, seed: int, deadline: float, *extra) -> dict:
     """Run one repetition in a fresh interpreter and return its record.
 
     `extra` is passed to the worker: ``--spans FILE`` or ``--setup-only``.
+    A set-up-only probe is bracketed by reference interpreter starts, which
+    scale its set-up time.
     """
     cmd = [sys.executable, str(HERE / "worker.py"), "--workload", workload, "--seed", str(seed), *extra]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    probe = "--setup-only" in extra
+    if probe:
+        before = start_s(env)
     started = time.monotonic()
     try:
         proc = subprocess.run(
@@ -79,7 +91,9 @@ def run_rep(workload: str, seed: int, deadline: float, *extra) -> dict:
     if proc.returncode != 0 or not proc.stdout.strip():
         raise BenchError(f"{workload}: worker exited {proc.returncode}\n{proc.stderr[-3000:]}")
     rep = json.loads(proc.stdout.splitlines()[-1])
-    rep["setup_s"] = rep["t_first"] - started
+    if probe:
+        rep["raw_setup_s"] = rep["t_first"] - started
+        rep["setup_s"] = rep["raw_setup_s"] * REFERENCE_START_S / ((before + start_s(env)) / 2)
     if "--spans" in extra:
         rep["layers"] = layer_table(extra[extra.index("--spans") + 1])
     return rep
@@ -89,7 +103,8 @@ def run_reps(workload: str, seed: int, seconds: float, trace: bool) -> tuple:
     """Repeat rounds, at least MIN_ROUNDS, while one more round brings the
     end of the run closer to `seconds` than stopping would.
 
-    Returns (untraced, traced) records and the set-up times.
+    Returns the untraced and traced records, and the set-up probes of an
+    untraced run.
     """
     start = time.monotonic()
     deadline = start + DEADLINE_S
@@ -106,9 +121,9 @@ def run_reps(workload: str, seed: int, seconds: float, trace: bool) -> tuple:
         rounds.append(now - began)
         if len(rounds) >= MIN_ROUNDS and now - start + statistics.median(rounds) / 2 > seconds:
             break
-    setups = [r["setup_s"] for r in plain]
-    while not trace and len(setups) < SETUP_SAMPLES:
-        setups.append(run_rep(workload, seed, deadline, "--setup-only")["setup_s"])
+    setups = [] if trace else [
+        run_rep(workload, seed, deadline, "--setup-only") for _ in range(SETUP_SAMPLES)
+    ]
     return plain, traced, setups
 
 
@@ -130,7 +145,8 @@ def gate_reps(workload: str, reps: list, pinned: dict) -> tuple:
 
 
 def end_to_end(reps: list, setups: list) -> dict:
-    """Each timing is taken per repetition; the run reports their median."""
+    """Each timing is taken per repetition, scaled to the reference speed;
+    the run reports their median."""
 
     def per_rep(figure):
         return statistics.median(figure(rep) for rep in reps)
@@ -141,8 +157,8 @@ def end_to_end(reps: list, setups: list) -> dict:
     supported = [r for rep in reps for r in rep["rings"] if gate.supported(r)]
     decided = sum(1 for r in supported if r["fpi"] in ("true", "false"))
     return {
-        "setup_s": (statistics.median(setups), "s"),
-        "rings_per_s": (per_rep(lambda rep: len(rep["rings"]) / rep["timed_s"]), "1/s"),
+        "setup_s": (statistics.median(r["setup_s"] for r in setups), "s"),
+        "rings_per_s": (per_rep(lambda rep: len(rep["rings"]) / rep["scaled_s"]), "1/s"),
         "report_p50_s": (per_rep(lambda rep: statistics.median(latencies(rep))), "s"),
         "report_p90_s": (per_rep(lambda rep: statistics.quantiles(latencies(rep), n=10)[8]), "s"),
         "decided_frac": (decided / len(supported), "ratio"),
@@ -170,8 +186,8 @@ def per_layer(plain: list, traced: list) -> dict:
         ]
         out[f"{module}.self_frac"] = (statistics.median(shares), "ratio")
     overhead = (
-        statistics.median(r["timed_s"] for r in traced)
-        / statistics.median(r["timed_s"] for r in plain) - 1.0
+        statistics.median(r["scaled_s"] for r in traced)
+        / statistics.median(r["scaled_s"] for r in plain) - 1.0
     )
     out["trace_overhead_frac"] = (overhead, "ratio")
     return out
@@ -182,6 +198,12 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     attempted, failed, problems = gate_reps(workload, plain + traced, gate.load_expected(workload))
     metrics = per_layer(plain, traced) if trace else end_to_end(plain, setups)
     print(f"# {workload}: seed {seed}, {len(plain)} untraced + {len(traced)} traced repetitions")
+    print(
+        f"# unscaled: kernel {statistics.median(r['kernel_s'] for r in plain) * 1e3:.3f} ms "
+        f"(reference {REFERENCE_S * 1e3:g} ms), "
+        f"rings_per_s {statistics.median(len(r['rings']) / r['timed_s'] for r in plain):.6g} 1/s"
+        + (f", setup_s {statistics.median(r['raw_setup_s'] for r in setups):.6g} s" if setups else "")
+    )
     for name, (value, unit) in metrics.items():
         print(f"{name}: {value:.6g} {unit}")
     print(f"failed_frac: {failed / attempted:.6g} ratio ({failed} of {attempted} rings)")

@@ -133,18 +133,39 @@ class Tracer:
                     if value is original:
                         setattr(mod, key, traced)
 
-    def dump(self, path: str) -> None:
+    def dump(self, path: str, pauses=()) -> None:
+        """Write the spans, with the (start, end) `pauses` cut out of time."""
         import numpy as np
 
+        start = np.frombuffer(self.start, dtype=np.float64)
+        end = np.frombuffer(self.end, dtype=np.float64)
+        if len(pauses):
+            start, end = _without_pauses(start, pauses), _without_pauses(end, pauses)
         np.savez(
             path,
             names=np.array(self.names),
             name=np.frombuffer(self.name, dtype=np.int32),
             parent=np.frombuffer(self.parent, dtype=np.int32),
-            start=np.frombuffer(self.start, dtype=np.float64),
-            end=np.frombuffer(self.end, dtype=np.float64),
+            start=start,
+            end=end,
             outcome=np.frombuffer(self.outcome, dtype=np.int8),
         )
+
+
+def _without_pauses(stamps, pauses):
+    """Each stamp minus the paused time before it; pauses are sorted and
+    disjoint, and a pause runs no traced code, so no span ends inside one."""
+    import numpy as np
+
+    begin, finish = np.asarray(pauses, dtype=np.float64).T
+    length = finish - begin
+    before = np.concatenate(([0.0], np.cumsum(length)))
+    begun = np.searchsorted(begin, stamps, side="right")  # pauses begun by each stamp
+    last = np.maximum(begun - 1, 0)
+    paused = np.where(
+        begun > 0, before[last] + np.minimum(stamps - begin[last], length[last]), 0.0
+    )
+    return stamps - paused
 
 
 def layer_table(path: str) -> dict:

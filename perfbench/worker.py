@@ -4,12 +4,15 @@ Set-up (importing fpicheck and numpy, writing spec files, installing the
 tracer) runs first; the first timed call is stamped with ``time.monotonic``
 so the parent can measure set-up from the moment it started this process.
 The timed phase is a closed loop: the next ring starts only after the
-previous verdict has returned.
+previous verdict has returned. The calibration kernel of ``speed.py`` runs
+right after the stamp and then on a timer through the timed phase; its runs
+are left out of every timing, and each timing is also given scaled to the
+reference speed.
 
-Prints one JSON line: the first-call stamp, the timed wall time, the peak
-RSS of this process, and per ring its key, verdicts, error and latency.
-With ``--setup-only`` it stops at the first timed call and prints the stamp
-alone, a cheap extra sample of set-up time.
+Prints one JSON line: the first-call stamp, the median kernel time, the
+timed phase raw and scaled, the peak RSS of this process, and per ring its
+key, verdicts, error and scaled latency. With ``--setup-only`` it stops at
+the first timed call and prints the stamp alone, a sample of set-up time.
 
 Usage (from the repository root, with ``src`` on ``PYTHONPATH``):
 
@@ -25,47 +28,51 @@ import io
 import json
 import resource
 import shutil
+import statistics
 import tempfile
 import time
 import traceback
 from pathlib import Path
 
+from speed import SpeedClock
 from workloads import WORKLOADS
 
 _CELL = {"true": True, "false": False, "NA": None}
 
 
-def _ring(key, dim=None, cm=None, gor=None, fpure=None, fpi=None, error=None, latency=0.0):
+def _ring(key, dim=None, cm=None, gor=None, fpure=None, fpi=None, error=None, span=None):
+    """A ring's verdicts; `span` is the (first, past-the-end) indices of the
+    clock segments of its work."""
     return {
         "key": key, "dim": dim, "cm": cm, "gor": gor, "fpure": fpure,
-        "fpi": fpi, "error": error, "latency": latency,
+        "fpi": fpi, "error": error, "span": span,
     }
 
 
-class _RowClock:
-    """CSV sink that stamps every write; the census writes one row per call."""
+class _RowSink:
+    """CSV sink that marks the clock at every write; the census writes one
+    row per call."""
 
-    def __init__(self):
-        self.writes = []
+    def __init__(self, clock):
+        self.clock = clock
+        self.writes = []  # (segments closed at the write, text)
 
     def write(self, text):
-        self.writes.append((time.perf_counter(), text))
+        self.writes.append((self.clock.mark(), text))
 
 
 def _census(cli, workload, seed):
     """Set up a census; return the timed phase as a callable."""
     config = cli.CensusConfig(**{"seed": seed, **workload.census})
-    return lambda: _run_census(cli, config)
+    return lambda clock: _run_census(cli, config, clock)
 
 
-def _run_census(cli, config):
-    sink = _RowClock()
-    t0 = time.perf_counter()
+def _run_census(cli, config, clock):
+    sink = _RowSink(clock)
     cli.run_census(config, out=sink)
-    timed = time.perf_counter() - t0
     rings = []
-    prev = sink.writes[0][0]  # the header row is written before any ring
-    for stamp, text in sink.writes[1:]:
+    began = sink.writes[0][0]  # the header row is written before any ring
+    for ended, text in sink.writes[1:]:
         if text.startswith("#"):
             continue
         cells = next(csv.reader([text]))
@@ -79,10 +86,10 @@ def _run_census(cli, config):
             fpure=_CELL[row["F-pure"]],
             fpi=None if row["FPI"] == "NA" else row["FPI"],
             error=caveat if caveat.startswith("error:") else None,
-            latency=stamp - prev,
+            span=(began, ended),
         ))
-        prev = stamp
-    return rings, timed
+        began = ended
+    return rings
 
 
 def _reports(cli, workload, seed, spec_dir: Path):
@@ -94,23 +101,23 @@ def _reports(cli, workload, seed, spec_dir: Path):
         path.write_text(ring.spec_text(), encoding="utf-8")
         paths.append(str(path))
     extra = [] if workload.deep_checks else ["--no-deep-checks"]
-    return lambda: _run_reports(cli, rings, paths, seed, extra)
+    return lambda clock: _run_reports(cli, rings, paths, seed, extra, clock)
 
 
-def _run_reports(cli, rings, paths, seed, extra):
+def _run_reports(cli, rings, paths, seed, extra, clock):
     out = []
-    t0 = time.perf_counter()
+    began = clock.mark()
     for ring, path in zip(rings, paths):
         stdout, stderr = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = cli.main(["report", "--input", path, "--seed", str(seed)] + extra)
             except Exception:  # a crash is this ring's failure, not the run's
                 code, stderr = 1, io.StringIO(traceback.format_exc())
-        latency = time.perf_counter() - start
+        ended = clock.mark()
+        span, began = (began, ended), ended
         if code == 1:
-            out.append(_ring(ring.key, error=stderr.getvalue().strip() or "exit 1", latency=latency))
+            out.append(_ring(ring.key, error=stderr.getvalue().strip() or "exit 1", span=span))
             continue
         rep = json.loads(stdout.getvalue())
         out.append(_ring(
@@ -120,10 +127,9 @@ def _run_reports(cli, rings, paths, seed, extra):
             gor=rep["gorenstein"],
             fpure=rep["f_pure"],
             fpi=rep["weakly_fpi"],
-            latency=latency,
+            span=span,
         ))
-    timed = time.perf_counter() - t0
-    return out, timed
+    return out
 
 
 def main() -> None:
@@ -157,11 +163,21 @@ def main() -> None:
         if args.setup_only:
             print(json.dumps({"t_first": t_first}))
             return
-        rings, timed = timed_phase()
+        clock = SpeedClock()
+        clock.start()
+        try:
+            rings = timed_phase(clock)
+        finally:
+            clock.stop()
+    for ring in rings:
+        ring["latency"] = clock.scaled(*ring.pop("span"))
     if tracer is not None:
-        tracer.dump(args.spans)
+        tracer.dump(args.spans, clock.pauses)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"t_first": t_first, "timed_s": timed, "rss_mb": rss_mb, "rings": rings}))
+    print(json.dumps({
+        "t_first": t_first, "kernel_s": statistics.median(clock.samples),
+        "timed_s": clock.raw(), "scaled_s": clock.scaled(), "rss_mb": rss_mb, "rings": rings,
+    }))
 
 
 if __name__ == "__main__":
