@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InfiniteLengthError, PipelineInvariantError
 from .gfpoly import Polynomial, mono_divides, mono_mul, monomials_of_degree
 from .groebner import RingSpec
-from .linalg import Subspace, is_invertible, nullspace, rank
+from .linalg import Subspace, is_invertible, matmul, nullspace, rank
 from .modgb import Vec, lead_module_is_finite_colength, reduce_vec
 from .resolutions import ModulePresentation, frobenius_functor, matrix_from_columns
 
@@ -41,7 +41,7 @@ class FiniteLengthModule:
         self.degrees = tuple(degrees) if degrees is not None else None
         for i, a in enumerate(self.actions):
             for b in self.actions[i + 1 :]:
-                if not np.array_equal(a @ b % p, b @ a % p):
+                if not np.array_equal(matmul(a, b, p), matmul(b, a, p)):
                     raise ValueError("action matrices must commute")
 
     @property
@@ -56,7 +56,7 @@ class FiniteLengthModule:
         v = np.array(vec, dtype=np.int64) % self.p
         for i, e in enumerate(mono):
             for _ in range(e):
-                v = self.actions[i] @ v % self.p
+                v = matmul(self.actions[i], v, self.p)
         return v
 
     def socle_dimension(self) -> int:
@@ -82,7 +82,7 @@ class FiniteLengthModule:
         while cur.shape[1] > 0:
             cols = []
             for a in self.actions:
-                cols.append(a @ cur % self.p)
+                cols.append(matmul(a, cur, self.p))
             nxt = np.hstack(cols) if cols else cur[:, :0]
             sub = Subspace(self.dim, self.p)
             sub.add_rows(nxt.T)
@@ -426,10 +426,15 @@ def modules_isomorphic(
     if not basis:
         return IsoResult("not_isomorphic", "hom space is zero")
     d = len(basis)
+    stacked = np.stack([b.reshape(-1) for b in basis])
+
+    def combination(coeffs):
+        return matmul(np.array(coeffs, dtype=np.int64), stacked, p).reshape(basis[0].shape)
+
     count = (p**d - 1) // (p - 1)
     if count <= max_exhaust:
         for coeffs in _normalized_coefficient_vectors(p, d):
-            cand = sum(c * b for c, b in zip(coeffs, basis) if c) % p
+            cand = combination(coeffs)
             if is_invertible(cand, p):
                 return IsoResult("isomorphic", "invertible homomorphism found", cand)
         return IsoResult(
@@ -440,7 +445,7 @@ def modules_isomorphic(
         coeffs = rng.integers(0, p, size=d)
         if not coeffs.any():
             continue
-        cand = sum(int(c) * b for c, b in zip(coeffs, basis)) % p
+        cand = combination(coeffs)
         if is_invertible(cand, p):
             return IsoResult("isomorphic", "invertible homomorphism found", cand)
     return IsoResult(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product as _iproduct
+from operator import add, le, sub
 from typing import Iterable, Iterator
 
 from .errors import NonPrimeError, ParseError
@@ -93,18 +93,18 @@ class PrimeField:
 # monomial helpers
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """Does x^a divide x^b?"""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 def mono_div(b: Monomial, a: Monomial) -> Monomial:
     """x^b / x^a, assuming divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def mono_degree(a: Monomial) -> int:
     return sum(a)
@@ -414,11 +414,6 @@ class Polynomial:
         return f"Polynomial(p={self.p}, {self.to_string(names)})"
 
 
-def poly_pow_frobenius(f: Polynomial, e: int) -> Polynomial:
-    """f^(p^e), computed by scaling exponents (coefficients are Frobenius-fixed)."""
-    return f.frobenius_power(e)
-
-
 def poly_to_string(f: Polynomial, varnames: list, order: MonomialOrder = GREVLEX) -> str:
     if f.is_zero():
         return "0"
@@ -550,16 +545,3 @@ def random_homogeneous(rng, p: int, nvars: int, degree: int, max_terms: int = 3)
         c = rng.randrange(1, p) if p > 2 else 1
         terms[m] = (terms.get(m, 0) + c) % p
     return Polynomial(p, nvars, terms)
-
-
-def all_monomials_up_to(nvars: int, degree: int) -> list:
-    """All exponent tuples of total degree <= degree (degree-major order)."""
-    out = []
-    for d in range(degree + 1):
-        out.extend(monomials_of_degree(nvars, d))
-    return out
-
-
-def exponent_box(nvars: int, bound: int) -> Iterator[Monomial]:
-    """All exponent tuples with each entry < bound (for F_* bases)."""
-    return _iproduct(range(bound), repeat=nvars)

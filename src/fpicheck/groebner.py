@@ -7,9 +7,10 @@ this module works in the ambient polynomial ring.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 
 from .errors import NonHomogeneousError, ResourceLimitError
 from .gfpoly import (
@@ -21,6 +22,7 @@ from .gfpoly import (
     mono_degree,
     mono_div,
     mono_divides,
+    mono_is_one,
     mono_lcm,
     mono_mul,
     monomials_of_degree,
@@ -92,43 +94,251 @@ class PolyRing:
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# the Groebner kernel
+#
+# One engine serves ideals and submodules of free modules S^r. Its elements
+# are term dicts {(component, monomial): coeff}; an ideal is the rank-one
+# case, every term in component 0. Terms compare position over term: a lower
+# component dominates, ties go to the monomial order. The kernel ranks terms
+# in reverse, so the lead term is the one of least rank and a min-heap hands
+# out terms largest first.
+
+@lru_cache(maxsize=4096)
+def _grevlex_rank(m):
+    """Grevlex rank of a monomial: a smaller rank is a larger monomial."""
+    return (-sum(m),) + m[::-1]
+
+
+def _lex_rank(m):
+    return tuple(map(neg, m))
+
+
+def _rank_of(order: MonomialOrder):
+    """Monomial -> rank; it negates `order.key`, flattened, entrywise."""
+    if order.kind == "grevlex":
+        return _grevlex_rank
+    if order.kind == "lex":
+        return _lex_rank
+    k = order.block
+    return lambda m: _grevlex_rank(m[:k]) + _grevlex_rank(m[k:])
+
+
+def lead_term(terms: dict, order: MonomialOrder = GREVLEX):
+    """The (component, monomial) lead of a nonzero term dict."""
+    rank = _rank_of(order)
+    return min(terms, key=lambda t: (t[0], rank(t[1])))
+
+
+def _monic(terms: dict, lead, p: int) -> dict:
+    c = terms[lead]
+    if c == 1:
+        return terms
+    inv = pow(c, p - 2, p)
+    return {t: v * inv % p for t, v in terms.items()}
+
+
+def _reducers(elems, leads, p: int) -> dict:
+    """Component -> [(lead monomial, inverse lead coefficient, tail terms)],
+    in basis order: the first entry whose lead divides a term reduces it."""
+    out: dict = {}
+    for g, lead in zip(elems, leads):
+        tail = [(t, c) for t, c in g.items() if t != lead]
+        out.setdefault(lead[0], []).append((lead[1], pow(g[lead], p - 2, p), tail))
+    return out
+
+
+def _normal_form(work: dict, reducers: dict, p: int, rank) -> dict:
+    """Full normal form of `work` (consumed) modulo `reducers`.
+
+    The monomial helpers of `gfpoly` are inlined here, the innermost loop.
+    """
+    heap = [(c, rank(m), m) for c, m in work]
+    heapify(heap)
+    out: dict = {}
+    while heap:
+        comp, _, mono = heappop(heap)
+        t = (comp, mono)
+        coef = work.pop(t, 0)
+        if not coef:
+            continue  # cancelled, or a second heap entry of a finished term
+        for lm, inv, tail in reducers.get(comp, ()):
+            if all(map(le, lm, mono)):
+                break
+        else:
+            out[t] = coef
+            continue
+        factor = coef * inv % p
+        shift = tuple(map(sub, mono, lm))
+        for (c2, m2), cc in tail:
+            m3 = tuple(map(add, m2, shift))
+            t3 = (c2, m3)
+            old = work.get(t3)
+            if old is None:
+                work[t3] = -factor * cc % p
+                heappush(heap, (c2, rank(m3), m3))
+            else:
+                v = (old - factor * cc) % p
+                if v:
+                    work[t3] = v
+                else:
+                    del work[t3]
+    return out
+
+
+def normal_form_terms(terms: dict, basis, p: int, order: MonomialOrder = GREVLEX) -> dict:
+    """Full normal form of a term dict modulo the nonzero term dicts `basis`."""
+    if not terms or not basis:
+        return terms
+    leads = [lead_term(g, order) for g in basis]
+    return _normal_form(dict(terms), _reducers(basis, leads, p), p, _rank_of(order))
+
+
+def groebner_terms(
+    elems, p: int, order: MonomialOrder, max_pairs: int, stage: str, syzygy_cutoff=None
+):
+    """Reduced Groebner basis of the submodule spanned by the term dicts `elems`.
+
+    Pairs are processed by increasing lcm degree, then increasing lcm term.
+    A pair whose leads lie in different components has no S-vector. The
+    chain criterion drops a pair (i, j) when some lead k divides their lcm
+    and the pairs (i, k), (j, k) are done. The coprime-lead criterion drops a
+    pair only when both elements live in one component: there it is the ideal
+    criterion times a basis vector, while for (x, 1) and (y, 1) in S^2 the
+    leads x*e0 and y*e0 are coprime and yet (0, x - y) is in the span.
+
+    With `syzygy_cutoff` set, pairs between two elements whose leads lie at or
+    beyond that component are skipped. Elements there are pure combinations of
+    tag components; their mutual pairs only rewrite syzygies already generated
+    (Schreyer), so the output still generates the same submodule and is a full
+    Groebner basis below the cutoff.
+
+    Raises ResourceLimitError naming `stage` after `max_pairs` pairs.
+    """
+    rank = _rank_of(order)
+
+    def term_rank(t):
+        return (t[0], rank(t[1]))
+
+    led = [(g, min(g, key=term_rank)) for g in elems if g]
+    if not led:
+        return []
+    led.sort(key=lambda e: term_rank(e[1]), reverse=True)
+    basis = [_monic(g, lead, p) for g, lead in led]
+    leads = [lead for _, lead in led]
+    single = [len({c for c, _ in g}) == 1 for g in basis]
+    reducers = _reducers(basis, leads, p)
+    members: dict = {}  # component -> indices of the elements led there
+    pairq: list = []
+    done = set()
+
+    def add(j):
+        comp, mj = leads[j]
+        earlier = members.setdefault(comp, [])
+        if syzygy_cutoff is None or comp < syzygy_cutoff:
+            for i in earlier:
+                l = mono_lcm(leads[i][1], mj)
+                # ascending lcm degree, then lcm term (its negated rank)
+                heappush(pairq, (mono_degree(l), -comp, tuple(map(neg, rank(l))), i, j))
+        earlier.append(j)
+
+    for j in range(len(basis)):
+        add(j)
+
+    steps = 0
+    while pairq:
+        steps += 1
+        if steps > max_pairs:
+            raise ResourceLimitError(f"{stage}: S-pair budget of {max_pairs} exhausted")
+        *_, i, j = heappop(pairq)
+        done.add((i, j))
+        comp, mi = leads[i]
+        mj = leads[j][1]
+        l = mono_lcm(mi, mj)
+        if single[i] and single[j] and mono_mul(mi, mj) == l:
+            continue  # coprime leads in one component: S-vector reduces to zero
+        if any(
+            k != i and k != j and mono_divides(leads[k][1], l)
+            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k in members[comp]
+        ):
+            continue
+        # S-vector of monic elements: the two leads cancel
+        work: dict = {}
+        for g, lead, sign in ((basis[i], leads[i], 1), (basis[j], leads[j], -1)):
+            shift = mono_div(l, lead[1])
+            for (c, m), v in g.items():
+                if (c, m) != lead:
+                    t = (c, mono_mul(m, shift))
+                    w = (work.get(t, 0) + sign * v) % p
+                    if w:
+                        work[t] = w
+                    else:
+                        work.pop(t, None)
+        s = _normal_form(work, reducers, p, rank)
+        if not s:
+            continue
+        lead = min(s, key=term_rank)
+        s = _monic(s, lead, p)
+        basis.append(s)
+        leads.append(lead)
+        single.append(len({c for c, _ in s}) == 1)
+        tail = [(t, c) for t, c in s.items() if t != lead]
+        reducers.setdefault(lead[0], []).append((lead[1], 1, tail))
+        add(len(basis) - 1)
+    return _inter_reduce(basis, leads, members, p, rank)
+
+
+def _inter_reduce(basis, leads, members, p: int, rank):
+    """Minimalize then inter-reduce; output is the unique reduced basis, sorted.
+
+    No kept lead divides another, so a kept element keeps its lead, and no
+    term below its lead is divisible by it. Each element's tail is reduced
+    modulo the earlier elements already reduced and the later ones not yet
+    reduced: the reducer lists hold all of them in basis order, and each
+    entry is replaced by its reduced form once that is known.
+    """
+    keep = [
+        i for i, (c, mi) in enumerate(leads)
+        if not any(
+            j != i and mono_divides(leads[j][1], mi) and (leads[j][1] != mi or j < i)
+            for j in members[c]
+        )
+    ]
+    reducers = _reducers([basis[i] for i in keep], [leads[i] for i in keep], p)
+    seen: dict = {}
+    out = []
+    for i in keep:
+        lead = leads[i]
+        tail = _normal_form(
+            {t: c for t, c in basis[i].items() if t != lead}, reducers, p, rank
+        )
+        slot = seen.get(lead[0], 0)
+        seen[lead[0]] = slot + 1
+        reducers[lead[0]][slot] = (lead[1], 1, list(tail.items()))
+        g = {lead: 1}
+        g.update(tail)
+        out.append((g, lead))
+    out.sort(key=lambda e: (e[1][0], rank(e[1][1])), reverse=True)
+    return [g for g, _ in out]
+
+
+# ---------------------------------------------------------------------------
+# ideals through the kernel: polynomials are component-0 term dicts
+
+def _terms_of(f: Polynomial) -> dict:
+    return {(0, m): c for m, c in f.terms.items()}
+
+
+def _poly_of(terms: dict, p: int, nvars: int) -> Polynomial:
+    return Polynomial._raw(p, nvars, {m: c for (_, m), c in terms.items()})
+
 
 def reduce_poly(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     """Full normal form of f modulo the list `basis` (every term reduced)."""
     if f.is_zero() or not basis:
         return f
-    p = f.p
-    nvars = f.nvars
-    leads = [(g.lead(order)[0], g) for g in basis if not g.is_zero()]
-    work = dict(f.terms)
-    out: dict = {}
-    key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        hit = None
-        for lm, g in leads:
-            if mono_divides(lm, m):
-                hit = (lm, g)
-                break
-        if hit is None:
-            out[m] = c
-            continue
-        lm, g = hit
-        lc = g.terms[lm]
-        factor = c * pow(lc, p - 2, p) % p
-        shift = mono_div(m, lm)
-        for mm, cc in g.terms.items():
-            if mm == lm:
-                continue
-            mmm = mono_mul(mm, shift)
-            v = (work.get(mmm, 0) - factor * cc) % p
-            if v:
-                work[mmm] = v
-            else:
-                work.pop(mmm, None)
-    return Polynomial._raw(p, nvars, out)
+    elems = [_terms_of(g) for g in basis if not g.is_zero()]
+    return _poly_of(normal_form_terms(_terms_of(f), elems, f.p, order), f.p, f.nvars)
 
 
 def divide_exact(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
@@ -159,96 +369,14 @@ def divide_exact(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     return Polynomial(p, f.nvars, quot)
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    p = f.p
-    mf, cf = f.lead(order)
-    mg, cg = g.lead(order)
-    l = mono_lcm(mf, mg)
-    a = f.mul_term(mono_div(l, mf), pow(cf, p - 2, p))
-    b = g.mul_term(mono_div(l, mg), pow(cg, p - 2, p))
-    return a - b
-
-
 def buchberger(gens, order: MonomialOrder = GREVLEX, max_pairs: int = DEFAULT_MAX_PAIRS):
-    """Reduced Groebner basis of the ideal generated by `gens`.
-
-    Pairs are processed by increasing lcm degree; the coprime-lead and chain
-    criteria discard pairs before reduction.
-    """
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
+    """Reduced Groebner basis of the ideal generated by `gens`, sorted by lead."""
+    elems = [_terms_of(g) for g in gens if not g.is_zero()]
+    if not elems:
         return []
-    order_key = order.key
-    basis = [g.monic(order) for g in basis]
-    basis.sort(key=lambda g: order_key(g.lead(order)[0]))
-    leads = [g.lead(order)[0] for g in basis]
-
-    pairq: list = []
-    done = set()
-
-    def push(i, j):
-        l = mono_lcm(leads[i], leads[j])
-        heapq.heappush(pairq, (mono_degree(l), order_key(l), i, j))
-
-    for j in range(len(basis)):
-        for i in range(j):
-            push(i, j)
-
-    steps = 0
-    while pairq:
-        steps += 1
-        if steps > max_pairs:
-            raise ResourceLimitError("Buchberger pair budget exhausted")
-        _, _, i, j = heapq.heappop(pairq)
-        done.add((i, j))
-        li, lj = leads[i], leads[j]
-        l = mono_lcm(li, lj)
-        if mono_mul(li, lj) == l:
-            continue  # coprime leads: S-polynomial reduces to zero
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(leads[k], l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = reduce_poly(_spoly(basis[i], basis[j], order), basis, order)
-        if s.is_zero():
-            continue
-        s = s.monic(order)
-        basis.append(s)
-        leads.append(s.lead(order)[0])
-        new = len(basis) - 1
-        for k in range(new):
-            push(k, new)
-    return _reduce_basis(basis, order)
-
-
-def _reduce_basis(basis, order: MonomialOrder):
-    """Minimalize then inter-reduce; output is the unique reduced basis, sorted."""
-    leads = [g.lead(order)[0] for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        lm = leads[i]
-        redundant = any(
-            j != i and mono_divides(leads[j], lm) and (leads[j] != lm or j < i)
-            for j in range(len(basis))
-        )
-        if not redundant:
-            keep.append(g)
-    out = []
-    for i, g in enumerate(keep):
-        others = out + keep[i + 1 :]
-        r = reduce_poly(g, others, order)
-        if not r.is_zero():
-            out.append(r.monic(order))
-    out.sort(key=lambda g: order.key(g.lead(order)[0]))
-    return out
+    p, nvars = gens[0].p, gens[0].nvars
+    gb = groebner_terms(elems, p, order, max_pairs, "ideal Buchberger")
+    return [_poly_of(g, p, nvars) for g in gb]
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +446,6 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     gens = [f * g for f in a.generators for g in b.generators]
     return Ideal(a.ring, gens)
-
-def multiply_ideal(f: Polynomial, a: Ideal) -> Ideal:
-    return Ideal(a.ring, [f * g for g in a.generators])
-
 
 def bracket_power(a: Ideal, e: int) -> Ideal:
     """The ideal generated by q-th powers of the generators, q = p^e."""
@@ -434,7 +558,7 @@ def _hilbert_numerator_cached(gens: tuple, n: int) -> tuple:
 def _hilbert_numerator(gens: tuple, n: int) -> dict:
     """Numerator of Hilb(S/(gens)) over (1-t)^n, as {degree: int}."""
     gens = _minimalize_monomials(gens)
-    if any(mono_is_one_t(m) for m in gens):
+    if any(mono_is_one(m) for m in gens):
         return {}
     supports = [tuple(i for i, e in enumerate(m) if e) for m in gens]
     if all(len(s) == 1 for s in supports) and len({s[0] for s in supports}) == len(supports):
@@ -456,10 +580,6 @@ def _hilbert_numerator(gens: tuple, n: int) -> dict:
     a = dict(_hilbert_numerator_cached(plus, n))
     b = dict(_hilbert_numerator_cached(colon, n))
     return _zpoly_add(a, _zpoly_shift(b, 1))
-
-
-def mono_is_one_t(m) -> bool:
-    return not any(m)
 
 
 @dataclass(frozen=True)
@@ -633,16 +753,6 @@ class RingSpec:
         if d < 0:
             return 0
         return len(self.standard_monomials_of_degree(d))
-
-    def coords_of(self, f: Polynomial, d: int, index: dict):
-        """Coordinates of NF(f) in the degree-d standard monomial basis."""
-        g = self.nf(f)
-        coords = [0] * len(index)
-        for m, c in g.terms.items():
-            if sum(m) != d:
-                raise ValueError("polynomial is not homogeneous of the slice degree")
-            coords[index[m]] = c
-        return coords
 
     def preimage_ideal(self, gens) -> Ideal:
         """Preimage in S of the R-ideal generated by `gens`."""

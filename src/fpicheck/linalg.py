@@ -13,19 +13,6 @@ import numpy as np
 _INT64_MATMUL_MAX_P = 46337  # p^2 * dim stays below 2^63 for practical dims
 
 
-def asmat(rows, p: int) -> np.ndarray:
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return np.mod(a, p)
-
-def zeros(r: int, c: int) -> np.ndarray:
-    return np.zeros((r, c), dtype=np.int64)
-
-def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
-
-
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if p <= _INT64_MATMUL_MAX_P:
         return (a @ b) % p
@@ -80,30 +67,8 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def solve(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution x of a @ x = b mod p, or None."""
-    rows, cols = a.shape
-    aug = np.concatenate([a % p, (b % p).reshape(rows, 1)], axis=1)
-    r, pivots = rref(aug, p)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols]
-    return x
-
-
 def is_invertible(a: np.ndarray, p: int) -> bool:
     return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
-
-
-def inverse(a: np.ndarray, p: int):
-    n = a.shape[0]
-    aug = np.concatenate([a % p, eye(n)], axis=1)
-    r, pivots = rref(aug, p)
-    if pivots != list(range(n)):
-        return None
-    return r[:, n:]
 
 
 class Subspace:

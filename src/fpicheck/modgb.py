@@ -5,36 +5,21 @@ Elements of a free module S^r are sparse vectors whose terms are keyed by
 ties: lower component indices dominate, so placing "real" components before
 tag components turns a Groebner basis into an elimination device for syzygies.
 
-The coprime-lead shortcut for S-pairs is valid for ideals only, so the module
-Buchberger loop applies just the chain criterion.
+Normal forms and Groebner bases come from the one kernel in `groebner`, which
+works on exactly these term dicts; this module adds the vector type, syzygies,
+kernels over quotient rings and lead modules.
 """
 
 from __future__ import annotations
 
-import heapq
-
-from .errors import ResourceLimitError
-from .gfpoly import (
-    GREVLEX,
-    Polynomial,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    monomials_of_degree,
-)
+from .gfpoly import GREVLEX, Polynomial, mono_degree, mono_mul
 from .groebner import (
     DEFAULT_MAX_PAIRS,
-    _hilbert_numerator_cached,
     _minimalize_monomials,
+    groebner_terms,
+    lead_term,
+    normal_form_terms,
 )
-
-
-def pot_key(term):
-    """Sort key for (component, monomial): position over term, grevlex ties."""
-    comp, mono = term
-    return (-comp, GREVLEX.key(mono))
 
 
 class Vec:
@@ -147,12 +132,13 @@ class Vec:
             out = out + self.mul_term(m, c)
         return out
 
-    def lead(self, key=pot_key):
-        t = max(self.terms, key=key)
+    def lead(self):
+        """((component, monomial), coeff) of the position-over-term lead."""
+        t = lead_term(self.terms)
         return t, self.terms[t]
 
-    def monic(self, key=pot_key) -> "Vec":
-        _, c = self.lead(key)
+    def monic(self) -> "Vec":
+        _, c = self.lead()
         return self.scale(pow(c, self.p - 2, self.p))
 
     def shift_components(self, offset: int) -> "Vec":
@@ -192,148 +178,27 @@ class Vec:
 
 
 # ---------------------------------------------------------------------------
-# reduction and Buchberger for modules
+# reduction and Groebner bases, through the kernel
 
-def reduce_vec(v: Vec, basis, key=pot_key) -> Vec:
+def reduce_vec(v: Vec, basis) -> Vec:
     """Full normal form of v modulo the vectors in `basis`."""
     if v.is_zero() or not basis:
         return v
-    p = v.p
-    buckets: dict = {}
-    for g in basis:
-        if g.is_zero():
-            continue
-        (comp, mono), _ = g.lead(key)
-        buckets.setdefault(comp, []).append((mono, g))
-    work = dict(v.terms)
-    out: dict = {}
-    while work:
-        t = max(work, key=key)
-        coef = work.pop(t)
-        comp, mono = t
-        hit = None
-        for lm, g in buckets.get(comp, ()):
-            if mono_divides(lm, mono):
-                hit = (lm, g)
-                break
-        if hit is None:
-            out[t] = coef
-            continue
-        lm, g = hit
-        lc = g.terms[(comp, lm)]
-        factor = coef * pow(lc, p - 2, p) % p
-        shift = mono_div(mono, lm)
-        for (c2, m2), cc in g.terms.items():
-            if c2 == comp and m2 == lm:
-                continue
-            tt = (c2, mono_mul(m2, shift))
-            val = (work.get(tt, 0) - factor * cc) % p
-            if val:
-                work[tt] = val
-            else:
-                work.pop(tt, None)
-    return Vec._raw(p, v.nvars, out)
+    elems = [g.terms for g in basis if g.terms]
+    return Vec._raw(v.p, v.nvars, normal_form_terms(v.terms, elems, v.p))
 
 
-def _svec(f: Vec, g: Vec, key=pot_key) -> Vec:
-    p = f.p
-    (cf, mf), af = f.lead(key)
-    (cg, mg), ag = g.lead(key)
-    l = mono_lcm(mf, mg)
-    a = f.mul_term(mono_div(l, mf), pow(af, p - 2, p))
-    b = g.mul_term(mono_div(l, mg), pow(ag, p - 2, p))
-    return a - b
-
-
-def module_groebner(gens, key=pot_key, max_pairs: int = DEFAULT_MAX_PAIRS, syzygy_cutoff=None):
-    """Reduced Groebner basis of the submodule generated by `gens`.
-
-    With `syzygy_cutoff` set, pairs between two elements whose leads lie at or
-    beyond that component are skipped. Elements there are pure combinations of
-    tag components; their mutual pairs only rewrite syzygies already generated
-    (Schreyer), so the output still generates the same submodule and is a full
-    Groebner basis below the cutoff.
-    """
-    basis = [g.monic(key) for g in gens if not g.is_zero()]
-    if not basis:
+def module_groebner(gens, max_pairs: int = DEFAULT_MAX_PAIRS, syzygy_cutoff=None):
+    """Reduced Groebner basis of the submodule generated by `gens`, sorted by
+    lead; see `groebner.groebner_terms` for `syzygy_cutoff`."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         return []
-    basis.sort(key=lambda g: key(g.lead(key)[0]))
-    leads = [g.lead(key)[0] for g in basis]
-
-    pairq: list = []
-    done = set()
-
-    def push(i, j):
-        ci, mi = leads[i]
-        cj, mj = leads[j]
-        if ci != cj:
-            return
-        if syzygy_cutoff is not None and ci >= syzygy_cutoff:
-            return
-        l = mono_lcm(mi, mj)
-        heapq.heappush(pairq, (mono_degree(l), key((ci, l)), i, j))
-
-    for j in range(len(basis)):
-        for i in range(j):
-            push(i, j)
-
-    steps = 0
-    while pairq:
-        steps += 1
-        if steps > max_pairs:
-            raise ResourceLimitError("module Buchberger pair budget exhausted")
-        _, _, i, j = heapq.heappop(pairq)
-        done.add((i, j))
-        (ci, mi) = leads[i]
-        (_, mj) = leads[j]
-        l = mono_lcm(mi, mj)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            ck, mk = leads[k]
-            if ck == ci and mono_divides(mk, l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = reduce_vec(_svec(basis[i], basis[j], key), basis, key)
-        if s.is_zero():
-            continue
-        s = s.monic(key)
-        basis.append(s)
-        leads.append(s.lead(key)[0])
-        new = len(basis) - 1
-        for k in range(new):
-            push(k, new)
-    return _reduce_vec_basis(basis, key)
-
-
-def _reduce_vec_basis(basis, key=pot_key):
-    leads = [g.lead(key)[0] for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        ci, mi = leads[i]
-        redundant = any(
-            j != i
-            and leads[j][0] == ci
-            and mono_divides(leads[j][1], mi)
-            and (leads[j][1] != mi or j < i)
-            for j in range(len(basis))
-        )
-        if not redundant:
-            keep.append(g)
-    out = []
-    for i, g in enumerate(keep):
-        others = out + keep[i + 1 :]
-        r = reduce_vec(g, others, key)
-        if not r.is_zero():
-            out.append(r.monic(key))
-    out.sort(key=lambda g: key(g.lead(key)[0]))
-    return out
+    p, nvars = gens[0].p, gens[0].nvars
+    gb = groebner_terms(
+        [g.terms for g in gens], p, GREVLEX, max_pairs, "module Buchberger", syzygy_cutoff
+    )
+    return [Vec._raw(p, nvars, g) for g in gb]
 
 
 # ---------------------------------------------------------------------------
@@ -412,45 +277,13 @@ def kernel_over_quotient(columns, nrows: int, defining_ideal, max_pairs: int = D
 # ---------------------------------------------------------------------------
 # lead modules, Hilbert data for graded quotients of free modules
 
-def lead_module(gb, key=pot_key) -> dict:
+def lead_module(gb) -> dict:
     """Map component -> minimal generators of its lead-monomial ideal."""
     raw: dict = {}
     for g in gb:
-        (comp, mono), _ = g.lead(key)
+        comp, mono = lead_term(g.terms)
         raw.setdefault(comp, []).append(mono)
     return {c: _minimalize_monomials(tuple(ms)) for c, ms in raw.items()}
-
-
-def quotient_module_numerator(lead_by_comp: dict, twists, n: int) -> dict:
-    """Laurent numerator over (1-t)^n of Hilb(F/N), F = free with twists.
-
-    Component j contributes t^twist_j times the numerator of S/(leads_j).
-    """
-    total: dict = {}
-    for j, tw in enumerate(twists):
-        leads = _minimalize_monomials(tuple(lead_by_comp.get(j, ())))
-        num = dict(_hilbert_numerator_cached(leads, n))
-        for d, c in num.items():
-            v = total.get(d + tw, 0) + c
-            if v:
-                total[d + tw] = v
-            else:
-                total.pop(d + tw, None)
-    return total
-
-
-def module_standard_monomials(lead_by_comp: dict, twists, n: int, degree: int):
-    """Terms (comp, mono) of degree `degree` outside the lead module."""
-    out = []
-    for j, tw in enumerate(twists):
-        d = degree - tw
-        if d < 0:
-            continue
-        leads = lead_by_comp.get(j, ())
-        for m in monomials_of_degree(n, d):
-            if not any(mono_divides(l, m) for l in leads):
-                out.append((j, m))
-    return out
 
 
 def lead_module_is_finite_colength(lead_by_comp: dict, ncomponents: int, n: int) -> bool:

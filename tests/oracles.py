@@ -123,3 +123,58 @@ def partitions_up_to(total: int):
 
     for size in range(1, total + 1):
         yield from _parts(size, size)
+
+
+def module_membership_oracle(v, gens, twists) -> bool:
+    """Decide v in the submodule spanned by `gens`, one degree slice at a time.
+
+    Vectors are read through their ``p``, ``nvars`` and ``terms``, a dict
+    {(component, monomial): coeff}, so no module code is involved. A term
+    (c, m) has degree deg(m) + twists[c]; every generator must be
+    homogeneous for these twists. The slice of degree d spans the terms of
+    degree d and holds the products m * g of that degree, so membership of
+    each homogeneous part of v is a rank question, as for ideals.
+    """
+    gens = [g for g in gens if g.terms]
+    if not v.terms:
+        return True
+    if not gens:
+        return False
+    p, n = v.p, v.nvars
+
+    def degree(term):
+        comp, mono = term
+        return sum(mono) + twists[comp]
+
+    gen_degrees = []
+    for g in gens:
+        degrees = {degree(t) for t in g.terms}
+        if len(degrees) != 1:
+            raise ValueError("module oracle needs homogeneous generators")
+        gen_degrees.append(degrees.pop())
+    parts: dict[int, dict] = {}
+    for term, coeff in v.terms.items():
+        parts.setdefault(degree(term), {})[term] = coeff
+    for d, part in parts.items():
+        slice_terms = [
+            (comp, mono)
+            for comp, twist in enumerate(twists)
+            if d >= twist
+            for mono in monomials_of_degree(n, d - twist)
+        ]
+        index = {t: i for i, t in enumerate(slice_terms)}
+        rows = []
+        for g, e in zip(gens, gen_degrees):
+            if e > d:
+                continue
+            for m in monomials_of_degree(n, d - e):
+                row = [0] * len(slice_terms)
+                for (comp, mono), coeff in g.terms.items():
+                    row[index[(comp, tuple(a + b for a, b in zip(mono, m)))]] = coeff
+                rows.append(row)
+        target = [0] * len(slice_terms)
+        for term, coeff in part.items():
+            target[index[term]] = coeff
+        if not _in_row_space(target, rows, p):
+            return False
+    return True

@@ -237,3 +237,65 @@ def test_seeded_results_are_reproducible():
     b = frobenius_fixes_injective_hull(rs, seed=7)
     assert a.iso.verdict == b.iso.verdict == "isomorphic"
     assert a.n_witness == b.n_witness == 1
+
+
+# -- products exact at the top of the prime range --------------------------------
+#
+# At p = 2^31 - 1 one product of two reduced entries nearly fills an int64, so
+# an int64 dot product with three such terms wraps around.
+
+BIG_P = 2147483647
+
+
+def _exact(a, b, p=BIG_P):
+    return np.array(
+        (np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)) % p, dtype=np.int64
+    )
+
+
+def _rank_one_nilpotent():
+    """v w^T with w.v = 0, entries p-1 or small: its square is zero mod p."""
+    v = np.array([1, -1, -1, -1])
+    w = np.array([-3, -1, -1, -1])
+    return np.outer(v, w) % BIG_P
+
+
+def _conjugate(a, p=BIG_P):
+    """P a P^-1 for P = (I + cL)(I + dU), L and U the lower and upper shifts."""
+    n = a.shape[0]
+    out = np.asarray(a, dtype=np.int64)
+    for k, c in ((1, 987654321), (-1, p - 12345)):
+        shift = np.eye(n, k=k, dtype=np.int64).astype(object)
+        unipotent = (np.eye(n, dtype=np.int64) + c * shift) % p
+        inverse = sum((-c) ** e * np.linalg.matrix_power(shift, e) for e in range(n)) % p
+        out = _exact(_exact(unipotent, out), inverse)
+    return out
+
+
+def test_big_prime_commutation_check_is_exact():
+    # a and -2a commute mod p; as integer matrices they do not
+    a = _rank_one_nilpotent()
+    assert FiniteLengthModule(BIG_P, [a, (BIG_P - 2) * a % BIG_P]).dim == 4
+
+
+def test_big_prime_act_monomial_is_exact():
+    # the all-(p-1) matrix is -J; -J applied to (-1, -1, -1) is (3, 3, 3)
+    m = FiniteLengthModule(BIG_P, [np.full((3, 3), BIG_P - 1, dtype=np.int64)])
+    assert m.act_monomial([BIG_P - 1] * 3, (1,)).tolist() == [3, 3, 3]
+
+
+def test_big_prime_loewy_series_is_exact():
+    # a has rank one and square zero: layers of dimension 3 and 1
+    assert FiniteLengthModule(BIG_P, [_rank_one_nilpotent()]).loewy_series() == (3, 1)
+
+
+def test_big_prime_isomorphism_witness_is_a_module_map():
+    # k[x]/(x^3) + k[x]/(x^3), once plain and once in a dense basis: the
+    # 12-dimensional hom space is sampled, as p^12 is far past exhaustion
+    plain = np.diag([1, 1, 0, 1, 1], k=1)
+    dense = _conjugate(plain)
+    src, dst = FiniteLengthModule(BIG_P, [plain]), FiniteLengthModule(BIG_P, [dense])
+    for seed in range(5):
+        res = modules_isomorphic(src, dst, seed=seed)
+        assert res.verdict == "isomorphic"
+        assert np.array_equal(_exact(res.witness, plain), _exact(dense, res.witness))

@@ -4,6 +4,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,3 +302,20 @@ def test_census_cli_entry_point(tmp_path, capsys):
     content = out_path.read_text()
     assert content.splitlines()[0] == ",".join(cli.CSV_COLUMNS)
     assert "F_2[x,y]/(x*y)" in content
+
+
+def test_module_entry_point_runs_without_warnings():
+    # `python -m fpicheck` runs cli.main; with -W error, the runpy warning
+    # that `python -m fpicheck.cli` emits would fail the run
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fpicheck", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "census" in proc.stdout
+    assert proc.stderr == ""
