@@ -44,10 +44,10 @@ from .gfpoly import (
     random_homogeneous,
 )
 from .groebner import (
-    Ideal,
     RingSpec,
-    _hilbert_numerator_cached,
-    _minimalize_monomials,
+    _raw_quotient_numerator,
+    _zpoly_shift,
+    _zpoly_sub,
     bracket_power,
     ideal_colon,
     minimal_primes_monomial,
@@ -70,32 +70,6 @@ from .resolutions import (
     with_modulus,
 )
 from .pushforward import frobenius_pushforward, hom_pushforward_into_ring
-
-
-# ---------------------------------------------------------------------------
-# integer Laurent-polynomial helpers for exact Hilbert-series certificates
-
-def _raw_quotient_numerator(a: Ideal) -> dict:
-    """Numerator of HS(S/a) over (1 - t)^n, as a {degree: coeff} dict."""
-    terms = _hilbert_numerator_cached(
-        _minimalize_monomials(tuple(a.lead_monomials())), a.ring.n
-    )
-    return {d: c for d, c in dict(terms).items() if c}
-
-
-def _zsub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, c in b.items():
-        v = out.get(d, 0) - c
-        if v:
-            out[d] = v
-        else:
-            out.pop(d, None)
-    return out
-
-
-def _zshift(a: dict, k: int) -> dict:
-    return {d + k: c for d, c in a.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +114,9 @@ def find_nzds(
     Linear forms are enumerated exhaustively in a deterministic order; each
     higher degree is scanned exhaustively when the coefficient space is
     small and by seeded sampling otherwise. Every candidate is verified
-    exactly through the colon test (I : f) == I. Raises NoNzdFoundError when
-    the whole budget yields nothing.
+    exactly by `RingSpec.is_nzd`, which compares the Hilbert series of R/fR
+    with (1 - t^deg f) HS(R). Raises NoNzdFoundError when the whole budget
+    yields nothing.
     """
     n, p = rs.ring.n, rs.p
     found: list = []
@@ -290,7 +265,8 @@ def is_f_pure(rs: RingSpec):
 
     R = S/I is F-pure exactly when (I^[p] : I) is not contained in
     (x_1^p, ..., x_n^p). The test is exact for any ideal; homogeneity is
-    not required. Returns (verdict, witness dict).
+    not required. For a monomial I, `ideal_colon` computes the colon in
+    closed form. Returns (verdict, witness dict).
     """
     names = rs.ring.varnames
     colon = ideal_colon(bracket_power(rs.ideal, 1), rs.ideal)
@@ -388,10 +364,10 @@ def ideals_isomorphic(
     if rs.ideal_eq_in_r(gi, gj):
         return IdealIsoResult("true", (one, one), 0, "the ideals are equal")
     num_r = _raw_quotient_numerator(rs.ideal)
-    num_i = _zsub(num_r, _raw_quotient_numerator(rs.preimage_ideal(gi)))
-    num_j = _zsub(num_r, _raw_quotient_numerator(rs.preimage_ideal(gj)))
+    num_i = _zpoly_sub(num_r, _raw_quotient_numerator(rs.preimage_ideal(gi)))
+    num_j = _zpoly_sub(num_r, _raw_quotient_numerator(rs.preimage_ideal(gj)))
     shift = min(num_i) - min(num_j)
-    if _zshift(num_j, shift) != num_i:
+    if _zpoly_shift(num_j, shift) != num_i:
         return IdealIsoResult(
             "false", None, None, "no shift matches the two Hilbert series"
         )
@@ -600,8 +576,8 @@ def canonical_ideal(
                 continue
             polys = u.as_poly_dict()
             gens = [polys[i] for i in sorted(polys)]
-            image_num = _zsub(num_r, _raw_quotient_numerator(rs.preimage_ideal(gens)))
-            if image_num == _zshift(num_omega, target):
+            image_num = _zpoly_sub(num_r, _raw_quotient_numerator(rs.preimage_ideal(gens)))
+            if image_num == _zpoly_shift(num_omega, target):
                 found = CanonicalIdealResult(
                     "found",
                     tuple(rs.nf(g) for g in gens),

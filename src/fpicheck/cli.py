@@ -11,7 +11,8 @@ Two subcommands:
   antichain ideals up to a degree bound, or a seeded sample of binomial
   ideals), classifies each row, and writes a CSV table with summary
   comment lines. Rows the classifier cannot settle are flagged, never
-  guessed; budget exhaustion marks the output as partial.
+  guessed; a row whose work fails, budget exhaustion included, becomes an
+  ``error: ...`` row and the census goes on with the next ring.
 
 Ring-spec files are small key=value texts::
 
@@ -33,7 +34,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .errors import CasError, ParseError, ResourceLimitError
+from .errors import CasError, ParseError
 from .gfpoly import (
     Polynomial,
     PrimeField,
@@ -297,65 +298,65 @@ def run_census(config: CensusConfig, out=None) -> dict:
     Returns the summary dict. Per-row randomness is derived from
     blake2b(config seed, row index) so rows are reproducible in isolation.
     Rows of unsupported dimension and per-row failures are flagged in the
-    caveat column; a budget overrun marks the whole output as partial.
+    caveat column. A failure is confined to its row: any CasError raised
+    while computing the row's dimension or classifying it, a
+    ResourceLimitError included, writes an ``error: ...`` row (dim ``NA``
+    when the dimension itself failed) and the census continues. An error
+    while enumerating the family, before any row exists, ends the run.
     """
     out = out if out is not None else sys.stdout
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
     summary = {
         "rows": 0, "classified": 0, "unsupported": 0, "errors": 0,
-        "fpi_true": 0, "fpi_false": 0, "inconclusive": 0, "partial": False,
+        "fpi_true": 0, "fpi_false": 0, "inconclusive": 0,
     }
-    try:
-        for index, rs in _census_rings(config):
-            summary["rows"] += 1
-            row_seed = _row_seed(config.seed, index)
-            dim = rs.dimension
-            base = [_ring_display(rs), rs.p, dim]
+    for index, rs in _census_rings(config):
+        summary["rows"] += 1
+        row_seed = _row_seed(config.seed, index)
+        base = [_ring_display(rs), rs.p, "NA"]
+        try:
+            base[2] = dim = rs.dimension
             if dim < 0 or dim > 1:
                 writer.writerow(
                     base + ["NA", "NA", "NA", "NA", "NA", "unsupported-dimension"]
                 )
                 summary["unsupported"] += 1
                 continue
-            try:
-                rep = classify_ring(
-                    rs,
-                    check="all",
-                    seed=row_seed,
-                    trials=config.trials,
-                    deep_checks=config.deep_checks,
-                )
-            except CasError as exc:
-                writer.writerow(
-                    base + ["NA", "NA", "NA", "NA", "NA", f"error: {exc}"]
-                )
-                summary["errors"] += 1
-                continue
-            caveat = ""
-            if rep.weakly_fpi == "inconclusive":
-                caveat = "inconclusive"
-                summary["inconclusive"] += 1
-            elif rep.weakly_fpi == "true":
-                summary["fpi_true"] += 1
-            else:
-                summary["fpi_false"] += 1
-            mp = rep.minimal_prime_count
-            writer.writerow(
-                base
-                + [
-                    _bool_cell(rep.cohen_macaulay),
-                    _bool_cell(rep.gorenstein),
-                    _bool_cell(rep.f_pure),
-                    rep.weakly_fpi,
-                    mp if mp is not None else "NA",
-                    caveat,
-                ]
+            rep = classify_ring(
+                rs,
+                check="all",
+                seed=row_seed,
+                trials=config.trials,
+                deep_checks=config.deep_checks,
             )
-            summary["classified"] += 1
-    except ResourceLimitError as exc:
-        summary["partial"] = True
-        out.write(f"# PARTIAL OUTPUT: resource budget exhausted ({exc})\n")
+        except CasError as exc:
+            writer.writerow(
+                base + ["NA", "NA", "NA", "NA", "NA", f"error: {exc}"]
+            )
+            summary["errors"] += 1
+            continue
+        caveat = ""
+        if rep.weakly_fpi == "inconclusive":
+            caveat = "inconclusive"
+            summary["inconclusive"] += 1
+        elif rep.weakly_fpi == "true":
+            summary["fpi_true"] += 1
+        else:
+            summary["fpi_false"] += 1
+        mp = rep.minimal_prime_count
+        writer.writerow(
+            base
+            + [
+                _bool_cell(rep.cohen_macaulay),
+                _bool_cell(rep.gorenstein),
+                _bool_cell(rep.f_pure),
+                rep.weakly_fpi,
+                mp if mp is not None else "NA",
+                caveat,
+            ]
+        )
+        summary["classified"] += 1
     out.write(
         "# summary: rows={rows} classified={classified} unsupported={unsupported} "
         "errors={errors} fpi_true={fpi_true} fpi_false={fpi_false} "

@@ -397,6 +397,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._gb: dict = {}
+        self._reducers: dict = {}  # order key -> reducer table of that basis
 
     def groebner_basis(self, order: MonomialOrder = GREVLEX, max_pairs: int = DEFAULT_MAX_PAIRS):
         key = (order.kind, order.block)
@@ -407,7 +408,17 @@ class Ideal:
         return got
 
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-        return reduce_poly(f, list(self.groebner_basis(order)), order)
+        """Full normal form of f against the cached reducer table of `order`."""
+        key = (order.kind, order.block)
+        reducers = self._reducers.get(key)
+        if reducers is None:
+            elems = [_terms_of(g) for g in self.groebner_basis(order)]
+            reducers = _reducers(elems, [lead_term(g, order) for g in elems], self.ring.p)
+            self._reducers[key] = reducers
+        if f.is_zero() or not reducers:
+            return f
+        terms = _normal_form(_terms_of(f), reducers, f.p, _rank_of(order))
+        return _poly_of(terms, f.p, f.nvars)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -456,7 +467,38 @@ def bracket_power(a: Ideal, e: int) -> Ideal:
     return Ideal(a.ring, [g.frobenius_power(e) for g in a.generators])
 
 
+def _monomial_gens(a: Ideal):
+    """Exponent vectors of the generators of `a` when each is a monomial, else None."""
+    if all(g.is_monomial() for g in a.generators):
+        return [next(iter(g.terms)) for g in a.generators]
+    return None
+
+
+def _monomial_ideal(ring: PolyRing, monos) -> Ideal:
+    return Ideal(ring, [Polynomial.from_monomial(ring.p, m) for m in _minimalize_monomials(monos)])
+
+
+def _lcm_intersect(us, vs):
+    return [mono_lcm(u, v) for u in us for v in vs]
+
+
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
+    """a ∩ b; in closed form when every generator of a and b is a monomial.
+
+    Monomial case: a monomial ideal is spanned over F_p by the monomials it
+    contains, and a monomial w lies in (u_1, ..., u_r) exactly when some u_i
+    divides w. So w lies in both ideals exactly when it is divisible by some
+    u from a and some v from b, that is by lcm(u, v); the lcms generate
+    a ∩ b, which is again monomial, hence spanned by its monomials.
+    Otherwise: eliminate an auxiliary variable (`_intersect_by_elimination`).
+    """
+    us, vs = _monomial_gens(a), _monomial_gens(b)
+    if us is None or vs is None:
+        return _intersect_by_elimination(a, b)
+    return _monomial_ideal(a.ring, _lcm_intersect(us, vs))
+
+
+def _intersect_by_elimination(a: Ideal, b: Ideal) -> Ideal:
     """a ∩ b via a single auxiliary variable: eliminate t from t*a + (1-t)*b."""
     ring = a.ring
     big = ring.extended(("_t",))
@@ -476,18 +518,47 @@ def _colon_single(a: Ideal, f: Polynomial) -> Ideal:
     """(a : f) = (a ∩ (f)) / f."""
     if f.is_zero():
         return Ideal(a.ring, [a.ring.one()])
-    inter = ideal_intersect(a, Ideal(a.ring, [f]))
+    inter = _intersect_by_elimination(a, Ideal(a.ring, [f]))
     return Ideal(a.ring, [divide_exact(g, f) for g in inter.generators])
 
 
 def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
-    """(a : b) = {f : f*b ⊆ a}."""
+    """(a : b) = {f : f*b ⊆ a}; in closed form when every generator of a and
+    b is a monomial.
+
+    Monomial case: (a : b) is the intersection of the (a : m) over the
+    generators m of b, and for a = (u_1, ..., u_r) the colon (a : m) is
+    generated by the u_i / gcd(u_i, m). A monomial w has w*m in a exactly
+    when some u_i divides w*m, that is when u_i / gcd(u_i, m) divides w; and
+    (a : m) is monomial, because a is spanned by its monomials and
+    multiplication by m maps distinct monomials to distinct monomials. The
+    intersections are lcm sets as in `ideal_intersect`.
+    Otherwise: the elimination path `_colon_by_elimination`.
+    """
+    if not b.generators:
+        return Ideal(a.ring, [a.ring.one()])
+    us, ms = _monomial_gens(a), _monomial_gens(b)
+    if us is None or ms is None:
+        return _colon_by_elimination(a, b)
+    out = None
+    for m in ms:
+        # u / gcd(u, m), exponent by exponent
+        part = _minimalize_monomials(
+            [tuple(e - f if e > f else 0 for e, f in zip(u, m)) for u in us]
+        )
+        out = part if out is None else _minimalize_monomials(_lcm_intersect(out, part))
+    return _monomial_ideal(a.ring, out)
+
+
+def _colon_by_elimination(a: Ideal, b: Ideal) -> Ideal:
+    """(a : b) as the intersection of the (a ∩ (g)) / g over the generators
+    g of b, every intersection eliminating an auxiliary variable."""
     gens = [g for g in b.generators if not g.is_zero()]
     if not gens:
         return Ideal(a.ring, [a.ring.one()])
     out = _colon_single(a, gens[0])
     for g in gens[1:]:
-        out = ideal_intersect(out, _colon_single(a, g))
+        out = _intersect_by_elimination(out, _colon_single(a, g))
     return out
 
 
@@ -542,8 +613,15 @@ def _zpoly_add(a: dict, b: dict) -> dict:
             out.pop(d, None)
     return out
 
-def _zpoly_neg(a: dict) -> dict:
-    return {d: -c for d, c in a.items()}
+def _zpoly_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for d, c in b.items():
+        v = out.get(d, 0) - c
+        if v:
+            out[d] = v
+        else:
+            out.pop(d, None)
+    return out
 
 def _zpoly_shift(a: dict, k: int) -> dict:
     return {d + k: c for d, c in a.items()}
@@ -607,6 +685,14 @@ class HilbertData:
         if self.dimension <= 0:
             return num
         return f"({num})/(1-t)^{self.dimension}"
+
+
+def _raw_quotient_numerator(a: Ideal) -> dict:
+    """Numerator of HS(S/a) over (1 - t)^n, unreduced, as {degree: coeff}
+    with no zero coefficient."""
+    return dict(_hilbert_numerator_cached(
+        _minimalize_monomials(tuple(a.lead_monomials())), a.ring.n
+    ))
 
 
 def hilbert_from_lead_monomials(lead_monos, n: int) -> HilbertData:
@@ -762,10 +848,25 @@ class RingSpec:
         return self.preimage_ideal(gens_a) == self.preimage_ideal(gens_b)
 
     def is_nzd(self, f: Polynomial) -> bool:
-        """Is f a non-zero-divisor on R? Checked via (I : f) == I."""
-        if self.nf(f).is_zero():
+        """Is f a non-zero-divisor on R?
+
+        f vanishing in R is a zero-divisor. For a homogeneous ideal and a
+        homogeneous f of degree d the test reads Hilbert series: the exact
+        sequence of graded modules 0 -> (0:f)(-d) -> R(-d) -> R -> R/fR -> 0
+        gives HS(R/fR) = (1 - t^d) HS(R) + t^d HS(0:f), and the graded module
+        (0:f) is zero exactly when its Hilbert series is. Over (1 - t)^n that
+        is N(I + (f)) == (1 - t^d) N(I) for the raw numerators, which takes
+        one grevlex basis of I + (f). Other input is tested by (I : f) == I.
+        """
+        g = self.nf(f)
+        if g.is_zero():
             return False
-        return ideal_colon(self.ideal, Ideal(self.ring, [f])) == self.ideal
+        if not (f.is_homogeneous() and self.ideal.is_homogeneous_ideal()):
+            return ideal_colon(self.ideal, Ideal(self.ring, [f])) == self.ideal
+        # nf(f) is homogeneous of degree d and generates the same I + (f)
+        plus = Ideal(self.ring, list(self.ideal.groebner_basis()) + [g])
+        num = _raw_quotient_numerator(self.ideal)
+        return _raw_quotient_numerator(plus) == _zpoly_sub(num, _zpoly_shift(num, f.degree()))
 
     def __repr__(self):
         gens = ", ".join(self.ring.show(g) for g in self.ideal.generators) or "0"

@@ -27,11 +27,10 @@ from .gfpoly import Polynomial, mono_degree, mono_mul
 from .groebner import (
     Ideal,
     RingSpec,
-    _hilbert_numerator_cached,
-    _minimalize_monomials,
+    _raw_quotient_numerator,
     _zpoly_add,
     _zpoly_mul,
-    _zpoly_neg,
+    _zpoly_sub,
 )
 from .linalg import Subspace, nullspace
 from .modgb import Vec, kernel_over_quotient
@@ -162,12 +161,6 @@ def _scaled_dual_degree(v: Vec, sigma, q: int) -> int:
     return degs.pop()
 
 
-def _raw_ring_numerator(rs: RingSpec) -> dict:
-    """Numerator of Hilb(R) over (1-t)^n, unreduced."""
-    leads = rs.ideal.lead_monomials()
-    return dict(_hilbert_numerator_cached(_minimalize_monomials(tuple(leads)), rs.ring.n))
-
-
 def _subst_power(num: dict, q: int) -> dict:
     return {d * q: c for d, c in num.items()}
 
@@ -213,12 +206,12 @@ def hom_pushforward_into_ring(
         )
         ordinary = kernel_over_quotient(cols_t, nrows=pres.ncols, defining_ideal=rs.ideal)
     # exact Hilbert numerator of the dual module, over (1 - t^q)^n
-    num_r_q = _subst_power(_raw_ring_numerator(rs), q)
+    num_r_q = _subst_power(_raw_quotient_numerator(rs.ideal), q)
     total = {}
     for s in sigma:
         total = _zpoly_add(total, {d - s: c for d, c in num_r_q.items()})
     for g in gamma:
-        total = _zpoly_add(total, _zpoly_neg({d - g: c for d, c in num_r_q.items()}))
+        total = _zpoly_sub(total, {d - g: c for d, c in num_r_q.items()})
     if pres.ncols:
         coker_t = ModulePresentation(
             ring,

@@ -19,7 +19,7 @@ from fpicheck.cli import (
     parse_ring_spec,
     run_census,
 )
-from fpicheck.errors import NonHomogeneousError, NonPrimeError, ParseError
+from fpicheck.errors import NonHomogeneousError, NonPrimeError, ParseError, ResourceLimitError
 from fpicheck.gfpoly import mono_divides
 
 FLAGSHIP_TEXT = """\
@@ -263,6 +263,42 @@ def test_census_summary_footer():
     assert text.strip().splitlines()[-1].startswith("# summary:")
     assert summary["rows"] == len(body)
     assert summary["errors"] == 0
+
+
+def test_census_budget_exhaustion_is_confined_to_its_row(monkeypatch):
+    # one row runs out of budget in classification and one already in its
+    # dimension; each becomes an error row and the census goes on
+    from fpicheck.classify import classify_ring
+    from fpicheck.groebner import RingSpec
+
+    def starved(rs, **kw):
+        if cli._ring_display(rs) == "F_2[x,y]/(x*y)":
+            raise ResourceLimitError("ideal Buchberger: S-pair budget of 1 exhausted")
+        return classify_ring(rs, **kw)
+
+    real_hilbert = RingSpec.hilbert
+
+    def hilbert(rs):
+        if cli._ring_display(rs) == "F_2[x,y]/(x^2)":
+            raise ResourceLimitError("module Buchberger: S-pair budget of 1 exhausted")
+        return real_hilbert(rs)
+
+    monkeypatch.setattr(cli, "classify_ring", starved)
+    monkeypatch.setattr(RingSpec, "hilbert", hilbert)
+    config = CensusConfig(family="monomial", primes=(2,), nvars=2, max_degree=2)
+    header, body, text, summary = census_rows(config)
+    rows = {r[0]: dict(zip(header, r)) for r in body}
+    cross = rows["F_2[x,y]/(x*y)"]
+    assert cross["caveat"] == "error: ideal Buchberger: S-pair budget of 1 exhausted"
+    assert cross["dim"] == "1" and cross["FPI"] == "NA"
+    square = rows["F_2[x,y]/(x^2)"]
+    assert square["caveat"] == "error: module Buchberger: S-pair budget of 1 exhausted"
+    assert square["dim"] == "NA"
+    assert summary["errors"] == 2
+    assert summary["rows"] == len(body) > 2
+    assert summary["classified"] == len(body) - 2 - summary["unsupported"]
+    assert "PARTIAL" not in text
+    assert text.strip().splitlines()[-1].startswith("# summary:")
 
 
 def test_census_binomial_family_is_seeded():

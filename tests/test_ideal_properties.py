@@ -1,0 +1,165 @@
+"""The ideal path against independent references: the closed-form monomial
+colon and intersection and the Hilbert-series non-zero-divisor test against
+the elimination path they bypass, membership and the Hilbert function
+against the linear-algebra oracles, and the cached normal form against a
+fresh reduction."""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import graded_dimension_oracle, membership_oracle
+
+from fpicheck.gfpoly import GREVLEX, LEX, Polynomial, monomials_of_degree
+from fpicheck.groebner import (
+    Ideal,
+    PolyRing,
+    RingSpec,
+    _colon_by_elimination,
+    _intersect_by_elimination,
+    ideal_colon,
+    ideal_intersect,
+    reduce_poly,
+)
+
+PROPERTY = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+NAMES = ["x", "y", "z"]
+
+
+def draw_form(draw, p: int, n: int, d: int) -> Polynomial:
+    """A nonzero homogeneous polynomial of degree d, dense with random
+    coefficients."""
+    monos = list(monomials_of_degree(n, d))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
+    if not any(coeffs):
+        coeffs[0] = 1
+    return Polynomial(p, n, dict(zip(monos, coeffs)))
+
+
+@st.composite
+def monomial_ideal_pair(draw):
+    """Two monomial ideals of F_p[x, y(, z)], each with zero to three
+    generators (the unit monomial included) and arbitrary coefficients."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    ring = PolyRing(p, NAMES[:n])
+
+    def ideal():
+        monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=3))
+        return Ideal(ring, [
+            Polynomial.from_monomial(p, m, draw(st.integers(1, p - 1))) for m in monos
+        ])
+
+    return ideal(), ideal()
+
+
+@st.composite
+def homogeneous_ring(draw):
+    """A homogeneous ideal of F_p[x, y(, z)] with one to three generators of
+    degree 1 to 3, as a RingSpec."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    gens = [
+        draw_form(draw, p, n, draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return RingSpec(p, NAMES[:n], gens)
+
+
+@st.composite
+def ring_and_form(draw):
+    """A homogeneous ring and a homogeneous form on it: a random form of
+    degree 0 to 2, or a member of the ideal."""
+    rs = draw(homogeneous_ring())
+    p, n = rs.p, rs.n
+    if draw(st.booleans()):
+        return rs, draw_form(draw, p, n, draw(st.integers(0, 2)))
+    d = draw(st.integers(1, 4))
+    f = Polynomial.zero(p, n)
+    for g in rs.ideal.generators:
+        if g.degree() <= d:
+            f = f + g * draw_form(draw, p, n, d - g.degree())
+    return rs, f
+
+
+# -- closed forms against the elimination path ----------------------------------
+
+
+@PROPERTY
+@given(monomial_ideal_pair())
+def test_monomial_intersection_matches_elimination(pair):
+    a, b = pair
+    got = ideal_intersect(a, b)
+    assert all(g.is_monomial() for g in got.generators)
+    assert got.groebner_basis() == _intersect_by_elimination(a, b).groebner_basis()
+
+
+@PROPERTY
+@given(monomial_ideal_pair())
+def test_monomial_colon_matches_elimination(pair):
+    a, b = pair
+    got = ideal_colon(a, b)
+    assert all(g.is_monomial() for g in got.generators)
+    assert got.groebner_basis() == _colon_by_elimination(a, b).groebner_basis()
+
+
+@PROPERTY
+@given(ring_and_form())
+def test_hilbert_series_nzd_test_matches_colon_test(case):
+    rs, f = case
+    colon_says = not rs.nf(f).is_zero() and (
+        _colon_by_elimination(rs.ideal, Ideal(rs.ring, [f])) == rs.ideal
+    )
+    assert rs.is_nzd(f) == colon_says
+
+
+def test_nzd_test_on_constants_and_members():
+    rs = RingSpec(3, ["x", "y"], ["x*y"])
+    assert rs.is_nzd(Polynomial.constant(3, 2, 2))
+    assert not rs.is_nzd(Polynomial.zero(3, 2))
+    assert not rs.is_nzd(rs.ring.parse("x^2*y - x*y^2"))
+    assert not rs.is_nzd(rs.ring.parse("x"))
+    assert rs.is_nzd(rs.ring.parse("x + y"))
+
+
+# -- the ideal path against the linear-algebra oracles --------------------------
+
+
+@PROPERTY
+@given(homogeneous_ring(), st.data())
+def test_membership_matches_oracle(rs, data):
+    p, n = rs.p, rs.n
+    d = data.draw(st.integers(1, 4))
+    # a member of the ideal, plus half the time a random form of the same degree
+    target = draw_form(data.draw, p, n, d) if data.draw(st.booleans()) else Polynomial.zero(p, n)
+    for g in rs.ideal.generators:
+        if g.degree() <= d:
+            target = target + g * draw_form(data.draw, p, n, d - g.degree())
+    gens = list(rs.ideal.generators)
+    assert rs.ideal.contains(target) == membership_oracle(target, gens)
+
+
+@PROPERTY
+@given(homogeneous_ring())
+def test_hilbert_function_matches_oracle(rs):
+    gens = list(rs.ideal.generators)
+    for d in range(5):
+        assert rs.hf(d) == graded_dimension_oracle(gens, rs.p, rs.n, d)
+
+
+@PROPERTY
+@given(homogeneous_ring(), st.data())
+def test_cached_normal_form_matches_fresh_reduction(rs, data):
+    f = draw_form(data.draw, rs.p, rs.n, data.draw(st.integers(0, 4)))
+    for order in (GREVLEX, LEX):
+        basis = list(rs.ideal.groebner_basis(order))
+        assert rs.ideal.normal_form(f, order) == reduce_poly(f, basis, order)
+
+
+def test_normal_form_tables_are_kept_per_order():
+    # the grevlex lead of y^2 + x*z is y^2, the lex lead is x*z
+    a = Ideal(PolyRing(3, NAMES), ["y^2 + x*z"])
+    f = a.ring.parse("x*y*z")
+    assert a.normal_form(f, GREVLEX) == f
+    assert a.normal_form(f, LEX) == a.ring.parse("-y^3")
+    assert a.normal_form(f, GREVLEX) == f
