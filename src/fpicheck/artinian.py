@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import InfiniteLengthError, PipelineInvariantError
 from .gfpoly import Polynomial, mono_divides, mono_mul, monomials_of_degree
-from .groebner import RingSpec
+from .groebner import NormalForm, RingSpec
 from .linalg import Subspace, is_invertible, matmul, nullspace, rank
-from .modgb import Vec, lead_module_is_finite_colength, reduce_vec
+from .modgb import Vec, lead_module_is_finite_colength
 from .resolutions import ModulePresentation, frobenius_functor, matrix_from_columns
 
 
@@ -52,7 +52,8 @@ class FiniteLengthModule:
         return self.dim == 0
 
     def act_monomial(self, vec, mono):
-        """Apply the monomial action x^mono to a coordinate vector."""
+        """Apply the monomial action x^mono to a coordinate vector, or to
+        every column of a matrix."""
         v = np.array(vec, dtype=np.int64) % self.p
         for i, e in enumerate(mono):
             for _ in range(e):
@@ -79,21 +80,16 @@ class FiniteLengthModule:
         """Dimensions (λ(M/mM), λ(mM/m^2M), ...) of the radical filtration."""
         out = []
         cur = np.eye(self.dim, dtype=np.int64)  # columns span m^0 M
-        while cur.shape[1] > 0:
-            cols = []
-            for a in self.actions:
-                cols.append(matmul(a, cur, self.p))
-            nxt = np.hstack(cols) if cols else cur[:, :0]
+        d_cur = self.dim  # rank of cur, whose columns are an echelon basis
+        while d_cur > 0:
             sub = Subspace(self.dim, self.p)
-            sub.add_rows(nxt.T)
-            d_cur = rank(cur.T, self.p)
+            sub.add_rows(np.hstack([matmul(a, cur, self.p) for a in self.actions]).T)
             d_nxt = sub.dim
             out.append(d_cur - d_nxt)
-            if d_nxt == 0:
-                break
             if d_nxt == d_cur:
                 raise PipelineInvariantError("radical filtration does not descend")
             cur = sub.basis.T.copy()
+            d_cur = d_nxt
         return tuple(out)
 
     def invariants(self) -> dict:
@@ -144,12 +140,9 @@ def direct_sum(modules) -> FiniteLengthModule:
 def poly_action_matrix(module: FiniteLengthModule, f) -> np.ndarray:
     """Matrix of the action of a polynomial on the module."""
     out = np.zeros((module.dim, module.dim), dtype=np.int64)
-    eye_cols = np.eye(module.dim, dtype=np.int64)
+    eye = np.eye(module.dim, dtype=np.int64)
     for mono, c in f.terms.items():
-        img = np.column_stack(
-            [module.act_monomial(eye_cols[:, k], mono) for k in range(module.dim)]
-        ) if module.dim else out
-        out = (out + c * img) % module.p
+        out = (out + c * module.act_monomial(eye, mono)) % module.p
     return out
 
 
@@ -162,6 +155,11 @@ def realize_finite(pres: ModulePresentation) -> FiniteLengthModule:
     Basis elements are the standard monomial terms (comp, mono) outside the
     lead module of (columns + defining relations); raises InfiniteLengthError
     when some component admits arbitrarily large standard monomials.
+
+    Column k of the action of x_v is the normal form of x_v times basis term
+    k, against one reducer table built for the whole call. When that product
+    is itself a basis term it is written directly: no lead in its component
+    divides it, so the normal form algorithm would return it unchanged.
     """
     ring = pres.ring
     n = ring.n
@@ -190,15 +188,18 @@ def realize_finite(pres: ModulePresentation) -> FiniteLengthModule:
     basis.sort(key=lambda t: (t[2], t[0], t[1]))
     index = {(i, m): k for k, (i, m, _) in enumerate(basis)}
     h = len(basis)
+    nf = NormalForm([g.terms for g in gb], p)
     actions = []
     for v in range(n):
         a = np.zeros((h, h), dtype=np.int64)
-        shift = tuple(1 if w == v else 0 for w in range(n))
-        for (i, m, _), k in zip(basis, range(h)):
-            target = tuple(e + s for e, s in zip(m, shift))
-            image = reduce_vec(Vec._raw(p, n, {(i, target): 1}), gb)
-            for (j, mm), c in image.terms.items():
-                a[index[(j, mm)], k] = c
+        for k, (i, m, _) in enumerate(basis):
+            target = (i, m[:v] + (m[v] + 1,) + m[v + 1 :])
+            row = index.get(target)
+            if row is not None:
+                a[row, k] = 1
+                continue
+            for t, c in nf({target: 1}).items():
+                a[index[t], k] = c
         actions.append(a)
     module = FiniteLengthModule(p, actions, tuple(d for _, _, d in basis))
     if pres.modulus is not None:

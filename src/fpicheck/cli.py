@@ -159,7 +159,15 @@ def _format_text(report) -> str:
     return "\n".join(lines)
 
 
+def _require_non_negative(**budgets) -> None:
+    """Reject a negative budget, naming its command line flag."""
+    for name, value in budgets.items():
+        if value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+
+
 def run_report(args) -> int:
+    _require_non_negative(trials=args.trials, max_degree=args.max_degree)
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     rs = parse_ring_spec(text, require_homogeneous=args.check != "fpure")
@@ -200,6 +208,12 @@ class CensusConfig:
             raise ValueError(f"unknown census family {self.family!r}")
         if not 1 <= self.nvars <= 4:
             raise ValueError("census supports 1 to 4 variables")
+        _require_non_negative(
+            max_degree=self.max_degree,
+            max_gens=self.max_gens,
+            samples=self.samples,
+            trials=self.trials,
+        )
         for p in self.primes:
             PrimeField(p)
 

@@ -185,12 +185,31 @@ def _normal_form(work: dict, reducers: dict, p: int, rank) -> dict:
     return out
 
 
+class NormalForm:
+    """Normal forms modulo one fixed list of nonzero term dicts.
+
+    The reducer table is built once, so a caller that reduces many term dicts
+    against the same basis (an ideal's cached Groebner basis, the module basis
+    of a presentation) keeps one of these instead of rebuilding it per call.
+    """
+
+    __slots__ = ("p", "rank", "table")
+
+    def __init__(self, basis, p: int, order: MonomialOrder = GREVLEX):
+        self.p = p
+        self.rank = _rank_of(order)
+        self.table = _reducers(basis, [lead_term(g, order) for g in basis], p)
+
+    def __call__(self, terms: dict) -> dict:
+        """Full normal form of `terms`; the dict is consumed."""
+        return _normal_form(terms, self.table, self.p, self.rank)
+
+
 def normal_form_terms(terms: dict, basis, p: int, order: MonomialOrder = GREVLEX) -> dict:
     """Full normal form of a term dict modulo the nonzero term dicts `basis`."""
     if not terms or not basis:
         return terms
-    leads = [lead_term(g, order) for g in basis]
-    return _normal_form(dict(terms), _reducers(basis, leads, p), p, _rank_of(order))
+    return NormalForm(basis, p, order)(dict(terms))
 
 
 def groebner_terms(
@@ -397,7 +416,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._gb: dict = {}
-        self._reducers: dict = {}  # order key -> reducer table of that basis
+        self._normal_forms: dict = {}  # order key -> NormalForm of that basis
 
     def groebner_basis(self, order: MonomialOrder = GREVLEX, max_pairs: int = DEFAULT_MAX_PAIRS):
         key = (order.kind, order.block)
@@ -410,15 +429,13 @@ class Ideal:
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
         """Full normal form of f against the cached reducer table of `order`."""
         key = (order.kind, order.block)
-        reducers = self._reducers.get(key)
-        if reducers is None:
+        nf = self._normal_forms.get(key)
+        if nf is None:
             elems = [_terms_of(g) for g in self.groebner_basis(order)]
-            reducers = _reducers(elems, [lead_term(g, order) for g in elems], self.ring.p)
-            self._reducers[key] = reducers
-        if f.is_zero() or not reducers:
+            nf = self._normal_forms[key] = NormalForm(elems, self.ring.p, order)
+        if f.is_zero() or not nf.table:
             return f
-        terms = _normal_form(_terms_of(f), reducers, f.p, _rank_of(order))
-        return _poly_of(terms, f.p, f.nvars)
+        return _poly_of(nf(_terms_of(f)), f.p, f.nvars)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()

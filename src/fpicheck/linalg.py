@@ -8,6 +8,8 @@ products could overflow.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 _INT64_MATMUL_MAX_P = 46337  # p^2 * dim stays below 2^63 for practical dims
@@ -72,7 +74,16 @@ def is_invertible(a: np.ndarray, p: int) -> bool:
 
 
 class Subspace:
-    """A growing subspace of F_p^n kept in reduced row echelon form."""
+    """A growing subspace of F_p^n kept in reduced row echelon form.
+
+    The reduced row echelon form of a span is unique. Its pivots are the
+    columns where some vector of the span has its first nonzero entry. Its
+    row at pivot c is the vector of the span that starts with a 1 at c and
+    is 0 at the other pivots; two such vectors would differ by a nonzero
+    vector of the span starting at a column that is no pivot. So `basis` and
+    the pivots depend only on the span, and one `rref` of the basis stacked
+    on a batch of new rows gives what adding the rows one at a time gives.
+    """
 
     def __init__(self, ambient: int, p: int):
         self.ambient = ambient
@@ -105,11 +116,14 @@ class Subspace:
         nzb = np.nonzero(self.basis[:, pc])[0]
         if nzb.size:
             self.basis[nzb] = (self.basis[nzb] - np.outer(self.basis[nzb, pc], v)) % self.p
-        insert_at = sum(1 for q in self._pivots if q < pc)
-        self.basis = np.insert(self.basis, insert_at, v, axis=0)
-        self._pivots.insert(insert_at, pc)
+        at = bisect_left(self._pivots, pc)
+        self.basis = np.concatenate((self.basis[:at], v[None], self.basis[at:]))
+        self._pivots.insert(at, pc)
         return True
 
     def add_rows(self, rows: np.ndarray) -> None:
-        for v in rows:
-            self.add(v)
+        """Insert every row of a 2-D array, with one `rref` for the batch."""
+        if len(rows) == 0:
+            return
+        m, self._pivots = rref(np.vstack((self.basis, rows)), self.p)
+        self.basis = m[: len(self._pivots)]

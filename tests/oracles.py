@@ -6,12 +6,18 @@ for a homogeneous ideal I = (g_1, ..., g_r), the degree-d slice I_d is the
 span of the products m * g_i with deg(m) + deg(g_i) = d, so membership of an
 arbitrary polynomial reduces to solving a linear system per homogeneous
 component.  Only the sparse polynomial arithmetic layer is shared with the
-code under test.
+code under test, with one exception: `realize_finite_oracle` is the general
+path that `artinian.realize_finite` replaced, one `reduce_vec` per column,
+kept so that the table-once construction is checked against it.
 """
 
 from __future__ import annotations
 
-from fpicheck.gfpoly import Polynomial, monomials_of_degree
+import numpy as np
+
+from fpicheck.gfpoly import Polynomial, mono_divides, monomials_of_degree
+from fpicheck.groebner import RingSpec
+from fpicheck.modgb import Vec, reduce_vec
 
 
 def _row_reduce_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -123,6 +129,73 @@ def partitions_up_to(total: int):
 
     for size in range(1, total + 1):
         yield from _parts(size, size)
+
+
+def staircase_rings(p, max_colength=6):
+    """All monomial Artinian quotients of F_p[x,y] of colength <= max_colength.
+
+    Partitions index the staircases: heights h_a give the standard monomials
+    {x^a y^b : b < h_a}; generators are the inner corners of the complement.
+    """
+    out = []
+    for part in partitions_up_to(max_colength):
+        heights = list(part)
+        standard = {
+            (a, b) for a, h in enumerate(heights) for b in range(h)
+        }
+        bound = max_colength + 2
+        gens = []
+        for a in range(bound):
+            for b in range(bound):
+                if (a, b) in standard:
+                    continue
+                if a and (a - 1, b) not in standard:
+                    continue
+                if b and (a, b - 1) not in standard:
+                    continue
+                gens.append(Polynomial.from_monomial(p, (a, b)))
+        out.append((part, RingSpec(p, ["x", "y"], gens)))
+    return out
+
+
+def realize_finite_oracle(pres):
+    """Action matrices and basis degrees of the finite-length module that a
+    nonzero presentation defines, with every column reduced on its own.
+
+    The basis is the standard terms (comp, mono) outside the lead module,
+    sorted by (degree, comp, mono); column k of the action of x_v is the
+    normal form of x_v times basis term k, from `reduce_vec` against the
+    presentation's module Groebner basis, standard products included.
+    """
+    ring = pres.ring
+    n, p = ring.n, ring.p
+    gb = pres.groebner_columns()
+    lead = pres.lead_data()
+    basis = []
+    for i in range(pres.nrows):
+        d = 0
+        while True:
+            found = [
+                m
+                for m in monomials_of_degree(n, d)
+                if not any(mono_divides(l, m) for l in lead.get(i, ()))
+            ]
+            if not found:
+                break
+            basis.extend((i, m, pres.scale * d + pres.row_twists[i]) for m in found)
+            d += 1
+    basis.sort(key=lambda t: (t[2], t[0], t[1]))
+    index = {(i, m): k for k, (i, m, _) in enumerate(basis)}
+    actions = []
+    for v in range(n):
+        a = np.zeros((len(basis), len(basis)), dtype=np.int64)
+        for k, (i, m, _) in enumerate(basis):
+            target = tuple(e + (w == v) for w, e in enumerate(m))
+            image = reduce_vec(Vec(p, n, {(i, target): 1}), gb)
+            for t, c in image.terms.items():
+                a[index[t], k] = c
+        actions.append(a)
+    return actions, tuple(d for _, _, d in basis)
 
 
 def module_membership_oracle(v, gens, twists) -> bool:

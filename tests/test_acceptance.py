@@ -11,7 +11,7 @@ import random
 import time
 
 import pytest
-from oracles import membership_oracle, partitions_up_to
+from oracles import membership_oracle, staircase_rings
 
 from fpicheck.artinian import (
     frobenius_fixes_injective_hull,
@@ -37,33 +37,6 @@ from fpicheck.resolutions import (
 
 def flagship(p):
     return RingSpec(p, ["x", "y", "z"], ["x*y", "x*z", "y*z"], label="axes")
-
-
-def staircase_rings(p, max_colength=6):
-    """All monomial Artinian quotients of F_p[x,y] of colength <= max_colength.
-
-    Partitions index the staircases: heights h_a give the standard monomials
-    {x^a y^b : b < h_a}; generators are the inner corners of the complement.
-    """
-    out = []
-    for part in partitions_up_to(max_colength):
-        heights = list(part)
-        standard = {
-            (a, b) for a, h in enumerate(heights) for b in range(h)
-        }
-        bound = max_colength + 2
-        gens = []
-        for a in range(bound):
-            for b in range(bound):
-                if (a, b) in standard:
-                    continue
-                if a and (a - 1, b) not in standard:
-                    continue
-                if b and (a, b - 1) not in standard:
-                    continue
-                gens.append(Polynomial.from_monomial(p, (a, b)))
-        out.append((part, RingSpec(p, ["x", "y"], gens)))
-    return out
 
 
 DIM_ONE_CM_RINGS = [

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import realize_finite_oracle, staircase_rings
 
 from fpicheck.artinian import (
     FiniteLengthModule,
@@ -16,9 +17,10 @@ from fpicheck.artinian import (
     ring_as_module,
     socle_dimension_of_ring,
 )
-from fpicheck.errors import InfiniteLengthError
+from fpicheck.errors import InfiniteLengthError, PipelineInvariantError
+from fpicheck.gfpoly import Polynomial
 from fpicheck.groebner import RingSpec
-from fpicheck.resolutions import ModulePresentation
+from fpicheck.resolutions import ModulePresentation, frobenius_functor
 
 
 def cyclic(rs, gens):
@@ -299,3 +301,52 @@ def test_big_prime_isomorphism_witness_is_a_module_map():
         res = modules_isomorphic(src, dst, seed=seed)
         assert res.verdict == "isomorphic"
         assert np.array_equal(_exact(res.witness, plain), _exact(dense, res.witness))
+
+
+def test_big_prime_poly_action_matrix_is_exact():
+    # against the action applied to one unit column at a time; the dense
+    # basis makes the square of x wrap around in int64
+    m = FiniteLengthModule(BIG_P, [_conjugate(np.diag([1, 1, 0, 1, 1], k=1))])
+    f = Polynomial(BIG_P, 1, {(0,): BIG_P - 1, (1,): BIG_P - 3, (2,): 5, (3,): 7})
+    want = np.zeros((6, 6), dtype=object)
+    for mono, c in f.terms.items():
+        cols = [m.act_monomial(np.eye(6, dtype=np.int64)[:, k], mono) for k in range(6)]
+        want = (want + c * np.column_stack(cols).astype(object)) % BIG_P
+    assert poly_action_matrix(m, f).tolist() == want.tolist()
+
+
+def test_loewy_series_rejects_a_non_nilpotent_action():
+    # the identity never shrinks the module, so the radical layers never end
+    with pytest.raises(PipelineInvariantError, match="does not descend"):
+        FiniteLengthModule(3, [np.eye(3, dtype=np.int64)]).loewy_series()
+
+
+# -- realize_finite against the column-by-column oracle -------------------------
+
+
+def assert_realizes_like_oracle(pres):
+    module = realize_finite(pres)
+    actions, degrees = realize_finite_oracle(pres)
+    assert module.degrees == degrees
+    assert [a.tolist() for a in module.actions] == [a.tolist() for a in actions]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_realize_finite_matches_oracle_on_staircases(p):
+    several_components = binomial_basis = False
+    for _, rs in staircase_rings(p):
+        pres_e = present_finite(injective_hull_of_residue_field(rs), rs)
+        fe = frobenius_functor(pres_e)
+        for pres in (ring_as_module(rs), pres_e, fe):
+            assert_realizes_like_oracle(pres)
+            binomial_basis |= any(len(g.terms) > 1 for g in pres.groebner_columns())
+        several_components |= fe.nrows > 1
+    # E of a non-Gorenstein staircase has several generators, and relations
+    # such as y*e0 - x*e1 make some columns reduce to non-monomial images
+    assert several_components and binomial_basis
+
+
+def test_big_prime_realize_finite_matches_oracle():
+    rs = RingSpec(BIG_P, ["x", "y"], ["x^2 - 3*x*y + 2*y^2", "x^3", "y^3"])
+    assert_realizes_like_oracle(ring_as_module(rs))
+    assert_realizes_like_oracle(present_finite(injective_hull_of_residue_field(rs), rs))

@@ -216,6 +216,34 @@ def test_census_rejects_composite_prime_before_output(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["report", "--trials", "-5"], "--trials"),
+        (["report", "--max-degree", "-1"], "--max-degree"),
+        (["census", "--family", "binomial-sample", "--samples", "-1"], "--samples"),
+        (["census", "--max-degree", "-1"], "--max-degree"),
+        (["census", "--max-gens", "-2"], "--max-gens"),
+        (["census", "--trials", "-1"], "--trials"),
+    ],
+)
+def test_negative_budgets_are_rejected(tmp_path, capsys, argv, flag):
+    if argv[0] == "report":
+        argv = argv + ["--input", write_spec(tmp_path, FLAGSHIP_TEXT)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {flag} must be non-negative")
+    assert captured.out == ""
+
+
+def test_census_config_rejects_negative_budgets():
+    for field in ("max_degree", "max_gens", "samples", "trials"):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            CensusConfig(**{field: -1})
+    assert CensusConfig(max_degree=0, max_gens=0, samples=0, trials=0).samples == 0
+
+
 def census_rows(config):
     buf = io.StringIO()
     summary = run_census(config, out=buf)
