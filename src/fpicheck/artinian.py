@@ -216,13 +216,21 @@ def ring_as_module(rs: RingSpec) -> ModulePresentation:
     return ModulePresentation(rs.ring, rs.ideal, ((),), (0,), ())
 
 
+def realize_ring(rs: RingSpec) -> FiniteLengthModule:
+    """Artinian R as a finite-length module over itself, realized once per
+    RingSpec and kept on it: the socle test and the injective hull share it."""
+    if rs._realized is None:
+        rs._realized = realize_finite(ring_as_module(rs))
+    return rs._realized
+
+
 def injective_hull_of_residue_field(rs: RingSpec) -> FiniteLengthModule:
     """E = Matlis dual of R, for Artinian R (the graded injective hull of k)."""
-    return realize_finite(ring_as_module(rs)).matlis_dual()
+    return realize_ring(rs).matlis_dual()
 
 
 def socle_dimension_of_ring(rs: RingSpec) -> int:
-    return realize_finite(ring_as_module(rs)).socle_dimension()
+    return realize_ring(rs).socle_dimension()
 
 
 # ---------------------------------------------------------------------------

@@ -805,6 +805,7 @@ class RingSpec:
         self.homogeneous = require_homogeneous
         self._hilbert = None
         self._std_cache: dict = {}
+        self._realized = None  # R as a finite-length module, from artinian.realize_ring
 
     @property
     def n(self) -> int:

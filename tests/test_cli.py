@@ -102,6 +102,22 @@ def test_report_flagship_json(tmp_path, capsys):
     assert data["minimal_prime_count"] == 3
 
 
+def test_consecutive_mains_parse_their_own_flags(tmp_path, capsys):
+    """The parser is built once and reused; a flag of one call must not
+    leak into the next."""
+    path = write_spec(tmp_path, FLAGSHIP_TEXT)
+
+    def dual_check(argv):
+        assert main(argv) == 0
+        checks = json.loads(capsys.readouterr().out)["cross_checks"]
+        return next(c for c in checks if c["name"] == "frobenius_dual_module_freeness")
+
+    skipped = dual_check(["report", "--input", path, "--no-deep-checks"])
+    assert (skipped["status"], skipped["detail"]) == ("skipped", "deep checks disabled")
+    assert dual_check(["report", "--input", path])["status"] == "confirmed"
+    assert dual_check(["report", "--input", path, "--no-deep-checks"]) == skipped
+
+
 def test_report_text_format(tmp_path, capsys):
     path = write_spec(tmp_path, FLAGSHIP_TEXT)
     code = main(["report", "--input", path, "--format", "text"])

@@ -1,20 +1,24 @@
 """The ideal path against independent references: the closed-form monomial
-colon and intersection and the Hilbert-series non-zero-divisor test against
-the elimination path they bypass, membership and the Hilbert function
-against the linear-algebra oracles, and the cached normal form against a
-fresh reduction."""
+colon and intersection, the Hilbert-series non-zero-divisor test and the
+complete-intersection F-purity colon against the elimination path they
+bypass, membership and the Hilbert function against the linear-algebra
+oracles, and the cached normal form against a fresh reduction."""
 
-from hypothesis import HealthCheck, given, settings
+from unittest import mock
+
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import graded_dimension_oracle, membership_oracle
 
-from fpicheck.gfpoly import GREVLEX, LEX, Polynomial, monomials_of_degree
+from fpicheck import classify
+from fpicheck.gfpoly import GREVLEX, LEX, Polynomial, monomials_of_degree, poly_to_string
 from fpicheck.groebner import (
     Ideal,
     PolyRing,
     RingSpec,
     _colon_by_elimination,
     _intersect_by_elimination,
+    bracket_power,
     ideal_colon,
     ideal_intersect,
     reduce_poly,
@@ -163,3 +167,118 @@ def test_normal_form_tables_are_kept_per_order():
     assert a.normal_form(f, GREVLEX) == f
     assert a.normal_form(f, LEX) == a.ring.parse("-y^3")
     assert a.normal_form(f, GREVLEX) == f
+
+
+# -- F-purity of complete intersections against the elimination colon ----------
+
+
+def draw_binomial(draw, p: int, d: int) -> Polynomial:
+    """c_1 m_1 + c_2 m_2 for two distinct monomials of degree d in x, y, z."""
+    monos = list(monomials_of_degree(3, d))
+    m1, m2 = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=2, unique=True))
+    c1, c2 = draw(st.lists(st.integers(1, p - 1), min_size=2, max_size=2))
+    return Polynomial(p, 3, {m1: c1, m2: c2})
+
+
+@st.composite
+def binomial_ring(draw):
+    """F_p[x, y, z] modulo one to three homogeneous binomials of degree 1 or 2."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    gens = [draw_binomial(draw, p, draw(st.integers(1, 2))) for _ in range(draw(st.integers(1, 3)))]
+    return RingSpec(p, NAMES, gens)
+
+
+@st.composite
+def principal_ring(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    return RingSpec(p, NAMES, [draw_binomial(draw, p, draw(st.integers(1, 3)))])
+
+
+@st.composite
+def redundant_ring(draw):
+    """Two binomials and a redundant third generator a*f_1 + b*f_2, with
+    monomials a, b and a nonzero coefficient."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    f1, f2 = (draw_binomial(draw, p, draw(st.integers(1, 2))) for _ in range(2))
+    top = max(f1.degree(), f2.degree()) + draw(st.integers(0, 1))
+    a = draw(st.sampled_from(list(monomials_of_degree(3, top - f1.degree()))))
+    b = draw(st.sampled_from(list(monomials_of_degree(3, top - f2.degree()))))
+    f3 = f1.mul_term(a, 1) + f2.mul_term(b, draw(st.integers(1, p - 1)))
+    assume(not f3.is_zero())
+    return RingSpec(p, NAMES, [f1, f2, f3])
+
+
+@st.composite
+def non_ci_ring(draw):
+    """(l*m_1, l*m_2) for a binomial linear form l and monomials m_1, m_2
+    neither dividing the other: two minimal generators, height one."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    l = draw_binomial(draw, p, 1)
+    monos = [m for d in (1, 2) for m in monomials_of_degree(3, d)]
+    m1, m2 = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=2, unique=True))
+    assume(not any(all(a <= b for a, b in zip(u, v)) for u, v in ((m1, m2), (m2, m1))))
+    return RingSpec(p, NAMES, [l.mul_term(m1, 1), l.mul_term(m2, 1)])
+
+
+def f_purity_by_elimination(rs: RingSpec):
+    """The verdict and the witness polynomials read off the reduced basis of
+    the elimination colon (I^[p] : I)."""
+    colon = _colon_by_elimination(bracket_power(rs.ideal, 1), rs.ideal).groebner_basis()
+    mp = bracket_power(rs.maximal_ideal(), 1)
+    names = rs.ring.varnames
+    outside = [g for g in colon if not mp.contains(g)]
+    if outside:
+        return True, poly_to_string(outside[0], names)
+    return False, [poly_to_string(g, names) for g in colon]
+
+
+def check_f_purity(rs: RingSpec, eliminates: bool):
+    """is_f_pure against the elimination colon, and the branch it took."""
+    with mock.patch.object(classify, "ideal_colon", wraps=classify.ideal_colon) as spy:
+        verdict, witness = classify.is_f_pure(rs)
+    assert spy.called == eliminates
+    key = "splitting_witness" if verdict else "colon_generators"
+    assert (verdict, witness[key]) == f_purity_by_elimination(rs)
+
+
+@PROPERTY
+@given(binomial_ring())
+def test_f_purity_of_binomial_ideals_matches_elimination(rs):
+    ci = classify._complete_intersection_generators(rs) is not None
+    check_f_purity(rs, eliminates=not ci)
+
+
+@PROPERTY
+@given(principal_ring())
+def test_f_purity_of_principal_ideals_matches_elimination(rs):
+    assert len(classify._complete_intersection_generators(rs)) == 1
+    check_f_purity(rs, eliminates=False)
+
+
+@PROPERTY
+@given(redundant_ring())
+def test_f_purity_of_redundantly_given_complete_intersections(rs):
+    fs = classify._complete_intersection_generators(rs)
+    assume(fs is not None and len(fs) == 2)  # f_1, f_2 a regular sequence
+    check_f_purity(rs, eliminates=False)
+
+
+@PROPERTY
+@given(non_ci_ring())
+def test_f_purity_of_non_complete_intersections_eliminates(rs):
+    assert rs.dimension == 2
+    assert classify._complete_intersection_generators(rs) is None
+    check_f_purity(rs, eliminates=True)
+
+
+def test_f_purity_of_a_complete_intersection_at_p_31():
+    rs = RingSpec(31, NAMES, ["x*y - 2*z^2", "x^2 - y*z"])
+    assert len(classify._complete_intersection_generators(rs)) == 2
+    check_f_purity(rs, eliminates=False)
+
+
+@PROPERTY
+@given(st.one_of(homogeneous_ring(), binomial_ring()))
+def test_frobenius_powers_of_a_reduced_basis_are_reduced(rs):
+    powers = tuple(g.frobenius_power(1) for g in rs.ideal.groebner_basis())
+    assert bracket_power(rs.ideal, 1).groebner_basis() == powers
