@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteLengthError, PipelineInvariantError
-from .gfpoly import Polynomial, mono_divides, mono_mul, monomials_of_degree
+from .gfpoly import Polynomial, mono_mul
 from .groebner import NormalForm, RingSpec
+from .hilbert import standard_monomials
 from .linalg import Subspace, is_invertible, matmul, nullspace, rank
 from .modgb import Vec, lead_module_is_finite_colength
 from .resolutions import ModulePresentation, frobenius_functor, matrix_from_columns
@@ -172,16 +173,8 @@ def realize_finite(pres: ModulePresentation) -> FiniteLengthModule:
         raise InfiniteLengthError("presentation does not define a finite-length module")
     basis = []
     for i in range(pres.nrows):
-        leads_i = lead.get(i, ())
         d = 0
-        while True:
-            found = [
-                m
-                for m in monomials_of_degree(n, d)
-                if not any(mono_divides(l, m) for l in leads_i)
-            ]
-            if not found:
-                break
+        while found := standard_monomials(lead.get(i, ()), n, d):
             for m in found:
                 basis.append((i, m, pres.scale * d + pres.row_twists[i]))
             d += 1
@@ -263,22 +256,12 @@ def present_finite(module: FiniteLengthModule, rs: RingSpec) -> ModulePresentati
     gen_degs = [module.degrees[k] for k in gens]
     t = len(gens)
 
-    def pairs_at(d):
-        out = []
-        for g_idx, k in enumerate(gens):
-            rem = d - module.degrees[k]
-            if rem < 0:
-                continue
-            for m in rs.standard_monomials_of_degree(rem):
-                out.append((g_idx, m))
-        return out
-
     relations = []  # Vec over R^t
     rel_degs = []
     dmin = min(gen_degs)
     dmax = max(module.degrees) + 1
     for d in range(dmin, dmax + 1):
-        pairs = pairs_at(d)
+        pairs = free_slice(rs, gen_degs, d)
         if not pairs:
             continue
         cols = []
@@ -290,27 +273,46 @@ def present_finite(module: FiniteLengthModule, rs: RingSpec) -> ModulePresentati
         ker = nullspace(eval_mat, p)
         if ker.shape[0] == 0:
             continue
-        pair_index = {pm: i for i, pm in enumerate(pairs)}
-        known = Subspace(len(pairs), p)
-        for r_vec, r_deg in zip(relations, rel_degs):
-            for mu in rs.standard_monomials_of_degree(d - r_deg):
-                prod = [0] * len(pairs)
-                for (g_idx, mm), c in r_vec.terms.items():
-                    f = rs.nf(Polynomial._raw(p, rs.ring.n, {mono_mul(mm, mu): c}))
-                    for m2, c2 in f.terms.items():
-                        slot = pair_index[(g_idx, m2)]
-                        prod[slot] = (prod[slot] + c2) % p
-                known.add(prod)
-        for row in ker:
-            if known.add(list(row)):
-                terms = {}
-                for (g_idx, m), c in zip(pairs, row):
-                    if c % p:
-                        terms[(g_idx, m)] = int(c % p)
-                relations.append(Vec._raw(p, rs.ring.n, terms))
-                rel_degs.append(d)
+        collect_relations(rs, pairs, ker, d, relations, rel_degs)
     matrix = matrix_from_columns(relations, t, rs.ring)
     return ModulePresentation(rs.ring, rs.ideal, matrix, gen_degs, rel_degs)
+
+
+def free_slice(rs: RingSpec, degrees, d: int) -> list:
+    """Coordinates (generator index, standard monomial) of the degree-d slice
+    of the graded free R-module with generators in `degrees`."""
+    return [
+        (k, m) for k, e in enumerate(degrees) if d >= e
+        for m in rs.standard_monomials_of_degree(d - e)
+    ]
+
+
+def collect_relations(rs: RingSpec, pairs, ker, d: int, relations: list, rel_degs: list) -> bool:
+    """Append to `relations`, in degree d, each row of `ker` (vectors over the
+    `free_slice` coordinates `pairs`) that enlarges the span of the earlier
+    relations times standard monomials, taking the rows in order. Returns
+    whether a row was kept.
+    """
+    p, n = rs.p, rs.ring.n
+    pair_index = {pm: i for i, pm in enumerate(pairs)}
+    known = Subspace(len(pairs), p)
+    for r_vec, r_deg in zip(relations, rel_degs):
+        for mu in rs.standard_monomials_of_degree(d - r_deg):
+            prod = [0] * len(pairs)
+            for (k, mm), c in r_vec.terms.items():
+                f = rs.nf(Polynomial._raw(p, n, {mono_mul(mm, mu): c}))
+                for m2, c2 in f.terms.items():
+                    slot = pair_index[(k, m2)]
+                    prod[slot] = (prod[slot] + c2) % p
+            known.add(prod)
+    added = False
+    for row in ker:
+        if known.add(list(row)):
+            terms = {(k, m): int(c % p) for (k, m), c in zip(pairs, row) if c % p}
+            relations.append(Vec._raw(p, n, terms))
+            rel_degs.append(d)
+            added = True
+    return added
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,6 @@ from .gfpoly import (
 from .groebner import (
     Ideal,
     RingSpec,
-    _raw_quotient_numerator,
-    _zpoly_shift,
-    _zpoly_sub,
     bracket_power,
     divide_exact,
     ideal_colon,
@@ -416,11 +413,11 @@ def ideals_isomorphic(
     one = Polynomial.constant(p, n, 1)
     if rs.ideal_eq_in_r(gi, gj):
         return IdealIsoResult("true", (one, one), 0, "the ideals are equal")
-    num_r = _raw_quotient_numerator(rs.ideal)
-    num_i = _zpoly_sub(num_r, _raw_quotient_numerator(rs.preimage_ideal(gi)))
-    num_j = _zpoly_sub(num_r, _raw_quotient_numerator(rs.preimage_ideal(gj)))
-    shift = min(num_i) - min(num_j)
-    if _zpoly_shift(num_j, shift) != num_i:
+    num_r = rs.ideal.hilbert_numerator()
+    num_i = num_r - rs.preimage_ideal(gi).hilbert_numerator()
+    num_j = num_r - rs.preimage_ideal(gj).hilbert_numerator()
+    shift = num_i.lowest() - num_j.lowest()
+    if num_j.shift(shift) != num_i:
         return IdealIsoResult(
             "false", None, None, "no shift matches the two Hilbert series"
         )
@@ -598,8 +595,8 @@ def canonical_ideal(
             "Hom(omega, R) is zero, so omega embeds in no ideal",
         )
     n, p = rs.ring.n, rs.p
-    num_r = _raw_quotient_numerator(rs.ideal)
-    num_omega = {d: c for d, c in omega.numerator_scaled().items() if c}
+    num_r = rs.ideal.hilbert_numerator()
+    num_omega = omega.numerator_scaled()
     deg_lo = min(d for _, d in homs)
     deg_hi = max(d for _, d in homs) + degree_window
     for target in range(deg_lo, deg_hi + 1):
@@ -629,8 +626,8 @@ def canonical_ideal(
                 continue
             polys = u.as_poly_dict()
             gens = [polys[i] for i in sorted(polys)]
-            image_num = _zpoly_sub(num_r, _raw_quotient_numerator(rs.preimage_ideal(gens)))
-            if image_num == _zpoly_shift(num_omega, target):
+            image_num = num_r - rs.preimage_ideal(gens).hilbert_numerator()
+            if image_num == num_omega.shift(target):
                 found = CanonicalIdealResult(
                     "found",
                     tuple(rs.nf(g) for g in gens),

@@ -7,7 +7,6 @@ this module works in the ambient polynomial ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add, le, neg, sub
@@ -22,12 +21,18 @@ from .gfpoly import (
     mono_degree,
     mono_div,
     mono_divides,
-    mono_is_one,
     mono_lcm,
     mono_mul,
-    monomials_of_degree,
     parse_polynomial,
     poly_to_string,
+)
+from .hilbert import (
+    HilbertData,
+    Numerator,
+    hilbert_from_lead_monomials,
+    minimal_monomials,
+    monomial_quotient,
+    standard_monomials,
 )
 
 DEFAULT_MAX_PAIRS = 200_000
@@ -361,30 +366,32 @@ def reduce_poly(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
 
 
 def divide_exact(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    """Quotient f/g for exact division; raises when g does not divide f."""
+    """Quotient f/g for exact division; raises when g does not divide f.
+    The remainder's leads come off a min-heap by rank, as in `_normal_form`."""
     p = f.p
+    rank = _rank_of(order)
     lm, lc = g.lead(order)
     lc_inv = pow(lc, p - 2, p)
+    tail = [(m, c) for m, c in g.terms.items() if m != lm]
     work = dict(f.terms)
+    heap = [(rank(m), m) for m in work]
+    heapify(heap)
     quot: dict = {}
-    key = order.key
-    while work:
-        m = max(work, key=key)
+    while heap:
+        _, m = heappop(heap)
         c = work.pop(m)
+        if not c:
+            continue  # cancelled
         if not mono_divides(lm, m):
             raise ValueError("division is not exact")
         shift = mono_div(m, lm)
-        factor = c * lc_inv % p
-        quot[shift] = factor
-        for mm, cc in g.terms.items():
-            if mm == lm:
-                continue
-            mmm = mono_mul(mm, shift)
-            v = (work.get(mmm, 0) - factor * cc) % p
-            if v:
-                work[mmm] = v
-            else:
-                work.pop(mmm, None)
+        factor = quot[shift] = c * lc_inv % p
+        for mm, cc in tail:
+            # below the lead, so never a monomial popped already
+            m3 = mono_mul(mm, shift)
+            if m3 not in work:
+                heappush(heap, (rank(m3), m3))
+            work[m3] = (work.get(m3, 0) - factor * cc) % p
     return Polynomial(p, f.nvars, quot)
 
 
@@ -450,6 +457,10 @@ class Ideal:
     def lead_monomials(self, order: MonomialOrder = GREVLEX):
         return tuple(g.lead(order)[0] for g in self.groebner_basis(order))
 
+    def hilbert_numerator(self) -> Numerator:
+        """N(t) with HS(S/self) = N(t) / (1 - t)^n, from the grevlex lead terms."""
+        return monomial_quotient(self.lead_monomials(), self.ring.n)
+
     def __eq__(self, other):
         if not isinstance(other, Ideal) or other.ring != self.ring:
             return NotImplemented
@@ -492,7 +503,7 @@ def _monomial_gens(a: Ideal):
 
 
 def _monomial_ideal(ring: PolyRing, monos) -> Ideal:
-    return Ideal(ring, [Polynomial.from_monomial(ring.p, m) for m in _minimalize_monomials(monos)])
+    return Ideal(ring, [Polynomial.from_monomial(ring.p, m) for m in minimal_monomials(monos)])
 
 
 def _lcm_intersect(us, vs):
@@ -560,10 +571,10 @@ def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
     out = None
     for m in ms:
         # u / gcd(u, m), exponent by exponent
-        part = _minimalize_monomials(
+        part = minimal_monomials(
             [tuple(e - f if e > f else 0 for e, f in zip(u, m)) for u in us]
         )
-        out = part if out is None else _minimalize_monomials(_lcm_intersect(out, part))
+        out = part if out is None else minimal_monomials(_lcm_intersect(out, part))
     return _monomial_ideal(a.ring, out)
 
 
@@ -599,154 +610,6 @@ def in_radical(f: Polynomial, a: Ideal) -> bool:
     gens.append(big.one() - t * f.extend(big.n, 1))
     gb = buchberger(gens, GREVLEX)
     return len(gb) == 1 and gb[0].is_constant()
-
-
-# ---------------------------------------------------------------------------
-# Hilbert data for monomial lead-term ideals
-
-def _minimalize_monomials(monos):
-    monos = sorted(set(monos), key=lambda m: (sum(m), m))
-    out = []
-    for m in monos:
-        if not any(mono_divides(q, m) for q in out):
-            out.append(m)
-    return tuple(out)
-
-
-def _zpoly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            out[da + db] = out.get(da + db, 0) + ca * cb
-    return {d: c for d, c in out.items() if c}
-
-def _zpoly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, c in b.items():
-        v = out.get(d, 0) + c
-        if v:
-            out[d] = v
-        else:
-            out.pop(d, None)
-    return out
-
-def _zpoly_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, c in b.items():
-        v = out.get(d, 0) - c
-        if v:
-            out[d] = v
-        else:
-            out.pop(d, None)
-    return out
-
-def _zpoly_shift(a: dict, k: int) -> dict:
-    return {d + k: c for d, c in a.items()}
-
-
-@lru_cache(maxsize=100_000)
-def _hilbert_numerator_cached(gens: tuple, n: int) -> tuple:
-    terms = _hilbert_numerator(gens, n)
-    return tuple(sorted(terms.items()))
-
-
-def _hilbert_numerator(gens: tuple, n: int) -> dict:
-    """Numerator of Hilb(S/(gens)) over (1-t)^n, as {degree: int}."""
-    gens = _minimalize_monomials(gens)
-    if any(mono_is_one(m) for m in gens):
-        return {}
-    supports = [tuple(i for i, e in enumerate(m) if e) for m in gens]
-    if all(len(s) == 1 for s in supports) and len({s[0] for s in supports}) == len(supports):
-        out = {0: 1}
-        for m in gens:
-            out = _zpoly_mul(out, {0: 1, sum(m): -1})
-        return out
-    counts = [0] * n
-    for s in supports:
-        if len(s) > 1:
-            for i in s:
-                counts[i] += 1
-    pivot = max(range(n), key=lambda i: counts[i])
-    pv = tuple(1 if i == pivot else 0 for i in range(n))
-    plus = _minimalize_monomials(gens + (pv,))
-    colon = _minimalize_monomials(
-        tuple(mono_div(m, pv) if m[pivot] else m for m in gens)
-    )
-    a = dict(_hilbert_numerator_cached(plus, n))
-    b = dict(_hilbert_numerator_cached(colon, n))
-    return _zpoly_add(a, _zpoly_shift(b, 1))
-
-
-@dataclass(frozen=True)
-class HilbertData:
-    """Dimension, Hilbert series numerator (over (1-t)^dimension), colength.
-
-    `colength` is None when the quotient has infinite length. The numerator
-    evaluated at 1 is the multiplicity.
-    """
-
-    dimension: int
-    numerator: tuple  # coefficient list, numerator[i] is the t^i coefficient
-    colength: object  # int | None
-
-    @property
-    def multiplicity(self) -> int:
-        return sum(self.numerator)
-
-    def series_str(self) -> str:
-        num = " + ".join(
-            (f"{c}" if d == 0 else (f"{c}*t^{d}" if c != 1 else f"t^{d}"))
-            for d, c in enumerate(self.numerator)
-            if c
-        ) or "0"
-        if self.dimension <= 0:
-            return num
-        return f"({num})/(1-t)^{self.dimension}"
-
-
-def _raw_quotient_numerator(a: Ideal) -> dict:
-    """Numerator of HS(S/a) over (1 - t)^n, unreduced, as {degree: coeff}
-    with no zero coefficient."""
-    return dict(_hilbert_numerator_cached(
-        _minimalize_monomials(tuple(a.lead_monomials())), a.ring.n
-    ))
-
-
-def hilbert_from_lead_monomials(lead_monos, n: int) -> HilbertData:
-    terms = dict(_hilbert_numerator_cached(_minimalize_monomials(tuple(lead_monos)), n))
-    if not terms:
-        return HilbertData(dimension=-1, numerator=(0,), colength=0)
-    # factor out (1 - t)^c
-    coeffs = [0] * (max(terms) + 1)
-    for d, c in terms.items():
-        coeffs[d] = c
-    c_power = 0
-    while True:
-        # synthetic division by (1 - t): q(t) = n(t)/(1-t) iff n(1) == 0
-        if sum(coeffs) != 0:
-            break
-        q = [0] * (len(coeffs) - 1) if len(coeffs) > 1 else [0]
-        acc = 0
-        # n(t) = (1-t) q(t): q_i = sum_{j<=i} n_j
-        for i in range(len(coeffs) - 1):
-            acc += coeffs[i]
-            q[i] = acc
-        coeffs = q if q else [0]
-        c_power += 1
-        if coeffs == [0]:
-            break
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    dim = n - c_power
-    colength = sum(coeffs) if dim == 0 else None
-    if dim < 0:
-        dim, colength = 0, 0  # zero ring; callers treat colength 0 as empty
-    return HilbertData(dimension=dim, numerator=tuple(coeffs), colength=colength)
-
-
-def hilbert_data_of_ideal(a: Ideal) -> HilbertData:
-    """Hilbert data of S/a, computed from the grevlex lead-term ideal."""
-    return hilbert_from_lead_monomials(a.lead_monomials(), a.ring.n)
 
 
 def minimal_primes_monomial(a: Ideal):
@@ -816,7 +679,7 @@ class RingSpec:
 
     def hilbert(self) -> HilbertData:
         if self._hilbert is None:
-            self._hilbert = hilbert_data_of_ideal(self.ideal)
+            self._hilbert = hilbert_from_lead_monomials(self.ideal.lead_monomials(), self.n)
         return self._hilbert
 
     @property
@@ -844,12 +707,7 @@ class RingSpec:
         """k-basis monomials of R_d (complement of the lead-term ideal)."""
         got = self._std_cache.get(d)
         if got is None:
-            leads = self.ideal.lead_monomials()
-            got = tuple(
-                m for m in monomials_of_degree(self.n, d)
-                if not any(mono_divides(l, m) for l in leads)
-            )
-            self._std_cache[d] = got
+            got = self._std_cache[d] = standard_monomials(self.ideal.lead_monomials(), self.n, d)
         return got
 
     def hf(self, d: int) -> int:
@@ -883,8 +741,8 @@ class RingSpec:
             return ideal_colon(self.ideal, Ideal(self.ring, [f])) == self.ideal
         # nf(f) is homogeneous of degree d and generates the same I + (f)
         plus = Ideal(self.ring, list(self.ideal.groebner_basis()) + [g])
-        num = _raw_quotient_numerator(self.ideal)
-        return _raw_quotient_numerator(plus) == _zpoly_sub(num, _zpoly_shift(num, f.degree()))
+        num = self.ideal.hilbert_numerator()
+        return plus.hilbert_numerator() == num - num.shift(f.degree())
 
     def __repr__(self):
         gens = ", ".join(self.ring.show(g) for g in self.ideal.generators) or "0"

@@ -15,11 +15,11 @@ from __future__ import annotations
 from .gfpoly import GREVLEX, Polynomial, mono_degree, mono_mul
 from .groebner import (
     DEFAULT_MAX_PAIRS,
-    _minimalize_monomials,
     groebner_terms,
     lead_term,
     normal_form_terms,
 )
+from .hilbert import minimal_monomials
 
 
 class Vec:
@@ -283,7 +283,7 @@ def lead_module(gb) -> dict:
     for g in gb:
         comp, mono = lead_term(g.terms)
         raw.setdefault(comp, []).append(mono)
-    return {c: _minimalize_monomials(tuple(ms)) for c, ms in raw.items()}
+    return {c: minimal_monomials(tuple(ms)) for c, ms in raw.items()}
 
 
 def lead_module_is_finite_colength(lead_by_comp: dict, ncomponents: int, n: int) -> bool:

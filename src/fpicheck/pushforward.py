@@ -19,19 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iterproduct
+from math import prod
 
 import numpy as np
 
 from .errors import PipelineInvariantError, ResourceLimitError
-from .gfpoly import Polynomial, mono_degree, mono_mul
-from .groebner import (
-    Ideal,
-    RingSpec,
-    _raw_quotient_numerator,
-    _zpoly_add,
-    _zpoly_mul,
-    _zpoly_sub,
-)
+from .artinian import collect_relations, free_slice
+from .gfpoly import Polynomial, mono_degree
+from .groebner import Ideal, RingSpec
+from .hilbert import ONE, Numerator
 from .linalg import Subspace, nullspace
 from .modgb import Vec, kernel_over_quotient
 from .resolutions import (
@@ -161,19 +157,6 @@ def _scaled_dual_degree(v: Vec, sigma, q: int) -> int:
     return degs.pop()
 
 
-def _subst_power(num: dict, q: int) -> dict:
-    return {d * q: c for d, c in num.items()}
-
-
-def _cyclotomic_like(q: int, n: int) -> dict:
-    """(1 + t + ... + t^(q-1))^n as an integer polynomial dict."""
-    base = {i: 1 for i in range(q)}
-    out = {0: 1}
-    for _ in range(n):
-        out = _zpoly_mul(out, base)
-    return out
-
-
 @dataclass
 class TwistedHom:
     """Hom_R(F_*R, R) with the root-multiplication module structure."""
@@ -182,7 +165,7 @@ class TwistedHom:
     generators: list  # Vec coordinates in R^(p^n), entries normal-formed
     degrees: list  # scaled degrees of the generators
     presentation: ModulePresentation
-    numerator: dict  # exact Hilbert numerator over (1 - t^q)^n
+    numerator: Numerator  # exact Hilbert numerator over (1 - t^q)^n
 
 
 def hom_pushforward_into_ring(
@@ -206,12 +189,12 @@ def hom_pushforward_into_ring(
         )
         ordinary = kernel_over_quotient(cols_t, nrows=pres.ncols, defining_ideal=rs.ideal)
     # exact Hilbert numerator of the dual module, over (1 - t^q)^n
-    num_r_q = _subst_power(_raw_quotient_numerator(rs.ideal), q)
-    total = {}
+    num_r_q = rs.ideal.hilbert_numerator().subst(q)
+    total = Numerator()
     for s in sigma:
-        total = _zpoly_add(total, {d - s: c for d, c in num_r_q.items()})
+        total += num_r_q.shift(-s)
     for g in gamma:
-        total = _zpoly_sub(total, {d - g: c for d, c in num_r_q.items()})
+        total -= num_r_q.shift(-g)
     if pres.ncols:
         coker_t = ModulePresentation(
             ring,
@@ -221,7 +204,7 @@ def hom_pushforward_into_ring(
             [-s for s in sigma],
             scale=q,
         )
-        total = _zpoly_add(total, coker_t.numerator_scaled())
+        total += coker_t.numerator_scaled()
     numerator_w = total
 
     slices = _DualSlices(rs, sigma, q)
@@ -274,13 +257,13 @@ def _relations_with_certificate(
     p = rs.p
     n = ring.n
     h = len(gens)
-    expand = _cyclotomic_like(q, n)
+    # (1 - t^q)^n = (1 - t)^n (1 + t + ... + t^(q-1))^n
+    expand = prod([Numerator(dict.fromkeys(range(q), 1))] * n, start=ONE)
 
     def certified(rel_list, deg_list) -> bool:
         matrix = matrix_from_columns(rel_list, h, ring)
         cand = ModulePresentation(ring, rs.ideal, matrix, gen_degs, deg_list)
-        lhs = _zpoly_mul(cand.numerator_scaled(), expand)
-        return lhs == numerator_w
+        return cand.numerator_scaled() * expand == numerator_w
 
     if h == 0:
         if numerator_w:
@@ -299,13 +282,7 @@ def _relations_with_certificate(
     d = min(gen_degs)
     while d <= cap:
         d += 1
-        domain = []
-        for k in range(h):
-            rem = d - gen_degs[k]
-            if rem < 0:
-                continue
-            for m in rs.standard_monomials_of_degree(rem):
-                domain.append((k, m))
+        domain = free_slice(rs, gen_degs, d)
         if not domain:
             continue
         pairs = slices.pairs(d)
@@ -319,31 +296,9 @@ def _relations_with_certificate(
             ker = nullspace(eval_mat, p)
         else:
             ker = np.eye(len(domain), dtype=np.int64)
-        if ker.shape[0]:
-            dom_pos = {pm: i for i, pm in enumerate(domain)}
-            known = Subspace(len(domain), p)
-            for r_vec, r_deg in zip(relations, rel_degs):
-                for mu in rs.standard_monomials_of_degree(d - r_deg):
-                    prod = [0] * len(domain)
-                    for (k, mm), c in r_vec.terms.items():
-                        f = rs.nf(Polynomial._raw(p, n, {mono_mul(mm, mu): c}))
-                        for m2, c2 in f.terms.items():
-                            slot = dom_pos[(k, m2)]
-                            prod[slot] = (prod[slot] + c2) % p
-                    known.add(prod)
-            added = False
-            for row in ker:
-                if known.add(list(row)):
-                    terms = {}
-                    for (k, m), c in zip(domain, row):
-                        if c % p:
-                            terms[(k, m)] = int(c % p)
-                    relations.append(Vec._raw(p, n, terms))
-                    rel_degs.append(d)
-                    added = True
-            if added and certified(relations, rel_degs):
-                return relations, rel_degs
-        if not ker.shape[0] and certified(relations, rel_degs):
+        if ker.shape[0] and not collect_relations(rs, domain, ker, d, relations, rel_degs):
+            continue  # every kernel row was known: the cokernel is unchanged
+        if certified(relations, rel_degs):
             return relations, rel_degs
     raise ResourceLimitError(
         "relation search for the twisted dual exceeded its degree budget"

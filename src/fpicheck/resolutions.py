@@ -18,16 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PipelineInvariantError
-from .gfpoly import Polynomial, mono_divides, monomials_of_degree
-from .groebner import (
-    Ideal,
-    PolyRing,
-    RingSpec,
-    _hilbert_numerator_cached,
-    _minimalize_monomials,
-    ideal_colon,
-    ideal_intersect,
-)
+from .gfpoly import Polynomial
+from .groebner import Ideal, PolyRing, RingSpec, ideal_colon, ideal_intersect
+from .hilbert import Numerator, monomial_quotient, standard_monomials
 from .modgb import (
     Vec,
     kernel_over_quotient,
@@ -179,27 +172,16 @@ class ModulePresentation:
             rem = d - s
             if rem < 0 or rem % self.scale:
                 continue
-            deg = rem // self.scale
-            leads_i = lead.get(i, ())
-            for m in monomials_of_degree(self.ring.n, deg):
-                if not any(mono_divides(l, m) for l in leads_i):
-                    total += 1
+            total += len(standard_monomials(lead.get(i, ()), self.ring.n, rem // self.scale))
         return total
 
-    def numerator_scaled(self) -> dict:
+    def numerator_scaled(self) -> Numerator:
         """Laurent numerator of the Hilbert series over (1-t^scale)^n."""
         lead = self.lead_data()
-        total: dict = {}
+        total = Numerator()
         for i, s in enumerate(self.row_twists):
-            leads_i = _minimalize_monomials(tuple(lead.get(i, ())))
-            num = dict(_hilbert_numerator_cached(leads_i, self.ring.n))
-            for d, c in num.items():
-                key = self.scale * d + s
-                v = total.get(key, 0) + c
-                if v:
-                    total[key] = v
-                else:
-                    total.pop(key, None)
+            num = monomial_quotient(lead.get(i, ()), self.ring.n)
+            total += num.subst(self.scale).shift(s)
         return total
 
     def minimized(self) -> "ModulePresentation":

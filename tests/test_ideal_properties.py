@@ -1,11 +1,14 @@
 """The ideal path against independent references: the closed-form monomial
 colon and intersection, the Hilbert-series non-zero-divisor test and the
 complete-intersection F-purity colon against the elimination path they
-bypass, membership and the Hilbert function against the linear-algebra
-oracles, and the cached normal form against a fresh reduction."""
+bypass, membership, the Hilbert function and Hilbert-series numerators
+against the linear-algebra oracles, the cached normal form against a fresh
+reduction, and exact division against multiplication."""
 
+from math import comb, prod
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import graded_dimension_oracle, membership_oracle
@@ -19,10 +22,14 @@ from fpicheck.groebner import (
     _colon_by_elimination,
     _intersect_by_elimination,
     bracket_power,
+    divide_exact,
     ideal_colon,
     ideal_intersect,
     reduce_poly,
 )
+from fpicheck.hilbert import Numerator, monomial_quotient
+from fpicheck.pushforward import frobenius_pushforward
+from fpicheck.resolutions import ModulePresentation
 
 PROPERTY = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -282,3 +289,128 @@ def test_f_purity_of_a_complete_intersection_at_p_31():
 def test_frobenius_powers_of_a_reduced_basis_are_reduced(rs):
     powers = tuple(g.frobenius_power(1) for g in rs.ideal.groebner_basis())
     assert bracket_power(rs.ideal, 1).groebner_basis() == powers
+
+
+# -- Hilbert-series numerators against the Hilbert function ----------------------
+
+
+def series_coefficient(num: Numerator, n: int, q: int, d: int) -> int:
+    """The t^d coefficient of N(t) / (1 - t^q)^n, n >= 1: the series of
+    1 / (1 - t^q)^n has comb(j + n - 1, n - 1) at t^(q*j)."""
+    return sum(
+        c * comb((d - k) // q + n - 1, n - 1)
+        for k, c in num.items()
+        if d >= k and (d - k) % q == 0
+    )
+
+
+@st.composite
+def monomial_ideal(draw):
+    """Zero to four monomials of F_p[x, y(, z)] (the unit monomial included)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4))
+    return p, n, monos
+
+
+@PROPERTY
+@given(monomial_ideal())
+def test_monomial_quotient_numerator_matches_oracle(case):
+    p, n, monos = case
+    num = monomial_quotient(monos, n)
+    gens = [Polynomial.from_monomial(p, m) for m in monos]
+    for d in range(6):
+        assert series_coefficient(num, n, 1, d) == graded_dimension_oracle(gens, p, n, d)
+
+
+@PROPERTY
+@given(homogeneous_ring())
+def test_ideal_hilbert_numerator_matches_oracle(rs):
+    num = rs.ideal.hilbert_numerator()
+    gens = list(rs.ideal.generators)
+    for d in range(6):
+        assert series_coefficient(num, rs.n, 1, d) == graded_dimension_oracle(gens, rs.p, rs.n, d)
+
+
+@PROPERTY
+@given(homogeneous_ring())
+def test_hilbert_data_cancels_exactly_the_powers_of_one_minus_t(rs):
+    data = rs.hilbert()
+    assert data.multiplicity != 0  # the numerator is in lowest terms
+    reduced = Numerator(dict(enumerate(data.numerator)))
+    back = prod([Numerator({0: 1, 1: -1})] * (rs.n - data.dimension), start=reduced)
+    assert back == rs.ideal.hilbert_numerator()
+
+
+@st.composite
+def small_ring(draw):
+    """F_p[x(, y)] modulo one or two forms of degree 1 to 3, p = 2 or 3, so
+    that F_*R has at most nine generators."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 2))
+    gens = [draw_form(draw, p, n, draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 2)))]
+    return RingSpec(p, NAMES[:n], gens)
+
+
+@PROPERTY
+@given(small_ring())
+def test_pushforward_numerator_expands_to_its_hilbert_function(rs):
+    push = frobenius_pushforward(rs)
+    num = push.numerator_scaled()
+    for d in range(4 * push.scale + 2):
+        assert series_coefficient(num, rs.n, push.scale, d) == push.hf(d)
+
+
+@st.composite
+def graded_presentation(draw):
+    """coker of a random homogeneous matrix over a homogeneous ring: one or
+    two generators in degrees 0 to 2, zero to two relations."""
+    rs = draw(homogeneous_ring())
+    p, n = rs.p, rs.n
+    rows = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))
+    cols = [max(rows) + e for e in draw(st.lists(st.integers(0, 2), max_size=2))]
+    matrix = [
+        [draw_form(draw, p, n, c - r) if draw(st.booleans()) else Polynomial.zero(p, n) for c in cols]
+        for r in rows
+    ]
+    return ModulePresentation(rs.ring, rs.ideal, matrix, rows, cols)
+
+
+@PROPERTY
+@given(graded_presentation())
+def test_presentation_numerator_expands_to_its_hilbert_function(pres):
+    num = pres.numerator_scaled()
+    for d in range(6):
+        assert series_coefficient(num, pres.ring.n, 1, d) == pres.hf(d)
+
+
+# -- exact division ---------------------------------------------------------------
+
+
+@st.composite
+def division_case(draw):
+    """Two polynomials of F_p[x, y, z], not necessarily homogeneous, with up to
+    four terms of exponents at most 2; the second one nonzero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def poly(min_size):
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * 3), st.integers(1, p - 1),
+            min_size=min_size, max_size=4,
+        ))
+        return Polynomial(p, 3, terms)
+
+    return poly(0), poly(1)
+
+
+@PROPERTY
+@given(division_case())
+def test_divide_exact_inverts_multiplication(case):
+    f, g = case
+    one = Polynomial.constant(f.p, 3, 1)
+    for order in (GREVLEX, LEX):
+        assert divide_exact(f * g, g, order) == f
+        if not g.is_constant():
+            # g divides f*g, so it does not divide f*g + 1
+            with pytest.raises(ValueError):
+                divide_exact(f * g + one, g, order)
