@@ -380,16 +380,6 @@ class Polynomial:
             {pad_pre + m + pad_post: c for m, c in self.terms.items()},
         )
 
-    def project(self, keep: range) -> "Polynomial":
-        """Restrict to the given variable slice; other exponents must be zero."""
-        out = {}
-        for m, c in self.terms.items():
-            for i, e in enumerate(m):
-                if e and i not in keep:
-                    raise ValueError("term involves a dropped variable")
-            out[tuple(m[i] for i in keep)] = c
-        return Polynomial(self.p, len(keep), out)
-
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other) -> bool:

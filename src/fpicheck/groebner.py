@@ -17,7 +17,6 @@ from .gfpoly import (
     MonomialOrder,
     Polynomial,
     PrimeField,
-    elimination_order,
     mono_degree,
     mono_div,
     mono_divides,
@@ -518,36 +517,13 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
     divides w. So w lies in both ideals exactly when it is divisible by some
     u from a and some v from b, that is by lcm(u, v); the lcms generate
     a ∩ b, which is again monomial, hence spanned by its monomials.
-    Otherwise: eliminate an auxiliary variable (`_intersect_by_elimination`).
+    Otherwise: {h : h*1 ∈ a, h*1 ∈ b} from `_module_colon`.
     """
     us, vs = _monomial_gens(a), _monomial_gens(b)
     if us is None or vs is None:
-        return _intersect_by_elimination(a, b)
+        one = a.ring.one()
+        return _module_colon(a.ring, (one, one), (a, b))
     return _monomial_ideal(a.ring, _lcm_intersect(us, vs))
-
-
-def _intersect_by_elimination(a: Ideal, b: Ideal) -> Ideal:
-    """a ∩ b via a single auxiliary variable: eliminate t from t*a + (1-t)*b."""
-    ring = a.ring
-    big = ring.extended(("_t",))
-    t = big.gen(0)
-    one = big.one()
-    gens = [t * g.extend(big.n, 1) for g in a.generators]
-    gens += [(one - t) * g.extend(big.n, 1) for g in b.generators]
-    gb = buchberger(gens, elimination_order(1))
-    kept = []
-    for g in gb:
-        if all(m[0] == 0 for m in g.terms):
-            kept.append(g.project(range(1, big.n)))
-    return Ideal(ring, kept)
-
-
-def _colon_single(a: Ideal, f: Polynomial) -> Ideal:
-    """(a : f) = (a ∩ (f)) / f."""
-    if f.is_zero():
-        return Ideal(a.ring, [a.ring.one()])
-    inter = _intersect_by_elimination(a, Ideal(a.ring, [f]))
-    return Ideal(a.ring, [divide_exact(g, f) for g in inter.generators])
 
 
 def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
@@ -561,13 +537,13 @@ def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
     (a : m) is monomial, because a is spanned by its monomials and
     multiplication by m maps distinct monomials to distinct monomials. The
     intersections are lcm sets as in `ideal_intersect`.
-    Otherwise: the elimination path `_colon_by_elimination`.
+    Otherwise: {h : h*g ∈ a for every generator g of b} from `_module_colon`.
     """
     if not b.generators:
         return Ideal(a.ring, [a.ring.one()])
     us, ms = _monomial_gens(a), _monomial_gens(b)
     if us is None or ms is None:
-        return _colon_by_elimination(a, b)
+        return _module_colon(a.ring, b.generators, [a] * len(b.generators))
     out = None
     for m in ms:
         # u / gcd(u, m), exponent by exponent
@@ -578,16 +554,34 @@ def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
     return _monomial_ideal(a.ring, out)
 
 
-def _colon_by_elimination(a: Ideal, b: Ideal) -> Ideal:
-    """(a : b) as the intersection of the (a ∩ (g)) / g over the generators
-    g of b, every intersection eliminating an auxiliary variable."""
-    gens = [g for g in b.generators if not g.is_zero()]
-    if not gens:
-        return Ideal(a.ring, [a.ring.one()])
-    out = _colon_single(a, gens[0])
-    for g in gens[1:]:
-        out = _intersect_by_elimination(out, _colon_single(a, g))
-    return out
+def _module_colon(ring: PolyRing, entries, ideals) -> Ideal:
+    """{h : h*e_j ∈ A_j for every j}, for polynomials e_1, ..., e_k
+    (`entries`) and ideals A_1, ..., A_k of `ring` (`ideals`), read off one
+    reduced Groebner basis of a submodule of S^(k+1).
+
+    Number the components 0, ..., k and let M be generated by the tagged
+    vector v = e_1*ε_0 + ... + e_k*ε_(k-1) + ε_k and by g*ε_(j-1) for every
+    generator g of A_j. Then h*ε_k lies in M exactly when
+    h*ε_k = c*v + Σ_j a_j*ε_(j-1) with every a_j ∈ A_j: component k forces
+    c = h, and component j-1 then reads h*e_j + a_j = 0, that is
+    h*e_j ∈ A_j. So the colon is M ∩ S*ε_k. Under position over term a
+    lower component dominates, so a basis element led in component k has no
+    term in another component, and those elements form a Groebner basis of
+    M ∩ S*ε_k (the elimination property of position-over-term orders,
+    Eisenbud, Commutative Algebra, §15.10). Being reduced, they are the
+    reduced grevlex basis of the colon.
+    """
+    p, nvars, k = ring.p, ring.n, len(entries)
+    tagged = {(k, (0,) * nvars): 1}
+    for j, e in enumerate(entries):
+        tagged.update(((j, m), c) for m, c in e.terms.items())
+    elems = [tagged] + [
+        {(j, m): c for m, c in g.terms.items()}
+        for j, a in enumerate(ideals)
+        for g in a.generators
+    ]
+    gb = groebner_terms(elems, p, GREVLEX, DEFAULT_MAX_PAIRS, "colon Buchberger")
+    return Ideal(ring, [_poly_of(g, p, nvars) for g in gb if lead_term(g)[0] == k])
 
 
 def ideal_saturation(a: Ideal, b: Ideal, max_steps: int = 64) -> Ideal:

@@ -19,7 +19,6 @@ from .groebner import (
     lead_term,
     normal_form_terms,
 )
-from .hilbert import minimal_monomials
 
 
 class Vec:
@@ -278,12 +277,14 @@ def kernel_over_quotient(columns, nrows: int, defining_ideal, max_pairs: int = D
 # lead modules, Hilbert data for graded quotients of free modules
 
 def lead_module(gb) -> dict:
-    """Map component -> minimal generators of its lead-monomial ideal."""
-    raw: dict = {}
+    """Map component -> lead monomials of the reduced basis `gb` there, which
+    are the minimal generators of that component's lead-monomial ideal: the
+    leads of a reduced basis divide one another nowhere."""
+    out: dict = {}
     for g in gb:
         comp, mono = lead_term(g.terms)
-        raw.setdefault(comp, []).append(mono)
-    return {c: minimal_monomials(tuple(ms)) for c, ms in raw.items()}
+        out.setdefault(comp, []).append(mono)
+    return {c: tuple(ms) for c, ms in out.items()}
 
 
 def lead_module_is_finite_colength(lead_by_comp: dict, ncomponents: int, n: int) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import PipelineInvariantError
 from .gfpoly import Polynomial
-from .groebner import Ideal, PolyRing, RingSpec, ideal_colon, ideal_intersect
+from .groebner import Ideal, PolyRing, RingSpec, ideal_colon
 from .hilbert import Numerator, monomial_quotient, standard_monomials
 from .modgb import (
     Vec,
@@ -604,14 +604,12 @@ def with_modulus(pres: ModulePresentation, new_ideal: Ideal) -> ModulePresentati
 
 
 def annihilator_is_zero(rs: RingSpec, vec: Vec) -> bool:
-    """Is ann_R of the element `vec` of R^r zero, i.e. ∩_i (I : v_i) = I?"""
-    ann = None
-    for _, f in vec.as_poly_dict().items():
-        col = ideal_colon(rs.ideal, Ideal(rs.ring, [f]))
-        ann = col if ann is None else ideal_intersect(ann, col)
-    if ann is None:
+    """Is ann_R of the element `vec` of R^r zero, i.e. ∩_i (I : v_i) = I?
+    That intersection is the one colon (I : (v_1, ..., v_r))."""
+    entries = list(vec.as_poly_dict().values())
+    if not entries:
         return False  # zero vector annihilated by everything
-    return ann == rs.ideal
+    return ideal_colon(rs.ideal, Ideal(rs.ring, entries)) == rs.ideal
 
 
 def syzygy_presentation(pres: ModulePresentation) -> ModulePresentation:

@@ -6,17 +6,21 @@ for a homogeneous ideal I = (g_1, ..., g_r), the degree-d slice I_d is the
 span of the products m * g_i with deg(m) + deg(g_i) = d, so membership of an
 arbitrary polynomial reduces to solving a linear system per homogeneous
 component.  Only the sparse polynomial arithmetic layer is shared with the
-code under test, with one exception: `realize_finite_oracle` is the general
+code under test, with two exceptions. `realize_finite_oracle` is the general
 path that `artinian.realize_finite` replaced, one `reduce_vec` per column,
-kept so that the table-once construction is checked against it.
+kept so that the table-once construction is checked against it. And
+`intersect_by_elimination`/`colon_by_elimination` compute intersections and
+colons by eliminating an auxiliary variable with ideal Groebner bases under
+a block order, the path that the module colon of `groebner.ideal_colon` and
+`groebner.ideal_intersect` replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fpicheck.gfpoly import Polynomial, mono_divides, monomials_of_degree
-from fpicheck.groebner import RingSpec
+from fpicheck.gfpoly import Polynomial, elimination_order, mono_divides, monomials_of_degree
+from fpicheck.groebner import Ideal, RingSpec, buchberger, divide_exact
 from fpicheck.modgb import Vec, reduce_vec
 
 
@@ -251,3 +255,31 @@ def module_membership_oracle(v, gens, twists) -> bool:
         if not _in_row_space(target, rows, p):
             return False
     return True
+
+
+def intersect_by_elimination(a: Ideal, b: Ideal) -> Ideal:
+    """a ∩ b via a single auxiliary variable t: the elements of the
+    elimination basis of t*a + (1 - t)*b that do not involve t."""
+    ring = a.ring
+    big = ring.extended(("_t",))
+    t = big.gen(0)
+    one = big.one()
+    gens = [t * g.extend(big.n, 1) for g in a.generators]
+    gens += [(one - t) * g.extend(big.n, 1) for g in b.generators]
+    kept = [
+        Polynomial(ring.p, ring.n, {m[1:]: c for m, c in g.terms.items()})
+        for g in buchberger(gens, elimination_order(1))
+        if all(m[0] == 0 for m in g.terms)
+    ]
+    return Ideal(ring, kept)
+
+
+def colon_by_elimination(a: Ideal, b: Ideal) -> Ideal:
+    """(a : b) as the intersection of the (a ∩ (g)) / g over the generators
+    g of b, every intersection by `intersect_by_elimination`."""
+    out = None
+    for g in b.generators:
+        single = intersect_by_elimination(a, Ideal(a.ring, [g]))
+        part = Ideal(a.ring, [divide_exact(h, g) for h in single.generators])
+        out = part if out is None else intersect_by_elimination(out, part)
+    return Ideal(a.ring, [a.ring.one()]) if out is None else out

@@ -1,7 +1,10 @@
 """Verdict layer: nonzerodivisors, Gorenstein, F-purity, canonical ideals."""
 
+from unittest import mock
+
 import pytest
 
+from fpicheck import classify
 from fpicheck.artinian import frobenius_fixes_injective_hull
 from fpicheck.classify import (
     canonical_ideal,
@@ -146,6 +149,37 @@ def test_non_reduced_ring_is_not_f_pure():
 def test_cross_is_f_pure(p):
     flag, _ = is_f_pure(coordinate_cross(p))
     assert flag
+
+
+# Two rings of the seed-0 binomial census at p = 7 that are not complete
+# intersections, so their colon (I^[p] : I) comes from `ideal_colon`; the
+# witnesses are the reduced basis of that colon, pinned byte for byte.
+PINNED_COLON_WITNESSES = [
+    (
+        ["y + z", "2*x*y + x*z", "y*z + 5*z^2"],
+        ["y^7 + z^7", "z^14", "x^7*z^7", "y^6*z^13", "x^7*y^6*z^6",
+         "x^6*y^6*z^12 + 6*x^6*y^5*z^13"],
+    ),
+    (
+        ["x*y + 5*z^2", "3*x*z + z^2", "y*z"],
+        ["y^7*z^7", "x^7*z^7 + 5*z^14", "x^7*y^7 + 5*z^14", "z^21",
+         "x^6*y^13*z^6", "x^13*y^6*z^6 + 5*x^6*y^6*z^13", "y^6*z^20",
+         "x^6*z^20", "x^6*y^6*z^18 + 2*x^5*y^6*z^19 + 2*x^5*y^5*z^20"],
+    ),
+]
+
+
+@pytest.mark.parametrize("gens, colon_generators", PINNED_COLON_WITNESSES)
+def test_f_purity_witness_through_the_colon_is_pinned(gens, colon_generators):
+    rs = RingSpec(7, ["x", "y", "z"], gens)
+    with mock.patch.object(classify, "ideal_colon", wraps=classify.ideal_colon) as spy:
+        flag, witness = is_f_pure(rs)
+    assert spy.called
+    assert flag is False
+    assert witness == {
+        "colon_generators": colon_generators,
+        "statement": "every generator of (I^[p] : I) lies in (x_1^p, ..., x_n^p)",
+    }
 
 
 # -- generator minimization and minimal primes ------------------------------------------

@@ -102,6 +102,51 @@ def test_report_flagship_json(tmp_path, capsys):
     assert data["minimal_prime_count"] == 3
 
 
+# The weakly-FPI witness of the axes ring: its multiplier h is a minimal
+# generator of the colon ((f*J) : I), so this pins that colon's output.
+PINNED_FPI_WITNESSES = {
+    2: {
+        "canonical_ideal": ["x + z", "y + z"],
+        "bracket_power": ["x^2 + z^2", "y^2 + z^2"],
+        "shift": -1,
+        "h": "x^3 + y^3 + z^3",
+        "f": "x^2 + y^2 + z^2",
+    },
+    3: {
+        "canonical_ideal": ["x + z", "y + 2*z"],
+        "bracket_power": ["x^3 + z^3", "y^3 + 2*z^3"],
+        "shift": -2,
+        "h": "x^3 + 2*y^3 + 2*z^3",
+        "f": "x + 2*y + 2*z",
+    },
+    5: {
+        "canonical_ideal": ["x + z", "y + 4*z"],
+        "bracket_power": ["x^5 + z^5", "y^5 + 4*z^5"],
+        "shift": -4,
+        "h": "x^5 + 2*y^5 + 4*z^5",
+        "f": "x + 2*y + 4*z",
+    },
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_FPI_WITNESSES))
+def test_report_fpi_witness_of_the_axes_is_pinned(tmp_path, capsys, p):
+    path = write_spec(tmp_path, FLAGSHIP_TEXT.replace("p = 2", f"p = {p}"))
+    assert main(["report", "--input", path]) == 0
+    pin = PINNED_FPI_WITNESSES[p]
+    assert json.loads(capsys.readouterr().out)["fpi_witness"] == {
+        "canonical_ideal": pin["canonical_ideal"],
+        "bracket_power": pin["bracket_power"],
+        "shift": pin["shift"],
+        "detail": "multiplier identity h*I = f*J verified by ideal equality",
+        "multiplier": {
+            "h": pin["h"],
+            "f": pin["f"],
+            "identity": "h * omega = f * omega^[p] as ideals of R",
+        },
+    }
+
+
 def test_consecutive_mains_parse_their_own_flags(tmp_path, capsys):
     """The parser is built once and reused; a flag of one call must not
     leak into the next."""

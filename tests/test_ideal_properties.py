@@ -1,9 +1,10 @@
 """The ideal path against independent references: the closed-form monomial
-colon and intersection, the Hilbert-series non-zero-divisor test and the
-complete-intersection F-purity colon against the elimination path they
-bypass, membership, the Hilbert function and Hilbert-series numerators
-against the linear-algebra oracles, the cached normal form against a fresh
-reduction, and exact division against multiplication."""
+colon and intersection, the module colon and intersection, the Hilbert-series
+and colon non-zero-divisor tests and the complete-intersection F-purity colon
+against the elimination oracle, membership, the Hilbert function and
+Hilbert-series numerators against the linear-algebra oracles, the cached
+normal form against a fresh reduction, and exact division against
+multiplication."""
 
 from math import comb, prod
 from unittest import mock
@@ -11,16 +12,20 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import graded_dimension_oracle, membership_oracle
+from oracles import (
+    colon_by_elimination,
+    graded_dimension_oracle,
+    intersect_by_elimination,
+    membership_oracle,
+)
 
-from fpicheck import classify
+from fpicheck import classify, groebner
+from fpicheck.errors import ResourceLimitError
 from fpicheck.gfpoly import GREVLEX, LEX, Polynomial, monomials_of_degree, poly_to_string
 from fpicheck.groebner import (
     Ideal,
     PolyRing,
     RingSpec,
-    _colon_by_elimination,
-    _intersect_by_elimination,
     bracket_power,
     divide_exact,
     ideal_colon,
@@ -102,7 +107,7 @@ def test_monomial_intersection_matches_elimination(pair):
     a, b = pair
     got = ideal_intersect(a, b)
     assert all(g.is_monomial() for g in got.generators)
-    assert got.groebner_basis() == _intersect_by_elimination(a, b).groebner_basis()
+    assert got.groebner_basis() == intersect_by_elimination(a, b).groebner_basis()
 
 
 @PROPERTY
@@ -111,7 +116,7 @@ def test_monomial_colon_matches_elimination(pair):
     a, b = pair
     got = ideal_colon(a, b)
     assert all(g.is_monomial() for g in got.generators)
-    assert got.groebner_basis() == _colon_by_elimination(a, b).groebner_basis()
+    assert got.groebner_basis() == colon_by_elimination(a, b).groebner_basis()
 
 
 @PROPERTY
@@ -119,7 +124,7 @@ def test_monomial_colon_matches_elimination(pair):
 def test_hilbert_series_nzd_test_matches_colon_test(case):
     rs, f = case
     colon_says = not rs.nf(f).is_zero() and (
-        _colon_by_elimination(rs.ideal, Ideal(rs.ring, [f])) == rs.ideal
+        colon_by_elimination(rs.ideal, Ideal(rs.ring, [f])) == rs.ideal
     )
     assert rs.is_nzd(f) == colon_says
 
@@ -131,6 +136,95 @@ def test_nzd_test_on_constants_and_members():
     assert not rs.is_nzd(rs.ring.parse("x^2*y - x*y^2"))
     assert not rs.is_nzd(rs.ring.parse("x"))
     assert rs.is_nzd(rs.ring.parse("x + y"))
+
+
+# -- the module colon against the elimination oracle ---------------------------
+
+
+def draw_poly(draw, p: int, n: int, homogeneous: bool) -> Polynomial:
+    """A form of degree 1 or 2, or up to three terms with exponents at most 2
+    (possibly zero, possibly constant)."""
+    if homogeneous:
+        return draw_form(draw, p, n, draw(st.integers(1, 2)))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n), st.integers(1, p - 1), max_size=3,
+    ))
+    return Polynomial(p, n, terms)
+
+
+@st.composite
+def non_monomial_pair(draw):
+    """Two ideals a, b of F_p[x, y(, z)], homogeneous or not, not both
+    monomial; a may be zero, and b may hold a unit or a zero generator."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(2, 3))
+    ring = PolyRing(p, NAMES[:n])
+    homogeneous = draw(st.booleans())
+
+    def gens(min_size):
+        return [draw_poly(draw, p, n, homogeneous) for _ in range(draw(st.integers(min_size, 3)))]
+
+    a = gens(0)
+    b = gens(1)
+    if draw(st.booleans()):
+        b.append(draw(st.sampled_from([ring.zero(), ring.one()])))
+    assume(not all(g.is_monomial() for g in a + b if not g.is_zero()))
+    return Ideal(ring, a), Ideal(ring, b)
+
+
+@PROPERTY
+@given(non_monomial_pair())
+def test_module_colon_matches_elimination(pair):
+    a, b = pair
+    assert ideal_colon(a, b).groebner_basis() == colon_by_elimination(a, b).groebner_basis()
+
+
+@PROPERTY
+@given(non_monomial_pair())
+def test_module_intersection_matches_elimination(pair):
+    a, b = pair
+    assert ideal_intersect(a, b).groebner_basis() == intersect_by_elimination(a, b).groebner_basis()
+
+
+def test_module_colon_edge_cases_match_elimination():
+    ring = PolyRing(5, NAMES)
+    zero, unit = Ideal(ring, []), Ideal(ring, ["1"])
+    a = Ideal(ring, ["x^2 - y*z", "x*y + 1"])
+    b = Ideal(ring, ["x + y", "0", "z^2"])
+    for left, right in ((zero, b), (a, zero), (a, unit), (unit, a), (a, b), (b, a)):
+        for ours, oracle in ((ideal_colon, colon_by_elimination), (ideal_intersect, intersect_by_elimination)):
+            assert ours(left, right).groebner_basis() == oracle(left, right).groebner_basis()
+
+
+@st.composite
+def inhomogeneous_ring_and_poly(draw):
+    """F_p[x, y(, z)] modulo one to three polynomials that need not be
+    homogeneous, and a polynomial on it."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(2, 3))
+    gens = [draw_poly(draw, p, n, False) for _ in range(draw(st.integers(1, 3)))]
+    rs = RingSpec(p, NAMES[:n], gens, require_homogeneous=False)
+    return rs, draw_poly(draw, p, n, False)
+
+
+@PROPERTY
+@given(inhomogeneous_ring_and_poly())
+def test_inhomogeneous_nzd_test_matches_elimination(case):
+    rs, f = case
+    colon_says = not rs.nf(f).is_zero() and (
+        colon_by_elimination(rs.ideal, Ideal(rs.ring, [f])) == rs.ideal
+    )
+    assert rs.is_nzd(f) == colon_says
+
+
+def test_module_colon_names_its_stage_when_out_of_pairs(monkeypatch):
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_PAIRS", 1)
+    ring = PolyRing(3, NAMES)
+    a = Ideal(ring, ["x^2 - y^2", "x*y*z"])
+    b = Ideal(ring, ["x + y", "z"])
+    for op in (ideal_colon, ideal_intersect):
+        with pytest.raises(ResourceLimitError, match="colon Buchberger"):
+            op(a, b)
 
 
 # -- the ideal path against the linear-algebra oracles --------------------------
@@ -230,7 +324,7 @@ def non_ci_ring(draw):
 def f_purity_by_elimination(rs: RingSpec):
     """The verdict and the witness polynomials read off the reduced basis of
     the elimination colon (I^[p] : I)."""
-    colon = _colon_by_elimination(bracket_power(rs.ideal, 1), rs.ideal).groebner_basis()
+    colon = colon_by_elimination(bracket_power(rs.ideal, 1), rs.ideal).groebner_basis()
     mp = bracket_power(rs.maximal_ideal(), 1)
     names = rs.ring.varnames
     outside = [g for g in colon if not mp.contains(g)]
