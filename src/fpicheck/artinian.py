@@ -409,18 +409,44 @@ def _normalized_coefficient_vectors(p: int, d: int):
             yield (0,) * lead + (1,) + tail
 
 
+def span_search(p: int, k: int, combine, accept, cap: int, trials: int, sampler):
+    """Find a candidate that `accept` takes in the F_p-span of k basis elements.
+
+    While the span has (p^k - 1)/(p - 1) <= cap lines, `combine` maps each
+    normalized coefficient vector to a candidate, so every line is tried
+    once and a miss refutes. Past the cap, `sampler()` gives the site's
+    seeded draw function and `trials` draws are tried. Returns
+    (hit or None, whether the scan was exhaustive).
+    """
+    if (p**k - 1) // (p - 1) <= cap:
+        for coeffs in _normalized_coefficient_vectors(p, k):
+            cand = combine(coeffs)
+            if accept(cand):
+                return cand, True
+        return None, True
+    draw = sampler()
+    for _ in range(trials):
+        cand = draw()
+        if accept(cand):
+            return cand, False
+    return None, False
+
+
+HOM_SPAN_CAP = 65536  # hom classes walked before the hom space is sampled
+
+
 def modules_isomorphic(
     src: FiniteLengthModule,
     dst: FiniteLengthModule,
-    max_exhaust: int = 65536,
     trials: int = 500,
     seed: int = 0,
 ) -> IsoResult:
     """Decide src ≅ dst (as modules, grading ignored).
 
-    Invariant mismatches refute; otherwise the hom space is searched for an
-    invertible element, exhaustively when p^dim(Hom) is small and by seeded
-    random sampling otherwise (random failure is only "inconclusive").
+    Invariant mismatches refute; otherwise `span_search` looks for an
+    invertible element of the hom space, exhaustively up to HOM_SPAN_CAP
+    classes and by seeded numpy sampling past it (a sampled miss is only
+    "inconclusive").
     """
     p = src.p
     if dst.p != p or dst.nvars != src.nvars:
@@ -442,23 +468,20 @@ def modules_isomorphic(
     def combination(coeffs):
         return matmul(np.array(coeffs, dtype=np.int64), stacked, p).reshape(basis[0].shape)
 
-    count = (p**d - 1) // (p - 1)
-    if count <= max_exhaust:
-        for coeffs in _normalized_coefficient_vectors(p, d):
-            cand = combination(coeffs)
-            if is_invertible(cand, p):
-                return IsoResult("isomorphic", "invertible homomorphism found", cand)
+    def sampler():
+        rng = np.random.default_rng(seed)
+        return lambda: combination(rng.integers(0, p, size=d))
+
+    cand, exhaustive = span_search(
+        p, d, combination, lambda m: m.any() and is_invertible(m, p), HOM_SPAN_CAP, trials, sampler
+    )
+    if cand is not None:
+        return IsoResult("isomorphic", "invertible homomorphism found", cand)
+    if exhaustive:
         return IsoResult(
-            "not_isomorphic", f"no invertible map among all {count} hom classes"
+            "not_isomorphic",
+            f"no invertible map among all {(p**d - 1) // (p - 1)} hom classes",
         )
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        coeffs = rng.integers(0, p, size=d)
-        if not coeffs.any():
-            continue
-        cand = combination(coeffs)
-        if is_invertible(cand, p):
-            return IsoResult("isomorphic", "invertible homomorphism found", cand)
     return IsoResult(
         "inconclusive",
         f"no invertible map in {trials} random samples from a {d}-dimensional hom space",
@@ -488,7 +511,6 @@ class ArtinianFrobeniusReport:
 def frobenius_fixes_injective_hull(
     rs: RingSpec,
     e: int = 1,
-    max_exhaust: int = 65536,
     trials: int = 500,
     seed: int = 0,
 ) -> ArtinianFrobeniusReport:
@@ -513,7 +535,7 @@ def frobenius_fixes_injective_hull(
             f"length mismatch: λ(F^{e}E) = {fe.dim}, λ(E) = {e_mod.dim}",
         )
     else:
-        iso = modules_isomorphic(e_mod, fe, max_exhaust=max_exhaust, trials=trials, seed=seed)
+        iso = modules_isomorphic(e_mod, fe, trials=trials, seed=seed)
     if fe.dim == e_mod.dim:
         injective, n_witness = iso.verdict_as_flag(), (1 if iso.verdict == "isomorphic" else None)
     elif e_mod.dim == 0 or fe.dim % e_mod.dim:
@@ -521,7 +543,7 @@ def frobenius_fixes_injective_hull(
     else:
         n = fe.dim // e_mod.dim
         power = direct_sum([e_mod] * n)
-        sub = modules_isomorphic(power, fe, max_exhaust=max_exhaust, trials=trials, seed=seed)
+        sub = modules_isomorphic(power, fe, trials=trials, seed=seed)
         if sub.verdict == "isomorphic":
             injective, n_witness = "true", n
         elif sub.verdict == "not_isomorphic":

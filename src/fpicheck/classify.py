@@ -53,12 +53,12 @@ from .groebner import (
 )
 from .modgb import Vec, vec_nf_mod_ideal
 from .artinian import (
-    _normalized_coefficient_vectors,
     frobenius_fixes_injective_hull,
     injective_hull_of_residue_field,
     modules_isomorphic,
     realize_finite,
     socle_dimension_of_ring,
+    span_search,
 )
 from .resolutions import (
     ModulePresentation,
@@ -72,30 +72,64 @@ from .pushforward import frobenius_pushforward, hom_pushforward_into_ring
 
 
 # ---------------------------------------------------------------------------
-# candidate enumeration shared by the element searches
+# the spans the element searches walk
 
-def _combo_candidates(p: int, k: int, seed_tag: str, cap: int, trials: int):
-    """Coefficient vectors for F_p-combinations of k basis elements.
-
-    Exhausts all projectively normalized vectors when there are at most
-    `cap` of them (making a failed scan a refutation); otherwise yields
-    `trials` seeded random nonzero vectors.
-    """
-    if k == 0:
-        return
-    count = (p**k - 1) // (p - 1)
-    if count <= cap:
-        yield from _normalized_coefficient_vectors(p, k)
-        return
-    rng = random.Random(seed_tag)
-    for _ in range(trials):
-        coeffs = tuple(rng.randrange(p) for _ in range(k))
-        if any(coeffs):
-            yield coeffs
+# lines of a span walked before it is sampled; degrees searched past the generators
+NZD_SPAN_CAP = 4096
+MULTIPLIER_SPAN_CAP = 4096
+CANONICAL_SPAN_CAP = 2048
+NZD_DEGREE_WINDOW = 2
+CANONICAL_DEGREE_WINDOW = 3
 
 
-def _poly_key(f: Polynomial):
+def _poly_key(f):
     return tuple(sorted(f.terms.items()))
+
+
+def _combine(zero, basis):
+    """`combine` for `span_search` over Polynomials or Vecs."""
+    one = (0,) * zero.nvars
+
+    def combine(coeffs):
+        out = zero
+        for c, b in zip(coeffs, basis):
+            if c:
+                out = out + b.mul_term(one, c)
+        return out
+
+    return combine
+
+
+def _search_span(basis, zero, accept, cap: int, trials: int, tag: str):
+    """`span_search` over the combinations of `basis`; past the cap it draws
+    uniform coefficient vectors from the stream seeded by `tag`."""
+    p, k = zero.p, len(basis)
+    combine = _combine(zero, basis)
+
+    def sampler():
+        rng = random.Random(tag)
+        return lambda: combine(tuple(rng.randrange(p) for _ in range(k)))
+
+    return span_search(p, k, combine, accept, cap, trials, sampler)
+
+
+def _distinct_nonzero(fs) -> list:
+    """The nonzero Polynomials or Vecs of `fs`, each kept at its first occurrence."""
+    out: dict = {}
+    for f in fs:
+        if not f.is_zero():
+            out.setdefault(_poly_key(f), f)
+    return list(out.values())
+
+
+def _degree_slice(gens, n: int, target: int, reduce) -> list:
+    """The distinct nonzero reduced multiples m*g of degree `target`, m a
+    monomial, over the pairs (g, deg g) in `gens`, in order."""
+    return _distinct_nonzero(
+        reduce(g.mul_term(m, 1))
+        for g, d in gens if d <= target
+        for m in monomials_of_degree(n, target - d)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +144,12 @@ def find_nzds(
 ) -> list:
     """Up to `count` distinct homogeneous non-zero-divisors on R, low degree first.
 
-    Linear forms are enumerated exhaustively in a deterministic order; each
-    higher degree is scanned exhaustively when the coefficient space is
-    small and by seeded sampling otherwise. Every candidate is verified
-    exactly by `RingSpec.is_nzd`, which compares the Hilbert series of R/fR
-    with (1 - t^deg f) HS(R). Raises NoNzdFoundError when the whole budget
-    yields nothing.
+    The forms of each degree up to `max_degree` are walked exhaustively up
+    to NZD_SPAN_CAP lines and sampled past it (`span_search`): linear forms
+    with uniform coefficients, higher degrees with at most four terms. Every
+    candidate is verified exactly by `RingSpec.is_nzd`, which compares the
+    Hilbert series of R/fR with (1 - t^deg f) HS(R). Raises NoNzdFoundError
+    when the whole budget yields nothing.
     """
     n, p = rs.ring.n, rs.p
     found: list = []
@@ -133,29 +167,24 @@ def find_nzds(
             found.append(g)
         return len(found) >= count
 
-    for coeffs in _normalized_coefficient_vectors(p, n):
-        f = Polynomial._raw(p, n, {})
-        for i, c in enumerate(coeffs):
-            if c:
-                f = f + Polynomial.variable(p, n, i) * c
-        if consider(f):
-            return found
-    for d in range(2, max_degree + 1):
+    zero = Polynomial.zero(p, n)
+    for d in range(1, max_degree + 1):
         monos = list(monomials_of_degree(n, d))
-        k = len(monos)
-        if (p**k - 1) // (p - 1) <= 4096:
-            for coeffs in _normalized_coefficient_vectors(p, k):
-                f = Polynomial._raw(
-                    p, n, {m: c for m, c in zip(monos, coeffs) if c}
-                )
-                if consider(f):
-                    return found
+        basis = [Polynomial.from_monomial(p, m) for m in monos]
+        if d == 1:
+            # dense draws: an associated prime other than m meets the linear
+            # forms in a proper subspace, which a uniform form misses with
+            # probability 1 - 1/p, while short forms may all lie in primes
+            hit, _ = _search_span(basis, zero, consider, NZD_SPAN_CAP, trials, f"nzd:{seed}:1")
         else:
-            rng = random.Random(f"nzd:{seed}:{d}")
-            for _ in range(trials):
-                f = random_homogeneous(rng, p, n, d, max_terms=min(k, 4))
-                if not f.is_zero() and consider(f):
-                    return found
+            def sampler():
+                rng = random.Random(f"nzd:{seed}:{d}")
+                return lambda: random_homogeneous(rng, p, n, d, max_terms=min(len(monos), 4))
+
+            combine = _combine(zero, basis)
+            hit, _ = span_search(p, len(monos), combine, consider, NZD_SPAN_CAP, trials, sampler)
+        if hit is not None:
+            return found
     if found:
         return found
     raise NoNzdFoundError(
@@ -163,42 +192,19 @@ def find_nzds(
     )
 
 
-def _nzd_inside_ideal(
-    rs: RingSpec,
-    gens: list,
-    seed: int = 0,
-    trials: int = 200,
-    exhaust_cap: int = 2048,
-    degree_window: int = 2,
-):
+def _nzd_inside_ideal(rs: RingSpec, gens: list, seed: int = 0, trials: int = 200):
     """A certified homogeneous non-zero-divisor lying in the ideal (gens), or None."""
     n, p = rs.ring.n, rs.p
-    degs = sorted({g.degree() for g in gens})
-    for target in range(degs[0], degs[-1] + degree_window + 1):
-        basis = []
-        seen: set = set()
-        for g in gens:
-            if g.degree() > target:
-                continue
-            for m in monomials_of_degree(n, target - g.degree()):
-                f = rs.nf(g.mul_term(m, 1))
-                if f.is_zero():
-                    continue
-                key = _poly_key(f)
-                if key in seen:
-                    continue
-                seen.add(key)
-                basis.append(f)
-        if not basis:
-            continue
-        tag = f"nzd-in-ideal:{seed}:{target}"
-        for coeffs in _combo_candidates(p, len(basis), tag, exhaust_cap, trials):
-            f = Polynomial._raw(p, n, {})
-            for c, b in zip(coeffs, basis):
-                if c:
-                    f = f + b * c
-            if not f.is_zero() and rs.is_nzd(f):
-                return f
+    pairs = [(g, g.degree()) for g in gens]
+    degs = sorted({d for _, d in pairs})
+    for target in range(degs[0], degs[-1] + NZD_DEGREE_WINDOW + 1):
+        f, _ = _search_span(
+            _degree_slice(pairs, n, target, rs.nf), Polynomial.zero(p, n),
+            lambda f: not f.is_zero() and rs.is_nzd(f),
+            NZD_SPAN_CAP, trials, f"nzd-in-ideal:{seed}:{target}",
+        )
+        if f is not None:
+            return f
     return None
 
 
@@ -347,16 +353,7 @@ def minimal_ideal_generators(rs: RingSpec, gens) -> list:
     deterministically), and kept only when outside the ideal generated by
     the earlier ones. By graded Nakayama the result has minimal size.
     """
-    reduced = []
-    seen: set = set()
-    for g in gens:
-        f = rs.nf(g)
-        if f.is_zero():
-            continue
-        key = _poly_key(f)
-        if key not in seen:
-            seen.add(key)
-            reduced.append(f)
+    reduced = _distinct_nonzero(rs.nf(g) for g in gens)
     reduced.sort(key=lambda f: (f.degree(), _poly_key(f)))
     accepted: list = []
     for f in reduced:
@@ -391,7 +388,6 @@ def ideals_isomorphic(
     gens_j,
     seed: int = 0,
     trials: int = 400,
-    exhaust_cap: int = 4096,
 ) -> IdealIsoResult:
     """Decide whether two homogeneous ideals of R are isomorphic as modules.
 
@@ -400,7 +396,8 @@ def ideals_isomorphic(
     h can be taken in the F_p-span of the minimal generators of the colon
     ideal ((f*J) : I) in the single degree allowed by the Hilbert series.
     Scanning that span is therefore a complete search: a hit certifies the
-    isomorphism and an exhausted scan refutes it. Hilbert series and
+    isomorphism and an exhausted scan refutes it (past MULTIPLIER_SPAN_CAP
+    lines the span is sampled, and a miss is inconclusive). Hilbert series and
     minimal generator counts are used as cheap exact filters first.
     """
     n, p = rs.ring.n, rs.p
@@ -430,7 +427,7 @@ def ideals_isomorphic(
             shift,
             f"minimal generator counts differ ({len(mi)} vs {len(mj)})",
         )
-    f = _nzd_inside_ideal(rs, mi, seed=seed, trials=trials, exhaust_cap=exhaust_cap)
+    f = _nzd_inside_ideal(rs, mi, seed=seed, trials=trials)
     if f is None:
         return IdealIsoResult(
             "inconclusive",
@@ -444,7 +441,8 @@ def ideals_isomorphic(
             "false", None, shift, "the multiplier degree forced by Hilbert series is negative"
         )
     rhs = [f * g for g in mj]
-    colon = ideal_colon(rs.preimage_ideal(rhs), rs.preimage_ideal(mi))
+    # I lies in the preimage of f*J, so (f*J + I : (mi) + I) = (f*J + I : (mi))
+    colon = ideal_colon(rs.preimage_ideal(rhs), Ideal(rs.ring, mi))
     h_gens = minimal_ideal_generators(rs, colon.groebner_basis())
     cands = [h for h in h_gens if h.degree() == deg_h]
     if not cands:
@@ -454,25 +452,17 @@ def ideals_isomorphic(
             shift,
             "the colon ideal has no minimal generator in the forced degree",
         )
-    lhs_base = mi
-    for coeffs in _combo_candidates(
-        p, len(cands), f"ideal-iso:{seed}", exhaust_cap, trials
-    ):
-        h = Polynomial._raw(p, n, {})
-        for c, b in zip(coeffs, cands):
-            if c:
-                h = h + b * c
-        if h.is_zero():
-            continue
-        if rs.ideal_eq_in_r([h * g for g in lhs_base], rhs):
-            return IdealIsoResult(
-                "true",
-                (rs.nf(h), f),
-                shift,
-                "multiplier identity h*I = f*J verified by ideal equality",
-            )
-    count = (p ** len(cands) - 1) // (p - 1)
-    if count <= exhaust_cap:
+    h, exhaustive = _search_span(
+        cands, Polynomial.zero(p, n),
+        lambda h: not h.is_zero() and rs.ideal_eq_in_r([h * g for g in mi], rhs),
+        MULTIPLIER_SPAN_CAP, trials, f"ideal-iso:{seed}",
+    )
+    if h is not None:
+        return IdealIsoResult(
+            "true", (rs.nf(h), f), shift,
+            "multiplier identity h*I = f*J verified by ideal equality",
+        )
+    if exhaustive:
         return IdealIsoResult(
             "false",
             None,
@@ -553,16 +543,16 @@ def canonical_ideal(
     rs: RingSpec,
     seed: int = 0,
     trials: int = 400,
-    degree_window: int = 3,
-    exhaust_cap: int = 2048,
     res=None,
     cross_check: bool = True,
 ) -> CanonicalIdealResult:
     """Realize the canonical module of a one-dimensional R as an ideal.
 
     The canonical module omega comes from the dualized minimal resolution;
-    the search space is Hom_R(omega, R) scanned degree by degree through
-    F_p-combinations of monomial multiples of its generators. A candidate
+    the search space is Hom_R(omega, R) scanned degree by degree, up to
+    CANONICAL_DEGREE_WINDOW past its generators, through F_p-combinations of
+    monomial multiples of its generators (every line while there are at most
+    CANONICAL_SPAN_CAP, seeded samples past that). A candidate
     map is accepted only on an exact certificate: its image ideal K must
     satisfy HS(K) = t^D * HS(omega). For monomial ideals, non-existence is
     decided by the Gorenstein test at every monomial minimal prime;
@@ -597,47 +587,30 @@ def canonical_ideal(
     n, p = rs.ring.n, rs.p
     num_r = rs.ideal.hilbert_numerator()
     num_omega = omega.numerator_scaled()
+
+    def image(u):
+        polys = u.as_poly_dict()
+        return [polys[i] for i in sorted(polys)]
+
     deg_lo = min(d for _, d in homs)
-    deg_hi = max(d for _, d in homs) + degree_window
+    deg_hi = max(d for _, d in homs) + CANONICAL_DEGREE_WINDOW
     for target in range(deg_lo, deg_hi + 1):
-        basis = []
-        seen: set = set()
-        for w, dw in homs:
-            if target < dw:
-                continue
-            for m in monomials_of_degree(n, target - dw):
-                v = vec_nf_mod_ideal(w.mul_term(m, 1), rs.ideal)
-                if v.is_zero():
-                    continue
-                key = tuple(sorted(v.terms.items()))
-                if key in seen:
-                    continue
-                seen.add(key)
-                basis.append(v)
-        if not basis:
-            continue
-        tag = f"canonical:{seed}:{target}"
-        for coeffs in _combo_candidates(p, len(basis), tag, exhaust_cap, trials):
-            u = Vec.zero(p, n)
-            for c, b in zip(coeffs, basis):
-                if c:
-                    u = u + b.scale(c)
-            if u.is_zero():
-                continue
-            polys = u.as_poly_dict()
-            gens = [polys[i] for i in sorted(polys)]
-            image_num = num_r - rs.preimage_ideal(gens).hilbert_numerator()
-            if image_num == num_omega.shift(target):
-                found = CanonicalIdealResult(
-                    "found",
-                    tuple(rs.nf(g) for g in gens),
-                    target,
-                    omega,
-                    f"image of a degree-{target} map with an exact Hilbert series match",
-                )
-                if cross_check:
-                    _canonical_cross_check(rs, omega, seed)
-                return found
+        want = num_omega.shift(target)
+        u, _ = _search_span(
+            _degree_slice(homs, n, target, lambda v: vec_nf_mod_ideal(v, rs.ideal)),
+            Vec.zero(p, n),
+            lambda u: not u.is_zero()
+            and num_r - rs.preimage_ideal(image(u)).hilbert_numerator() == want,
+            CANONICAL_SPAN_CAP, trials, f"canonical:{seed}:{target}",
+        )
+        if u is not None:
+            found = CanonicalIdealResult(
+                "found", tuple(rs.nf(g) for g in image(u)), target, omega,
+                f"image of a degree-{target} map with an exact Hilbert series match",
+            )
+            if cross_check:
+                _canonical_cross_check(rs, omega, seed)
+            return found
     return CanonicalIdealResult(
         "inconclusive", (), None, omega,
         "no injective map onto an ideal within the degree window and trial budget",

@@ -569,7 +569,8 @@ def _module_colon(ring: PolyRing, entries, ideals) -> Ideal:
     term in another component, and those elements form a Groebner basis of
     M ∩ S*ε_k (the elimination property of position-over-term orders,
     Eisenbud, Commutative Algebra, §15.10). Being reduced, they are the
-    reduced grevlex basis of the colon.
+    reduced grevlex basis of the colon, in `buchberger`'s order, so they
+    seed the result's grevlex cache.
     """
     p, nvars, k = ring.p, ring.n, len(entries)
     tagged = {(k, (0,) * nvars): 1}
@@ -581,7 +582,9 @@ def _module_colon(ring: PolyRing, entries, ideals) -> Ideal:
         for g in a.generators
     ]
     gb = groebner_terms(elems, p, GREVLEX, DEFAULT_MAX_PAIRS, "colon Buchberger")
-    return Ideal(ring, [_poly_of(g, p, nvars) for g in gb if lead_term(g)[0] == k])
+    colon = Ideal(ring, [_poly_of(g, p, nvars) for g in gb if lead_term(g)[0] == k])
+    colon._gb[(GREVLEX.kind, GREVLEX.block)] = colon.generators
+    return colon
 
 
 def ideal_saturation(a: Ideal, b: Ideal, max_steps: int = 64) -> Ideal:

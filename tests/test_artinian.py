@@ -1,5 +1,7 @@
 """Finite-length modules, Matlis duality, and the depth-zero Frobenius test."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from oracles import realize_finite_oracle, staircase_rings
@@ -16,6 +18,7 @@ from fpicheck.artinian import (
     realize_finite,
     ring_as_module,
     socle_dimension_of_ring,
+    span_search,
 )
 from fpicheck.errors import InfiniteLengthError, PipelineInvariantError
 from fpicheck.gfpoly import Polynomial
@@ -239,6 +242,76 @@ def test_seeded_results_are_reproducible():
     b = frobenius_fixes_injective_hull(rs, seed=7)
     assert a.iso.verdict == b.iso.verdict == "isomorphic"
     assert a.n_witness == b.n_witness == 1
+
+
+# -- the capped span search ------------------------------------------------------
+
+
+def _line(v, p):
+    """The representative with first nonzero entry 1 of the line through v."""
+    inv = pow(next(c for c in v if c), p - 2, p)
+    return tuple(c * inv % p for c in v)
+
+
+def _no_sampler():
+    raise AssertionError("the exhaustive path seeded a sampler")
+
+
+def _counting_sampler(calls):
+    """A sampler that records its own calls and the draws of its draw function."""
+
+    def sampler():
+        calls.append("seed")
+
+        def draw():
+            calls.append("draw")
+            return len(calls)
+
+        return draw
+
+    return sampler
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_span_search_walks_every_line_once_up_to_the_cap(p, k):
+    lines = (p**k - 1) // (p - 1)
+    every_line = {_line(v, p) for v in product(range(p), repeat=k) if any(v)}
+    for cap in (lines, lines + 1):
+        tried = []
+        hit, exhaustive = span_search(
+            p, k, lambda v: v, lambda v: tried.append(v), cap, 5, _no_sampler
+        )
+        assert (hit, exhaustive) == (None, True)
+        assert len(tried) == lines
+        assert {_line(v, p) for v in tried} == every_line
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_span_search_returns_an_exhaustive_hit(p, k):
+    last = (0,) * (k - 1) + (1,)
+    lines = (p**k - 1) // (p - 1)
+    hit = span_search(p, k, lambda v: v, lambda v: v == last, lines, 5, _no_sampler)
+    assert hit == (last, True)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_span_search_samples_past_the_cap(p, k):
+    lines = (p**k - 1) // (p - 1)
+    calls = []
+    hit, exhaustive = span_search(
+        p, k, _no_sampler, lambda c: False, lines - 1, 7, _counting_sampler(calls)
+    )
+    assert (hit, exhaustive) == (None, False)
+    assert calls == ["seed"] + ["draw"] * 7
+    calls.clear()
+    hit, exhaustive = span_search(
+        p, k, _no_sampler, lambda c: c == 4, lines - 1, 7, _counting_sampler(calls)
+    )
+    assert (hit, exhaustive) == (4, False)
+    assert calls == ["seed"] + ["draw"] * 3
 
 
 # -- products exact at the top of the prime range --------------------------------

@@ -1,5 +1,7 @@
 """Verdict layer: nonzerodivisors, Gorenstein, F-purity, canonical ideals."""
 
+import signal
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -67,6 +69,53 @@ def test_cross_skips_axis_zerodivisors():
     found = find_nzds(rs, count=1)
     assert found[0] == rs.ring.parse("x + y")
     assert rs.is_nzd(found[0])
+
+
+# the largest prime PrimeField accepts: the linear forms span about p^2 lines
+TOP_P = 2147483647
+
+
+@contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_nzds_at_the_top_of_the_prime_range():
+    rs = flagship(TOP_P)
+    with deadline(20):
+        found = find_nzds(rs, count=2)
+    assert len(found) == 2 and found[0] != found[1]
+    assert all(rs.is_nzd(f) for f in found)
+
+
+def test_sampled_linear_nzds_may_need_every_variable():
+    # on the five coordinate axes a linear form is a non-zero-divisor only
+    # when all five coefficients are nonzero; at p = 11 the 16105 lines of
+    # linear forms are past the cap, so the draws must be dense
+    names = ["v", "w", "x", "y", "z"]
+    rs = RingSpec(11, names, [f"{a}*{b}" for i, a in enumerate(names) for b in names[i + 1:]])
+    found = find_nzds(rs, count=2)
+    assert len(found) == 2 and found[0] != found[1]
+    assert all(rs.is_nzd(f) for f in found)
+
+
+def test_classify_at_the_top_of_the_prime_range():
+    rs = RingSpec(TOP_P, ["x", "y", "z"], ["x^2", "x*y", "y*z"])
+    with deadline(20):
+        report = classify_ring(rs)
+    assert report.cohen_macaulay is True
+    assert report.gorenstein is False
+    assert report.f_pure is False
+    assert report.weakly_fpi == "false"
 
 
 # -- Gorenstein ---------------------------------------------------------------------

@@ -27,6 +27,7 @@ from fpicheck.groebner import (
     PolyRing,
     RingSpec,
     bracket_power,
+    buchberger,
     divide_exact,
     ideal_colon,
     ideal_intersect,
@@ -172,18 +173,25 @@ def non_monomial_pair(draw):
     return Ideal(ring, a), Ideal(ring, b)
 
 
+def assert_matches(ours, oracle):
+    # the module colon hands its result its reduced basis as the grevlex
+    # cache; that must be what Buchberger computes from the generators
+    assert ours.groebner_basis() == oracle.groebner_basis()
+    assert ours.groebner_basis() == tuple(buchberger(list(ours.generators)))
+
+
 @PROPERTY
 @given(non_monomial_pair())
 def test_module_colon_matches_elimination(pair):
     a, b = pair
-    assert ideal_colon(a, b).groebner_basis() == colon_by_elimination(a, b).groebner_basis()
+    assert_matches(ideal_colon(a, b), colon_by_elimination(a, b))
 
 
 @PROPERTY
 @given(non_monomial_pair())
 def test_module_intersection_matches_elimination(pair):
     a, b = pair
-    assert ideal_intersect(a, b).groebner_basis() == intersect_by_elimination(a, b).groebner_basis()
+    assert_matches(ideal_intersect(a, b), intersect_by_elimination(a, b))
 
 
 def test_module_colon_edge_cases_match_elimination():
@@ -193,7 +201,7 @@ def test_module_colon_edge_cases_match_elimination():
     b = Ideal(ring, ["x + y", "0", "z^2"])
     for left, right in ((zero, b), (a, zero), (a, unit), (unit, a), (a, b), (b, a)):
         for ours, oracle in ((ideal_colon, colon_by_elimination), (ideal_intersect, intersect_by_elimination)):
-            assert ours(left, right).groebner_basis() == oracle(left, right).groebner_basis()
+            assert_matches(ours(left, right), oracle(left, right))
 
 
 @st.composite

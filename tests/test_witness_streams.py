@@ -1,0 +1,157 @@
+"""Pins on the seeded streams of the witness searches past their caps.
+
+The benchmark workloads keep every witness search exhaustive, so nothing
+else checks what a search samples once its span is too large to walk. Each
+test feeds one site an input past its cap and pins the first candidates
+handed to the site's exact accept test, or the witness it returns, so any
+change of a site's RNG stream or of its draw order fails here.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from test_artinian import BIG_P, _conjugate
+
+from fpicheck import artinian
+from fpicheck.artinian import FiniteLengthModule, modules_isomorphic
+from fpicheck.classify import (
+    _nzd_inside_ideal,
+    canonical_ideal,
+    find_nzds,
+    ideals_isomorphic,
+)
+from fpicheck.errors import NoNzdFoundError
+from fpicheck.gfpoly import poly_to_string
+from fpicheck.groebner import RingSpec
+
+
+@pytest.fixture
+def nzd_calls(monkeypatch):
+    """Every candidate handed to `RingSpec.is_nzd`, as a string."""
+    calls = []
+    original = RingSpec.is_nzd
+
+    def spy(self, f):
+        calls.append(poly_to_string(f, self.ring.varnames))
+        return original(self, f)
+
+    monkeypatch.setattr(RingSpec, "is_nzd", spy)
+    return calls
+
+
+@pytest.fixture
+def invertible_calls(monkeypatch):
+    """Every candidate map handed to `is_invertible` in `modules_isomorphic`."""
+    calls = []
+    original = artinian.is_invertible
+
+    def spy(m, p):
+        calls.append(np.asarray(m).tolist())
+        return original(m, p)
+
+    monkeypatch.setattr(artinian, "is_invertible", spy)
+    return calls
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _depth_zero(p):
+    # x is killed by the maximal ideal, so R has no non-zero-divisor at all
+    return RingSpec(p, ["x", "y", "z"], ["x^2", "x*y", "x*z"])
+
+
+def test_find_nzds_degree_two_stream(nzd_calls):
+    # p = 7: the 57 linear forms are walked, the 19608 quadric lines sampled
+    with pytest.raises(NoNzdFoundError):
+        find_nzds(_depth_zero(7), count=1)
+    assert len(nzd_calls) == 118
+    assert nzd_calls[:2] == ["x", "x + z"] and nzd_calls[56] == "z"
+    assert nzd_calls[57:77] == [
+        "5*x^2 + 3*x*z + 4*y*z + z^2", "3*x^2 + 5*x*y + 2*y*z + 6*z^2",
+        "2*z^2", "x^2 + 5*x*z + 6*z^2", "4*y^2 + 6*y*z",
+        "3*x^2 + 2*x*z + 5*z^2", "3*x*z + y*z", "3*x^2 + 3*x*y + 5*y*z",
+        "x^2 + 4*x*y + y^2", "4*x^2 + 3*x*z + 2*y*z", "x^2 + 5*y^2 + 3*z^2",
+        "3*z^2", "3*x^2 + 2*y*z + z^2", "4*y*z + 2*z^2", "x^2 + y^2 + 6*z^2",
+        "4*x^2 + 3*y^2 + 5*x*z", "3*x*y + 5*y^2", "2*x^2 + 2*y^2",
+        "5*x^2 + 6*x*y + 3*y^2 + 6*y*z", "4*x*y + 4*y*z",
+    ]
+
+
+def test_nzd_inside_ideal_stream(nzd_calls):
+    # p = 67: each of the three degree slices spans more than 4096 lines
+    rs = _depth_zero(67)
+    assert _nzd_inside_ideal(rs, [rs.ring.parse(v) for v in "xyz"], seed=0) is None
+    assert len(nzd_calls) == 600
+    assert nzd_calls[:20] == [
+        "6*x + 5*y + 34*z", "64*x + 31*y + 27*z", "13*x + 64*y + 25*z",
+        "13*x + 32*y + 32*z", "20*x + 27*y + 23*z", "38*x + 34*y + 32*z",
+        "24*x + 46*y + 64*z", "8*x + 56*y + 63*z", "6*x + 40*y + 63*z",
+        "10*x + 7*y + 61*z", "26*x + 21*y + 14*z", "5*x + 5*y + 4*z",
+        "57*x + 28*y + 55*z", "60*x + 50*y + 4*z", "23*x + 65*y + 52*z",
+        "43*x + 39*y + 45*z", "40*x + 32*y + 66*z", "63*x + 3*y + 58*z",
+        "10*x + 12*y + 64*z", "44*x + 8*y + 10*z",
+    ]
+
+
+def test_ideals_isomorphic_multiplier_stream():
+    # m ≅ m^2 on the cross xy = 0 at p = 4099: both the non-zero-divisor
+    # f = a*x + b*y and the multiplier h = c*x^2 + d*y^2 range over p + 1 =
+    # 4100 lines, one past the cap, so both come from their seeded streams
+    rs = RingSpec(4099, ["x", "y"], ["x*y"])
+    parse = rs.ring.parse
+    res = ideals_isomorphic(rs, [parse("x"), parse("y")], [parse("x^2"), parse("y^2")])
+    assert res.verdict == "true" and res.shift == -1
+    h, f = res.multiplier
+    assert poly_to_string(h, ["x", "y"]) == "2230*x^2 + 3886*y^2"
+    assert poly_to_string(f, ["x", "y"]) == "346*x + 404*y"
+
+
+def test_canonical_ideal_stream():
+    # axes at p = 101: the degree-1 slice of Hom(omega, R) spans 10303 lines
+    rs = RingSpec(101, ["x", "y", "z"], ["x*y", "x*z", "y*z"])
+    ci = canonical_ideal(rs, cross_check=False)
+    assert ci.status == "found" and ci.shift == 1
+    assert [poly_to_string(g, ["x", "y", "z"]) for g in ci.generators] == [
+        "89*x + 38*z", "39*y + 63*z",
+    ]
+
+
+def test_modules_isomorphic_witness_stream(invertible_calls):
+    # the BIG_P pair of test_artinian at seed 0: the first draw is invertible
+    plain = np.diag([1, 1, 0, 1, 1], k=1)
+    src = FiniteLengthModule(BIG_P, [plain])
+    dst = FiniteLengthModule(BIG_P, [_conjugate(plain)])
+    res = modules_isomorphic(src, dst, seed=0)
+    assert res.verdict == "isomorphic"
+    assert len(invertible_calls) == 1
+    assert _digest(invertible_calls) == (
+        "a9316d031a5827faacfcfe19eb0c5dafe316eefaa24a47210cb8b3b8ced4e4c5"
+    )
+    assert _digest(res.witness.tolist()) == (
+        "5aafd51c04805536607c24cf157e5fa7537c33a31d14662662452e790d018ce7"
+    )
+
+
+def test_modules_isomorphic_refutation_stream(invertible_calls):
+    # k[x]/(x^2) + k[y]/(y^2) against k[x]/(x^2) twice: the same length,
+    # socle, generators and Loewy series, but y acts on only one of them, so
+    # all 500 draws from the 6-dimensional hom space fail
+    x1, y1, x2 = (np.zeros((4, 4), dtype=np.int64) for _ in range(3))
+    x1[1, 0] = y1[3, 2] = x2[1, 0] = x2[3, 2] = 1
+    src = FiniteLengthModule(BIG_P, [x1, y1])
+    dst = FiniteLengthModule(BIG_P, [x2, np.zeros((4, 4), dtype=np.int64)])
+    res = modules_isomorphic(src, dst, seed=0)
+    assert res.verdict == "inconclusive"
+    assert len(invertible_calls) == 500
+    assert invertible_calls[0] == [
+        [1367864806, 0, 0, 0],
+        [1826701614, 1367864806, 1097657231, 0],
+        [661058651, 0, 0, 0],
+        [579362555, 661058651, 87989972, 0],
+    ]
+    assert _digest(invertible_calls[:20]) == (
+        "a60de08c377c39e0658464e9ee636bfca524f74fb84024dfc75aef185ce94593"
+    )
