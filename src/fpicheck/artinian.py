@@ -3,8 +3,10 @@
 A FiniteLengthModule fixes a k-basis and records the (commuting, nilpotent)
 action of each ambient variable as a matrix. Matlis duality is transposition,
 socles are common kernels, and hom spaces come from the linear conditions
-F A_v = B_v F. Isomorphism testing combines structural invariants with a
-search for an invertible homomorphism.
+F A_v = B_v F. A module is a power E^n of the injective hull of the residue
+field exactly when its socle dimension is n and its length is n·λ(R)
+(`is_hull_power`); general isomorphism testing combines structural
+invariants with a search for an invertible homomorphism.
 """
 
 from __future__ import annotations
@@ -220,6 +222,15 @@ def realize_ring(rs: RingSpec) -> FiniteLengthModule:
 def injective_hull_of_residue_field(rs: RingSpec) -> FiniteLengthModule:
     """E = Matlis dual of R, for Artinian R (the graded injective hull of k)."""
     return realize_ring(rs).matlis_dual()
+
+
+def is_hull_power(module: FiniteLengthModule, ring_length: int, n: int) -> bool:
+    """Is the module isomorphic to E^n, for E the injective hull of the
+    residue field of an Artinian R of length `ring_length`? Decided exactly
+    by socle dimension and length; `frobenius_fixes_injective_hull` gives
+    the proof.
+    """
+    return module.dim == n * ring_length and module.socle_dimension() == n
 
 
 def socle_dimension_of_ring(rs: RingSpec) -> int:
@@ -500,7 +511,7 @@ class ArtinianFrobeniusReport:
     """
 
     iso: IsoResult
-    injective: str  # "true" | "false" | "inconclusive"
+    injective: str  # "true" | "false"
     n_witness: object
     length_e: int
     length_fe: int
@@ -508,18 +519,17 @@ class ArtinianFrobeniusReport:
     socle_fe: int
 
 
-def frobenius_fixes_injective_hull(
-    rs: RingSpec,
-    e: int = 1,
-    trials: int = 500,
-    seed: int = 0,
-) -> ArtinianFrobeniusReport:
+def frobenius_fixes_injective_hull(rs: RingSpec, e: int = 1) -> ArtinianFrobeniusReport:
     """Test F^e(E) ≅ E for Artinian R, E the injective hull of the residue field.
 
     E is realized as the Matlis dual of R, presented over R, pushed through
-    the Frobenius functor, and realized again; the comparison is an honest
-    module isomorphism test. F(E) ≅ E^n is also tested for the one n allowed
-    by length counting, which decides whether F(E) remains injective.
+    the Frobenius functor, and realized again. Every comparison with a power
+    of E is decided by `is_hull_power`: the socle of a finite-length module
+    M is essential, so M embeds in E^s for s = dim_k soc M; Matlis duality
+    gives λ(E) = λ(R); so M ≅ E^n exactly when s = n and λ(M) = n·λ(R), equal
+    lengths forcing the embedding to be onto. F(E) ≅ E is the case n = 1,
+    and F(E) stays injective exactly when F(E) ≅ E^n for the one n that
+    length counting allows.
     """
     e_mod = injective_hull_of_residue_field(rs)
     pres_e = present_finite(e_mod, rs)
@@ -529,27 +539,23 @@ def frobenius_fixes_injective_hull(
             f"presentation of E has length {check.dim}, expected {e_mod.dim}"
         )
     fe = realize_finite(frobenius_functor(pres_e, e))
+    s = fe.socle_dimension()
     if fe.dim != e_mod.dim:
         iso = IsoResult(
             "not_isomorphic",
             f"length mismatch: λ(F^{e}E) = {fe.dim}, λ(E) = {e_mod.dim}",
         )
+    elif s != 1:
+        iso = IsoResult("not_isomorphic", f"invariant mismatch: socle 1 vs {s}")
     else:
-        iso = modules_isomorphic(e_mod, fe, trials=trials, seed=seed)
-    if fe.dim == e_mod.dim:
-        injective, n_witness = iso.verdict_as_flag(), (1 if iso.verdict == "isomorphic" else None)
-    elif e_mod.dim == 0 or fe.dim % e_mod.dim:
+        iso = IsoResult(
+            "isomorphic", f"socle dimension 1 and length λ(R) certify F^{e}E ≅ E"
+        )
+    n, rest = divmod(fe.dim, e_mod.dim)
+    if not rest and is_hull_power(fe, e_mod.dim, n):
+        injective, n_witness = "true", n
+    else:
         injective, n_witness = "false", None
-    else:
-        n = fe.dim // e_mod.dim
-        power = direct_sum([e_mod] * n)
-        sub = modules_isomorphic(power, fe, trials=trials, seed=seed)
-        if sub.verdict == "isomorphic":
-            injective, n_witness = "true", n
-        elif sub.verdict == "not_isomorphic":
-            injective, n_witness = "false", None
-        else:
-            injective, n_witness = "inconclusive", None
     return ArtinianFrobeniusReport(
         iso=iso,
         injective=injective,
@@ -557,5 +563,5 @@ def frobenius_fixes_injective_hull(
         length_e=e_mod.dim,
         length_fe=fe.dim,
         socle_e=e_mod.socle_dimension(),
-        socle_fe=fe.socle_dimension(),
+        socle_fe=s,
     )

@@ -12,7 +12,7 @@ Every verdict is backed by an exact certificate:
   (I^[p] : I) against (x_1^p, ..., x_n^p);
 * in dimension zero, Frobenius preserves injectivity exactly when
   F(E) is isomorphic to E for the injective hull E of the residue field,
-  decided by an honest module-isomorphism search;
+  decided by the socle dimension and length of F(E) (Matlis duality);
 * in dimension one the test is whether the canonical module, realized as an
   ideal of R, is isomorphic to its bracket power, decided by a multiplier
   identity h*I = f*J with a certified non-zero-divisor f.
@@ -54,9 +54,9 @@ from .groebner import (
 from .modgb import Vec, vec_nf_mod_ideal
 from .artinian import (
     frobenius_fixes_injective_hull,
-    injective_hull_of_residue_field,
-    modules_isomorphic,
+    is_hull_power,
     realize_finite,
+    realize_ring,
     socle_dimension_of_ring,
     span_search,
 )
@@ -525,14 +525,12 @@ def monomial_generically_gorenstein(rs: RingSpec):
     return True, f"all {len(primes)} monomial minimal primes give Gorenstein localizations"
 
 
-def _canonical_cross_check(rs: RingSpec, omega: ModulePresentation, seed: int):
-    """Check that omega/(f)omega matches the injective hull over R/(f)."""
-    f = find_nzds(rs, count=1, seed=seed)[0]
+def _canonical_cross_check(rs: RingSpec, omega: ModulePresentation, f: Polynomial):
+    """Check that omega/(f)omega is the injective hull over R/(f), for a
+    non-zero-divisor f: socle dimension 1 and length λ(R/(f))."""
     rq = rs.quotient_by([f])
-    hull = injective_hull_of_residue_field(rq)
     reduced = realize_finite(with_modulus(omega.nf_entries(), rq.ideal))
-    iso = modules_isomorphic(reduced, hull, seed=seed)
-    if iso.verdict == "not_isomorphic":
+    if not is_hull_power(reduced, realize_ring(rq).dim, 1):
         raise PipelineInvariantError(
             "the canonical module does not reduce to the injective hull "
             "of the Artinian reduction"
@@ -545,6 +543,7 @@ def canonical_ideal(
     trials: int = 400,
     res=None,
     cross_check: bool = True,
+    nzds=None,
 ) -> CanonicalIdealResult:
     """Realize the canonical module of a one-dimensional R as an ideal.
 
@@ -560,7 +559,8 @@ def canonical_ideal(
 
     Raises NotCohenMacaulayError at depth zero and UnsupportedDimensionError
     outside dimension one. A found copy is cross-checked by reducing omega
-    modulo a parameter and comparing with the injective hull.
+    modulo a non-zero-divisor (the first of `nzds`, found afresh when none
+    are given) and comparing with the injective hull.
     """
     dim = rs.dimension
     if dim != 1:
@@ -609,7 +609,8 @@ def canonical_ideal(
                 f"image of a degree-{target} map with an exact Hilbert series match",
             )
             if cross_check:
-                _canonical_cross_check(rs, omega, seed)
+                f = nzds[0] if nzds else find_nzds(rs, count=1, seed=seed)[0]
+                _canonical_cross_check(rs, omega, f)
             return found
     return CanonicalIdealResult(
         "inconclusive", (), None, omega,
@@ -667,8 +668,8 @@ class RingReport:
         }
 
 
-def _fpi_dimension_zero(rs: RingSpec, report: RingReport, seed: int, trials: int):
-    rep = frobenius_fixes_injective_hull(rs, seed=seed, trials=max(trials, 200))
+def _fpi_dimension_zero(rs: RingSpec, report: RingReport):
+    rep = frobenius_fixes_injective_hull(rs)
     report.weakly_fpi = rep.iso.verdict_as_flag()
     report.fpi_method = "artinian_E"
     report.fpi_witness = {
@@ -683,7 +684,7 @@ def _fpi_dimension_zero(rs: RingSpec, report: RingReport, seed: int, trials: int
 
 
 def _fpi_dimension_one(
-    rs: RingSpec, report: RingReport, seed: int, trials: int, res
+    rs: RingSpec, report: RingReport, seed: int, trials: int, res, nzds
 ):
     names = rs.ring.varnames
     report.fpi_method = "canonical_ideal"
@@ -694,7 +695,7 @@ def _fpi_dimension_one(
             "forces the ring to be Cohen-Macaulay here"
         }
         return
-    ci = canonical_ideal(rs, seed=seed, trials=trials, res=res)
+    ci = canonical_ideal(rs, seed=seed, trials=trials, res=res, nzds=nzds)
     report.canonical = {
         "status": ci.status,
         "generators": [poly_to_string(g, names) for g in ci.generators],
@@ -876,9 +877,9 @@ def classify_ring(
         return report
     report.f_pure, report.f_pure_witness = is_f_pure(rs)
     if dim == 0:
-        _fpi_dimension_zero(rs, report, seed, trials)
+        _fpi_dimension_zero(rs, report)
     else:
-        _fpi_dimension_one(rs, report, seed, trials, res)
+        _fpi_dimension_one(rs, report, seed, trials, res, nzds)
     _run_cross_checks(rs, report, seed, deep_checks)
     return report
 

@@ -4,14 +4,18 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from oracles import realize_finite_oracle, staircase_rings
 
+from fpicheck import artinian
 from fpicheck.artinian import (
     FiniteLengthModule,
     direct_sum,
     frobenius_fixes_injective_hull,
     hom_space,
     injective_hull_of_residue_field,
+    is_hull_power,
     modules_isomorphic,
     poly_action_matrix,
     present_finite,
@@ -21,7 +25,7 @@ from fpicheck.artinian import (
     span_search,
 )
 from fpicheck.errors import InfiniteLengthError, PipelineInvariantError
-from fpicheck.gfpoly import Polynomial
+from fpicheck.gfpoly import Polynomial, monomials_of_degree
 from fpicheck.groebner import RingSpec
 from fpicheck.resolutions import ModulePresentation, frobenius_functor
 
@@ -238,10 +242,82 @@ def test_field_case_is_trivially_fixed():
 
 def test_seeded_results_are_reproducible():
     rs = RingSpec(3, ["x", "y"], ["x^3", "y^3"])
-    a = frobenius_fixes_injective_hull(rs, seed=7)
-    b = frobenius_fixes_injective_hull(rs, seed=7)
+    a = frobenius_fixes_injective_hull(rs)
+    b = frobenius_fixes_injective_hull(rs)
     assert a.iso.verdict == b.iso.verdict == "isomorphic"
     assert a.n_witness == b.n_witness == 1
+
+
+# -- the socle-and-length certificate against the hom-space search ---------------
+
+
+@st.composite
+def artinian_rings(draw):
+    """A staircase of F_p[x,y] of colength <= 5, or pure powers x_i^a_i in two
+    or three variables plus one or two random binomials of degree 2 or 3."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        return draw(st.sampled_from(staircase_rings(p, max_colength=5)))[1]
+    nv = draw(st.sampled_from([2, 3]))
+    names = ["x", "y", "z"][:nv]
+    exps = st.integers(2, 4 if nv == 2 else 3)
+    gens = [Polynomial.from_monomial(p, tuple(draw(exps) if j == i else 0 for j in range(nv)))
+            for i in range(nv)]
+    for _ in range(draw(st.integers(1, 2))):
+        monos = list(monomials_of_degree(nv, draw(st.integers(2, 3))))
+        a, b = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(1, p - 1))
+        gens.append(Polynomial(p, nv, {a: 1, b: c}))
+    return RingSpec(p, names, gens)
+
+
+def hull_and_frobenius(rs):
+    """(R, E, F(E)) as finite-length modules, built as the pipeline builds them."""
+    e = injective_hull_of_residue_field(rs)
+    fe = realize_finite(frobenius_functor(present_finite(e, rs)))
+    return realize_finite(ring_as_module(rs)), e, fe
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(artinian_rings())
+@example(fat_point())
+def test_is_hull_power_matches_the_hom_space_search(rs):
+    # R of a non-Gorenstein ring has the length of E and a larger socle: the
+    # one way found to reach the socle refutation with equal lengths
+    r, e, fe = hull_and_frobenius(rs)
+    for m in (r, e, fe, direct_sum([e, e]), direct_sum([r, e])):
+        for n in (1, 2):
+            oracle = modules_isomorphic(direct_sum([e] * n), m)
+            if oracle.decided:
+                assert is_hull_power(m, r.dim, n) == (oracle.verdict == "isomorphic")
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(artinian_rings())
+def test_frobenius_hull_verdicts_match_the_hom_space_search(rs):
+    _, e, fe = hull_and_frobenius(rs)
+    rep = frobenius_fixes_injective_hull(rs)
+    assert (rep.length_e, rep.length_fe, rep.socle_fe) == (e.dim, fe.dim, fe.socle_dimension())
+    iso = modules_isomorphic(e, fe)
+    if iso.decided:
+        assert rep.iso.verdict == iso.verdict
+    n, rest = divmod(fe.dim, e.dim)
+    power = modules_isomorphic(direct_sum([e] * n), fe) if n and not rest else None
+    if power is None or power.decided:
+        found = power is not None and power.verdict == "isomorphic"
+        assert (rep.injective, rep.n_witness) == (("true", n) if found else ("false", None))
+
+
+def test_equal_lengths_with_a_larger_socle_refute_like_the_search(monkeypatch):
+    # no F(E) found so far has λ(F(E)) = λ(E) and a socle above 1, so R of
+    # the fat point, with socle 2, stands in for F(E)
+    rs = fat_point()
+    r, e, _ = hull_and_frobenius(rs)
+    monkeypatch.setattr(artinian, "frobenius_functor", lambda pres, e=1: ring_as_module(rs))
+    rep = frobenius_fixes_injective_hull(rs)
+    assert rep.iso == modules_isomorphic(e, r)
+    assert rep.iso.reason == "invariant mismatch: socle 1 vs 2"
+    assert (rep.injective, rep.n_witness) == ("false", None)
 
 
 # -- the capped span search ------------------------------------------------------

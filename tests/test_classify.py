@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 from fpicheck import classify
-from fpicheck.artinian import frobenius_fixes_injective_hull
+from fpicheck.artinian import frobenius_fixes_injective_hull, ring_as_module
 from fpicheck.classify import (
     canonical_ideal,
     classify_ring,
@@ -23,6 +23,7 @@ from fpicheck.classify import (
 from fpicheck.errors import (
     NoNzdFoundError,
     NotCohenMacaulayError,
+    PipelineInvariantError,
     UnsupportedDimensionError,
 )
 from fpicheck.groebner import Ideal, RingSpec, bracket_power, ideal_colon
@@ -356,6 +357,23 @@ def test_canonical_ideal_is_seed_independent_up_to_isomorphism():
     assert a.status == b.status == "found"
     out = ideals_isomorphic(rs, list(a.generators), list(b.generators))
     assert out.verdict == "true"
+
+
+def test_canonical_cross_check_rejects_a_wrong_omega(monkeypatch):
+    # R has type 2 on the axes at p = 2, so R/(f) has the length of the hull
+    # over R/(f) but a socle of dimension 2
+    rs = flagship(2)
+    monkeypatch.setattr(classify, "canonical_module", lambda rs, res=None: ring_as_module(rs))
+    with pytest.raises(PipelineInvariantError, match="injective hull"):
+        canonical_ideal(rs)
+
+
+def test_classification_finds_its_nzds_once():
+    rs = flagship(2)
+    with mock.patch.object(classify, "find_nzds", wraps=classify.find_nzds) as spy:
+        report = classify_ring(rs, deep_checks=False)
+    assert report.canonical["status"] == "found"
+    assert spy.call_count == 1
 
 
 # -- classification reports ----------------------------------------------------------------

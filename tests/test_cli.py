@@ -147,6 +147,39 @@ def test_report_fpi_witness_of_the_axes_is_pinned(tmp_path, capsys, p):
     }
 
 
+# The dimension-zero witness: F(E) against E by socle dimension and length.
+# The fat point is the E^n branch: λ(F(E)) = 2λ(E), yet the socle is 4, not 2.
+PINNED_ARTINIAN_WITNESSES = {
+    "p = 3\nvars = x, y\nideal = x^2, y^2\n": {
+        "length_E": 4,
+        "length_FE": 4,
+        "socle_E": 1,
+        "socle_FE": 1,
+        "frobenius_image_injective": "true",
+        "n_witness": 1,
+        "detail": "socle dimension 1 and length λ(R) certify F^1E ≅ E",
+    },
+    "p = 2\nvars = x, y\nideal = x^2, x*y, y^2\n": {
+        "length_E": 3,
+        "length_FE": 6,
+        "socle_E": 1,
+        "socle_FE": 4,
+        "frobenius_image_injective": "false",
+        "n_witness": None,
+        "detail": "length mismatch: λ(F^1E) = 6, λ(E) = 3",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "text", PINNED_ARTINIAN_WITNESSES, ids=["complete-intersection-p3", "fat-point-p2"]
+)
+def test_report_artinian_fpi_witness_is_pinned(tmp_path, capsys, text):
+    path = write_spec(tmp_path, text)
+    assert main(["report", "--input", path, "--no-deep-checks"]) == 0
+    assert json.loads(capsys.readouterr().out)["fpi_witness"] == PINNED_ARTINIAN_WITNESSES[text]
+
+
 def test_consecutive_mains_parse_their_own_flags(tmp_path, capsys):
     """The parser is built once and reused; a flag of one call must not
     leak into the next."""
