@@ -233,7 +233,9 @@ def groebner_terms(
     beyond that component are skipped. Elements there are pure combinations of
     tag components; their mutual pairs only rewrite syzygies already generated
     (Schreyer), so the output still generates the same submodule and is a full
-    Groebner basis below the cutoff.
+    Groebner basis below the cutoff. The elements led at or past the cutoff
+    are then no Groebner basis, so none of them is dropped for a lead that
+    another one divides: that element need not lie in the span of the rest.
 
     Raises ResourceLimitError naming `stage` after `max_pairs` pairs.
     """
@@ -308,21 +310,22 @@ def groebner_terms(
         tail = [(t, c) for t, c in s.items() if t != lead]
         reducers.setdefault(lead[0], []).append((lead[1], 1, tail))
         add(len(basis) - 1)
-    return _inter_reduce(basis, leads, members, p, rank)
+    return _inter_reduce(basis, leads, members, p, rank, syzygy_cutoff)
 
 
-def _inter_reduce(basis, leads, members, p: int, rank):
+def _inter_reduce(basis, leads, members, p: int, rank, syzygy_cutoff):
     """Minimalize then inter-reduce; output is the unique reduced basis, sorted.
+    Elements led at or past `syzygy_cutoff` (None: no cutoff) are all kept.
 
-    No kept lead divides another, so a kept element keeps its lead, and no
-    term below its lead is divisible by it. Each element's tail is reduced
+    Below the cutoff no kept lead divides another. Only tails are reduced, so
+    a kept element keeps its lead. Each element's tail is reduced
     modulo the earlier elements already reduced and the later ones not yet
     reduced: the reducer lists hold all of them in basis order, and each
     entry is replaced by its reduced form once that is known.
     """
     keep = [
         i for i, (c, mi) in enumerate(leads)
-        if not any(
+        if (syzygy_cutoff is not None and c >= syzygy_cutoff) or not any(
             j != i and mono_divides(leads[j][1], mi) and (leads[j][1] != mi or j < i)
             for j in members[c]
         )

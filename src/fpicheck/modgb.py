@@ -7,7 +7,11 @@ tag components turns a Groebner basis into an elimination device for syzygies.
 
 Normal forms and Groebner bases come from the one kernel in `groebner`, which
 works on exactly these term dicts; this module adds the vector type, syzygies,
-kernels over quotient rings and lead modules.
+kernels and lead modules.
+
+A module over R = S/I is a module over S plus the columns I·e_j
+(`ideal_columns`). Every kernel, over S or over R, comes from one call,
+`kernel_over_quotient(columns, nrows, ideal)`, with `ideal` None for S.
 """
 
 from __future__ import annotations
@@ -140,11 +144,6 @@ class Vec:
         _, c = self.lead()
         return self.scale(pow(c, self.p - 2, self.p))
 
-    def shift_components(self, offset: int) -> "Vec":
-        return Vec._raw(
-            self.p, self.nvars, {(c + offset, m): v for (c, m), v in self.terms.items()}
-        )
-
     def restrict_components(self, lo: int, hi: int) -> "Vec":
         """Keep components in [lo, hi), renumbered to start at 0."""
         return Vec._raw(
@@ -228,9 +227,8 @@ def syzygy_basis(columns, nreal: int, max_pairs: int = DEFAULT_MAX_PAIRS):
     return out
 
 
-def module_contains(v: Vec, gens, max_pairs: int = DEFAULT_MAX_PAIRS) -> bool:
-    gb = module_groebner(list(gens), max_pairs=max_pairs)
-    return reduce_vec(v, gb).is_zero()
+def module_contains(v: Vec, gens) -> bool:
+    return reduce_vec(v, module_groebner(list(gens))).is_zero()
 
 
 def vec_nf_mod_ideal(v: Vec, ideal) -> Vec:
@@ -245,23 +243,37 @@ def vec_nf_mod_ideal(v: Vec, ideal) -> Vec:
     return Vec.from_polys(entries)
 
 
-def kernel_over_quotient(columns, nrows: int, defining_ideal, max_pairs: int = DEFAULT_MAX_PAIRS):
-    """Generators of ker(R^s -> R^r) for R = S/I, columns giving the map.
+def ideal_columns(ideal, nrows: int) -> list:
+    """The vectors g·e_j of S^nrows, for j < nrows and each generator g of
+    `ideal`, component-major; [] when `ideal` is None. Adjoined to the
+    columns of a map into S^nrows, they make it a map into R^nrows for
+    R = S/ideal."""
+    if ideal is None:
+        return []
+    p, nvars = ideal.ring.p, ideal.ring.n
+    return [
+        Vec._raw(p, nvars, {(j, m): c for m, c in g.terms.items()})
+        for j in range(nrows)
+        for g in ideal.generators
+    ]
 
-    The columns live in S^nrows; the kernel is computed by adjoining I*e_j
-    columns in S, taking syzygies, and projecting onto the first s tags.
+
+def kernel_over_quotient(columns, nrows: int, defining_ideal):
+    """Generators of ker(R^s -> R^nrows), the map given by s columns in
+    S^nrows, for R = S/defining_ideal, or for R = S when it is None.
+
+    Over S these are the syzygies of the columns. Over a quotient the
+    columns I·e_j are adjoined, the syzygies are projected onto the first s
+    tags, and each generator is normal-formed mod I, zeros and repeats
+    dropped.
     """
     cols = list(columns)
+    if defining_ideal is None:
+        return syzygy_basis(cols, nrows)
     s = len(cols)
     if s == 0:
         return []
-    p = cols[0].p
-    nvars = cols[0].nvars
-    aug = list(cols)
-    for j in range(nrows):
-        for g in defining_ideal.generators:
-            aug.append(Vec._raw(p, nvars, {(j, m): c for m, c in g.terms.items()}))
-    syz = syzygy_basis(aug, nrows, max_pairs=max_pairs)
+    syz = syzygy_basis(cols + ideal_columns(defining_ideal, nrows), nrows)
     seen = set()
     out = []
     for w in syz:
@@ -288,12 +300,11 @@ def lead_module(gb) -> dict:
 
 
 def lead_module_is_finite_colength(lead_by_comp: dict, ncomponents: int, n: int) -> bool:
-    """Does every component's lead ideal contain a power of every variable?"""
+    """Does every component's lead ideal contain a power of every variable?
+    The power may be x_v^0 = 1, when the component lies in the submodule."""
     for j in range(ncomponents):
         leads = lead_by_comp.get(j, ())
         for v in range(n):
-            if not any(
-                m[v] and all(e == 0 for i, e in enumerate(m) if i != v) for m in leads
-            ):
+            if not any(all(e == 0 for i, e in enumerate(m) if i != v) for m in leads):
                 return False
     return True

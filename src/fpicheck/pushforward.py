@@ -29,10 +29,10 @@ from .gfpoly import Polynomial, mono_degree
 from .groebner import Ideal, RingSpec
 from .hilbert import ONE, Numerator
 from .linalg import Subspace, nullspace
-from .modgb import Vec, kernel_over_quotient
+from .modgb import Vec
 from .resolutions import (
     ModulePresentation,
-    columns_of_matrix,
+    dual_kernel,
     matrix_from_columns,
     transpose_matrix,
 )
@@ -176,18 +176,11 @@ def hom_pushforward_into_ring(
         raise ValueError("expected a pushforward presentation with multiplication lifts")
     ring = rs.ring
     p = rs.p
-    n = ring.n
     q = pres.scale
     sigma = pres.row_twists
     gamma = pres.col_twists
     # ordinary kernel of the transposed presentation matrix over R
-    if pres.ncols == 0:
-        ordinary = [Vec.unit(p, n, i) for i in range(pres.nrows)]
-    else:
-        cols_t = columns_of_matrix(
-            transpose_matrix(list(pres.matrix), ring), p, n
-        )
-        ordinary = kernel_over_quotient(cols_t, nrows=pres.ncols, defining_ideal=rs.ideal)
+    ordinary = dual_kernel(pres)
     # exact Hilbert numerator of the dual module, over (1 - t^q)^n
     num_r_q = rs.ideal.hilbert_numerator().subst(q)
     total = Numerator()
@@ -199,7 +192,7 @@ def hom_pushforward_into_ring(
         coker_t = ModulePresentation(
             ring,
             rs.ideal,
-            transpose_matrix(list(pres.matrix), ring),
+            transpose_matrix(pres.matrix),
             [-g for g in gamma],
             [-s for s in sigma],
             scale=q,

@@ -10,7 +10,10 @@ p-th roots); ordinary modules use scale 1.
 
 `modulus` is None for modules over the polynomial ring S itself and the
 defining ideal I for modules over R = S/I; matrix entries are then
-representatives in S understood mod I.
+representatives in S understood mod I. A module over R is a module over S
+plus the columns I·e_j (`modgb.ideal_columns`), so one resolution loop
+(`_resolve`), one subquotient (`subquotient_presentation`) and one kernel
+call (`modgb.kernel_over_quotient`) serve both rings.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PipelineInvariantError
-from .gfpoly import Polynomial
 from .groebner import Ideal, PolyRing, RingSpec, ideal_colon
 from .hilbert import Numerator, monomial_quotient, standard_monomials
 from .modgb import (
     Vec,
+    ideal_columns,
     kernel_over_quotient,
     lead_module,
     module_groebner,
@@ -61,7 +64,7 @@ def columns_of_matrix(matrix, p: int, nvars: int):
     return out
 
 
-def transpose_matrix(matrix, ring: PolyRing):
+def transpose_matrix(matrix):
     if not matrix:
         return []
     nrows = len(matrix)
@@ -144,18 +147,7 @@ class ModulePresentation:
     def groebner_columns(self):
         """Module Groebner basis of (columns + modulus relations)."""
         if self._lead is None:
-            cols = [v for v in self.columns() if not v.is_zero()]
-            if self.modulus is not None:
-                for i in range(self.nrows):
-                    for g in self.modulus.generators:
-                        cols.append(
-                            Vec._raw(
-                                self.ring.p,
-                                self.ring.n,
-                                {(i, m): c for m, c in g.terms.items()},
-                            )
-                        )
-            gb = module_groebner(cols)
+            gb = module_groebner(self.columns() + ideal_columns(self.modulus, self.nrows))
             self._lead = (tuple(gb), lead_module(gb))
         return self._lead[0]
 
@@ -235,9 +227,6 @@ class ModulePresentation:
         ctw = [ctw[l] for l in keep_cols]
         return ModulePresentation(self.ring, self.modulus, rows, rtw, ctw, self.scale)
 
-    def is_zero_module(self) -> bool:
-        return self.minimized().nrows == 0
-
     def free_rank_one_twist(self):
         """Generator degree if the module is free of rank one, else None."""
         small = self.minimized()
@@ -282,8 +271,9 @@ def frobenius_functor(pres: ModulePresentation, e: int = 1) -> ModulePresentatio
 # ---------------------------------------------------------------------------
 # minimal generators (graded Nakayama: irredundant homogeneous sets are minimal)
 
-def minimal_generators(vecs, twists, nrows: int, modulus=None, ring: PolyRing = None):
-    """Irredundant subset of homogeneous `vecs` generating the same submodule.
+def minimal_generators(vecs, twists, modulus=None):
+    """Irredundant subset of homogeneous `vecs` in ⊕ S(-twists) generating
+    the same submodule.
 
     Candidates are processed in weakly increasing degree; each is dropped if
     it already lies in the submodule generated by the accepted ones (plus
@@ -299,13 +289,7 @@ def minimal_generators(vecs, twists, nrows: int, modulus=None, ring: PolyRing = 
                 continue
         items.append((v.degree_with_twists(twists), v))
     items.sort(key=lambda t: t[0])
-    base = []
-    if modulus is not None:
-        p = modulus.ring.p
-        nv = modulus.ring.n
-        for i in range(nrows):
-            for g in modulus.generators:
-                base.append(Vec._raw(p, nv, {(i, m): c for m, c in g.terms.items()}))
+    base = ideal_columns(modulus, len(twists))
     accepted = []
     for _, v in items:
         gens = accepted + base
@@ -318,7 +302,7 @@ def minimal_generators(vecs, twists, nrows: int, modulus=None, ring: PolyRing = 
 
 
 # ---------------------------------------------------------------------------
-# free resolutions over the polynomial ring
+# free resolutions over the polynomial ring and over its quotients
 
 @dataclass(frozen=True)
 class FreeResolution:
@@ -326,8 +310,8 @@ class FreeResolution:
 
     maps[k] is the matrix of d_{k+1}: F_{k+1} -> F_k (rows = rank F_k).
     Over the polynomial ring resolutions are finite; over a singular quotient
-    they may be truncated at a step budget, in which case `truncated` is set
-    (the prefix maps are still exact where computed).
+    they may be infinite. A resolution cut at a step budget with syzygies
+    left has `truncated` set (the prefix maps are still exact where computed).
     """
 
     ring: PolyRing
@@ -353,35 +337,35 @@ class FreeResolution:
         return None
 
 
-def resolve_columns(ring: PolyRing, start_twists, start_cols, max_steps=None) -> FreeResolution:
-    """Resolution of coker(start_cols) over S, minimal at every step."""
-    n = ring.n
-    cap = n + 1 if max_steps is None else max_steps
-    cols = minimal_generators(start_cols, start_twists, len(start_twists))
-    twists = [tuple(start_twists)]
+def _resolve(ring: PolyRing, modulus, twists, cols, cap: int) -> FreeResolution:
+    """Resolution of coker(cols) over S (modulus None) or over S/modulus,
+    minimal at every step and cut after `cap` maps, flagged truncated if
+    syzygies remain there. Over S more than n maps break Hilbert's syzygy
+    theorem and raise."""
+    cur = tuple(twists)
+    cols = minimal_generators(cols, cur, modulus)
+    all_twists = [cur]
     maps = []
-    cur = tuple(start_twists)
     while cols:
         if len(maps) >= cap:
             break
+        if modulus is None and len(maps) == ring.n:
+            raise PipelineInvariantError("resolution exceeds the global dimension bound")
         ctw = tuple(v.degree_with_twists(cur) for v in cols)
         maps.append(tuple(matrix_from_columns(cols, len(cur), ring)))
-        twists.append(ctw)
-        if len(maps) > n:
-            raise PipelineInvariantError("resolution exceeds the global dimension bound")
-        syz = syzygy_basis(cols, nreal=len(cur))
+        all_twists.append(ctw)
+        syz = kernel_over_quotient(cols, len(cur), modulus)
         cur = ctw
-        cols = minimal_generators(syz, cur, len(cur))
-    return FreeResolution(ring, tuple(twists), tuple(maps))
+        cols = minimal_generators(syz, cur, modulus)
+    return FreeResolution(
+        ring, tuple(all_twists), tuple(maps), modulus=modulus, truncated=bool(cols)
+    )
 
 
-def minimal_free_resolution(rs: RingSpec, max_steps=None) -> FreeResolution:
+def minimal_free_resolution(rs: RingSpec) -> FreeResolution:
     """Minimal graded free resolution of R = S/I as an S-module."""
-    gens = [
-        Vec._raw(rs.ring.p, rs.ring.n, {(0, m): c for m, c in g.terms.items()})
-        for g in rs.ideal.groebner_basis()
-    ]
-    return resolve_columns(rs.ring, (0,), gens, max_steps=max_steps)
+    gens = [Vec.from_polys([(0, g)]) for g in rs.ideal.groebner_basis()]
+    return _resolve(rs.ring, None, (0,), gens, rs.ring.n + 1)
 
 
 def resolve_presentation(pres: ModulePresentation, max_steps=None) -> FreeResolution:
@@ -389,36 +373,13 @@ def resolve_presentation(pres: ModulePresentation, max_steps=None) -> FreeResolu
 
     Over the polynomial ring (modulus None) this terminates within the number
     of variables; over a quotient ring it is cut off after max_steps maps
-    (default n + 2) and flagged truncated if syzygies remain.
+    (default n + 2). Either way a cut with syzygies left sets `truncated`.
     """
     if pres.scale != 1:
         raise ValueError("resolutions expect scale-1 gradings")
     work = pres.nf_entries().minimized()
-    ring, modulus = pres.ring, pres.modulus
-    n = ring.n
-    if modulus is None:
-        return resolve_columns(ring, work.row_twists, work.columns(), max_steps=max_steps)
-    cap = n + 2 if max_steps is None else max_steps
-    cols = minimal_generators(
-        work.columns(), work.row_twists, work.nrows, modulus=modulus
-    )
-    twists = [work.row_twists]
-    maps = []
-    cur = work.row_twists
-    truncated = False
-    while cols:
-        if len(maps) >= cap:
-            truncated = True
-            break
-        ctw = tuple(v.degree_with_twists(cur) for v in cols)
-        maps.append(tuple(matrix_from_columns(cols, len(cur), ring)))
-        twists.append(ctw)
-        syz = kernel_over_quotient(cols, nrows=len(cur), defining_ideal=modulus)
-        cur = ctw
-        cols = minimal_generators(syz, cur, len(cur), modulus=modulus)
-    return FreeResolution(
-        ring, tuple(twists), tuple(maps), modulus=modulus, truncated=truncated
-    )
+    cap = pres.ring.n + 2 if max_steps is None else max_steps
+    return _resolve(pres.ring, pres.modulus, work.row_twists, work.columns(), cap)
 
 
 def tor_frobenius(rs: RingSpec, pres: ModulePresentation, i: int, e: int = 1):
@@ -446,15 +407,14 @@ def tor_frobenius(rs: RingSpec, pres: ModulePresentation, i: int, e: int = 1):
         return realize_finite(empty)
     d_i = [[f.frobenius_power(e) for f in row] for row in res.map_matrix(i)]
     ker = kernel_over_quotient(
-        columns_of_matrix(d_i, rs.ring.p, rs.ring.n),
-        nrows=res.rank(i - 1),
-        defining_ideal=rs.ideal,
+        columns_of_matrix(d_i, rs.ring.p, rs.ring.n), res.rank(i - 1), rs.ideal
     )
-    im_cols = []
+    # the image lives in R^(rank F_i): in S it is im d_{i+1}^[q] + I·F_i
+    im_cols = ideal_columns(rs.ideal, res.rank(i))
     next_map = res.map_matrix(i + 1)
     if next_map is not None:
         d_next = [[f.frobenius_power(e) for f in row] for row in next_map]
-        im_cols = columns_of_matrix(d_next, rs.ring.p, rs.ring.n)
+        im_cols += columns_of_matrix(d_next, rs.ring.p, rs.ring.n)
     ambient = [q * t for t in res.twists[i]]
     homology = subquotient_presentation(rs.ring, rs.ideal, ambient, ker, im_cols)
     return _finite_or_presentation(homology)
@@ -482,11 +442,6 @@ def ring_depth(rs: RingSpec) -> int:
 # ---------------------------------------------------------------------------
 # canonical module via duals of the resolution
 
-def _dual_map_matrix(res: FreeResolution, k: int):
-    """Matrix of d_k^T: F_{k-1}^* -> F_k^* (rows = rank F_k)."""
-    return transpose_matrix(list(res.maps[k - 1]), res.ring)
-
-
 def subquotient_presentation(
     ring: PolyRing,
     modulus: Ideal,
@@ -495,12 +450,16 @@ def subquotient_presentation(
     image_cols,
     shift: int = 0,
 ) -> ModulePresentation:
-    """Present (submodule gen by kernel_gens)/(submodule gen by image_cols).
+    """Present (submodule gen by kernel_gens)/(its meet with the submodule
+    gen by image_cols), that is span(kernel_gens + image_cols)/span(image_cols).
 
-    Both gen sets live in a free S-module with the given twists; the quotient
-    is a module over ring/modulus. `shift` is added to all generator degrees.
+    Both gen sets live in a free S-module with the given twists, and the
+    quotient is taken there, over S; it is then read as a module over
+    ring/modulus, which must kill it. A subquotient of a free R-module
+    passes `ideal_columns(modulus, rank)` among its image columns.
+    `shift` is added to all generator degrees.
     """
-    gens = minimal_generators(kernel_gens, ambient_twists, len(ambient_twists))
+    gens = minimal_generators(kernel_gens, ambient_twists)
     extra = [v for v in image_cols if not v.is_zero()]
     reduced = []
     if extra:
@@ -509,7 +468,7 @@ def subquotient_presentation(
             r = reduce_vec(v, gb_im)
             if not r.is_zero():
                 reduced.append(v)
-        gens = minimal_generators(reduced, ambient_twists, len(ambient_twists))
+        gens = minimal_generators(reduced, ambient_twists)
     if not gens:
         return ModulePresentation(ring, modulus, [], [], [])
     row_twists = [v.degree_with_twists(ambient_twists) + shift for v in gens]
@@ -522,9 +481,7 @@ def subquotient_presentation(
             head = vec_nf_mod_ideal(head, modulus)
         if not head.is_zero():
             rel_cols.append(head)
-    rel_cols = minimal_generators(
-        rel_cols, row_twists, len(gens), modulus=modulus
-    )
+    rel_cols = minimal_generators(rel_cols, row_twists, modulus)
     col_twists = [v.degree_with_twists(row_twists) for v in rel_cols]
     matrix = matrix_from_columns(rel_cols, len(gens), ring)
     return ModulePresentation(ring, modulus, matrix, row_twists, col_twists)
@@ -535,7 +492,10 @@ def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresenta
 
     For Cohen-Macaulay R (pd = n-1) this is the cokernel of the transposed
     last map; at depth 0 (pd = n) it is the middle cohomology of the dualized
-    resolution, presented as a subquotient.
+    resolution, presented as a subquotient. That cohomology is taken inside
+    the free S-module F_c^*, so the subquotient gets no ideal columns:
+    I·F_c^* ∩ ker need not lie in im, and adjoining I·F_c^* would change
+    the module.
     """
     ring = rs.ring
     n = ring.n
@@ -548,7 +508,7 @@ def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresenta
     row_twists = [n - t for t in res.twists[c]]
     if c == 0:
         return ModulePresentation(ring, rs.ideal, [[] for _ in row_twists], row_twists, [])
-    dual_c = _dual_map_matrix(res, c)  # rows = rank F_c, cols = rank F_{c-1}
+    dual_c = transpose_matrix(res.map_matrix(c))  # rows = rank F_c, cols = rank F_{c-1}
     col_twists = [n - t for t in res.twists[c - 1]]
     if pd == c:
         matrix = [
@@ -557,7 +517,7 @@ def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresenta
         pres = ModulePresentation(ring, rs.ideal, matrix, row_twists, col_twists)
         return pres.minimized()
     # depth 0: ω = ker(d_{c+1}^T) / im(d_c^T) inside F_c^*
-    dual_next = _dual_map_matrix(res, c + 1)  # rows = rank F_{c+1}, cols = rank F_c
+    dual_next = transpose_matrix(res.map_matrix(c + 1))  # rows = rank F_{c+1}, cols = rank F_c
     next_cols = columns_of_matrix(dual_next, ring.p, ring.n)
     ker = syzygy_basis(next_cols, nreal=res.rank(c + 1))
     im_cols = columns_of_matrix(dual_c, ring.p, ring.n)
@@ -570,6 +530,16 @@ def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresenta
 # ---------------------------------------------------------------------------
 # Hom into the ring, and module annihilators
 
+def dual_kernel(pres: ModulePresentation) -> list:
+    """Generators of ker(Aᵀ) for M = coker(A) over its ring, in the free
+    module on the generators of M: the homomorphisms M -> ring, component i
+    the image of generator i."""
+    if pres.ncols == 0:
+        return [Vec.unit(pres.ring.p, pres.ring.n, i) for i in range(pres.nrows)]
+    cols_t = columns_of_matrix(transpose_matrix(pres.matrix), pres.ring.p, pres.ring.n)
+    return kernel_over_quotient(cols_t, pres.ncols, pres.modulus)
+
+
 def hom_into_ring_generators(pres: ModulePresentation):
     """Generators of Hom_R(M, R) for M = coker(A) over R = S/I.
 
@@ -579,18 +549,8 @@ def hom_into_ring_generators(pres: ModulePresentation):
         raise ValueError("hom_into_ring_generators expects a module over a quotient")
     if pres.scale != 1:
         raise ValueError("hom_into_ring_generators expects scale-1 gradings")
-    r, c = pres.nrows, pres.ncols
     dual_twists = [-s for s in pres.row_twists]
-    if c == 0:
-        return [
-            (Vec.unit(pres.ring.p, pres.ring.n, i), dual_twists[i])
-            for i in range(r)
-        ]
-    cols_T = columns_of_matrix(
-        transpose_matrix(list(pres.matrix), pres.ring), pres.ring.p, pres.ring.n
-    )
-    ker = kernel_over_quotient(cols_T, nrows=c, defining_ideal=pres.modulus)
-    return [(w, w.degree_with_twists(dual_twists)) for w in ker]
+    return [(w, w.degree_with_twists(dual_twists)) for w in dual_kernel(pres)]
 
 
 def with_modulus(pres: ModulePresentation, new_ideal: Ideal) -> ModulePresentation:
@@ -622,20 +582,8 @@ def syzygy_presentation(pres: ModulePresentation) -> ModulePresentation:
     if pres.scale != 1:
         raise ValueError("syzygies expect scale-1 gradings")
     work = pres.nf_entries()
-    cols = [v for v in work.columns() if not v.is_zero()]
-    if not cols:
-        gens = []
-    elif pres.modulus is None:
-        gens = minimal_generators(
-            syzygy_basis(cols, nreal=work.nrows), work.col_twists, work.ncols
-        )
-    else:
-        raw = kernel_over_quotient(
-            cols, nrows=work.nrows, defining_ideal=pres.modulus
-        )
-        gens = minimal_generators(
-            raw, work.col_twists, work.ncols, modulus=pres.modulus
-        )
+    raw = kernel_over_quotient(work.columns(), work.nrows, pres.modulus)
+    gens = minimal_generators(raw, work.col_twists, pres.modulus)
     matrix = matrix_from_columns(gens, work.ncols, pres.ring)
     twists = [v.degree_with_twists(work.col_twists) for v in gens]
     return ModulePresentation(
@@ -679,8 +627,7 @@ def hom_presentation_generic(
     nn = n.nf_entries().minimized()
     f0, f1 = mm.nrows, mm.ncols
     g0, g1 = nn.nrows, nn.ncols
-    alpha, alpha1 = mm.row_twists, mm.col_twists
-    beta, beta1 = nn.row_twists, nn.col_twists
+    alpha, beta = mm.row_twists, nn.row_twists
     nslots = g0 * f0
     slot_twists = [beta[u] - alpha[j] for u in range(g0) for j in range(f0)]
     if nslots == 0:
@@ -710,19 +657,9 @@ def hom_presentation_generic(
                         terms[(u * f1 + l, mo)] = cc
                 if terms:
                     cond_cols.append(Vec._raw(p, nv, terms))
-        if modulus is None:
-            raw = syzygy_basis(cond_cols, nreal=g0 * f1)
-        else:
-            raw = kernel_over_quotient(
-                cond_cols, nrows=g0 * f1, defining_ideal=modulus
-            )
-        lifts = []
-        for w in raw:
-            head = w.restrict_components(0, nslots)
-            if modulus is not None:
-                head = vec_nf_mod_ideal(head, modulus)
-            if not head.is_zero():
-                lifts.append(head)
+        raw = kernel_over_quotient(cond_cols, g0 * f1, modulus)
+        # over R these come normal-formed mod I, and so do their slot coordinates
+        lifts = [h for w in raw if not (h := w.restrict_components(0, nslots)).is_zero()]
     zero_homs = []
     for j in range(f0):
         for c in range(g1):
@@ -733,40 +670,6 @@ def hom_presentation_generic(
                     terms[(slot(u, j), mo)] = cc
             if terms:
                 zero_homs.append(Vec._raw(p, nv, terms))
-    gens = []
-    if lifts or zero_homs:
-        pool = lifts
-        if zero_homs:
-            gb_zero = module_groebner(
-                zero_homs
-                + (
-                    [
-                        Vec._raw(p, nv, {(s, mo): c for mo, c in g.terms.items()})
-                        for s in range(nslots)
-                        for g in modulus.generators
-                    ]
-                    if modulus is not None
-                    else []
-                )
-            )
-            pool = [v for v in lifts if not reduce_vec(v, gb_zero).is_zero()]
-        gens = minimal_generators(pool, slot_twists, nslots, modulus=modulus)
-    if not gens:
-        return ModulePresentation(ring, modulus, [], [], [])
-    gen_twists = [v.degree_with_twists(slot_twists) for v in gens]
-    stacked = list(gens) + zero_homs
-    if modulus is None:
-        syz = syzygy_basis(stacked, nreal=nslots)
-    else:
-        syz = kernel_over_quotient(stacked, nrows=nslots, defining_ideal=modulus)
-    rel_cols = []
-    for w in syz:
-        head = w.restrict_components(0, len(gens))
-        if modulus is not None:
-            head = vec_nf_mod_ideal(head, modulus)
-        if not head.is_zero():
-            rel_cols.append(head)
-    rel_cols = minimal_generators(rel_cols, gen_twists, len(gens), modulus=modulus)
-    rel_twists = [v.degree_with_twists(gen_twists) for v in rel_cols]
-    matrix = matrix_from_columns(rel_cols, len(gens), ring)
-    return ModulePresentation(ring, modulus, matrix, gen_twists, rel_twists)
+    return subquotient_presentation(
+        ring, modulus, slot_twists, lifts, zero_homs + ideal_columns(modulus, nslots)
+    )

@@ -12,16 +12,25 @@ kept so that the table-once construction is checked against it. And
 `intersect_by_elimination`/`colon_by_elimination` compute intersections and
 colons by eliminating an auxiliary variable with ideal Groebner bases under
 a block order, the path that the module colon of `groebner.ideal_colon` and
-`groebner.ideal_intersect` replaced.
+`groebner.ideal_intersect` replaced. `tor_length_oracle` takes the engine's
+resolution and the ring's normal forms, and replaces the homology
+subquotient of `resolutions.tor_frobenius` by two ranks over F_p.
+
+`syzygies_by_full_basis` is the syzygy path without the pair cutoff of
+`modgb.syzygy_basis`. `artinian_rings` is the shared `hypothesis` strategy
+for Artinian rings.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from fpicheck.gfpoly import Polynomial, elimination_order, mono_divides, monomials_of_degree
 from fpicheck.groebner import Ideal, RingSpec, buchberger, divide_exact
-from fpicheck.modgb import Vec, reduce_vec
+from fpicheck.linalg import rank
+from fpicheck.modgb import Vec, module_groebner, reduce_vec
+from fpicheck.resolutions import resolve_presentation
 
 
 def _row_reduce_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -162,6 +171,72 @@ def staircase_rings(p, max_colength=6):
     return out
 
 
+@st.composite
+def artinian_rings(draw, primes=(2, 3, 5, 7)):
+    """A staircase of F_p[x,y] of colength <= 5, or pure powers x_i^a_i in two
+    or three variables plus one or two random binomials of degree 2 or 3."""
+    p = draw(st.sampled_from(primes))
+    if draw(st.booleans()):
+        return draw(st.sampled_from(staircase_rings(p, max_colength=5)))[1]
+    nv = draw(st.sampled_from([2, 3]))
+    names = ["x", "y", "z"][:nv]
+    exps = st.integers(2, 4 if nv == 2 else 3)
+    gens = [Polynomial.from_monomial(p, tuple(draw(exps) if j == i else 0 for j in range(nv)))
+            for i in range(nv)]
+    for _ in range(draw(st.integers(1, 2))):
+        monos = list(monomials_of_degree(nv, draw(st.integers(2, 3))))
+        a, b = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(1, p - 1))
+        gens.append(Polynomial(p, nv, {a: 1, b: c}))
+    return RingSpec(p, names, gens)
+
+
+def _standard_basis(rs: RingSpec) -> list:
+    """Every standard monomial of an Artinian R, all degrees."""
+    out, d = [], 0
+    while found := rs.standard_monomials_of_degree(d):
+        out.extend(found)
+        d += 1
+    return out
+
+
+def _rank_over_k(rs: RingSpec, matrix, basis) -> int:
+    """k-rank of the R-linear map R^cols -> R^rows that `matrix` gives, on
+    the standard-monomial basis of each copy of R."""
+    if not matrix or not matrix[0]:
+        return 0
+    index = {m: k for k, m in enumerate(basis)}
+    h = len(basis)
+    rows, cols = len(matrix), len(matrix[0])
+    a = np.zeros((rows * h, cols * h), dtype=np.int64)
+    for j in range(cols):
+        for k, m in enumerate(basis):
+            for i in range(rows):
+                image = rs.nf(matrix[i][j].mul_term(m, 1))
+                for t, c in image.terms.items():
+                    a[i * h + index[t], j * h + k] = c
+    return rank(a, rs.p)
+
+
+def tor_length_oracle(rs: RingSpec, pres, i: int, e: int = 1) -> int:
+    """Length of Tor_i^R(F^e_*R, M) for M = coker(pres) over an Artinian R.
+
+    On a free resolution F of M, Tor_i is the homology of F^[q] at F_i, and
+    its length is b_i·λ(R) − rank d_i^[q] − rank d_{i+1}^[q], each rank over
+    F_p on the standard-monomial basis.
+    """
+    res = resolve_presentation(pres, max_steps=i + 1)
+    basis = _standard_basis(rs)
+
+    def frob_rank(k):
+        d = res.map_matrix(k)
+        if d is None:
+            return 0
+        return _rank_over_k(rs, [[f.frobenius_power(e) for f in row] for row in d], basis)
+
+    return res.rank(i) * len(basis) - frob_rank(i) - frob_rank(i + 1)
+
+
 def realize_finite_oracle(pres):
     """Action matrices and basis degrees of the finite-length module that a
     nonzero presentation defines, with every column reduced on its own.
@@ -200,6 +275,21 @@ def realize_finite_oracle(pres):
                 a[index[t], k] = c
         actions.append(a)
     return actions, tuple(d for _, _, d in basis)
+
+
+def syzygies_by_full_basis(cols, nreal: int) -> list:
+    """Syzygies of `cols` in S^nreal from the full module Groebner basis of
+    the columns tagged with unit vectors: the general path that
+    `modgb.syzygy_basis` shortens by skipping the pairs between tag-led
+    elements."""
+    p, nvars = cols[0].p, cols[0].nvars
+    one = (0,) * nvars
+    tagged = [Vec(p, nvars, {**v.terms, (nreal + i, one): 1}) for i, v in enumerate(cols)]
+    return [
+        g.restrict_components(nreal, nreal + len(cols))
+        for g in module_groebner(tagged)
+        if all(c >= nreal for c, _ in g.terms)
+    ]
 
 
 def module_membership_oracle(v, gens, twists) -> bool:

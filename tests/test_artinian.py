@@ -5,8 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
-from oracles import realize_finite_oracle, staircase_rings
+from oracles import artinian_rings, realize_finite_oracle, staircase_rings
 
 from fpicheck import artinian
 from fpicheck.artinian import (
@@ -25,7 +24,7 @@ from fpicheck.artinian import (
     span_search,
 )
 from fpicheck.errors import InfiniteLengthError, PipelineInvariantError
-from fpicheck.gfpoly import Polynomial, monomials_of_degree
+from fpicheck.gfpoly import Polynomial
 from fpicheck.groebner import RingSpec
 from fpicheck.resolutions import ModulePresentation, frobenius_functor
 
@@ -249,26 +248,6 @@ def test_seeded_results_are_reproducible():
 
 
 # -- the socle-and-length certificate against the hom-space search ---------------
-
-
-@st.composite
-def artinian_rings(draw):
-    """A staircase of F_p[x,y] of colength <= 5, or pure powers x_i^a_i in two
-    or three variables plus one or two random binomials of degree 2 or 3."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    if draw(st.booleans()):
-        return draw(st.sampled_from(staircase_rings(p, max_colength=5)))[1]
-    nv = draw(st.sampled_from([2, 3]))
-    names = ["x", "y", "z"][:nv]
-    exps = st.integers(2, 4 if nv == 2 else 3)
-    gens = [Polynomial.from_monomial(p, tuple(draw(exps) if j == i else 0 for j in range(nv)))
-            for i in range(nv)]
-    for _ in range(draw(st.integers(1, 2))):
-        monos = list(monomials_of_degree(nv, draw(st.integers(2, 3))))
-        a, b = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=2, unique=True))
-        c = draw(st.integers(1, p - 1))
-        gens.append(Polynomial(p, nv, {a: 1, b: c}))
-    return RingSpec(p, names, gens)
 
 
 def hull_and_frobenius(rs):

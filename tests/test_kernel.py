@@ -2,9 +2,9 @@
 pair budget, and the module path against a linear-algebra oracle."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import module_membership_oracle
+from oracles import module_membership_oracle, syzygies_by_full_basis
 
 from fpicheck.errors import ResourceLimitError
 from fpicheck.gfpoly import Polynomial, monomials_of_degree
@@ -100,3 +100,30 @@ def test_syzygies_kill_the_generators(case):
         for i, g in enumerate(gens):
             total = total + g.mul_poly(s.component(i))
         assert total.is_zero()
+
+
+def _tagged_with_a_divisible_lead():
+    """Columns in S^2, twists (0, 1), over F_2[x, y, z] whose cutoff basis has
+    two tag-led elements, one lead dividing the other, where the one with
+    the divisible lead lies outside the span of the rest."""
+    ring = PolyRing(2, ["x", "y", "z"])
+    cols = [
+        {1: "x"}, {0: "y^2", 1: "x + y"}, {0: "x*y + y^2", 1: "z"},
+        {0: "x^2 + y*z"}, {1: "x^2 + y*z"},
+    ]
+    gens = [Vec.from_polys((c, ring.parse(t)) for c, t in col.items()) for col in cols]
+    return 2, (0, 1), gens, Vec.zero(2, 3)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graded_rank_two())
+@example(_tagged_with_a_divisible_lead())
+def test_syzygy_basis_generates_every_syzygy(case):
+    _, twists, gens, _ = case
+    gens = [g for g in gens if g.terms]
+    if not gens:
+        return
+    syz = syzygy_basis(gens, nreal=2)
+    degrees = [g.degree_with_twists(twists) for g in gens]
+    for s in syzygies_by_full_basis(gens, 2):
+        assert module_membership_oracle(s, syz, degrees)

@@ -3,12 +3,22 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from oracles import artinian_rings, tor_length_oracle
 
-from fpicheck.artinian import realize_finite, ring_as_module
+from fpicheck.artinian import (
+    FiniteLengthModule,
+    hom_space,
+    injective_hull_of_residue_field,
+    present_finite,
+    realize_finite,
+    ring_as_module,
+)
 from fpicheck.gfpoly import GREVLEX, Polynomial, random_homogeneous
 from fpicheck.groebner import Ideal, PolyRing, RingSpec
 from fpicheck.modgb import (
     Vec,
+    ideal_columns,
     kernel_over_quotient,
     module_contains,
     syzygy_basis,
@@ -344,3 +354,160 @@ def test_hom_residue_field_into_positive_depth_ring_is_zero():
     k = residue_field(rs)
     h = hom_presentation_generic(k, ring_as_module(rs))
     assert realize_finite(h.nf_entries()).dim == 0
+
+
+# -- one kernel, one resolution loop and one subquotient over S and over R ----------
+
+
+def _apply(matrix, vec, rs=None):
+    """A·v for a row-major matrix and a Vec, each entry mod I when rs is given."""
+    parts = vec.as_poly_dict()
+    out = []
+    for row in matrix:
+        acc = Polynomial.zero(vec.p, vec.nvars)
+        for j, f in enumerate(row):
+            if j in parts:
+                acc = acc + f * parts[j]
+        out.append(rs.nf(acc) if rs is not None else acc)
+    return out
+
+
+def _composes_to_zero(rs, a, b):
+    return all(
+        f.is_zero()
+        for j in range(len(b[0]))
+        for f in _apply(a, Vec.from_polys([(t, b[t][j]) for t in range(len(b))]), rs)
+    )
+
+
+def test_ideal_columns_are_the_generators_in_every_component():
+    rs = RingSpec(3, ["x", "y"], ["x^2", "y^3"])
+    x2, y3 = rs.ring.parse("x^2"), rs.ring.parse("y^3")
+    cols = ideal_columns(rs.ideal, 2)
+    assert [v.as_poly_dict() for v in cols] == [{0: x2}, {0: y3}, {1: x2}, {1: y3}]
+    assert ideal_columns(None, 2) == []
+
+
+def test_kernel_over_the_polynomial_ring_is_the_syzygy_module():
+    rng = random.Random(41)
+    for p in (2, 3, 5):
+        for _ in range(5):
+            nrows = rng.randint(1, 2)
+            cols = []
+            for _ in range(rng.randint(1, 3)):
+                d = rng.randint(1, 2)
+                terms = {}
+                for i in range(nrows):
+                    f = random_homogeneous(rng, p, 3, d)
+                    terms.update({(i, m): c for m, c in f.terms.items()})
+                cols.append(Vec(p, 3, terms))
+            assert kernel_over_quotient(cols, nrows, None) == syzygy_basis(cols, nrows)
+
+
+def test_a_cut_resolution_is_flagged_truncated():
+    ring = PolyRing(2, ["x", "y", "z"])
+    over_s = ModulePresentation(ring, None, [[ring.parse(v) for v in "xyz"]], (0,), (1, 1, 1))
+    over_r = residue_field(flagship())
+    for pres in (over_s, over_r):
+        cut = resolve_presentation(pres, max_steps=1)
+        assert cut.length == 1 and cut.truncated
+    full = resolve_presentation(over_s)
+    assert full.betti() == (1, 3, 3, 1) and not full.truncated
+    assert not minimal_free_resolution(flagship()).truncated
+
+
+@pytest.mark.parametrize(
+    "p,names,gens",
+    [
+        (2, ["x", "y", "z"], ["x*y", "x*z", "y*z"]),
+        (3, ["x", "y"], ["x^2", "x*y", "y^3"]),
+        (5, ["x", "y"], ["x^2 - 2*x*y", "y^3"]),
+    ],
+)
+def test_resolution_over_the_quotient_is_a_complex(p, names, gens):
+    rs = RingSpec(p, names, gens)
+    for pres in (residue_field(rs), cyclic_presentation(rs, ["x"])):
+        res = resolve_presentation(pres, max_steps=4)
+        assert res.length == 4 and res.truncated
+        for k in range(1, res.length):
+            assert _composes_to_zero(rs, res.map_matrix(k), res.map_matrix(k + 1))
+
+
+def test_syzygies_of_a_zero_column_over_the_polynomial_ring():
+    ring = PolyRing(3, ["x", "y"])
+    zero = Polynomial.zero(3, 2)
+    matrix = [[zero, ring.parse("x"), ring.parse("y")]]
+    syz = syzygy_presentation(ModulePresentation(ring, None, matrix, (0,), (1, 1, 1)))
+    for v in syz.columns():
+        assert all(f.is_zero() for f in _apply(matrix, v))
+    assert module_contains(Vec.unit(3, 2, 0), syz.columns())
+    koszul = Vec.from_polys([(1, ring.parse("y")), (2, ring.parse("-x"))])
+    assert module_contains(koszul, syz.columns())
+
+
+def test_syzygies_of_a_zero_column_over_a_quotient():
+    rs = RingSpec(3, ["x", "y"], ["x^2"])
+    matrix = [[Polynomial.zero(3, 2), rs.ring.parse("y")]]
+    syz = syzygy_presentation(ModulePresentation(rs.ring, rs.ideal, matrix, (0,), (1, 1)))
+    assert syz.nrows == 2
+    for v in syz.columns():
+        assert all(f.is_zero() for f in _apply(matrix, v, rs))
+    # y is a nonzerodivisor on S/(x^2), so the kernel is R·e_0
+    assert [v.as_poly_dict() for v in syz.columns()] == [{0: rs.ring.parse("1")}]
+
+
+# -- Hom and Tor against linear-algebra oracles ----------------------------------------
+
+
+def _four_modules(rs):
+    """R, k, R/(x) and E, each presented and realized."""
+    hull = present_finite(injective_hull_of_residue_field(rs), rs)
+    pres = [ring_as_module(rs), residue_field(rs), cyclic_presentation(rs, [rs.ring.gen(0)]), hull]
+    return [(m, realize_finite(m)) for m in pres]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(artinian_rings(primes=(2, 3, 5)))
+@example(RingSpec(3, ["x", "y"], ["x^2", "x*y", "y^2"]))
+@example(RingSpec(2, ["x", "y"], ["x^2", "x*y", "y^3"]))
+@example(RingSpec(2, ["x", "y", "z"], ["x^2", "y^2", "z^2", "x*y"]))
+def test_hom_presentation_has_the_length_of_the_hom_space(rs):
+    # a presentation with a unit relation defines a module of finite length:
+    # its component is killed outright, and realize_finite must accept it
+    mods = _four_modules(rs)
+    for m, real_m in mods:
+        for n, real_n in mods:
+            hom = realize_finite(hom_presentation_generic(m, n))
+            assert hom.dim == len(hom_space(real_m, real_n))
+
+
+TOR_RINGS = [
+    (2, ["x", "y"], ["x^3", "y^2"]),
+    (2, ["x", "y"], ["x^2", "x*y", "y^3"]),
+    (3, ["x", "y"], ["x^2", "x*y", "y^2"]),
+    (3, ["x", "y"], ["x^3", "x*y", "y^2"]),
+    (5, ["x", "y"], ["x^2", "y^2"]),
+]
+
+
+@pytest.mark.parametrize("p,names,gens", TOR_RINGS)
+def test_tor_frobenius_matches_the_rank_oracle(p, names, gens):
+    rs = RingSpec(p, names, gens)
+    for m, _ in _four_modules(rs)[1:]:
+        for i in (1, 2):
+            assert tor_frobenius(rs, m, i).dim == tor_length_oracle(rs, m, i)
+
+
+def test_tor_frobenius_counts_the_image_inside_the_quotient():
+    rs = RingSpec(2, ["x", "y"], ["x^3", "y^2"])
+    assert [tor_frobenius(rs, residue_field(rs), i).dim for i in (1, 2)] == [8, 12]
+    rs = RingSpec(2, ["x", "y"], ["x^2", "x*y", "y^3"])
+    hull = present_finite(injective_hull_of_residue_field(rs), rs)
+    assert tor_frobenius(rs, hull, 1).dim == 9
+
+
+def test_tor_of_the_residue_field_of_a_curve_has_finite_length():
+    # m^[p] kills Tor_1(F_*R, k); over k[x,y]/(xy) it is (y)/(y^2) ⊕ (x)/(x^2)
+    rs = RingSpec(2, ["x", "y"], ["x*y"])
+    t = tor_frobenius(rs, residue_field(rs), 1)
+    assert isinstance(t, FiniteLengthModule) and t.dim == 2
