@@ -69,16 +69,6 @@ class PolyRing:
     def gens(self):
         return [self.gen(i) for i in range(self.n)]
 
-    def linear_form(self, coeffs) -> Polynomial:
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c %= self.p
-            if c:
-                m = [0] * self.n
-                m[i] = 1
-                terms[tuple(m)] = c
-        return Polynomial(self.p, self.n, terms)
-
     def extended(self, extra_names) -> "PolyRing":
         """New ring with extra variables prepended (for elimination)."""
         return PolyRing(self.p, tuple(extra_names) + self.varnames)
@@ -221,23 +211,38 @@ def groebner_terms(
 ):
     """Reduced Groebner basis of the submodule spanned by the term dicts `elems`.
 
-    Pairs are processed by increasing lcm degree, then increasing lcm term.
-    A pair whose leads lie in different components has no S-vector. The
-    chain criterion drops a pair (i, j) when some lead k divides their lcm
-    and the pairs (i, k), (j, k) are done. The coprime-lead criterion drops a
-    pair only when both elements live in one component: there it is the ideal
-    criterion times a basis vector, while for (x, 1) and (y, 1) in S^2 the
-    leads x*e0 and y*e0 are coprime and yet (0, x - y) is in the span.
+    Two elements led in one component form a pair; pairs are treated by
+    increasing lcm degree, then increasing lcm term. When h joins component
+    c, the Gebauer-Moeller update (Gebauer and Moeller 1988, J. Symbolic
+    Comput. 6) prunes the pairs of c, L(a, b) being the lcm of two leads:
+    - B_k drops a queued pair (a, b) when lead(h) divides L(a, b) and
+      neither L(a, h) nor L(b, h) equals it;
+    - M and F visit the new pairs (g, h) by increasing lcm degree and drop
+      one when the lcm of a pair kept before it divides its own;
+    - a known-zero new pair is kept through M and F, to prune others, and
+      never queued: two single terms, whose S-vector is zero (monomial
+      ideals, the I*e_j columns of a monomial R), or two elements living in
+      c alone with coprime leads. That needs one component: (x, 1) and
+      (y, 1) in S^2 have coprime leads, yet (0, x - y) is in their span.
+    Proof sketch: when lead(h) divides L = L(a, b), the lead syzygy s_ab is
+    (L / L(a, h)) s_ah - (L / L(b, h)) s_bh, and a pair dropped by M or F
+    factors in the same way through the other element of the pair kept
+    before it. By induction on L (hence B_k's proper divisors, and F's one
+    pair per lcm) every dropped syzygy is generated by those of treated and
+    known-zero pairs, whose S-vectors reduce to zero. So the elements form a
+    Groebner basis, and `_inter_reduce` returns the unique reduced one.
 
-    With `syzygy_cutoff` set, pairs between two elements whose leads lie at or
-    beyond that component are skipped. Elements there are pure combinations of
-    tag components; their mutual pairs only rewrite syzygies already generated
-    (Schreyer), so the output still generates the same submodule and is a full
-    Groebner basis below the cutoff. The elements led at or past the cutoff
-    are then no Groebner basis, so none of them is dropped for a lead that
-    another one divides: that element need not lie in the span of the rest.
+    With `syzygy_cutoff` set, pairs of two elements led at or beyond that
+    component are never formed. Elements there are pure combinations of tag
+    components; their mutual pairs only rewrite syzygies already generated
+    (Schreyer), so the output still generates the same submodule and is a
+    full Groebner basis below the cutoff. Past the cutoff it is no Groebner
+    basis, so no element there is dropped for a lead that another one
+    divides: it need not lie in the span of the rest. Which elements appear
+    there depends on the pairs treated.
 
-    Raises ResourceLimitError naming `stage` after `max_pairs` pairs.
+    `max_pairs` bounds the S-vectors formed, dropped pairs being free; past
+    it, ResourceLimitError names `stage`.
     """
     rank = _rank_of(order)
 
@@ -253,40 +258,49 @@ def groebner_terms(
     single = [len({c for c, _ in g}) == 1 for g in basis]
     reducers = _reducers(basis, leads, p)
     members: dict = {}  # component -> indices of the elements led there
-    pairq: list = []
-    done = set()
+    queued: dict = {}  # component -> {queued pair (i, j): lcm of its leads}
+    pairq: list = []  # heap of queued pairs; an entry no longer queued is stale
 
     def add(j):
+        # the monomial helpers of `gfpoly` are inlined: this runs per element
         comp, mj = leads[j]
         earlier = members.setdefault(comp, [])
-        if syzygy_cutoff is None or comp < syzygy_cutoff:
-            for i in earlier:
-                l = mono_lcm(leads[i][1], mj)
+        if earlier and (syzygy_cutoff is None or comp < syzygy_cutoff):
+            pairs = queued.setdefault(comp, {})
+            for ab in [  # B_k
+                (a, b) for (a, b), l in pairs.items()
+                if all(map(le, mj, l))
+                and tuple(map(max, leads[a][1], mj)) != l
+                and tuple(map(max, leads[b][1], mj)) != l
+            ]:
+                del pairs[ab]
+            lcms = [tuple(map(max, leads[i][1], mj)) for i in earlier]
+            kept = []
+            for d, i, l in sorted(zip(map(sum, lcms), earlier, lcms)):  # M and F
+                if any(all(map(le, k, l)) for k in kept):
+                    continue
+                kept.append(l)
+                if len(basis[i]) == len(basis[j]) == 1 or (
+                    single[i] and single[j] and mono_mul(leads[i][1], mj) == l
+                ):
+                    continue  # known zero
+                pairs[i, j] = l
                 # ascending lcm degree, then lcm term (its negated rank)
-                heappush(pairq, (mono_degree(l), -comp, tuple(map(neg, rank(l))), i, j))
+                heappush(pairq, (d, -comp, tuple(map(neg, rank(l))), i, j))
         earlier.append(j)
 
     for j in range(len(basis)):
         add(j)
 
-    steps = 0
+    formed = 0
     while pairq:
-        steps += 1
-        if steps > max_pairs:
-            raise ResourceLimitError(f"{stage}: S-pair budget of {max_pairs} exhausted")
         *_, i, j = heappop(pairq)
-        done.add((i, j))
-        comp, mi = leads[i]
-        mj = leads[j][1]
-        l = mono_lcm(mi, mj)
-        if single[i] and single[j] and mono_mul(mi, mj) == l:
-            continue  # coprime leads in one component: S-vector reduces to zero
-        if any(
-            k != i and k != j and mono_divides(leads[k][1], l)
-            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-            for k in members[comp]
-        ):
-            continue
+        l = queued[leads[i][0]].pop((i, j), None)
+        if l is None:
+            continue  # dropped by B_k after it was queued
+        formed += 1
+        if formed > max_pairs:
+            raise ResourceLimitError(f"{stage}: S-pair budget of {max_pairs} exhausted")
         # S-vector of monic elements: the two leads cancel
         work: dict = {}
         for g, lead, sign in ((basis[i], leads[i], 1), (basis[j], leads[j], -1)):
@@ -310,40 +324,44 @@ def groebner_terms(
         tail = [(t, c) for t, c in s.items() if t != lead]
         reducers.setdefault(lead[0], []).append((lead[1], 1, tail))
         add(len(basis) - 1)
-    return _inter_reduce(basis, leads, members, p, rank, syzygy_cutoff)
+    return _inter_reduce(leads, members, reducers, p, rank, syzygy_cutoff)
 
 
-def _inter_reduce(basis, leads, members, p: int, rank, syzygy_cutoff):
+def _inter_reduce(leads, members, reducers, p: int, rank, syzygy_cutoff):
     """Minimalize then inter-reduce; output is the unique reduced basis, sorted.
     Elements led at or past `syzygy_cutoff` (None: no cutoff) are all kept.
 
-    Below the cutoff no kept lead divides another. Only tails are reduced, so
-    a kept element keeps its lead. Each element's tail is reduced
-    modulo the earlier elements already reduced and the later ones not yet
-    reduced: the reducer lists hold all of them in basis order, and each
-    entry is replaced by its reduced form once that is known.
+    Below the cutoff an element is dropped when another lead divides its
+    lead, equal leads keeping the lowest index; visiting a component's leads
+    by (degree, index), each is tested against the kept ones alone. Only
+    tails are reduced, so a kept element keeps its lead. Each element's tail
+    is reduced modulo the earlier elements already reduced and the later
+    ones not yet reduced: the reducer lists, taken from the kernel's
+    `reducers` (entry k of component c is element members[c][k]), hold all
+    of them in basis order, and each entry is replaced by its reduced form
+    once that is known.
     """
-    keep = [
-        i for i, (c, mi) in enumerate(leads)
-        if (syzygy_cutoff is not None and c >= syzygy_cutoff) or not any(
-            j != i and mono_divides(leads[j][1], mi) and (leads[j][1] != mi or j < i)
-            for j in members[c]
-        )
-    ]
-    reducers = _reducers([basis[i] for i in keep], [leads[i] for i in keep], p)
-    seen: dict = {}
+    table: dict = {}  # component -> reducer entries of the kept elements
+    keep = set()
+    for c, idx in members.items():
+        past = syzygy_cutoff is not None and c >= syzygy_cutoff
+        kept = []
+        for _, i in sorted((mono_degree(leads[i][1]), i) for i in idx):
+            mi = leads[i][1]
+            if past or not any(mono_divides(m, mi) for m in kept):
+                kept.append(mi)
+                keep.add(i)
+        table[c] = [entry for i, entry in zip(idx, reducers[c]) if i in keep]
+    seen: dict = {}  # component -> position of the last entry visited there
     out = []
-    for i in keep:
-        lead = leads[i]
-        tail = _normal_form(
-            {t: c for t, c in basis[i].items() if t != lead}, reducers, p, rank
-        )
-        slot = seen.get(lead[0], 0)
-        seen[lead[0]] = slot + 1
-        reducers[lead[0]][slot] = (lead[1], 1, list(tail.items()))
-        g = {lead: 1}
-        g.update(tail)
-        out.append((g, lead))
+    for i in sorted(keep):
+        c, m = lead = leads[i]
+        k = seen[c] = seen.get(c, -1) + 1
+        tail = dict(table[c][k][2])
+        if tail:
+            tail = _normal_form(tail, table, p, rank)
+            table[c][k] = (m, 1, list(tail.items()))
+        out.append(({lead: 1, **tail}, lead))
     out.sort(key=lambda e: (e[1][0], rank(e[1][1])), reverse=True)
     return [g for g, _ in out]
 

@@ -17,7 +17,9 @@ resolution and the ring's normal forms, and replaces the homology
 subquotient of `resolutions.tor_frobenius` by two ranks over F_p.
 
 `syzygies_by_full_basis` is the syzygy path without the pair cutoff of
-`modgb.syzygy_basis`. `artinian_rings` is the shared `hypothesis` strategy
+`modgb.syzygy_basis`. `groebner_all_pairs` is plain Buchberger on term
+dicts, every pair treated, the reference for the pair criteria of
+`groebner.groebner_terms`. `artinian_rings` is the shared `hypothesis` strategy
 for Artinian rings.
 """
 
@@ -290,6 +292,86 @@ def syzygies_by_full_basis(cols, nreal: int) -> list:
         for g in module_groebner(tagged)
         if all(c >= nreal for c, _ in g.terms)
     ]
+
+
+def groebner_all_pairs(elems, p: int, order) -> list:
+    """Reduced Groebner basis of the submodule spanned by the term dicts
+    `elems` ({(component, monomial): coeff}), by plain Buchberger: every pair
+    of elements led in one component is reduced, with no criterion.
+
+    Terms compare position over term, as in the kernel: a lower component
+    is larger, ties go to `order.key`. A normal form cancels the largest
+    reducible term with the first element, in list order, whose lead divides
+    it. The result is minimalized (an element whose lead another lead
+    divides goes, equal leads keeping the first), made monic, each tail put
+    in normal form modulo the minimal basis, and sorted as the kernel sorts:
+    by lead, highest component first, smaller monomial first.
+    """
+
+    def term_key(t):
+        return (-t[0], order.key(t[1]))
+
+    def lead(g):
+        return max(g, key=term_key)
+
+    def normal_form(f, basis):
+        f, out = dict(f), {}
+        while f:
+            t = lead(f)
+            c = f.pop(t)
+            for g in basis:
+                (comp, m) = gl = lead(g)
+                if comp == t[0] and mono_divides(m, t[1]):
+                    shift = tuple(a - b for a, b in zip(t[1], m))
+                    factor = c * pow(g[gl], p - 2, p) % p
+                    for (c2, m2), v in g.items():
+                        if (c2, m2) != gl:
+                            u = (c2, tuple(a + b for a, b in zip(m2, shift)))
+                            w = (f.get(u, 0) - factor * v) % p
+                            if w:
+                                f[u] = w
+                            else:
+                                f.pop(u, None)
+                    break
+            else:
+                out[t] = c
+        return out
+
+    basis = [dict(g) for g in elems if g]
+    pairs = [
+        (i, j) for j in range(len(basis)) for i in range(j)
+        if lead(basis[i])[0] == lead(basis[j])[0]
+    ]
+    while pairs:
+        i, j = pairs.pop()
+        s = {}
+        (comp, mi), (_, mj) = li, lj = lead(basis[i]), lead(basis[j])
+        lcm = tuple(map(max, mi, mj))
+        for g, gl, scale in ((basis[i], li, pow(basis[i][li], p - 2, p)),
+                             (basis[j], lj, -pow(basis[j][lj], p - 2, p))):
+            shift = tuple(a - b for a, b in zip(lcm, gl[1]))
+            for (c, m), v in g.items():
+                u = (c, tuple(a + b for a, b in zip(m, shift)))
+                s[u] = (s.get(u, 0) + scale * v) % p
+        h = normal_form({t: v for t, v in s.items() if v}, basis)
+        if h:
+            pairs += [(k, len(basis)) for k in range(len(basis)) if lead(basis[k])[0] == lead(h)[0]]
+            basis.append(h)
+    leads = [lead(g) for g in basis]
+    minimal = [
+        g for i, (g, (c, m)) in enumerate(zip(basis, leads))
+        if not any(
+            k != i and c2 == c and mono_divides(m2, m) and (m2 != m or k < i)
+            for k, (c2, m2) in enumerate(leads)
+        )
+    ]
+    out = []
+    for g in minimal:
+        gl = lead(g)
+        inv = pow(g[gl], p - 2, p)
+        tail = normal_form({t: v * inv % p for t, v in g.items() if t != gl}, minimal)
+        out.append({gl: 1, **tail})
+    return sorted(out, key=lambda g: term_key(lead(g)))
 
 
 def module_membership_oracle(v, gens, twists) -> bool:

@@ -1,14 +1,23 @@
-"""The one Groebner kernel behind ideals and modules: its pair criteria, its
-pair budget, and the module path against a linear-algebra oracle."""
+"""The one Groebner kernel behind ideals and modules: its pair criteria
+against plain all-pairs Buchberger, its pair budget, and the module path
+against a linear-algebra oracle."""
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import module_membership_oracle, syzygies_by_full_basis
+from oracles import groebner_all_pairs, module_membership_oracle, syzygies_by_full_basis
 
 from fpicheck.errors import ResourceLimitError
-from fpicheck.gfpoly import Polynomial, monomials_of_degree
-from fpicheck.groebner import Ideal, PolyRing, buchberger
+from fpicheck.gfpoly import (
+    GREVLEX,
+    LEX,
+    Polynomial,
+    elimination_order,
+    mono_div,
+    mono_lcm,
+    monomials_of_degree,
+)
+from fpicheck.groebner import DEFAULT_MAX_PAIRS, Ideal, PolyRing, buchberger, groebner_terms
 from fpicheck.modgb import Vec, module_contains, module_groebner, syzygy_basis
 
 R = PolyRing(3, ["x", "y"])
@@ -50,6 +59,84 @@ def test_ideal_and_rank_one_module_bases_agree():
     ideal_gb = buchberger(gens)
     module_gb = module_groebner([Vec.from_polys([(0, f)]) for f in gens])
     assert [g.component(0) for g in module_gb] == ideal_gb
+
+
+# -- the pair criteria against all-pairs Buchberger -------------------------------
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(term dicts, p, order): a homogeneous ideal of degree <= 3 in <= 3
+    variables under grevlex, an ideal in 2 variables under lex or elim, or
+    a submodule of S^2 or S^3 over F_p[x, y] under grevlex."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    family = draw(st.sampled_from(["graded", "lex", "elim", "module"]))
+    nvars = draw(st.integers(1, 3)) if family == "graded" else 2
+    rank = draw(st.integers(2, 3)) if family == "module" else 1
+    order = {"lex": LEX, "elim": elimination_order(1)}.get(family, GREVLEX)
+
+    def element():
+        d = draw(st.integers(0 if family == "module" else 1, 3))
+        if family == "graded":
+            terms = [(0, m) for m in monomials_of_degree(nvars, d)]
+        else:
+            terms = [
+                (c, m) for c in range(rank) for e in range(d + 1)
+                for m in monomials_of_degree(nvars, e)
+            ]
+        chosen = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=4, unique=True))
+        return {t: draw(st.integers(1, p - 1)) for t in chosen}
+
+    return [element() for _ in range(draw(st.integers(1, 4)))], p, order
+
+
+def terms_of(ring, *columns):
+    """Term dicts from {component: polynomial text} columns over `ring`."""
+    return [
+        {(c, m): v for c, text in col.items() for m, v in ring.parse(text).terms.items()}
+        for col in columns
+    ]
+
+
+R2 = PolyRing(2, ["x", "y"])
+R5 = PolyRing(5, ["x", "y", "z"])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kernel_inputs())
+# B_k without its two guards drops both pairs of the chain and returns (x)
+@example((terms_of(R, {0: "2*x^2*y + y^3"}, {0: "x^2*y"}, {0: "x"}), 3, GREVLEX))
+# monomial ideals with repeated and redundant generators
+@example((terms_of(R5, *({0: t} for t in ("x*y", "x^2*y", "x*y", "z^3", "x*z", "y*z^2"))), 5, GREVLEX))
+@example((terms_of(R, *({0: t} for t in ("y^2", "x^3", "y^2", "x*y^2", "x^2*y"))), 3, LEX))
+# term modules with equal leads in several components
+@example((terms_of(R2, {0: "x"}, {1: "x"}, {2: "x"}, {0: "x*y"}, {1: "x"}, {2: "y^2"}), 2, GREVLEX))
+# a term column beside polynomial columns
+@example((terms_of(R, {0: "x*y"}, {0: "x^2", 1: "y"}, {0: "y^2", 1: "x"}, {1: "x*y + y^2"}), 3, GREVLEX))
+@example((terms_of(R5, {1: "x*z"}, {0: "x + y", 1: "z"}, {0: "y", 1: "x"}), 5, GREVLEX))
+def test_kernel_matches_all_pairs_buchberger(case):
+    elems, p, order = case
+    got = groebner_terms(elems, p, order, DEFAULT_MAX_PAIRS, "test")
+    assert got == groebner_all_pairs(elems, p, order)
+
+
+def test_syzygies_of_term_columns_are_the_pairwise_ones():
+    # columns that are single terms: their syzygy module is generated by the
+    # pairwise syzygies (l / m_i) e_i - (l / m_j) e_j, l = lcm(m_i, m_j), of
+    # two columns in one component (Schreyer)
+    ring = PolyRing(3, ["x", "y", "z"])
+    cols = [(0, "x*y"), (0, "y*z"), (1, "x"), (0, "x^2"), (1, "y*z"), (1, "x"), (0, "z^2")]
+    gens = [Vec.from_polys([(c, ring.parse(t))]) for c, t in cols]
+    monos = [next(iter(ring.parse(t).terms)) for _, t in cols]
+    pairwise = [
+        Vec(3, 3, {(i, mono_div(l, monos[i])): 1, (j, mono_div(l, monos[j])): 2})
+        for j in range(len(cols)) for i in range(j) if cols[i][0] == cols[j][0]
+        for l in [mono_lcm(monos[i], monos[j])]
+    ]
+    syz = syzygy_basis(gens, nreal=2)
+    degrees = [sum(m) for m in monos]
+    assert all(module_membership_oracle(s, pairwise, degrees) for s in syz)
+    assert all(module_membership_oracle(s, syz, degrees) for s in pairwise)
 
 
 # -- the module path against the oracle ------------------------------------------
