@@ -53,9 +53,7 @@ from .artinian import (
     FiniteLengthModule,
     IsoResult,
     frobenius_fixes_injective_hull,
-    injective_hull_of_residue_field,
     modules_isomorphic,
-    present_finite,
     realize_finite,
     socle_dimension_of_ring,
 )

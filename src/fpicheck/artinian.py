@@ -3,8 +3,10 @@
 A FiniteLengthModule fixes a k-basis and records the (commuting, nilpotent)
 action of each ambient variable as a matrix. Matlis duality is transposition,
 socles are common kernels, and hom spaces come from the linear conditions
-F A_v = B_v F. A module is a power E^n of the injective hull of the residue
-field exactly when its socle dimension is n and its length is n·λ(R)
+F A_v = B_v F. The injective hull E of the residue field of an Artinian R is
+its canonical module Ext^n_S(R, S(-n)) (graded local duality), read off the
+minimal free resolution by `resolutions.canonical_module`. A module is a
+power E^n exactly when its socle dimension is n and its length is n·λ(R)
 (`is_hull_power`); general isomorphism testing combines structural
 invariants with a search for an invertible homomorphism.
 """
@@ -16,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteLengthError, PipelineInvariantError
-from .gfpoly import Polynomial, mono_mul
 from .groebner import NormalForm, RingSpec
 from .hilbert import standard_monomials
 from .linalg import Subspace, is_invertible, matmul, nullspace, rank
-from .modgb import Vec, lead_module_is_finite_colength
-from .resolutions import ModulePresentation, frobenius_functor, matrix_from_columns
+from .modgb import lead_module_is_finite_colength
+from .resolutions import ModulePresentation, canonical_module, frobenius_functor
 
 
 class FiniteLengthModule:
@@ -219,11 +220,6 @@ def realize_ring(rs: RingSpec) -> FiniteLengthModule:
     return rs._realized
 
 
-def injective_hull_of_residue_field(rs: RingSpec) -> FiniteLengthModule:
-    """E = Matlis dual of R, for Artinian R (the graded injective hull of k)."""
-    return realize_ring(rs).matlis_dual()
-
-
 def is_hull_power(module: FiniteLengthModule, ring_length: int, n: int) -> bool:
     """Is the module isomorphic to E^n, for E the injective hull of the
     residue field of an Artinian R of length `ring_length`? Decided exactly
@@ -235,95 +231,6 @@ def is_hull_power(module: FiniteLengthModule, ring_length: int, n: int) -> bool:
 
 def socle_dimension_of_ring(rs: RingSpec) -> int:
     return realize_ring(rs).socle_dimension()
-
-
-# ---------------------------------------------------------------------------
-# presenting a finite-length module over R
-
-def present_finite(module: FiniteLengthModule, rs: RingSpec) -> ModulePresentation:
-    """Graded presentation of a finite-length module (degrees required).
-
-    Generators are basis elements chosen greedily outside m*M; relations are
-    collected degree by degree, which is exhaustive once the degree passes the
-    top of the module by one (beyond that every slice of the free cover is a
-    radical multiple of the previous one).
-    """
-    p = module.p
-    h = module.dim
-    if h == 0:
-        return ModulePresentation(rs.ring, rs.ideal, [], [], [])
-    if module.degrees is None:
-        raise ValueError("present_finite needs basis degrees")
-    if module.nvars != rs.ring.n:
-        raise ValueError("module and ring have different variable counts")
-    order = sorted(range(h), key=lambda k: (module.degrees[k], k))
-    span = module.radical_span()
-    gens = []
-    for k in order:
-        unit = [0] * h
-        unit[k] = 1
-        if span.add(unit):
-            gens.append(k)
-    gen_degs = [module.degrees[k] for k in gens]
-    t = len(gens)
-
-    relations = []  # Vec over R^t
-    rel_degs = []
-    dmin = min(gen_degs)
-    dmax = max(module.degrees) + 1
-    for d in range(dmin, dmax + 1):
-        pairs = free_slice(rs, gen_degs, d)
-        if not pairs:
-            continue
-        cols = []
-        for g_idx, m in pairs:
-            unit = [0] * h
-            unit[gens[g_idx]] = 1
-            cols.append(module.act_monomial(unit, m))
-        eval_mat = np.array(cols, dtype=np.int64).T % p
-        ker = nullspace(eval_mat, p)
-        if ker.shape[0] == 0:
-            continue
-        collect_relations(rs, pairs, ker, d, relations, rel_degs)
-    matrix = matrix_from_columns(relations, t, rs.ring)
-    return ModulePresentation(rs.ring, rs.ideal, matrix, gen_degs, rel_degs)
-
-
-def free_slice(rs: RingSpec, degrees, d: int) -> list:
-    """Coordinates (generator index, standard monomial) of the degree-d slice
-    of the graded free R-module with generators in `degrees`."""
-    return [
-        (k, m) for k, e in enumerate(degrees) if d >= e
-        for m in rs.standard_monomials_of_degree(d - e)
-    ]
-
-
-def collect_relations(rs: RingSpec, pairs, ker, d: int, relations: list, rel_degs: list) -> bool:
-    """Append to `relations`, in degree d, each row of `ker` (vectors over the
-    `free_slice` coordinates `pairs`) that enlarges the span of the earlier
-    relations times standard monomials, taking the rows in order. Returns
-    whether a row was kept.
-    """
-    p, n = rs.p, rs.ring.n
-    pair_index = {pm: i for i, pm in enumerate(pairs)}
-    known = Subspace(len(pairs), p)
-    for r_vec, r_deg in zip(relations, rel_degs):
-        for mu in rs.standard_monomials_of_degree(d - r_deg):
-            prod = [0] * len(pairs)
-            for (k, mm), c in r_vec.terms.items():
-                f = rs.nf(Polynomial._raw(p, n, {mono_mul(mm, mu): c}))
-                for m2, c2 in f.terms.items():
-                    slot = pair_index[(k, m2)]
-                    prod[slot] = (prod[slot] + c2) % p
-            known.add(prod)
-    added = False
-    for row in ker:
-        if known.add(list(row)):
-            terms = {(k, m): int(c % p) for (k, m), c in zip(pairs, row) if c % p}
-            relations.append(Vec._raw(p, n, terms))
-            rel_degs.append(d)
-            added = True
-    return added
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +411,7 @@ def modules_isomorphic(
 
 @dataclass(frozen=True)
 class ArtinianFrobeniusReport:
-    """Outcome of comparing F^e(E) against powers of E for Artinian R.
+    """Outcome of comparing F(E) against powers of E for Artinian R.
 
     `iso` answers F(E) ≅ E (the weakly-FPI test); `injective` records whether
     F(E) ≅ E^n for some n (so F(E) stays injective), with the witnessing n.
@@ -519,40 +426,43 @@ class ArtinianFrobeniusReport:
     socle_fe: int
 
 
-def frobenius_fixes_injective_hull(rs: RingSpec, e: int = 1) -> ArtinianFrobeniusReport:
-    """Test F^e(E) ≅ E for Artinian R, E the injective hull of the residue field.
+def frobenius_fixes_injective_hull(rs: RingSpec, res=None) -> ArtinianFrobeniusReport:
+    """Test F(E) ≅ E for Artinian R, E the injective hull of the residue field.
 
-    E is realized as the Matlis dual of R, presented over R, pushed through
-    the Frobenius functor, and realized again. Every comparison with a power
-    of E is decided by `is_hull_power`: the socle of a finite-length module
-    M is essential, so M embeds in E^s for s = dim_k soc M; Matlis duality
-    gives λ(E) = λ(R); so M ≅ E^n exactly when s = n and λ(M) = n·λ(R), equal
-    lengths forcing the embedding to be onto. F(E) ≅ E is the case n = 1,
-    and F(E) stays injective exactly when F(E) ≅ E^n for the one n that
-    length counting allows.
+    By graded local duality E ≅ Ext^n_S(R, S(-n)), the canonical module of
+    R = S/I, so E is `canonical_module` read off the minimal free resolution
+    `res` (computed when not given): the cokernel of the transposed last
+    map. E is pushed through the Frobenius functor and realized. Every
+    comparison with a power of E is decided by `is_hull_power`: the socle of
+    a finite-length module M is essential, so M embeds in E^s for
+    s = dim_k soc M; Matlis duality gives λ(E) = λ(R); so M ≅ E^n exactly
+    when s = n and λ(M) = n·λ(R), equal lengths forcing the embedding to be
+    onto. The same certificate with n = 1 checks the constructed E, and a
+    failure raises PipelineInvariantError. F(E) ≅ E is the case n = 1, and
+    F(E) stays injective exactly when F(E) ≅ E^n for the one n that length
+    counting allows.
     """
-    e_mod = injective_hull_of_residue_field(rs)
-    pres_e = present_finite(e_mod, rs)
-    check = realize_finite(pres_e)
-    if check.dim != e_mod.dim:
+    pres_e = canonical_module(rs, res)
+    length = realize_ring(rs).dim
+    e_mod = realize_finite(pres_e)
+    if not is_hull_power(e_mod, length, 1):
         raise PipelineInvariantError(
-            f"presentation of E has length {check.dim}, expected {e_mod.dim}"
+            f"canonical module has length {e_mod.dim} and socle "
+            f"{e_mod.socle_dimension()}, expected {length} and 1"
         )
-    fe = realize_finite(frobenius_functor(pres_e, e))
+    fe = realize_finite(frobenius_functor(pres_e))
     s = fe.socle_dimension()
-    if fe.dim != e_mod.dim:
+    if fe.dim != length:
         iso = IsoResult(
             "not_isomorphic",
-            f"length mismatch: λ(F^{e}E) = {fe.dim}, λ(E) = {e_mod.dim}",
+            f"length mismatch: λ(F^1E) = {fe.dim}, λ(E) = {length}",
         )
     elif s != 1:
         iso = IsoResult("not_isomorphic", f"invariant mismatch: socle 1 vs {s}")
     else:
-        iso = IsoResult(
-            "isomorphic", f"socle dimension 1 and length λ(R) certify F^{e}E ≅ E"
-        )
-    n, rest = divmod(fe.dim, e_mod.dim)
-    if not rest and is_hull_power(fe, e_mod.dim, n):
+        iso = IsoResult("isomorphic", "socle dimension 1 and length λ(R) certify F^1E ≅ E")
+    n, rest = divmod(fe.dim, length)
+    if not rest and is_hull_power(fe, length, n):
         injective, n_witness = "true", n
     else:
         injective, n_witness = "false", None
@@ -560,8 +470,8 @@ def frobenius_fixes_injective_hull(rs: RingSpec, e: int = 1) -> ArtinianFrobeniu
         iso=iso,
         injective=injective,
         n_witness=n_witness,
-        length_e=e_mod.dim,
+        length_e=length,
         length_fe=fe.dim,
-        socle_e=e_mod.socle_dimension(),
+        socle_e=1,
         socle_fe=s,
     )

@@ -11,8 +11,10 @@ Every verdict is backed by an exact certificate:
 * F-purity is the containment test of the Frobenius colon ideal
   (I^[p] : I) against (x_1^p, ..., x_n^p);
 * in dimension zero, Frobenius preserves injectivity exactly when
-  F(E) is isomorphic to E for the injective hull E of the residue field,
-  decided by the socle dimension and length of F(E) (Matlis duality);
+  F(E) is isomorphic to E for the injective hull E of the residue field.
+  E is the canonical module Ext^n_S(R, S(-n)), read off the minimal free
+  resolution, and F(E) ≅ E is decided by the socle dimension and length
+  of F(E) (Matlis duality);
 * in dimension one the test is whether the canonical module, realized as an
   ideal of R, is isomorphic to its bracket power, decided by a multiplier
   identity h*I = f*J with a certified non-zero-divisor f.
@@ -668,8 +670,8 @@ class RingReport:
         }
 
 
-def _fpi_dimension_zero(rs: RingSpec, report: RingReport):
-    rep = frobenius_fixes_injective_hull(rs)
+def _fpi_dimension_zero(rs: RingSpec, report: RingReport, res):
+    rep = frobenius_fixes_injective_hull(rs, res)
     report.weakly_fpi = rep.iso.verdict_as_flag()
     report.fpi_method = "artinian_E"
     report.fpi_witness = {
@@ -877,7 +879,7 @@ def classify_ring(
         return report
     report.f_pure, report.f_pure_witness = is_f_pure(rs)
     if dim == 0:
-        _fpi_dimension_zero(rs, report)
+        _fpi_dimension_zero(rs, report, res)
     else:
         _fpi_dimension_one(rs, report, seed, trials, res, nzds)
     _run_cross_checks(rs, report, seed, deep_checks)

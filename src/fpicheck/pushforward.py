@@ -24,8 +24,7 @@ from math import prod
 import numpy as np
 
 from .errors import PipelineInvariantError, ResourceLimitError
-from .artinian import collect_relations, free_slice
-from .gfpoly import Polynomial, mono_degree
+from .gfpoly import Polynomial, mono_degree, mono_mul
 from .groebner import Ideal, RingSpec
 from .hilbert import ONE, Numerator
 from .linalg import Subspace, nullspace
@@ -235,6 +234,43 @@ def hom_pushforward_into_ring(
         presentation=w_pres,
         numerator=numerator_w,
     )
+
+
+def free_slice(rs: RingSpec, degrees, d: int) -> list:
+    """Coordinates (generator index, standard monomial) of the degree-d slice
+    of the graded free R-module with generators in `degrees`."""
+    return [
+        (k, m) for k, e in enumerate(degrees) if d >= e
+        for m in rs.standard_monomials_of_degree(d - e)
+    ]
+
+
+def collect_relations(rs: RingSpec, pairs, ker, d: int, relations: list, rel_degs: list) -> bool:
+    """Append to `relations`, in degree d, each row of `ker` (vectors over the
+    `free_slice` coordinates `pairs`) that enlarges the span of the earlier
+    relations times standard monomials, taking the rows in order. Returns
+    whether a row was kept.
+    """
+    p, n = rs.p, rs.ring.n
+    pair_index = {pm: i for i, pm in enumerate(pairs)}
+    known = Subspace(len(pairs), p)
+    for r_vec, r_deg in zip(relations, rel_degs):
+        for mu in rs.standard_monomials_of_degree(d - r_deg):
+            shifted = [0] * len(pairs)
+            for (k, mm), c in r_vec.terms.items():
+                f = rs.nf(Polynomial._raw(p, n, {mono_mul(mm, mu): c}))
+                for m2, c2 in f.terms.items():
+                    slot = pair_index[(k, m2)]
+                    shifted[slot] = (shifted[slot] + c2) % p
+            known.add(shifted)
+    added = False
+    for row in ker:
+        if known.add(list(row)):
+            terms = {(k, m): int(c % p) for (k, m), c in zip(pairs, row) if c % p}
+            relations.append(Vec._raw(p, n, terms))
+            rel_degs.append(d)
+            added = True
+    return added
 
 
 def _relations_with_certificate(

@@ -250,14 +250,23 @@ def frobenius_functor(pres: ModulePresentation, e: int = 1) -> ModulePresentatio
     """Base change along e-fold Frobenius: entries and twists to q-th powers.
 
     For M = coker(A) over R this is coker(A^[q]), q = p^e, the right-exact
-    Frobenius functor applied to the presentation.
+    Frobenius functor applied to the presentation. When R is Artinian with
+    top degree t, an entry f with q·deg f > t is written as 0: f^[q] has
+    degree past t and so is 0 in R. This is an exact normal form, and it
+    keeps entries of degree about q out of the module Groebner basis.
     """
     if pres.modulus is None:
         raise ValueError("Frobenius functor is applied to modules over a quotient")
     if pres.mult_lifts is not None:
         raise PipelineInvariantError("lifts do not survive the Frobenius functor")
     q = pres.ring.p ** e
-    matrix = [[f.frobenius_power(e) for f in row] for row in pres.matrix]
+    hd = pres.modulus.hilbert_numerator().hilbert_data(pres.ring.n)
+    top = len(hd.numerator) - 1 if hd.dimension == 0 else None
+    zero = pres.ring.zero()
+    matrix = [
+        [zero if top is not None and q * f.degree() > top else f.frobenius_power(e) for f in row]
+        for row in pres.matrix
+    ]
     return ModulePresentation(
         pres.ring,
         pres.modulus,
@@ -271,13 +280,15 @@ def frobenius_functor(pres: ModulePresentation, e: int = 1) -> ModulePresentatio
 # ---------------------------------------------------------------------------
 # minimal generators (graded Nakayama: irredundant homogeneous sets are minimal)
 
-def minimal_generators(vecs, twists, modulus=None):
+def minimal_generators(vecs, twists, modulus=None, image=()):
     """Irredundant subset of homogeneous `vecs` in ⊕ S(-twists) generating
-    the same submodule.
+    the same submodule modulo the one generated by `image`.
 
     Candidates are processed in weakly increasing degree; each is dropped if
-    it already lies in the submodule generated by the accepted ones (plus
-    modulus multiples of the ambient basis when working over a quotient).
+    it already lies in the submodule generated by the accepted ones, the
+    `image` columns, and the modulus multiples of the ambient basis when
+    working over a quotient. The basis of that submodule is recomputed only
+    after a candidate is accepted.
     """
     items = []
     for v in vecs:
@@ -289,15 +300,17 @@ def minimal_generators(vecs, twists, modulus=None):
                 continue
         items.append((v.degree_with_twists(twists), v))
     items.sort(key=lambda t: t[0])
-    base = ideal_columns(modulus, len(twists))
+    base = list(image) + ideal_columns(modulus, len(twists))
     accepted = []
+    gb = None
     for _, v in items:
-        gens = accepted + base
-        if gens:
-            gb = module_groebner(gens)
+        if accepted or base:
+            if gb is None:
+                gb = module_groebner(accepted + base)
             if reduce_vec(v, gb).is_zero():
                 continue
         accepted.append(v)
+        gb = None
     return accepted
 
 
@@ -458,17 +471,12 @@ def subquotient_presentation(
     ring/modulus, which must kill it. A subquotient of a free R-module
     passes `ideal_columns(modulus, rank)` among its image columns.
     `shift` is added to all generator degrees.
+
+    The kernel generators are minimized modulo the image, so the generators
+    are minimal for the subquotient itself and no relation has a unit entry.
     """
-    gens = minimal_generators(kernel_gens, ambient_twists)
     extra = [v for v in image_cols if not v.is_zero()]
-    reduced = []
-    if extra:
-        gb_im = module_groebner(extra)
-        for v in gens:
-            r = reduce_vec(v, gb_im)
-            if not r.is_zero():
-                reduced.append(v)
-        gens = minimal_generators(reduced, ambient_twists)
+    gens = minimal_generators(kernel_gens, ambient_twists, image=extra)
     if not gens:
         return ModulePresentation(ring, modulus, [], [], [])
     row_twists = [v.degree_with_twists(ambient_twists) + shift for v in gens]
@@ -488,12 +496,14 @@ def subquotient_presentation(
 
 
 def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresentation:
-    """Graded canonical module ω = Ext^(n-1)_S(R, S(-n)) for dim R = 1.
+    """Graded canonical module ω = Ext^c_S(R, S(-n)), c = n - dim R.
 
-    For Cohen-Macaulay R (pd = n-1) this is the cokernel of the transposed
-    last map; at depth 0 (pd = n) it is the middle cohomology of the dualized
-    resolution, presented as a subquotient. That cohomology is taken inside
-    the free S-module F_c^*, so the subquotient gets no ideal columns:
+    For Cohen-Macaulay R (pd = c) this is the cokernel of the transposed
+    last map. That covers every Artinian R, where c = n and ω is the
+    injective hull of the residue field (graded local duality). Past the
+    codimension (pd > c) it is the cohomology of the dualized resolution at
+    F_c^*, presented as a subquotient. That cohomology is taken inside the
+    free S-module F_c^*, so the subquotient gets no ideal columns:
     I·F_c^* ∩ ker need not lie in im, and adjoining I·F_c^* would change
     the module.
     """
@@ -502,7 +512,7 @@ def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresenta
     if res is None:
         res = minimal_free_resolution(rs)
     pd = res.length
-    c = n - 1
+    c = n - rs.dimension
     if pd < c:
         raise PipelineInvariantError("canonical module requested below the support codim")
     row_twists = [n - t for t in res.twists[c]]
@@ -516,15 +526,13 @@ def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresenta
         ]
         pres = ModulePresentation(ring, rs.ideal, matrix, row_twists, col_twists)
         return pres.minimized()
-    # depth 0: ω = ker(d_{c+1}^T) / im(d_c^T) inside F_c^*
+    # ω = ker(d_{c+1}^T) / im(d_c^T) inside F_c^*
     dual_next = transpose_matrix(res.map_matrix(c + 1))  # rows = rank F_{c+1}, cols = rank F_c
     next_cols = columns_of_matrix(dual_next, ring.p, ring.n)
     ker = syzygy_basis(next_cols, nreal=res.rank(c + 1))
     im_cols = columns_of_matrix(dual_c, ring.p, ring.n)
     ambient = [-t for t in res.twists[c]]
-    return subquotient_presentation(
-        ring, rs.ideal, ambient, ker, im_cols, shift=n
-    ).minimized()
+    return subquotient_presentation(ring, rs.ideal, ambient, ker, im_cols, shift=n)
 
 
 # ---------------------------------------------------------------------------

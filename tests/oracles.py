@@ -16,6 +16,12 @@ a block order, the path that the module colon of `groebner.ideal_colon` and
 resolution and the ring's normal forms, and replaces the homology
 subquotient of `resolutions.tor_frobenius` by two ranks over F_p.
 
+`injective_hull_of_residue_field` and `present_finite` are the Matlis-dual
+route to E that `resolutions.canonical_module` replaced in the pipeline:
+R realized, transposed, and presented again degree by degree with dense
+linear algebra. `frobenius_hull_oracle` pushes that presentation through
+the Frobenius functor with plain `frobenius_power` entries.
+
 `syzygies_by_full_basis` is the syzygy path without the pair cutoff of
 `modgb.syzygy_basis`. `groebner_all_pairs` is plain Buchberger on term
 dicts, every pair treated, the reference for the pair criteria of
@@ -28,11 +34,13 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from fpicheck.artinian import FiniteLengthModule, realize_finite, realize_ring
 from fpicheck.gfpoly import Polynomial, elimination_order, mono_divides, monomials_of_degree
 from fpicheck.groebner import Ideal, RingSpec, buchberger, divide_exact
-from fpicheck.linalg import rank
+from fpicheck.linalg import nullspace, rank
 from fpicheck.modgb import Vec, module_groebner, reduce_vec
-from fpicheck.resolutions import resolve_presentation
+from fpicheck.pushforward import collect_relations, free_slice
+from fpicheck.resolutions import ModulePresentation, matrix_from_columns, resolve_presentation
 
 
 def _row_reduce_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -277,6 +285,78 @@ def realize_finite_oracle(pres):
                 a[index[t], k] = c
         actions.append(a)
     return actions, tuple(d for _, _, d in basis)
+
+
+def injective_hull_of_residue_field(rs: RingSpec) -> FiniteLengthModule:
+    """E = Matlis dual of R, for Artinian R (the graded injective hull of k)."""
+    return realize_ring(rs).matlis_dual()
+
+
+def present_finite(module: FiniteLengthModule, rs: RingSpec) -> ModulePresentation:
+    """Graded presentation of a finite-length module (degrees required).
+
+    Generators are basis elements chosen greedily outside m*M; relations are
+    collected degree by degree, which is exhaustive once the degree passes the
+    top of the module by one (beyond that every slice of the free cover is a
+    radical multiple of the previous one).
+    """
+    p = module.p
+    h = module.dim
+    if h == 0:
+        return ModulePresentation(rs.ring, rs.ideal, [], [], [])
+    if module.degrees is None:
+        raise ValueError("present_finite needs basis degrees")
+    if module.nvars != rs.ring.n:
+        raise ValueError("module and ring have different variable counts")
+    order = sorted(range(h), key=lambda k: (module.degrees[k], k))
+    span = module.radical_span()
+    gens = []
+    for k in order:
+        unit = [0] * h
+        unit[k] = 1
+        if span.add(unit):
+            gens.append(k)
+    gen_degs = [module.degrees[k] for k in gens]
+
+    relations = []  # Vec over R^len(gens)
+    rel_degs = []
+    for d in range(min(gen_degs), max(module.degrees) + 2):
+        pairs = free_slice(rs, gen_degs, d)
+        if not pairs:
+            continue
+        cols = []
+        for g_idx, m in pairs:
+            unit = [0] * h
+            unit[gens[g_idx]] = 1
+            cols.append(module.act_monomial(unit, m))
+        ker = nullspace(np.array(cols, dtype=np.int64).T % p, p)
+        if ker.shape[0]:
+            collect_relations(rs, pairs, ker, d, relations, rel_degs)
+    matrix = matrix_from_columns(relations, len(gens), rs.ring)
+    return ModulePresentation(rs.ring, rs.ideal, matrix, gen_degs, rel_degs)
+
+
+def frobenius_hull_oracle(rs: RingSpec) -> dict:
+    """Length and socle of F(E), and whether F(E) ≅ E^n for some n, from
+    the Matlis-dual presentation of E with every entry raised to the p-th
+    power as it stands. F(E) ≅ E^n exactly when its socle has dimension n
+    and its length is n·λ(R)."""
+    pres = present_finite(injective_hull_of_residue_field(rs), rs)
+    p = rs.p
+    fe = realize_finite(ModulePresentation(
+        rs.ring,
+        rs.ideal,
+        [[f.frobenius_power(1) for f in row] for row in pres.matrix],
+        [p * s for s in pres.row_twists],
+        [p * s for s in pres.col_twists],
+    ))
+    n, rest = divmod(fe.dim, realize_ring(rs).dim)
+    socle = fe.socle_dimension()
+    return {
+        "length_fe": fe.dim,
+        "socle_fe": socle,
+        "injective": "true" if not rest and socle == n else "false",
+    }
 
 
 def syzygies_by_full_basis(cols, nreal: int) -> list:

@@ -11,13 +11,16 @@ import random
 import time
 
 import pytest
-from oracles import membership_oracle, staircase_rings
+from oracles import (
+    injective_hull_of_residue_field,
+    membership_oracle,
+    present_finite,
+    staircase_rings,
+)
 
 from fpicheck.artinian import (
     frobenius_fixes_injective_hull,
-    injective_hull_of_residue_field,
     modules_isomorphic,
-    present_finite,
     realize_finite,
     ring_as_module,
     socle_dimension_of_ring,

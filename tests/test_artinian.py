@@ -5,7 +5,14 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
-from oracles import artinian_rings, realize_finite_oracle, staircase_rings
+from oracles import (
+    artinian_rings,
+    frobenius_hull_oracle,
+    injective_hull_of_residue_field,
+    present_finite,
+    realize_finite_oracle,
+    staircase_rings,
+)
 
 from fpicheck import artinian
 from fpicheck.artinian import (
@@ -13,11 +20,9 @@ from fpicheck.artinian import (
     direct_sum,
     frobenius_fixes_injective_hull,
     hom_space,
-    injective_hull_of_residue_field,
     is_hull_power,
     modules_isomorphic,
     poly_action_matrix,
-    present_finite,
     realize_finite,
     ring_as_module,
     socle_dimension_of_ring,
@@ -26,7 +31,7 @@ from fpicheck.artinian import (
 from fpicheck.errors import InfiniteLengthError, PipelineInvariantError
 from fpicheck.gfpoly import Polynomial
 from fpicheck.groebner import RingSpec
-from fpicheck.resolutions import ModulePresentation, frobenius_functor
+from fpicheck.resolutions import ModulePresentation, canonical_module, frobenius_functor
 
 
 def cyclic(rs, gens):
@@ -247,11 +252,30 @@ def test_seeded_results_are_reproducible():
     assert a.n_witness == b.n_witness == 1
 
 
+# -- E from the canonical module against the Matlis-dual route --------------------
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(artinian_rings())
+@example(fat_point())
+@example(RingSpec(2, ["x", "y"], ["x^3", "x*y", "y^3"]))
+@example(RingSpec(3, ["x", "y"], ["x^3", "x*y", "y^4"]))
+def test_canonical_hull_matches_the_matlis_dual_route(rs):
+    # the last two examples have linear entries in E and top degree q, so
+    # their Frobenius entries have degree exactly t and are not zero in R
+    hull = realize_finite(canonical_module(rs))
+    assert (hull.dim, hull.socle_dimension()) == (realize_finite(ring_as_module(rs)).dim, 1)
+    rep = frobenius_fixes_injective_hull(rs)
+    got = {"length_fe": rep.length_fe, "socle_fe": rep.socle_fe, "injective": rep.injective}
+    assert got == frobenius_hull_oracle(rs)
+
+
 # -- the socle-and-length certificate against the hom-space search ---------------
 
 
 def hull_and_frobenius(rs):
-    """(R, E, F(E)) as finite-length modules, built as the pipeline builds them."""
+    """(R, E, F(E)) as finite-length modules, E by the Matlis-dual route and
+    F(E) through `frobenius_functor`."""
     e = injective_hull_of_residue_field(rs)
     fe = realize_finite(frobenius_functor(present_finite(e, rs)))
     return realize_finite(ring_as_module(rs)), e, fe

@@ -98,6 +98,17 @@ def test_nzds_at_the_top_of_the_prime_range():
     assert all(rs.is_nzd(f) for f in found)
 
 
+def test_frobenius_hull_at_the_top_of_the_prime_range():
+    # every entry of the presentation of E has positive degree and the top
+    # degree of R is 2, so at this p every Frobenius entry is 0 in R and
+    # F(E) is free of rank 2, the number of generators of E
+    rs = RingSpec(TOP_P, ["x", "y"], ["x^2 - 3*x*y + 2*y^2", "x^3", "y^3"])
+    with deadline(20):
+        rep = frobenius_fixes_injective_hull(rs)
+    assert rep.iso.verdict == "not_isomorphic"
+    assert (rep.length_fe, rep.socle_fe, rep.injective) == (10, 4, "false")
+
+
 def test_sampled_linear_nzds_may_need_every_variable():
     # on the five coordinate axes a linear form is a non-zero-divisor only
     # when all five coefficients are nonzero; at p = 11 the 16105 lines of

@@ -4,13 +4,16 @@ import random
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
-from oracles import artinian_rings, tor_length_oracle
+from oracles import (
+    artinian_rings,
+    injective_hull_of_residue_field,
+    present_finite,
+    tor_length_oracle,
+)
 
 from fpicheck.artinian import (
     FiniteLengthModule,
     hom_space,
-    injective_hull_of_residue_field,
-    present_finite,
     realize_finite,
     ring_as_module,
 )
@@ -479,6 +482,16 @@ def test_hom_presentation_has_the_length_of_the_hom_space(rs):
         for n, real_n in mods:
             hom = realize_finite(hom_presentation_generic(m, n))
             assert hom.dim == len(hom_space(real_m, real_n))
+
+
+def test_hom_presentations_are_minimal_modulo_the_image():
+    # Hom(E, E) ≅ R/ann E = R and Hom(k, E) ≅ soc E = k are cyclic; kernel
+    # generators redundant modulo the image columns must not survive
+    rs = RingSpec(3, ["x", "y"], ["x^2", "x*y", "y^2"])
+    k = residue_field(rs)
+    for hull in (present_finite(injective_hull_of_residue_field(rs), rs), canonical_module(rs)):
+        assert hom_presentation_generic(hull, hull).nrows == 1
+        assert hom_presentation_generic(k, hull).nrows == 1
 
 
 TOR_RINGS = [
