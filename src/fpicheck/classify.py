@@ -49,7 +49,6 @@ from .groebner import (
     Ideal,
     RingSpec,
     bracket_power,
-    divide_exact,
     ideal_colon,
     minimal_primes_monomial,
 )
@@ -70,7 +69,7 @@ from .resolutions import (
     minimal_free_resolution,
     with_modulus,
 )
-from .pushforward import frobenius_pushforward, hom_pushforward_into_ring
+from .pushforward import frobenius_colon, frobenius_pushforward, hom_pushforward_into_ring
 
 
 # ---------------------------------------------------------------------------
@@ -267,67 +266,20 @@ def is_gorenstein(rs: RingSpec, seed: int = 0, nzds=None, res=None):
 # ---------------------------------------------------------------------------
 # F-purity
 
-def _complete_intersection_generators(rs: RingSpec):
-    """A minimal homogeneous generating set f_1..f_c of I when I is a
-    homogeneous complete intersection (c = n - dim R = ht I), else None.
-
-    Krull's height theorem gives ht I <= mu(I) <= the number of given
-    generators, so when that number is ht I the given generators are
-    minimal. Otherwise the set comes from graded Nakayama over them, as in
-    `minimal_ideal_generators` with R the polynomial ring S itself, so a
-    redundant generator does not hide a complete intersection. In the
-    Cohen-Macaulay ring S, c homogeneous elements generating an ideal of
-    height c form a regular sequence.
-    """
-    if not rs.ideal.is_homogeneous_ideal():
-        return None
-    height = rs.n - rs.dimension
-    fs = list(rs.ideal.generators)
-    if len(fs) > height:
-        fs = minimal_ideal_generators(RingSpec(rs.p, rs.ring.varnames, []), fs)
-    return fs if len(fs) == height else None
-
-
 def is_f_pure(rs: RingSpec):
     """Frobenius-splitting test via the colon containment criterion.
 
     R = S/I is F-pure exactly when (I^[p] : I) is not contained in
     (x_1^p, ..., x_n^p) (Fedder 1983). The test is exact for any ideal;
-    homogeneity is not required. The colon is built in one of three ways:
-
-    * every generator of I a monomial: `ideal_colon` in closed form;
-    * I a homogeneous complete intersection, minimally generated by
-      f = (f_1, ..., f_c) with c = ht I: the ideal generated by the g^p over
-      the reduced Groebner basis of I and (f_1 ⋯ f_c)^(p-1), no elimination;
-    * anything else: `ideal_colon` by elimination.
-
-    Complete intersection case. f and f^[p] = diag(f_i^(p-1)) f are regular
-    sequences of the same length c, so the linkage lemma gives
-    (f^[p]) : (f) = (f^[p]) + (det diag(f_i^(p-1))) = I^[p] + ((f_1 ⋯ f_c)^(p-1)).
-    Frobenius is additive, so I^[p] is generated by the p-th powers of any
-    generating set of I; taking the reduced basis {g} of I, flatness of
-    Frobenius and LT(g^p) = LT(g)^p give S(g^p, h^p) = S(g, h)^p, so {g^p}
-    is already the reduced basis of I^[p], and the only new element is the
-    product. Reduced bases are unique, so every branch returns the
-    same basis of (I^[p] : I), and the same witness: its first element
-    outside (x_1^p, ..., x_n^p). Returns (verdict, witness dict).
+    homogeneity is not required. The colon comes from
+    `pushforward.frobenius_colon` (closed forms for monomial ideals and
+    complete intersections, the module colon otherwise); every branch gives
+    the same reduced basis of (I^[p] : I), and so the same witness: its
+    first element outside (x_1^p, ..., x_n^p). Returns (verdict, witness
+    dict).
     """
     names = rs.ring.varnames
-    ideal = rs.ideal
-    fs = None
-    if not all(g.is_monomial() for g in ideal.generators):
-        fs = _complete_intersection_generators(rs)
-    if fs is None:
-        colon = ideal_colon(bracket_power(ideal, 1), ideal)
-    else:
-        product = rs.ring.one()
-        for f in fs:
-            product = product * f
-        # u^(p-1) = u^p / u: u^p = u^[p] costs nothing, and the exact
-        # division is far cheaper than repeated squaring of a dense power
-        power = divide_exact(product.frobenius_power(1), product)
-        frob = [g.frobenius_power(1) for g in ideal.groebner_basis()]
-        colon = Ideal(rs.ring, frob + [power])
+    colon = frobenius_colon(rs)
     mp = bracket_power(rs.maximal_ideal(), 1)
     contained = []
     for g in colon.groebner_basis():

@@ -1,18 +1,38 @@
-"""The Frobenius pushforward F_*R and Hom(F_*R, R) with its left structure.
+"""The Frobenius pushforward F_*R, the Frobenius colon, and Hom(F_*R, R).
 
 F_*R is R viewed through the Frobenius map: free over the polynomial ring S
 with basis e_b, b in [0,q)^n, where e_b stands for the q-th root monomial
 x^(b/q). Degrees are kept integral by scaling the grading by q (the ambient
 variables have scaled degree q, e_b has scaled degree |b|).
 
-Hom_R(F_*R, R) is computed with the module structure (r.phi)(s) = phi(rs),
-where rs is the internal product of the root ring. Concretely each variable
-acts through the transpose of a recorded multiplication lift: x_v sends e_b
-to e_(b+unit_v) when b_v + 1 < q and to x_v * e_(b-(q-1)unit_v) otherwise.
-Ordinary coordinatewise action is the q-th power of this action, so ordinary
-generators of the kernel already generate the twisted module; minimality and
-relations are then settled degree by degree with an exact Hilbert series
-certificate.
+Hom_R(F^e_*R, R) carries the left structure (r.phi)(s) = phi(rs), rs the
+product of the root ring, and is computed from Fedder's lemma (Fedder 1983,
+Trans. AMS 278, Lemma 1.6): with R = S/I and q = p^e,
+
+    Hom_R(F^e_*R, R) ≅ F^e_*((I^[q] : I) / I^[q])  as F^e_*R-modules.
+
+Over S, Hom_S(F_*S, S) is free over F_*S on the trace Tr, which sends x^a to
+x^((a - (q-1)·1)/q) when every a_i ≡ q-1 (mod q) and to 0 otherwise; u in
+S gives phi_u(s) = Tr(u·s). Tr is S-linear, Tr(x^(qc)·s) = x^c·Tr(s), so
+Tr(F_*(I^[q]·s)) ⊆ I, and the q^n monomial coordinates of F_*S show that
+Tr(u·F_*S) ⊆ I exactly when u ∈ I^[q]. Hence phi_u maps F_*I into I, and
+so descends to F_*R -> R, exactly when u·I ⊆ I^[q], that is u ∈ (I^[q] : I);
+it is 0 on R exactly when u ∈ I^[q]; and every map F_*R -> R lifts to some
+phi_u, since F_*S is free over S. The root action is x_v·phi_u = phi_(x_v·u),
+ordinary multiplication on M = (I^[q] : I)/I^[q], so a presentation of M is
+one of the dual, and a minimal generator u of M gives the generator phi_u,
+with coordinates phi_u(e_b) = Tr(u·x^b) mod I.
+
+Degrees. For homogeneous u the trace takes u·x^b to degree
+(deg u + |b| - (q-1)n)/q, so phi_u has scaled degree
+q·deg phi_u(e_b) - |b| = deg u - (q-1)n, the same for every b; a variable
+raises it by one. So the dual is M shifted by -(q-1)n, with scale 1.
+
+Certificate. The Hilbert series of the dual also follows from the
+pushforward presentation alone, 0 -> Hom -> R^rows -> R^cols -> coker(Aᵀ)
+-> 0, as a numerator over (1 - t^q)^n. The numerator of M is over
+(1 - t)^n, and (1 - t^q)^n = (1 - t)^n (1 + t + ... + t^(q-1))^n, so the
+two must agree after this factor; a mismatch raises PipelineInvariantError.
 """
 
 from __future__ import annotations
@@ -21,24 +41,29 @@ from dataclasses import dataclass
 from itertools import product as _iterproduct
 from math import prod
 
-import numpy as np
-
-from .errors import PipelineInvariantError, ResourceLimitError
-from .gfpoly import Polynomial, mono_degree, mono_mul
-from .groebner import Ideal, RingSpec
+from .errors import PipelineInvariantError
+from .gfpoly import Polynomial
+from .groebner import Ideal, RingSpec, bracket_power, divide_exact, ideal_colon
 from .hilbert import ONE, Numerator
-from .linalg import Subspace, nullspace
-from .modgb import Vec
+from .modgb import Vec, vec_nf_mod_ideal
 from .resolutions import (
     ModulePresentation,
-    dual_kernel,
+    hom_presentation_generic,
+    is_free_rank_one,
     matrix_from_columns,
+    minimal_generators,
+    subquotient_presentation,
     transpose_matrix,
 )
 
 
+def _boxes(q: int, n: int) -> list:
+    """Exponent boxes [0,q)^n sorted by (degree, lex): the basis order of F_*R."""
+    return sorted(_iterproduct(range(q), repeat=n), key=lambda b: (sum(b), b))
+
+
 def frobenius_pushforward(rs: RingSpec, e: int = 1) -> ModulePresentation:
-    """Present F^e_*R over R, with multiplication lifts for the root action.
+    """Present F^e_*R over R, with scale q = p^e.
 
     Generators e_b are indexed by exponent boxes b in [0,q)^n sorted by
     (degree, lex); the relation for an ideal generator g and box b expands
@@ -50,110 +75,119 @@ def frobenius_pushforward(rs: RingSpec, e: int = 1) -> ModulePresentation:
     q = rs.p**e
     ring = rs.ring
     n = ring.n
-    boxes = sorted(_iterproduct(range(q), repeat=n), key=lambda b: (sum(b), b))
+    boxes = _boxes(q, n)
     index = {b: i for i, b in enumerate(boxes)}
-    r = len(boxes)
     sigma = [sum(b) for b in boxes]
     cols = []
     ctw = []
     for g in rs.ideal.groebner_basis():
         for b in boxes:
-            shifted = g.mul_term(b, 1)
-            terms: dict = {}
-            for m, c in shifted.terms.items():
-                u = tuple(mv // q for mv in m)
-                rem = tuple(mv % q for mv in m)
-                key = (index[rem], u)
-                v = (terms.get(key, 0) + c) % rs.p
-                if v:
-                    terms[key] = v
-                else:
-                    terms.pop(key, None)
-            if terms:
-                cols.append(Vec._raw(rs.p, n, terms))
-                ctw.append(g.degree() + sum(b))
-    matrix = matrix_from_columns(cols, r, ring)
-    lifts = []
-    one = (0,) * n
-    for v in range(n):
-        unit = tuple(1 if w == v else 0 for w in range(n))
-        per_source = []
-        for b in boxes:
-            if b[v] + 1 < q:
-                target = tuple(bb + uu for bb, uu in zip(b, unit))
-                per_source.append((index[target], Polynomial._raw(rs.p, n, {one: 1})))
-            else:
-                target = tuple(bb - (q - 1) * uu for bb, uu in zip(b, unit))
-                per_source.append((index[target], Polynomial._raw(rs.p, n, {unit: 1})))
-        lifts.append(tuple(per_source))
-    return ModulePresentation(
-        ring, rs.ideal, matrix, sigma, ctw, scale=q, mult_lifts=tuple(lifts)
-    )
-
-
-def _star_apply_var(pres: ModulePresentation, u: dict, v: int, modulus: Ideal) -> dict:
-    """One variable of the root action on a coordinate vector of Hom.
-
-    u maps component -> Polynomial; the result is (Lambda_v)^T applied to u,
-    normal-formed entrywise.
-    """
-    lifts = pres.mult_lifts[v]
-    out: dict = {}
-    for s in range(pres.nrows):
-        target, factor = lifts[s]
-        f = u.get(target)
-        if f is None or f.is_zero():
-            continue
-        g = modulus.normal_form(factor * f)
-        if not g.is_zero():
-            out[s] = g
-    return out
-
-
-def star_apply_monomial(pres: ModulePresentation, u: dict, mono) -> dict:
-    out = u
-    for v, e in enumerate(mono):
-        for _ in range(e):
-            out = _star_apply_var(pres, out, v, pres.modulus)
-            if not out:
-                return out
-    return out
+            # x^m = (x^(m // q))^q x^(m % q): one term of g·x^b, one coordinate
+            terms = {
+                (index[tuple(mv % q for mv in m)], tuple(mv // q for mv in m)): c
+                for m, c in g.mul_term(b, 1).terms.items()
+            }
+            cols.append(Vec._raw(rs.p, n, terms))
+            ctw.append(g.degree() + sum(b))
+    matrix = matrix_from_columns(cols, len(boxes), ring)
+    return ModulePresentation(ring, rs.ideal, matrix, sigma, ctw, scale=q)
 
 
 # ---------------------------------------------------------------------------
-# slice bookkeeping for the q-scaled dual grading
+# the Frobenius colon (I^[q] : I)
 
-class _DualSlices:
-    """Coordinate systems for graded pieces of the dual of F_*R."""
+def _complete_intersection_generators(rs: RingSpec):
+    """A minimal homogeneous generating set f_1..f_c of I when I is a
+    homogeneous complete intersection (c = n - dim R = ht I), else None.
 
-    def __init__(self, rs: RingSpec, sigma, q: int):
-        self.rs = rs
-        self.sigma = tuple(sigma)
-        self.q = q
-
-    def pairs(self, delta: int):
-        out = []
-        for i, s in enumerate(self.sigma):
-            rem = delta + s
-            if rem < 0 or rem % self.q:
-                continue
-            for m in self.rs.standard_monomials_of_degree(rem // self.q):
-                out.append((i, m))
-        return out
-
-    def coords(self, u: dict, pairs, pos) -> list:
-        vec = [0] * len(pairs)
-        for i, f in u.items():
-            for m, c in f.terms.items():
-                vec[pos[(i, m)]] = c
-        return vec
+    Krull's height theorem gives ht I <= mu(I) <= the number of given
+    generators, so when that number is ht I the given generators are
+    minimal. Otherwise the set comes from graded Nakayama over them
+    (`minimal_generators` in S^1), so a redundant generator does not hide a
+    complete intersection. In the Cohen-Macaulay ring S, c homogeneous
+    elements generating an ideal of height c form a regular sequence.
+    """
+    if not rs.ideal.is_homogeneous_ideal():
+        return None
+    height = rs.n - rs.dimension
+    fs = list(rs.ideal.generators)
+    if len(fs) > height:
+        vecs = [Vec.from_polys([(0, f)]) for f in fs]
+        fs = [v.component(0) for v in minimal_generators(vecs, (0,))]
+    return fs if len(fs) == height else None
 
 
-def _scaled_dual_degree(v: Vec, sigma, q: int) -> int:
-    degs = {q * mono_degree(m) - sigma[i] for i, m in v.terms}
-    if len(degs) != 1:
-        raise PipelineInvariantError("kernel generator is not homogeneous in the dual grading")
-    return degs.pop()
+def frobenius_colon(rs: RingSpec, e: int = 1) -> Ideal:
+    """Fedder's colon (I^[q] : I), q = p^e, built in one of three ways:
+
+    * every generator of I a monomial: `ideal_colon` in closed form;
+    * I a homogeneous complete intersection, minimally generated by
+      f = (f_1, ..., f_c) with c = ht I: the ideal generated by the g^q over
+      the reduced Groebner basis of I and (f_1 ⋯ f_c)^(q-1), no elimination;
+    * anything else: `ideal_colon` through the module colon.
+
+    Complete intersection case. f and f^[q] = diag(f_i^(q-1)) f are regular
+    sequences of the same length c, so the linkage lemma gives
+    (f^[q]) : (f) = (f^[q]) + (det diag(f_i^(q-1))) = I^[q] + ((f_1 ⋯ f_c)^(q-1)).
+    Frobenius is additive, so I^[q] is generated by the q-th powers of any
+    generating set of I; taking the reduced basis {g} of I, flatness of
+    Frobenius and LT(g^q) = LT(g)^q give S(g^q, h^q) = S(g, h)^q, so {g^q}
+    is already the reduced basis of I^[q], and the only new element is the
+    product. Reduced bases are unique, so every branch gives the same
+    reduced basis of (I^[q] : I).
+    """
+    ideal = rs.ideal
+    fs = None
+    if not all(g.is_monomial() for g in ideal.generators):
+        fs = _complete_intersection_generators(rs)
+    if fs is None:
+        return ideal_colon(bracket_power(ideal, e), ideal)
+    product = prod(fs, start=rs.ring.one())
+    # u^(q-1) = u^q / u: u^q = u^[q] costs nothing, and the exact division
+    # is far cheaper than repeated squaring of a dense power
+    power = divide_exact(product.frobenius_power(e), product)
+    frob = [g.frobenius_power(e) for g in ideal.groebner_basis()]
+    return Ideal(rs.ring, frob + [power])
+
+
+# ---------------------------------------------------------------------------
+# Hom(F_*R, R) by Fedder's lemma
+
+def _trace_vector(u: Polynomial, index: dict, q: int) -> Vec:
+    """phi_u in coordinates, unreduced: component b is Tr(u·x^b).
+
+    A term x^m of u contributes to the one box b with b_i ≡ q-1-m_i (mod q),
+    the monomial x^((m + b - (q-1)·1)/q); distinct terms give distinct
+    (box, monomial) pairs, so no coefficients add up.
+    """
+    terms = {}
+    for m, c in u.terms.items():
+        b = tuple((q - 1 - mi) % q for mi in m)
+        terms[(index[b], tuple((mi + bi + 1 - q) // q for mi, bi in zip(m, b)))] = c
+    return Vec._raw(u.p, u.nvars, terms)
+
+
+def _dual_numerator(pres: ModulePresentation, rs: RingSpec) -> Numerator:
+    """Hilbert numerator over (1 - t^q)^n of ker(Aᵀ) = Hom_R(coker A, R),
+    from 0 -> Hom -> R^rows -> R^cols -> coker(Aᵀ) -> 0."""
+    q = pres.scale
+    num_r_q = rs.ideal.hilbert_numerator().subst(q)
+    total = Numerator()
+    for s in pres.row_twists:
+        total += num_r_q.shift(-s)
+    for g in pres.col_twists:
+        total -= num_r_q.shift(-g)
+    if pres.ncols:
+        coker_t = ModulePresentation(
+            rs.ring,
+            rs.ideal,
+            transpose_matrix(pres.matrix),
+            [-g for g in pres.col_twists],
+            [-s for s in pres.row_twists],
+            scale=q,
+        )
+        total += coker_t.numerator_scaled()
+    return total
 
 
 @dataclass
@@ -161,204 +195,57 @@ class TwistedHom:
     """Hom_R(F_*R, R) with the root-multiplication module structure."""
 
     pushforward: ModulePresentation
-    generators: list  # Vec coordinates in R^(p^n), entries normal-formed
+    generators: list  # Vec coordinates in R^(q^n), entries normal-formed
     degrees: list  # scaled degrees of the generators
     presentation: ModulePresentation
     numerator: Numerator  # exact Hilbert numerator over (1 - t^q)^n
 
 
-def hom_pushforward_into_ring(
-    pres: ModulePresentation, rs: RingSpec, max_relation_degree=None
-) -> TwistedHom:
-    """Hom(F_*R, R) with the left structure, presented with certified relations."""
-    if pres.mult_lifts is None:
-        raise ValueError("expected a pushforward presentation with multiplication lifts")
-    ring = rs.ring
-    p = rs.p
-    q = pres.scale
-    sigma = pres.row_twists
-    gamma = pres.col_twists
-    # ordinary kernel of the transposed presentation matrix over R
-    ordinary = dual_kernel(pres)
-    # exact Hilbert numerator of the dual module, over (1 - t^q)^n
-    num_r_q = rs.ideal.hilbert_numerator().subst(q)
-    total = Numerator()
-    for s in sigma:
-        total += num_r_q.shift(-s)
-    for g in gamma:
-        total -= num_r_q.shift(-g)
-    if pres.ncols:
-        coker_t = ModulePresentation(
-            ring,
-            rs.ideal,
-            transpose_matrix(pres.matrix),
-            [-g for g in gamma],
-            [-s for s in sigma],
-            scale=q,
-        )
-        total += coker_t.numerator_scaled()
-    numerator_w = total
-
-    slices = _DualSlices(rs, sigma, q)
-    by_degree: dict = {}
-    for v in ordinary:
-        if v.is_zero():
-            continue
-        d = _scaled_dual_degree(v, sigma, q)
-        by_degree.setdefault(d, []).append(v)
-    gens: list = []
-    gen_degs: list = []
-    for delta in sorted(by_degree):
-        pairs = slices.pairs(delta)
-        pos = {pm: k for k, pm in enumerate(pairs)}
-        span = Subspace(len(pairs), p)
-        for u, du in zip(gens, gen_degs):
-            for m in rs.standard_monomials_of_degree(delta - du):
-                img = star_apply_monomial(pres, u.as_poly_dict(), m)
-                if img:
-                    span.add(slices.coords(img, pairs, pos))
-        for v in by_degree[delta]:
-            if span.add(slices.coords(v.as_poly_dict(), pairs, pos)):
-                gens.append(v)
-                gen_degs.append(delta)
-
-    relations, rel_degs = _relations_with_certificate(
-        pres, rs, slices, gens, gen_degs, numerator_w, q, max_relation_degree
+def hom_pushforward_into_ring(pres: ModulePresentation, rs: RingSpec) -> TwistedHom:
+    """Hom(F_*R, R) with the left structure, presented as (I^[q] : I)/I^[q]
+    shifted by -(q-1)n and certified by the pushforward's Hilbert series."""
+    q, p, n = pres.scale, rs.p, rs.n
+    e = next((e for e in range(1, q.bit_length() + 1) if p**e == q), None)
+    if e is None or pres.nrows != q**n:
+        raise ValueError("expected a Frobenius pushforward presentation")
+    image = [Vec.from_polys([(0, g)]) for g in bracket_power(rs.ideal, e).generators]
+    cands = [Vec.from_polys([(0, g)]) for g in frobenius_colon(rs, e).generators]
+    # minimal generators u of M; the subquotient keeps them, being minimal
+    gens_u = minimal_generators(cands, (0,), image=image)
+    presentation = subquotient_presentation(
+        rs.ring, rs.ideal, (0,), gens_u, image, shift=-(q - 1) * n
     )
-    matrix = matrix_from_columns(relations, len(gens), ring)
-    w_pres = ModulePresentation(ring, rs.ideal, matrix, gen_degs, rel_degs)
+
+    numerator = _dual_numerator(pres, rs)
+    expand = prod([Numerator(dict.fromkeys(range(q), 1))] * n, start=ONE)
+    if presentation.numerator_scaled() * expand != numerator:
+        raise PipelineInvariantError(
+            "the Hilbert series of (I^[q] : I)/I^[q] disagrees with that of Hom(F_*R, R)"
+        )
+
+    index = {b: i for i, b in enumerate(_boxes(q, n))}
+    generators = [
+        vec_nf_mod_ideal(_trace_vector(v.component(0), index, q), rs.ideal) for v in gens_u
+    ]
     return TwistedHom(
         pushforward=pres,
-        generators=gens,
-        degrees=gen_degs,
-        presentation=w_pres,
-        numerator=numerator_w,
-    )
-
-
-def free_slice(rs: RingSpec, degrees, d: int) -> list:
-    """Coordinates (generator index, standard monomial) of the degree-d slice
-    of the graded free R-module with generators in `degrees`."""
-    return [
-        (k, m) for k, e in enumerate(degrees) if d >= e
-        for m in rs.standard_monomials_of_degree(d - e)
-    ]
-
-
-def collect_relations(rs: RingSpec, pairs, ker, d: int, relations: list, rel_degs: list) -> bool:
-    """Append to `relations`, in degree d, each row of `ker` (vectors over the
-    `free_slice` coordinates `pairs`) that enlarges the span of the earlier
-    relations times standard monomials, taking the rows in order. Returns
-    whether a row was kept.
-    """
-    p, n = rs.p, rs.ring.n
-    pair_index = {pm: i for i, pm in enumerate(pairs)}
-    known = Subspace(len(pairs), p)
-    for r_vec, r_deg in zip(relations, rel_degs):
-        for mu in rs.standard_monomials_of_degree(d - r_deg):
-            shifted = [0] * len(pairs)
-            for (k, mm), c in r_vec.terms.items():
-                f = rs.nf(Polynomial._raw(p, n, {mono_mul(mm, mu): c}))
-                for m2, c2 in f.terms.items():
-                    slot = pair_index[(k, m2)]
-                    shifted[slot] = (shifted[slot] + c2) % p
-            known.add(shifted)
-    added = False
-    for row in ker:
-        if known.add(list(row)):
-            terms = {(k, m): int(c % p) for (k, m), c in zip(pairs, row) if c % p}
-            relations.append(Vec._raw(p, n, terms))
-            rel_degs.append(d)
-            added = True
-    return added
-
-
-def _relations_with_certificate(
-    pres, rs: RingSpec, slices, gens, gen_degs, numerator_w, q, max_relation_degree
-):
-    """Relation columns for the twisted generators, found degree by degree.
-
-    Completeness is certified exactly: the cokernel of the collected columns
-    matches the known Hilbert numerator of the module (equality of integer
-    Laurent polynomials after clearing the two denominators).
-    """
-    ring = rs.ring
-    p = rs.p
-    n = ring.n
-    h = len(gens)
-    # (1 - t^q)^n = (1 - t)^n (1 + t + ... + t^(q-1))^n
-    expand = prod([Numerator(dict.fromkeys(range(q), 1))] * n, start=ONE)
-
-    def certified(rel_list, deg_list) -> bool:
-        matrix = matrix_from_columns(rel_list, h, ring)
-        cand = ModulePresentation(ring, rs.ideal, matrix, gen_degs, deg_list)
-        return cand.numerator_scaled() * expand == numerator_w
-
-    if h == 0:
-        if numerator_w:
-            raise PipelineInvariantError("dual module has no generators but nonzero series")
-        return [], []
-    relations: list = []
-    rel_degs: list = []
-    if certified(relations, rel_degs):
-        return relations, rel_degs
-    gen_dicts = [u.as_poly_dict() for u in gens]
-    cap = (
-        max(gen_degs) + 2 * q * n + 6
-        if max_relation_degree is None
-        else max_relation_degree
-    )
-    d = min(gen_degs)
-    while d <= cap:
-        d += 1
-        domain = free_slice(rs, gen_degs, d)
-        if not domain:
-            continue
-        pairs = slices.pairs(d)
-        pos = {pm: k for k, pm in enumerate(pairs)}
-        cols = []
-        for k, m in domain:
-            img = star_apply_monomial(pres, gen_dicts[k], m)
-            cols.append(slices.coords(img, pairs, pos) if img else [0] * len(pairs))
-        if pairs:
-            eval_mat = np.array(cols, dtype=np.int64).T % p
-            ker = nullspace(eval_mat, p)
-        else:
-            ker = np.eye(len(domain), dtype=np.int64)
-        if ker.shape[0] and not collect_relations(rs, domain, ker, d, relations, rel_degs):
-            continue  # every kernel row was known: the cokernel is unchanged
-        if certified(relations, rel_degs):
-            return relations, rel_degs
-    raise ResourceLimitError(
-        "relation search for the twisted dual exceeded its degree budget"
+        generators=generators,
+        degrees=list(presentation.row_twists),
+        presentation=presentation,
+        numerator=numerator,
     )
 
 
 def hom_presentation(m: ModulePresentation, n: ModulePresentation) -> ModulePresentation:
     """Present Hom_R(M, N).
 
-    When M carries multiplication lifts (a Frobenius pushforward) the hom
-    module is taken with the left structure (r.phi)(s) = phi(rs) and N must
-    be the ring itself; otherwise the ordinary structure is used.
+    When M is a Frobenius pushforward (scale != 1) the hom module is taken
+    with the left structure (r.phi)(s) = phi(rs) and N must be the ring
+    itself; otherwise the ordinary structure is used.
     """
-    if m.mult_lifts is not None:
-        if n.modulus is None or m.modulus is None:
-            raise ValueError("lifted hom requires modules over the same quotient")
-        small = n.minimized()
-        if not (
-            small.nrows == 1 and small.ncols == 0 and small.row_twists == (0,)
-        ):
-            raise ValueError("lifted hom is only defined into the ring itself")
-        rs = _ringspec_from(m)
-        return hom_pushforward_into_ring(m, rs).presentation
-    from .resolutions import hom_presentation_generic
-
-    return hom_presentation_generic(m, n)
-
-
-def _ringspec_from(pres: ModulePresentation) -> RingSpec:
-    return RingSpec(
-        pres.ring.p,
-        pres.ring.varnames,
-        list(pres.modulus.generators),
-    )
+    if m.scale == 1:
+        return hom_presentation_generic(m, n)
+    if m.modulus is None or n.modulus is None or is_free_rank_one(n) != (True, 0):
+        raise ValueError("twisted hom is only defined into the quotient ring itself")
+    rs = RingSpec(m.ring.p, m.ring.varnames, list(m.modulus.generators))
+    return hom_pushforward_into_ring(m, rs).presentation

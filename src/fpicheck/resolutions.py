@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PipelineInvariantError
-from .groebner import Ideal, PolyRing, RingSpec, ideal_colon
+from .errors import InfiniteLengthError, PipelineInvariantError
+from .groebner import Ideal, NormalForm, PolyRing, RingSpec, ideal_colon
 from .hilbert import Numerator, monomial_quotient, standard_monomials
 from .modgb import (
     Vec,
@@ -29,7 +29,6 @@ from .modgb import (
     kernel_over_quotient,
     lead_module,
     module_groebner,
-    reduce_vec,
     syzygy_basis,
     vec_nf_mod_ideal,
 )
@@ -82,7 +81,6 @@ class ModulePresentation:
         "row_twists",
         "col_twists",
         "scale",
-        "mult_lifts",
         "_lead",
     )
 
@@ -94,7 +92,6 @@ class ModulePresentation:
         row_twists,
         col_twists,
         scale: int = 1,
-        mult_lifts=None,
     ):
         self.ring = ring
         self.modulus = modulus
@@ -102,7 +99,6 @@ class ModulePresentation:
         self.row_twists = tuple(row_twists)
         self.col_twists = tuple(col_twists)
         self.scale = scale
-        self.mult_lifts = mult_lifts
         self._lead = None
         if len(self.matrix) != len(self.row_twists):
             raise ValueError("row count does not match row twists")
@@ -134,15 +130,8 @@ class ModulePresentation:
         return columns_of_matrix(self.matrix, self.ring.p, self.ring.n)
 
     def nf_entries(self) -> "ModulePresentation":
-        if self.modulus is None:
-            return self
-        matrix = [
-            [self.modulus.normal_form(f) for f in row] for row in self.matrix
-        ]
-        return ModulePresentation(
-            self.ring, self.modulus, matrix, self.row_twists,
-            self.col_twists, self.scale, self.mult_lifts,
-        )
+        """The entries in normal form modulo the modulus."""
+        return self if self.modulus is None else with_modulus(self, self.modulus)
 
     def groebner_columns(self):
         """Module Groebner basis of (columns + modulus relations)."""
@@ -180,10 +169,7 @@ class ModulePresentation:
         """Cancel unit entries and drop zero relation columns.
 
         The result presents the same module with a minimal generating set.
-        Multiplication lifts are not transformed, so they must be absent.
         """
-        if self.mult_lifts is not None:
-            raise PipelineInvariantError("cannot minimize a presentation with lifts")
         p = self.ring.p
         work = self.nf_entries()
         rows = [list(r) for r in work.matrix]
@@ -227,15 +213,6 @@ class ModulePresentation:
         ctw = [ctw[l] for l in keep_cols]
         return ModulePresentation(self.ring, self.modulus, rows, rtw, ctw, self.scale)
 
-    def free_rank_one_twist(self):
-        """Generator degree if the module is free of rank one, else None."""
-        small = self.minimized()
-        if small.nrows != 1:
-            return None
-        if small.ncols != 0:
-            return None
-        return small.row_twists[0]
-
     def minimal_generator_count(self) -> int:
         return self.minimized().nrows
 
@@ -257,8 +234,6 @@ def frobenius_functor(pres: ModulePresentation, e: int = 1) -> ModulePresentatio
     """
     if pres.modulus is None:
         raise ValueError("Frobenius functor is applied to modules over a quotient")
-    if pres.mult_lifts is not None:
-        raise PipelineInvariantError("lifts do not survive the Frobenius functor")
     q = pres.ring.p ** e
     hd = pres.modulus.hilbert_numerator().hilbert_data(pres.ring.n)
     top = len(hd.numerator) - 1 if hd.dimension == 0 else None
@@ -287,8 +262,8 @@ def minimal_generators(vecs, twists, modulus=None, image=()):
     Candidates are processed in weakly increasing degree; each is dropped if
     it already lies in the submodule generated by the accepted ones, the
     `image` columns, and the modulus multiples of the ambient basis when
-    working over a quotient. The basis of that submodule is recomputed only
-    after a candidate is accepted.
+    working over a quotient. The basis of that submodule, and the reducer
+    table of its normal form, are rebuilt only after a candidate is accepted.
     """
     items = []
     for v in vecs:
@@ -302,15 +277,15 @@ def minimal_generators(vecs, twists, modulus=None, image=()):
     items.sort(key=lambda t: t[0])
     base = list(image) + ideal_columns(modulus, len(twists))
     accepted = []
-    gb = None
+    nf = None
     for _, v in items:
         if accepted or base:
-            if gb is None:
-                gb = module_groebner(accepted + base)
-            if reduce_vec(v, gb).is_zero():
+            if nf is None:
+                nf = NormalForm([g.terms for g in module_groebner(accepted + base)], v.p)
+            if not nf(dict(v.terms)):
                 continue
         accepted.append(v)
-        gb = None
+        nf = None
     return accepted
 
 
@@ -402,8 +377,6 @@ def tor_frobenius(rs: RingSpec, pres: ModulePresentation, i: int, e: int = 1):
     functor applied to every differential. Returns a FiniteLengthModule when
     the homology has finite length, otherwise its ModulePresentation.
     """
-    from .artinian import realize_finite
-
     if i < 0:
         raise ValueError("homological degree must be nonnegative")
     if pres.modulus is None:
@@ -417,7 +390,7 @@ def tor_frobenius(rs: RingSpec, pres: ModulePresentation, i: int, e: int = 1):
     res = resolve_presentation(pres, max_steps=i + 1)
     if res.length < i:
         empty = ModulePresentation(rs.ring, rs.ideal, [], [], [])
-        return realize_finite(empty)
+        return _finite_or_presentation(empty)
     d_i = [[f.frobenius_power(e) for f in row] for row in res.map_matrix(i)]
     ker = kernel_over_quotient(
         columns_of_matrix(d_i, rs.ring.p, rs.ring.n), res.rank(i - 1), rs.ideal
@@ -435,7 +408,6 @@ def tor_frobenius(rs: RingSpec, pres: ModulePresentation, i: int, e: int = 1):
 
 def _finite_or_presentation(pres: ModulePresentation):
     from .artinian import realize_finite
-    from .errors import InfiniteLengthError
 
     try:
         return realize_finite(pres)
@@ -443,13 +415,9 @@ def _finite_or_presentation(pres: ModulePresentation):
         return pres
 
 
-def projective_dimension(rs: RingSpec) -> int:
-    return minimal_free_resolution(rs).length
-
-
 def ring_depth(rs: RingSpec) -> int:
     """depth R = n - pd_S(R) over the regular ambient ring."""
-    return rs.ring.n - projective_dimension(rs)
+    return rs.ring.n - minimal_free_resolution(rs).length
 
 
 # ---------------------------------------------------------------------------
@@ -538,33 +506,26 @@ def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresenta
 # ---------------------------------------------------------------------------
 # Hom into the ring, and module annihilators
 
-def dual_kernel(pres: ModulePresentation) -> list:
-    """Generators of ker(Aᵀ) for M = coker(A) over its ring, in the free
-    module on the generators of M: the homomorphisms M -> ring, component i
-    the image of generator i."""
-    if pres.ncols == 0:
-        return [Vec.unit(pres.ring.p, pres.ring.n, i) for i in range(pres.nrows)]
-    cols_t = columns_of_matrix(transpose_matrix(pres.matrix), pres.ring.p, pres.ring.n)
-    return kernel_over_quotient(cols_t, pres.ncols, pres.modulus)
-
-
 def hom_into_ring_generators(pres: ModulePresentation):
-    """Generators of Hom_R(M, R) for M = coker(A) over R = S/I.
-
-    Returns (vec, degree) pairs; vec component i is the image of generator i.
+    """Generators of Hom_R(M, R) for M = coker(A) over R = S/I: the kernel
+    of Aᵀ. Returns (vec, degree) pairs; vec component i is the image of
+    generator i.
     """
     if pres.modulus is None:
         raise ValueError("hom_into_ring_generators expects a module over a quotient")
     if pres.scale != 1:
         raise ValueError("hom_into_ring_generators expects scale-1 gradings")
+    if pres.ncols == 0:
+        kernel = [Vec.unit(pres.ring.p, pres.ring.n, i) for i in range(pres.nrows)]
+    else:
+        cols_t = columns_of_matrix(transpose_matrix(pres.matrix), pres.ring.p, pres.ring.n)
+        kernel = kernel_over_quotient(cols_t, pres.ncols, pres.modulus)
     dual_twists = [-s for s in pres.row_twists]
-    return [(w, w.degree_with_twists(dual_twists)) for w in dual_kernel(pres)]
+    return [(w, w.degree_with_twists(dual_twists)) for w in kernel]
 
 
 def with_modulus(pres: ModulePresentation, new_ideal: Ideal) -> ModulePresentation:
     """The same presentation matrix viewed over a further quotient ring."""
-    if pres.mult_lifts is not None:
-        raise PipelineInvariantError("lifts are not transported across quotients")
     matrix = [[new_ideal.normal_form(f) for f in row] for row in pres.matrix]
     return ModulePresentation(
         pres.ring, new_ideal, matrix, pres.row_twists, pres.col_twists, pres.scale
@@ -603,10 +564,12 @@ def is_free_rank_one(pres: ModulePresentation):
     """(flag, generator degree): is the module free of rank one over its ring?
 
     The presentation is minimized; freeness of the single remaining generator
-    means no relation columns survive.
+    means no relation columns survive. The degree is None when not free.
     """
-    tw = pres.free_rank_one_twist()
-    return (tw is not None), tw
+    small = pres.minimized()
+    if small.nrows == 1 and small.ncols == 0:
+        return True, small.row_twists[0]
+    return False, None
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +589,6 @@ def hom_presentation_generic(
         raise ValueError("hom requires modules over the same ring")
     if m.scale != 1 or n.scale != 1:
         raise ValueError("hom expects scale-1 gradings")
-    if m.mult_lifts is not None or n.mult_lifts is not None:
-        raise PipelineInvariantError("generic hom does not use multiplication lifts")
     ring = m.ring
     p, nv = ring.p, ring.n
     modulus = m.modulus

@@ -19,28 +19,53 @@ subquotient of `resolutions.tor_frobenius` by two ranks over F_p.
 `injective_hull_of_residue_field` and `present_finite` are the Matlis-dual
 route to E that `resolutions.canonical_module` replaced in the pipeline:
 R realized, transposed, and presented again degree by degree with dense
-linear algebra. `frobenius_hull_oracle` pushes that presentation through
-the Frobenius functor with plain `frobenius_power` entries.
+linear algebra (`free_slice`, `collect_relations`). `frobenius_hull_oracle`
+pushes that presentation through the Frobenius functor with plain
+`frobenius_power` entries.
 
 `syzygies_by_full_basis` is the syzygy path without the pair cutoff of
 `modgb.syzygy_basis`. `groebner_all_pairs` is plain Buchberger on term
 dicts, every pair treated, the reference for the pair criteria of
-`groebner.groebner_terms`. `artinian_rings` is the shared `hypothesis` strategy
-for Artinian rings.
+`groebner.groebner_terms`. `artinian_rings` is the shared `hypothesis`
+strategy for Artinian rings.
+
+`twisted_hom_oracle` is the route to Hom(F_*R, R) that Fedder's lemma
+replaced in `pushforward.hom_pushforward_into_ring`: the kernel of the
+transposed pushforward matrix, the root action through its own box-shift
+lifts, and relations searched degree by degree against the exact Hilbert
+numerator.
 """
 
 from __future__ import annotations
+
+import itertools
+from math import prod
 
 import numpy as np
 from hypothesis import strategies as st
 
 from fpicheck.artinian import FiniteLengthModule, realize_finite, realize_ring
-from fpicheck.gfpoly import Polynomial, elimination_order, mono_divides, monomials_of_degree
+from fpicheck.gfpoly import (
+    Polynomial,
+    elimination_order,
+    mono_degree,
+    mono_divides,
+    mono_mul,
+    monomials_of_degree,
+)
 from fpicheck.groebner import Ideal, RingSpec, buchberger, divide_exact
-from fpicheck.linalg import nullspace, rank
-from fpicheck.modgb import Vec, module_groebner, reduce_vec
-from fpicheck.pushforward import collect_relations, free_slice
-from fpicheck.resolutions import ModulePresentation, matrix_from_columns, resolve_presentation
+from fpicheck.errors import ResourceLimitError
+from fpicheck.hilbert import ONE, Numerator
+from fpicheck.linalg import Subspace, nullspace, rank
+from fpicheck.modgb import Vec, kernel_over_quotient, module_groebner, reduce_vec
+from fpicheck.pushforward import TwistedHom
+from fpicheck.resolutions import (
+    ModulePresentation,
+    columns_of_matrix,
+    matrix_from_columns,
+    resolve_presentation,
+    transpose_matrix,
+)
 
 
 def _row_reduce_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -292,6 +317,43 @@ def injective_hull_of_residue_field(rs: RingSpec) -> FiniteLengthModule:
     return realize_ring(rs).matlis_dual()
 
 
+def free_slice(rs: RingSpec, degrees, d: int) -> list:
+    """Coordinates (generator index, standard monomial) of the degree-d slice
+    of the graded free R-module with generators in `degrees`."""
+    return [
+        (k, m) for k, e in enumerate(degrees) if d >= e
+        for m in rs.standard_monomials_of_degree(d - e)
+    ]
+
+
+def collect_relations(rs: RingSpec, pairs, ker, d: int, relations: list, rel_degs: list) -> bool:
+    """Append to `relations`, in degree d, each row of `ker` (vectors over the
+    `free_slice` coordinates `pairs`) that enlarges the span of the earlier
+    relations times standard monomials, taking the rows in order. Returns
+    whether a row was kept.
+    """
+    p, n = rs.p, rs.ring.n
+    pair_index = {pm: i for i, pm in enumerate(pairs)}
+    known = Subspace(len(pairs), p)
+    for r_vec, r_deg in zip(relations, rel_degs):
+        for mu in rs.standard_monomials_of_degree(d - r_deg):
+            shifted = [0] * len(pairs)
+            for (k, mm), c in r_vec.terms.items():
+                f = rs.nf(Polynomial._raw(p, n, {mono_mul(mm, mu): c}))
+                for m2, c2 in f.terms.items():
+                    slot = pair_index[(k, m2)]
+                    shifted[slot] = (shifted[slot] + c2) % p
+            known.add(shifted)
+    added = False
+    for row in ker:
+        if known.add(list(row)):
+            terms = {(k, m): int(c % p) for (k, m), c in zip(pairs, row) if c % p}
+            relations.append(Vec._raw(p, n, terms))
+            rel_degs.append(d)
+            added = True
+    return added
+
+
 def present_finite(module: FiniteLengthModule, rs: RingSpec) -> ModulePresentation:
     """Graded presentation of a finite-length module (degrees required).
 
@@ -535,3 +597,143 @@ def colon_by_elimination(a: Ideal, b: Ideal) -> Ideal:
         part = Ideal(a.ring, [divide_exact(h, g) for h in single.generators])
         out = part if out is None else intersect_by_elimination(out, part)
     return Ideal(a.ring, [a.ring.one()]) if out is None else out
+
+
+# ---------------------------------------------------------------------------
+# Hom(F_*R, R) from the kernel of the transposed pushforward matrix
+
+def _box_shift_lifts(push: ModulePresentation, n: int) -> list:
+    """Per variable v and box b, (index of b', factor) with x_v·e_b =
+    factor·e_b' in F_*R: e_(b+unit_v) when b_v + 1 < q, else
+    x_v·e_(b-(q-1)unit_v). Boxes in the order of `frobenius_pushforward`."""
+    q, p = push.scale, push.ring.p
+    boxes = sorted(itertools.product(range(q), repeat=n), key=lambda b: (sum(b), b))
+    index = {b: i for i, b in enumerate(boxes)}
+    one = (0,) * n
+    lifts = []
+    for v in range(n):
+        unit = tuple(int(w == v) for w in range(n))
+        per_box = []
+        for b in boxes:
+            if b[v] + 1 < q:
+                target, factor = tuple(x + u for x, u in zip(b, unit)), one
+            else:
+                target, factor = tuple(x - (q - 1) * u for x, u in zip(b, unit)), unit
+            per_box.append((index[target], Polynomial._raw(p, n, {factor: 1})))
+        lifts.append(per_box)
+    return lifts
+
+
+def _star_apply_monomial(lifts, nrows: int, u: dict, mono, modulus: Ideal) -> dict:
+    """The root action of x^mono on a coordinate vector u (component ->
+    Polynomial) of Hom: each variable acts by the transpose of its lift."""
+    for v, e in enumerate(mono):
+        for _ in range(e):
+            out = {}
+            for s in range(nrows):
+                target, factor = lifts[v][s]
+                f = u.get(target)
+                if f is not None and not f.is_zero():
+                    g = modulus.normal_form(factor * f)
+                    if not g.is_zero():
+                        out[s] = g
+            u = out
+            if not u:
+                return u
+    return u
+
+
+def twisted_hom_oracle(push: ModulePresentation, rs: RingSpec) -> TwistedHom:
+    """Hom(F_*R, R) with the left structure, the route that Fedder's lemma
+    replaced in `pushforward.hom_pushforward_into_ring`.
+
+    The ordinary kernel of the transposed pushforward matrix generates the
+    dual under the root action; generators are kept degree by degree when
+    they leave the span of the root-action images of the earlier ones, and
+    relations are collected degree by degree until the presentation's
+    Hilbert numerator, times (1 + t + ... + t^(q-1))^n, matches the exact
+    numerator of ker(Aᵀ) over (1 - t^q)^n.
+    """
+    ring, p, n = rs.ring, rs.p, rs.ring.n
+    q = push.scale
+    sigma = push.row_twists
+    lifts = _box_shift_lifts(push, n)
+
+    num_r_q = rs.ideal.hilbert_numerator().subst(q)
+    target = Numerator()
+    for s in sigma:
+        target += num_r_q.shift(-s)
+    for g in push.col_twists:
+        target -= num_r_q.shift(-g)
+    if push.ncols:
+        target += ModulePresentation(
+            ring, rs.ideal, transpose_matrix(push.matrix),
+            [-g for g in push.col_twists], [-s for s in sigma], scale=q,
+        ).numerator_scaled()
+
+    def pairs_of(delta):
+        return [
+            (i, m) for i, s in enumerate(sigma)
+            if delta + s >= 0 and (delta + s) % q == 0
+            for m in rs.standard_monomials_of_degree((delta + s) // q)
+        ]
+
+    def coords(u, pairs):
+        pos = {pm: k for k, pm in enumerate(pairs)}
+        vec = [0] * len(pairs)
+        for i, f in u.items():
+            for m, c in f.terms.items():
+                vec[pos[(i, m)]] = c
+        return vec
+
+    def act(u, m):
+        return _star_apply_monomial(lifts, push.nrows, u, m, rs.ideal)
+
+    by_degree: dict = {}
+    cols_t = columns_of_matrix(transpose_matrix(push.matrix), p, n)
+    for v in kernel_over_quotient(cols_t, push.ncols, rs.ideal):
+        if not v.is_zero():
+            (d,) = {q * mono_degree(m) - sigma[i] for i, m in v.terms}
+            by_degree.setdefault(d, []).append(v)
+    gens, gen_degs = [], []
+    for delta in sorted(by_degree):
+        pairs = pairs_of(delta)
+        span = Subspace(len(pairs), p)
+        for u, du in zip(gens, gen_degs):
+            for m in rs.standard_monomials_of_degree(delta - du):
+                img = act(u.as_poly_dict(), m)
+                if img:
+                    span.add(coords(img, pairs))
+        for v in by_degree[delta]:
+            if span.add(coords(v.as_poly_dict(), pairs)):
+                gens.append(v)
+                gen_degs.append(delta)
+
+    expand = prod([Numerator(dict.fromkeys(range(q), 1))] * n, start=ONE)
+    relations, rel_degs = [], []
+
+    def presented():
+        matrix = matrix_from_columns(relations, len(gens), ring)
+        return ModulePresentation(ring, rs.ideal, matrix, gen_degs, rel_degs)
+
+    d = min(gen_degs, default=0)
+    cap = max(gen_degs, default=0) + 2 * q * n + 6
+    while gens and presented().numerator_scaled() * expand != target:
+        d += 1
+        if d > cap:
+            raise ResourceLimitError("relation search for the twisted dual exceeded its budget")
+        domain = free_slice(rs, gen_degs, d)
+        if not domain:
+            continue
+        pairs = pairs_of(d)
+        cols = [
+            coords(img, pairs) if (img := act(gens[k].as_poly_dict(), m)) else [0] * len(pairs)
+            for k, m in domain
+        ]
+        if pairs:
+            ker = nullspace(np.array(cols, dtype=np.int64).T % p, p)
+        else:
+            ker = np.eye(len(domain), dtype=np.int64)
+        if ker.shape[0]:
+            collect_relations(rs, domain, ker, d, relations, rel_degs)
+    return TwistedHom(push, gens, gen_degs, presented(), target)

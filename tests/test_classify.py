@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from fpicheck import classify
+from fpicheck import classify, pushforward
 from fpicheck.artinian import frobenius_fixes_injective_hull, ring_as_module
 from fpicheck.classify import (
     canonical_ideal,
@@ -233,7 +233,7 @@ PINNED_COLON_WITNESSES = [
 @pytest.mark.parametrize("gens, colon_generators", PINNED_COLON_WITNESSES)
 def test_f_purity_witness_through_the_colon_is_pinned(gens, colon_generators):
     rs = RingSpec(7, ["x", "y", "z"], gens)
-    with mock.patch.object(classify, "ideal_colon", wraps=classify.ideal_colon) as spy:
+    with mock.patch.object(pushforward, "ideal_colon", wraps=pushforward.ideal_colon) as spy:
         flag, witness = is_f_pure(rs)
     assert spy.called
     assert flag is False

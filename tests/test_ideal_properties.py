@@ -19,7 +19,7 @@ from oracles import (
     membership_oracle,
 )
 
-from fpicheck import classify, groebner
+from fpicheck import classify, groebner, pushforward
 from fpicheck.errors import ResourceLimitError
 from fpicheck.gfpoly import GREVLEX, LEX, Polynomial, monomials_of_degree, poly_to_string
 from fpicheck.groebner import (
@@ -343,7 +343,7 @@ def f_purity_by_elimination(rs: RingSpec):
 
 def check_f_purity(rs: RingSpec, eliminates: bool):
     """is_f_pure against the elimination colon, and the branch it took."""
-    with mock.patch.object(classify, "ideal_colon", wraps=classify.ideal_colon) as spy:
+    with mock.patch.object(pushforward, "ideal_colon", wraps=pushforward.ideal_colon) as spy:
         verdict, witness = classify.is_f_pure(rs)
     assert spy.called == eliminates
     key = "splitting_witness" if verdict else "colon_generators"
@@ -353,21 +353,21 @@ def check_f_purity(rs: RingSpec, eliminates: bool):
 @PROPERTY
 @given(binomial_ring())
 def test_f_purity_of_binomial_ideals_matches_elimination(rs):
-    ci = classify._complete_intersection_generators(rs) is not None
+    ci = pushforward._complete_intersection_generators(rs) is not None
     check_f_purity(rs, eliminates=not ci)
 
 
 @PROPERTY
 @given(principal_ring())
 def test_f_purity_of_principal_ideals_matches_elimination(rs):
-    assert len(classify._complete_intersection_generators(rs)) == 1
+    assert len(pushforward._complete_intersection_generators(rs)) == 1
     check_f_purity(rs, eliminates=False)
 
 
 @PROPERTY
 @given(redundant_ring())
 def test_f_purity_of_redundantly_given_complete_intersections(rs):
-    fs = classify._complete_intersection_generators(rs)
+    fs = pushforward._complete_intersection_generators(rs)
     assume(fs is not None and len(fs) == 2)  # f_1, f_2 a regular sequence
     check_f_purity(rs, eliminates=False)
 
@@ -376,13 +376,13 @@ def test_f_purity_of_redundantly_given_complete_intersections(rs):
 @given(non_ci_ring())
 def test_f_purity_of_non_complete_intersections_eliminates(rs):
     assert rs.dimension == 2
-    assert classify._complete_intersection_generators(rs) is None
+    assert pushforward._complete_intersection_generators(rs) is None
     check_f_purity(rs, eliminates=True)
 
 
 def test_f_purity_of_a_complete_intersection_at_p_31():
     rs = RingSpec(31, NAMES, ["x*y - 2*z^2", "x^2 - y*z"])
-    assert len(classify._complete_intersection_generators(rs)) == 2
+    assert len(pushforward._complete_intersection_generators(rs)) == 2
     check_f_purity(rs, eliminates=False)
 
 

@@ -1,9 +1,14 @@
 """Frobenius pushforward presentations and the twisted dual into the ring."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import twisted_hom_oracle
 
 from fpicheck.artinian import ring_as_module
+from fpicheck.gfpoly import Polynomial, mono_degree, monomials_of_degree
 from fpicheck.groebner import RingSpec
+from fpicheck.modgb import vec_nf_mod_ideal
 from fpicheck.pushforward import (
     TwistedHom,
     frobenius_pushforward,
@@ -37,7 +42,6 @@ def test_pushforward_shape(p, nvars, e):
     assert push.nrows == q**nvars
     assert push.row_twists[0] == 0
     assert max(push.row_twists) == nvars * (q - 1)
-    assert push.mult_lifts is not None and len(push.mult_lifts) == nvars
 
 
 def test_pushforward_twists_are_box_degrees():
@@ -167,3 +171,68 @@ def test_twisted_dual_rejects_plain_presentations():
     rs = RingSpec(2, ["x", "y"], ["x*y"])
     with pytest.raises(ValueError):
         hom_pushforward_into_ring(ring_as_module(rs), rs)
+
+
+# -- Fedder's route against the transposed relations and the twisted oracle -------
+
+# (p, e, n) with q^n <= 32, q = p^e
+SMALL_PUSHFORWARDS = [
+    (p, e, n)
+    for p in (2, 3, 5)
+    for e in (1, 2)
+    for n in (1, 2, 3)
+    if (p**e) ** n <= 32
+]
+
+
+@st.composite
+def pushforward_case(draw):
+    """A ring F_p[x, y, z][:n]/I with one to four homogeneous generators of
+    degree two or three, each of one or two terms, and an exponent e with
+    q^n <= 32."""
+    p, e, n = draw(st.sampled_from(SMALL_PUSHFORWARDS))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(2, 3))
+        monos = sorted(monomials_of_degree(n, d))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=2, unique=True))
+        coeffs = draw(st.lists(st.integers(1, p - 1), min_size=len(chosen), max_size=len(chosen)))
+        gens.append(Polynomial(p, n, dict(zip(chosen, coeffs))))
+    return RingSpec(p, ["x", "y", "z"][:n], gens), e
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pushforward_case())
+def test_dual_generators_are_killed_by_the_transposed_relations(case):
+    # each generator phi is a map F_*R -> R: its coordinates are normal forms
+    # mod I, homogeneous of its recorded scaled degree, and sum_b A_bj phi(e_b)
+    # lies in I for every relation column j of the pushforward
+    rs, e = case
+    push = frobenius_pushforward(rs, e)
+    tw = hom_pushforward_into_ring(push, rs)
+    columns = [col.as_poly_dict() for col in push.columns()]
+    for v, degree in zip(tw.generators, tw.degrees):
+        assert not v.is_zero()
+        assert vec_nf_mod_ideal(v, rs.ideal) == v
+        assert {push.scale * mono_degree(m) - push.row_twists[b] for b, m in v.terms} == {degree}
+        phi = v.as_poly_dict()
+        for col in columns:
+            total = rs.ring.zero()
+            for b, a in col.items():
+                if b in phi:
+                    total = total + a * phi[b]
+            assert rs.nf(total).is_zero()
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pushforward_case())
+def test_fedder_dual_matches_the_twisted_kernel_route(case):
+    rs, e = case
+    push = frobenius_pushforward(rs, e)
+    tw = hom_pushforward_into_ring(push, rs)
+    ref = twisted_hom_oracle(push, rs)
+    assert is_free_rank_one(tw.presentation) == is_free_rank_one(ref.presentation)
+    assert tw.numerator == ref.numerator
+    assert tw.presentation.minimal_generator_count() == ref.presentation.minimal_generator_count()
+    assert len(tw.generators) == len(ref.generators)
+    assert sorted(tw.degrees) == sorted(ref.degrees)
