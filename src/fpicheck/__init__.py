@@ -8,7 +8,6 @@ arithmetic is exact over F_p and every verdict carries a witness.
 
 from .errors import (
     CasError,
-    EmbeddingNotFoundError,
     InfiniteLengthError,
     NoNzdFoundError,
     NonHomogeneousError,
@@ -42,6 +41,7 @@ from .resolutions import (
     hom_presentation_generic,
     is_free_rank_one,
     minimal_free_resolution,
+    minimal_presentation,
     resolve_presentation,
     ring_depth,
     syzygy_presentation,

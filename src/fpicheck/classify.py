@@ -67,6 +67,7 @@ from .resolutions import (
     hom_into_ring_generators,
     is_free_rank_one,
     minimal_free_resolution,
+    minimal_generators,
     with_modulus,
 )
 from .pushforward import frobenius_colon, frobenius_pushforward, hom_pushforward_into_ring
@@ -304,16 +305,14 @@ def minimal_ideal_generators(rs: RingSpec, gens) -> list:
     """An irredundant homogeneous generating set of the R-ideal (gens).
 
     Candidates are reduced modulo I, sorted by degree (ties broken
-    deterministically), and kept only when outside the ideal generated by
-    the earlier ones. By graded Nakayama the result has minimal size.
+    deterministically), and kept by `minimal_generators` in R^1 only when
+    outside the ideal generated by the earlier ones. By graded Nakayama the
+    result has minimal size.
     """
     reduced = _distinct_nonzero(rs.nf(g) for g in gens)
     reduced.sort(key=lambda f: (f.degree(), _poly_key(f)))
-    accepted: list = []
-    for f in reduced:
-        if not rs.preimage_ideal(accepted).contains(f):
-            accepted.append(f)
-    return accepted
+    vecs = [Vec.from_polys([(0, f)]) for f in reduced]
+    return [v.component(0) for v in minimal_generators(vecs, (0,), rs.ideal)]
 
 
 def minimal_prime_count(rs: RingSpec):
@@ -483,7 +482,7 @@ def _canonical_cross_check(rs: RingSpec, omega: ModulePresentation, f: Polynomia
     """Check that omega/(f)omega is the injective hull over R/(f), for a
     non-zero-divisor f: socle dimension 1 and length λ(R/(f))."""
     rq = rs.quotient_by([f])
-    reduced = realize_finite(with_modulus(omega.nf_entries(), rq.ideal))
+    reduced = realize_finite(with_modulus(omega, rq.ideal))
     if not is_hull_power(reduced, realize_ring(rq).dim, 1):
         raise PipelineInvariantError(
             "the canonical module does not reduce to the injective hull "
@@ -496,7 +495,6 @@ def canonical_ideal(
     seed: int = 0,
     trials: int = 400,
     res=None,
-    cross_check: bool = True,
     nzds=None,
 ) -> CanonicalIdealResult:
     """Realize the canonical module of a one-dimensional R as an ideal.
@@ -562,9 +560,8 @@ def canonical_ideal(
                 "found", tuple(rs.nf(g) for g in image(u)), target, omega,
                 f"image of a degree-{target} map with an exact Hilbert series match",
             )
-            if cross_check:
-                f = nzds[0] if nzds else find_nzds(rs, count=1, seed=seed)[0]
-                _canonical_cross_check(rs, omega, f)
+            f = nzds[0] if nzds else find_nzds(rs, count=1, seed=seed)[0]
+            _canonical_cross_check(rs, omega, f)
             return found
     return CanonicalIdealResult(
         "inconclusive", (), None, omega,

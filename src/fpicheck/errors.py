@@ -45,9 +45,5 @@ class NotCohenMacaulayError(CasError):
     """An operation requiring a Cohen-Macaulay ring was applied to one that is not."""
 
 
-class EmbeddingNotFoundError(CasError):
-    """No injective map omega -> R was found within the trial budget."""
-
-
 class PipelineInvariantError(CasError):
     """A theorem-backed cross-check failed; indicates a bug, not an input issue."""

@@ -34,6 +34,7 @@ from .hilbert import (
     standard_monomials,
 )
 
+# S-pairs one Groebner computation may form; `groebner_terms` reads it per call
 DEFAULT_MAX_PAIRS = 200_000
 
 
@@ -206,9 +207,7 @@ def normal_form_terms(terms: dict, basis, p: int, order: MonomialOrder = GREVLEX
     return NormalForm(basis, p, order)(dict(terms))
 
 
-def groebner_terms(
-    elems, p: int, order: MonomialOrder, max_pairs: int, stage: str, syzygy_cutoff=None
-):
+def groebner_terms(elems, p: int, order: MonomialOrder, stage: str, syzygy_cutoff=None):
     """Reduced Groebner basis of the submodule spanned by the term dicts `elems`.
 
     Two elements led in one component form a pair; pairs are treated by
@@ -241,8 +240,8 @@ def groebner_terms(
     divides: it need not lie in the span of the rest. Which elements appear
     there depends on the pairs treated.
 
-    `max_pairs` bounds the S-vectors formed, dropped pairs being free; past
-    it, ResourceLimitError names `stage`.
+    `DEFAULT_MAX_PAIRS`, read at call time, bounds the S-vectors formed,
+    dropped pairs being free; past it, ResourceLimitError names `stage`.
     """
     rank = _rank_of(order)
 
@@ -299,8 +298,8 @@ def groebner_terms(
         if l is None:
             continue  # dropped by B_k after it was queued
         formed += 1
-        if formed > max_pairs:
-            raise ResourceLimitError(f"{stage}: S-pair budget of {max_pairs} exhausted")
+        if formed > DEFAULT_MAX_PAIRS:
+            raise ResourceLimitError(f"{stage}: S-pair budget of {DEFAULT_MAX_PAIRS} exhausted")
         # S-vector of monic elements: the two leads cancel
         work: dict = {}
         for g, lead, sign in ((basis[i], leads[i], 1), (basis[j], leads[j], -1)):
@@ -415,13 +414,13 @@ def divide_exact(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     return Polynomial(p, f.nvars, quot)
 
 
-def buchberger(gens, order: MonomialOrder = GREVLEX, max_pairs: int = DEFAULT_MAX_PAIRS):
+def buchberger(gens, order: MonomialOrder = GREVLEX):
     """Reduced Groebner basis of the ideal generated by `gens`, sorted by lead."""
     elems = [_terms_of(g) for g in gens if not g.is_zero()]
     if not elems:
         return []
     p, nvars = gens[0].p, gens[0].nvars
-    gb = groebner_terms(elems, p, order, max_pairs, "ideal Buchberger")
+    gb = groebner_terms(elems, p, order, "ideal Buchberger")
     return [_poly_of(g, p, nvars) for g in gb]
 
 
@@ -445,11 +444,11 @@ class Ideal:
         self._gb: dict = {}
         self._normal_forms: dict = {}  # order key -> NormalForm of that basis
 
-    def groebner_basis(self, order: MonomialOrder = GREVLEX, max_pairs: int = DEFAULT_MAX_PAIRS):
+    def groebner_basis(self, order: MonomialOrder = GREVLEX):
         key = (order.kind, order.block)
         got = self._gb.get(key)
         if got is None:
-            got = tuple(buchberger(list(self.generators), order, max_pairs))
+            got = tuple(buchberger(list(self.generators), order))
             self._gb[key] = got  # idempotent; concurrent recomputation is identical
         return got
 
@@ -602,7 +601,7 @@ def _module_colon(ring: PolyRing, entries, ideals) -> Ideal:
         for j, a in enumerate(ideals)
         for g in a.generators
     ]
-    gb = groebner_terms(elems, p, GREVLEX, DEFAULT_MAX_PAIRS, "colon Buchberger")
+    gb = groebner_terms(elems, p, GREVLEX, "colon Buchberger")
     colon = Ideal(ring, [_poly_of(g, p, nvars) for g in gb if lead_term(g)[0] == k])
     colon._gb[(GREVLEX.kind, GREVLEX.block)] = colon.generators
     return colon
@@ -687,6 +686,7 @@ class RingSpec:
         self._hilbert = None
         self._std_cache: dict = {}
         self._realized = None  # R as a finite-length module, from artinian.realize_ring
+        self._quotients: dict = {}  # extra generators -> RingSpec, from quotient_by
 
     @property
     def n(self) -> int:
@@ -710,16 +710,19 @@ class RingSpec:
     def is_monomial(self) -> bool:
         return self.ideal.is_monomial()
 
-    def quotient_by(self, extra_gens, label: str = "") -> "RingSpec":
-        """R/(extra) as a new RingSpec over the same ambient ring."""
-        gens = list(self.ideal.generators) + list(extra_gens)
-        return RingSpec(
-            self.p,
-            self.ring.varnames,
-            gens,
-            label=label,
-            require_homogeneous=self.homogeneous,
-        )
+    def quotient_by(self, extra_gens) -> "RingSpec":
+        """R/(extra) over the same ambient ring, built once per tuple of extra
+        generators and kept on R, so its caches serve every caller."""
+        key = tuple(extra_gens)
+        got = self._quotients.get(key)
+        if got is None:
+            got = self._quotients[key] = RingSpec(
+                self.p,
+                self.ring.varnames,
+                list(self.ideal.generators) + list(key),
+                require_homogeneous=self.homogeneous,
+            )
+        return got
 
     def standard_monomials_of_degree(self, d: int):
         """k-basis monomials of R_d (complement of the lead-term ideal)."""

@@ -17,12 +17,7 @@ A module over R = S/I is a module over S plus the columns I·e_j
 from __future__ import annotations
 
 from .gfpoly import GREVLEX, Polynomial, mono_degree, mono_mul
-from .groebner import (
-    DEFAULT_MAX_PAIRS,
-    groebner_terms,
-    lead_term,
-    normal_form_terms,
-)
+from .groebner import groebner_terms, lead_term, normal_form_terms
 
 
 class Vec:
@@ -78,9 +73,6 @@ class Vec:
         terms = {m: c for (cc, m), c in self.terms.items() if cc == comp}
         return Polynomial._raw(self.p, self.nvars, terms)
 
-    def components(self):
-        return sorted({c for c, _ in self.terms})
-
     def as_poly_dict(self) -> dict:
         out: dict = {}
         for (comp, m), c in self.terms.items():
@@ -135,15 +127,6 @@ class Vec:
             out = out + self.mul_term(m, c)
         return out
 
-    def lead(self):
-        """((component, monomial), coeff) of the position-over-term lead."""
-        t = lead_term(self.terms)
-        return t, self.terms[t]
-
-    def monic(self) -> "Vec":
-        _, c = self.lead()
-        return self.scale(pow(c, self.p - 2, self.p))
-
     def restrict_components(self, lo: int, hi: int) -> "Vec":
         """Keep components in [lo, hi), renumbered to start at 0."""
         return Vec._raw(
@@ -186,7 +169,7 @@ def reduce_vec(v: Vec, basis) -> Vec:
     return Vec._raw(v.p, v.nvars, normal_form_terms(v.terms, elems, v.p))
 
 
-def module_groebner(gens, max_pairs: int = DEFAULT_MAX_PAIRS, syzygy_cutoff=None):
+def module_groebner(gens, syzygy_cutoff=None):
     """Reduced Groebner basis of the submodule generated by `gens`, sorted by
     lead; see `groebner.groebner_terms` for `syzygy_cutoff`."""
     gens = [g for g in gens if not g.is_zero()]
@@ -194,7 +177,7 @@ def module_groebner(gens, max_pairs: int = DEFAULT_MAX_PAIRS, syzygy_cutoff=None
         return []
     p, nvars = gens[0].p, gens[0].nvars
     gb = groebner_terms(
-        [g.terms for g in gens], p, GREVLEX, max_pairs, "module Buchberger", syzygy_cutoff
+        [g.terms for g in gens], p, GREVLEX, "module Buchberger", syzygy_cutoff
     )
     return [Vec._raw(p, nvars, g) for g in gb]
 
@@ -202,7 +185,7 @@ def module_groebner(gens, max_pairs: int = DEFAULT_MAX_PAIRS, syzygy_cutoff=None
 # ---------------------------------------------------------------------------
 # syzygies and kernels
 
-def syzygy_basis(columns, nreal: int, max_pairs: int = DEFAULT_MAX_PAIRS):
+def syzygy_basis(columns, nreal: int):
     """Generators of the syzygy module of `columns` (vectors in S^nreal).
 
     Each column v_i is augmented with a tag component nreal+i; Groebner basis
@@ -219,7 +202,7 @@ def syzygy_basis(columns, nreal: int, max_pairs: int = DEFAULT_MAX_PAIRS):
         terms = dict(v.terms)
         terms[(nreal + i, one)] = 1
         aug.append(Vec._raw(p, nvars, terms))
-    gb = module_groebner(aug, max_pairs=max_pairs, syzygy_cutoff=nreal)
+    gb = module_groebner(aug, syzygy_cutoff=nreal)
     out = []
     for g in gb:
         if all(c >= nreal for c, _ in g.terms):

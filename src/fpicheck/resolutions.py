@@ -14,6 +14,11 @@ representatives in S understood mod I. A module over R is a module over S
 plus the columns I·e_j (`modgb.ideal_columns`), so one resolution loop
 (`_resolve`), one subquotient (`subquotient_presentation`) and one kernel
 call (`modgb.kernel_over_quotient`) serve both rings.
+
+Graded Nakayama is decided in one place, `minimal_generators`: an
+irredundant homogeneous set is minimal. A presentation is minimized by
+`minimal_presentation`, the subquotient span(e_i + columns)/span(columns),
+so no relation of the result has a unit entry.
 """
 
 from __future__ import annotations
@@ -129,10 +134,6 @@ class ModulePresentation:
     def columns(self):
         return columns_of_matrix(self.matrix, self.ring.p, self.ring.n)
 
-    def nf_entries(self) -> "ModulePresentation":
-        """The entries in normal form modulo the modulus."""
-        return self if self.modulus is None else with_modulus(self, self.modulus)
-
     def groebner_columns(self):
         """Module Groebner basis of (columns + modulus relations)."""
         if self._lead is None:
@@ -164,57 +165,6 @@ class ModulePresentation:
             num = monomial_quotient(lead.get(i, ()), self.ring.n)
             total += num.subst(self.scale).shift(s)
         return total
-
-    def minimized(self) -> "ModulePresentation":
-        """Cancel unit entries and drop zero relation columns.
-
-        The result presents the same module with a minimal generating set.
-        """
-        p = self.ring.p
-        work = self.nf_entries()
-        rows = [list(r) for r in work.matrix]
-        rtw = list(work.row_twists)
-        ctw = list(work.col_twists)
-        while True:
-            pivot = None
-            for i, row in enumerate(rows):
-                for j, f in enumerate(row):
-                    if f.is_constant() and not f.is_zero():
-                        pivot = (i, j)
-                        break
-                if pivot:
-                    break
-            if pivot is None:
-                break
-            i, j = pivot
-            inv = pow(rows[i][j].constant_value(), p - 2, p)
-            for l in range(len(ctw)):
-                if l == j or rows[i][l].is_zero():
-                    continue
-                factor = rows[i][l] * inv
-                for k in range(len(rtw)):
-                    rows[k][l] = rows[k][l] - factor * rows[k][j]
-            for k in range(len(rtw)):
-                if k == i or rows[k][j].is_zero():
-                    continue
-                factor = rows[k][j] * inv
-                for l in range(len(ctw)):
-                    rows[k][l] = rows[k][l] - factor * rows[i][l]
-            rows = [r for k, r in enumerate(rows) if k != i]
-            rtw = [t for k, t in enumerate(rtw) if k != i]
-            rows = [[e for l, e in enumerate(r) if l != j] for r in rows]
-            ctw = [t for l, t in enumerate(ctw) if l != j]
-            if self.modulus is not None:
-                rows = [[self.modulus.normal_form(f) for f in r] for r in rows]
-        keep_cols = [
-            l for l in range(len(ctw)) if any(not r[l].is_zero() for r in rows)
-        ]
-        rows = [[r[l] for l in keep_cols] for r in rows]
-        ctw = [ctw[l] for l in keep_cols]
-        return ModulePresentation(self.ring, self.modulus, rows, rtw, ctw, self.scale)
-
-    def minimal_generator_count(self) -> int:
-        return self.minimized().nrows
 
     def __repr__(self):
         return (
@@ -287,6 +237,20 @@ def minimal_generators(vecs, twists, modulus=None, image=()):
         accepted.append(v)
         nf = None
     return accepted
+
+
+def minimal_presentation(pres: ModulePresentation) -> ModulePresentation:
+    """coker(pres) on a minimal generating set, with minimal relations.
+
+    The module is span(e_i + columns)/span(columns) in ⊕ S(-row_twists),
+    the columns including I·e_i over R = S/I, which `subquotient_presentation`
+    presents minimally: no relation has a unit entry or is zero.
+    """
+    if pres.scale != 1:
+        raise ValueError("minimal presentations expect scale-1 gradings")
+    units = [Vec.unit(pres.ring.p, pres.ring.n, i) for i in range(pres.nrows)]
+    image = pres.columns() + ideal_columns(pres.modulus, pres.nrows)
+    return subquotient_presentation(pres.ring, pres.modulus, pres.row_twists, units, image)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +327,7 @@ def resolve_presentation(pres: ModulePresentation, max_steps=None) -> FreeResolu
     of variables; over a quotient ring it is cut off after max_steps maps
     (default n + 2). Either way a cut with syzygies left sets `truncated`.
     """
-    if pres.scale != 1:
-        raise ValueError("resolutions expect scale-1 gradings")
-    work = pres.nf_entries().minimized()
+    work = minimal_presentation(pres)
     cap = pres.ring.n + 2 if max_steps is None else max_steps
     return _resolve(pres.ring, pres.modulus, work.row_twists, work.columns(), cap)
 
@@ -384,7 +346,7 @@ def tor_frobenius(rs: RingSpec, pres: ModulePresentation, i: int, e: int = 1):
             rs.ring, rs.ideal, pres.matrix, pres.row_twists, pres.col_twists
         )
     if i == 0:
-        result = frobenius_functor(pres.nf_entries().minimized(), e)
+        result = frobenius_functor(minimal_presentation(pres), e)
         return _finite_or_presentation(result)
     q = rs.p**e
     res = resolve_presentation(pres, max_steps=i + 1)
@@ -489,11 +451,14 @@ def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresenta
     dual_c = transpose_matrix(res.map_matrix(c))  # rows = rank F_c, cols = rank F_{c-1}
     col_twists = [n - t for t in res.twists[c - 1]]
     if pd == c:
-        matrix = [
-            [rs.ideal.normal_form(f) for f in row] for row in dual_c
-        ]
-        pres = ModulePresentation(ring, rs.ideal, matrix, row_twists, col_twists)
-        return pres.minimized()
+        # d_c of a minimal resolution has its entries in m, so no entry is a
+        # unit and the generators are minimal; columns zero mod I are dropped
+        cols = [vec_nf_mod_ideal(v, rs.ideal) for v in columns_of_matrix(dual_c, ring.p, n)]
+        keep = [j for j, v in enumerate(cols) if not v.is_zero()]
+        matrix = matrix_from_columns([cols[j] for j in keep], len(row_twists), ring)
+        return ModulePresentation(
+            ring, rs.ideal, matrix, row_twists, [col_twists[j] for j in keep]
+        )
     # ω = ker(d_{c+1}^T) / im(d_c^T) inside F_c^*
     dual_next = transpose_matrix(res.map_matrix(c + 1))  # rows = rank F_{c+1}, cols = rank F_c
     next_cols = columns_of_matrix(dual_next, ring.p, ring.n)
@@ -550,23 +515,22 @@ def syzygy_presentation(pres: ModulePresentation) -> ModulePresentation:
     """
     if pres.scale != 1:
         raise ValueError("syzygies expect scale-1 gradings")
-    work = pres.nf_entries()
-    raw = kernel_over_quotient(work.columns(), work.nrows, pres.modulus)
-    gens = minimal_generators(raw, work.col_twists, pres.modulus)
-    matrix = matrix_from_columns(gens, work.ncols, pres.ring)
-    twists = [v.degree_with_twists(work.col_twists) for v in gens]
-    return ModulePresentation(
-        pres.ring, pres.modulus, matrix, work.col_twists, twists
-    )
+    # over R the kernel adjoins I·e_j, so it does not see representatives mod I
+    raw = kernel_over_quotient(pres.columns(), pres.nrows, pres.modulus)
+    gens = minimal_generators(raw, pres.col_twists, pres.modulus)
+    matrix = matrix_from_columns(gens, pres.ncols, pres.ring)
+    twists = [v.degree_with_twists(pres.col_twists) for v in gens]
+    return ModulePresentation(pres.ring, pres.modulus, matrix, pres.col_twists, twists)
 
 
 def is_free_rank_one(pres: ModulePresentation):
     """(flag, generator degree): is the module free of rank one over its ring?
 
-    The presentation is minimized; freeness of the single remaining generator
-    means no relation columns survive. The degree is None when not free.
+    `minimal_presentation` minimizes the presentation; the module is free of
+    rank one exactly when one generator and no relation survive. The degree
+    is None when not free.
     """
-    small = pres.minimized()
+    small = minimal_presentation(pres)
     if small.nrows == 1 and small.ncols == 0:
         return True, small.row_twists[0]
     return False, None
@@ -592,8 +556,8 @@ def hom_presentation_generic(
     ring = m.ring
     p, nv = ring.p, ring.n
     modulus = m.modulus
-    mm = m.nf_entries().minimized()
-    nn = n.nf_entries().minimized()
+    mm = minimal_presentation(m)
+    nn = minimal_presentation(n)
     f0, f1 = mm.nrows, mm.ncols
     g0, g1 = nn.nrows, nn.ncols
     alpha, beta = mm.row_twists, nn.row_twists

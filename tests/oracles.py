@@ -26,8 +26,10 @@ pushes that presentation through the Frobenius functor with plain
 `syzygies_by_full_basis` is the syzygy path without the pair cutoff of
 `modgb.syzygy_basis`. `groebner_all_pairs` is plain Buchberger on term
 dicts, every pair treated, the reference for the pair criteria of
-`groebner.groebner_terms`. `artinian_rings` is the shared `hypothesis`
-strategy for Artinian rings.
+`groebner.groebner_terms`. `artinian_rings` and `curve_rings` are the shared
+`hypothesis` strategies for Artinian rings and for binomial plane curves.
+`minimal_ideal_generators_oracle` is the ideal-membership loop that
+`classify.minimal_ideal_generators` replaced with `minimal_generators`.
 
 `twisted_hom_oracle` is the route to Hom(F_*R, R) that Fedder's lemma
 replaced in `pushforward.hom_pushforward_into_ring`: the kernel of the
@@ -224,6 +226,16 @@ def artinian_rings(draw, primes=(2, 3, 5, 7)):
         c = draw(st.integers(1, p - 1))
         gens.append(Polynomial(p, nv, {a: 1, b: c}))
     return RingSpec(p, names, gens)
+
+
+@st.composite
+def curve_rings(draw):
+    """F_p[x,y] modulo one binomial of degree 2 or 3: a curve, so modules
+    over it need not have finite length."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    monos = list(monomials_of_degree(2, draw(st.integers(2, 3))))
+    a, b = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=2, unique=True))
+    return RingSpec(p, ["x", "y"], [Polynomial(p, 2, {a: 1, b: draw(st.integers(1, p - 1))})])
 
 
 def _standard_basis(rs: RingSpec) -> list:
@@ -597,6 +609,20 @@ def colon_by_elimination(a: Ideal, b: Ideal) -> Ideal:
         part = Ideal(a.ring, [divide_exact(h, g) for h in single.generators])
         out = part if out is None else intersect_by_elimination(out, part)
     return Ideal(a.ring, [a.ring.one()]) if out is None else out
+
+
+def minimal_ideal_generators_oracle(rs: RingSpec, gens) -> list:
+    """The ideal loop that `classify.minimal_ideal_generators` replaced: the
+    nonzero normal forms mod I, first occurrences only, sorted by degree and
+    then by sorted terms, each kept when the ideal Groebner basis of I plus
+    the kept ones does not contain it."""
+    reduced = list(dict.fromkeys(g for g in (rs.nf(f) for f in gens) if not g.is_zero()))
+    reduced.sort(key=lambda f: (f.degree(), tuple(sorted(f.terms.items()))))
+    accepted: list = []
+    for f in reduced:
+        if not rs.preimage_ideal(accepted).contains(f):
+            accepted.append(f)
+    return accepted
 
 
 # ---------------------------------------------------------------------------

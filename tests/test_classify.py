@@ -5,6 +5,9 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import artinian_rings, curve_rings, minimal_ideal_generators_oracle
 
 from fpicheck import classify, pushforward
 from fpicheck.artinian import frobenius_fixes_injective_hull, ring_as_module
@@ -26,6 +29,7 @@ from fpicheck.errors import (
     PipelineInvariantError,
     UnsupportedDimensionError,
 )
+from fpicheck.gfpoly import random_homogeneous
 from fpicheck.groebner import Ideal, RingSpec, bracket_power, ideal_colon
 from fpicheck.resolutions import ring_depth
 
@@ -257,6 +261,44 @@ def test_minimal_ideal_generators_drop_redundancy():
     minimal = minimal_ideal_generators(rs, gens)
     assert len(minimal) == 2
     assert rs.ideal_eq_in_r(minimal, gens)
+
+
+@st.composite
+def ideal_generator_lists(draw):
+    """A ring and up to six homogeneous elements: random ones of degree 0..3,
+    scalar multiples of earlier ones, elements of I, and combinations of two
+    earlier elements plus an element of I."""
+    rs = draw(st.one_of(artinian_rings(), curve_rings()))
+    rng = draw(st.randoms(use_true_random=False))
+    p, n = rs.p, rs.n
+
+    def times(f, d):  # f times a random form of degree d - deg f
+        return f * random_homogeneous(rng, p, n, d - f.degree(), 2)
+
+    gens = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "multiple", "in I", "combination"]))
+        earlier = [g for g in gens if not g.is_zero()]
+        if kind == "multiple" and earlier:
+            gens.append(rng.choice(earlier) * rng.randrange(1, p))
+        elif kind == "in I":
+            g = rng.choice(rs.ideal.generators)
+            gens.append(times(g, g.degree() + rng.randint(0, 1)))
+        elif kind == "combination" and earlier:
+            f, g = rng.choice(earlier), rng.choice(earlier)
+            i = rng.choice(rs.ideal.generators)
+            d = max(f.degree(), g.degree(), i.degree()) + rng.randint(0, 1)
+            gens.append(times(f, d) + times(g, d) + times(i, d))
+        else:
+            gens.append(random_homogeneous(rng, p, n, draw(st.integers(0, 3)), 3))
+    return rs, gens
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ideal_generator_lists())
+def test_minimal_ideal_generators_match_the_ideal_loop(case):
+    rs, gens = case
+    assert minimal_ideal_generators(rs, gens) == minimal_ideal_generators_oracle(rs, gens)
 
 
 def test_minimal_prime_count():

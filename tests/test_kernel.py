@@ -17,7 +17,8 @@ from fpicheck.gfpoly import (
     mono_lcm,
     monomials_of_degree,
 )
-from fpicheck.groebner import DEFAULT_MAX_PAIRS, Ideal, PolyRing, buchberger, groebner_terms
+from fpicheck import groebner
+from fpicheck.groebner import Ideal, PolyRing, buchberger, groebner_terms
 from fpicheck.modgb import Vec, module_contains, module_groebner, syzygy_basis
 
 R = PolyRing(3, ["x", "y"])
@@ -38,20 +39,22 @@ def test_coprime_leads_in_a_shared_component_still_pair():
     assert not module_contains(vec("0", "x"), [v1, v2])
 
 
-def test_ideal_pair_budget_names_its_stage():
+def test_ideal_pair_budget_names_its_stage(monkeypatch):
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_PAIRS", 1)
     gens = [R.parse(t) for t in ("x^2 - y^2", "x*y", "x*y^2 + y^3")]
     with pytest.raises(ResourceLimitError, match="ideal Buchberger: S-pair budget of 1"):
-        buchberger(gens, max_pairs=1)
+        buchberger(gens)
     with pytest.raises(ResourceLimitError, match="ideal Buchberger"):
-        Ideal(R, gens).groebner_basis(max_pairs=1)
+        Ideal(R, gens).groebner_basis()
 
 
-def test_module_pair_budget_names_its_stage():
+def test_module_pair_budget_names_its_stage(monkeypatch):
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_PAIRS", 1)
     gens = [vec("x", "1"), vec("y", "1"), vec("x + y", "0")]
     with pytest.raises(ResourceLimitError, match="module Buchberger: S-pair budget of 1"):
-        module_groebner(gens, max_pairs=1)
+        module_groebner(gens)
     with pytest.raises(ResourceLimitError, match="module Buchberger"):
-        syzygy_basis(gens, nreal=2, max_pairs=1)
+        syzygy_basis(gens, nreal=2)
 
 
 def test_ideal_and_rank_one_module_bases_agree():
@@ -116,7 +119,7 @@ R5 = PolyRing(5, ["x", "y", "z"])
 @example((terms_of(R5, {1: "x*z"}, {0: "x + y", 1: "z"}, {0: "y", 1: "x"}), 5, GREVLEX))
 def test_kernel_matches_all_pairs_buchberger(case):
     elems, p, order = case
-    got = groebner_terms(elems, p, order, DEFAULT_MAX_PAIRS, "test")
+    got = groebner_terms(elems, p, order, "test")
     assert got == groebner_all_pairs(elems, p, order)
 
 

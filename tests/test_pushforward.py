@@ -19,6 +19,7 @@ from fpicheck.resolutions import (
     ModulePresentation,
     hom_presentation_generic,
     is_free_rank_one,
+    minimal_presentation,
 )
 
 
@@ -233,6 +234,6 @@ def test_fedder_dual_matches_the_twisted_kernel_route(case):
     ref = twisted_hom_oracle(push, rs)
     assert is_free_rank_one(tw.presentation) == is_free_rank_one(ref.presentation)
     assert tw.numerator == ref.numerator
-    assert tw.presentation.minimal_generator_count() == ref.presentation.minimal_generator_count()
+    assert minimal_presentation(tw.presentation).nrows == minimal_presentation(ref.presentation).nrows
     assert len(tw.generators) == len(ref.generators)
     assert sorted(tw.degrees) == sorted(ref.degrees)

@@ -4,8 +4,10 @@ import random
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from oracles import (
     artinian_rings,
+    curve_rings,
     injective_hull_of_residue_field,
     present_finite,
     tor_length_oracle,
@@ -17,6 +19,7 @@ from fpicheck.artinian import (
     realize_finite,
     ring_as_module,
 )
+from fpicheck.errors import InfiniteLengthError
 from fpicheck.gfpoly import GREVLEX, Polynomial, random_homogeneous
 from fpicheck.groebner import Ideal, PolyRing, RingSpec
 from fpicheck.modgb import (
@@ -36,6 +39,7 @@ from fpicheck.resolutions import (
     hom_presentation_generic,
     is_free_rank_one,
     minimal_free_resolution,
+    minimal_presentation,
     resolve_presentation,
     ring_depth,
     syzygy_presentation,
@@ -199,7 +203,7 @@ def test_depth_of_regular_ring_is_dimension():
 def test_frobenius_of_residue_field_over_dual_numbers():
     rs = RingSpec(2, ["x"], ["x^2"])
     k = residue_field(rs)
-    fk = frobenius_functor(k, 1).nf_entries()
+    fk = with_modulus(frobenius_functor(k, 1), rs.ideal)
     # x^2 dies in R, so F(k) = R/(x^2) = R is free of rank one
     assert all(f.is_zero() for row in fk.matrix for f in row)
     assert realize_finite(fk).dim == 2
@@ -218,8 +222,8 @@ def test_frobenius_composition_at_finite_length():
     m = cyclic_presentation(rs, ["x", "y^2"])
     once_twice = frobenius_functor(frobenius_functor(m, 1), 1)
     direct = frobenius_functor(m, 2)
-    a = realize_finite(once_twice.nf_entries())
-    b = realize_finite(direct.nf_entries())
+    a = realize_finite(once_twice)
+    b = realize_finite(direct)
     assert a.invariants() == b.invariants()
 
 
@@ -230,7 +234,7 @@ def test_frobenius_preserves_finite_length():
         extra = random_homogeneous(rng, 3, 2, rng.randint(1, 2))
         m = cyclic_presentation(rs, [rs.nf(extra)]) if not extra.is_zero() else residue_field(rs)
         fm = frobenius_functor(m, 1)
-        realized = realize_finite(fm.nf_entries())
+        realized = realize_finite(fm)
         assert realized.dim < 100
 
 
@@ -270,7 +274,7 @@ def test_tor_zero_agrees_with_the_functor():
     rs = RingSpec(2, ["x", "y"], ["x^2", "y^2"])
     m = cyclic_presentation(rs, ["x"])
     t0 = tor_frobenius(rs, m, 0)
-    direct = realize_finite(frobenius_functor(m, 1).nf_entries())
+    direct = realize_finite(frobenius_functor(m, 1))
     assert t0.invariants() == direct.invariants()
 
 
@@ -293,7 +297,7 @@ def test_canonical_module_of_hypersurface_is_free():
 
 def test_canonical_module_of_flagship_needs_two_generators():
     omega = canonical_module(flagship())
-    assert omega.minimized().nrows == 2
+    assert minimal_presentation(omega).nrows == 2
 
 
 def test_canonical_generators_have_zero_annihilator():
@@ -349,14 +353,14 @@ def test_hom_residue_field_to_itself():
     rs = RingSpec(3, ["x", "y"], ["x^2", "x*y", "y^2"])
     k = residue_field(rs)
     h = hom_presentation_generic(k, k)
-    assert realize_finite(h.nf_entries()).dim == 1
+    assert realize_finite(h).dim == 1
 
 
 def test_hom_residue_field_into_positive_depth_ring_is_zero():
     rs = flagship()
     k = residue_field(rs)
     h = hom_presentation_generic(k, ring_as_module(rs))
-    assert realize_finite(h.nf_entries()).dim == 0
+    assert realize_finite(h).dim == 0
 
 
 # -- one kernel, one resolution loop and one subquotient over S and over R ----------
@@ -524,3 +528,61 @@ def test_tor_of_the_residue_field_of_a_curve_has_finite_length():
     rs = RingSpec(2, ["x", "y"], ["x*y"])
     t = tor_frobenius(rs, residue_field(rs), 1)
     assert isinstance(t, FiniteLengthModule) and t.dim == 2
+
+
+# -- minimal presentations: graded Nakayama in one routine ---------------------------
+
+
+@st.composite
+def graded_presentations(draw):
+    """One to three generators in degrees 0..2 over a staircase, a binomial
+    Artinian ring or a binomial curve, and up to four relations: some led by
+    a unit entry, some zero, the rest random homogeneous columns."""
+    rs = draw(st.one_of(artinian_rings(), curve_rings()))
+    rng = draw(st.randoms(use_true_random=False))
+    p, n = rs.p, rs.n
+    zero = Polynomial.zero(p, n)
+    rows = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    columns, col_twists = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["unit", "random", "zero"]))
+        pivot = draw(st.integers(0, len(rows) - 1))
+        g = rows[pivot] + (0 if kind == "unit" else draw(st.integers(0, 2)))
+        col = []
+        for i, s in enumerate(rows):
+            if kind == "unit" and i == pivot:
+                col.append(Polynomial.constant(p, n, rng.randrange(1, p)))
+            elif kind == "zero" or s > g or rng.random() < 0.3:
+                col.append(zero)
+            else:
+                col.append(random_homogeneous(rng, p, n, g - s, 2))
+        columns.append(col)
+        col_twists.append(g)
+    matrix = [[col[i] for col in columns] for i in range(len(rows))]
+    return ModulePresentation(rs.ring, rs.ideal, matrix, rows, col_twists)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graded_presentations())
+def test_minimal_presentation_is_minimal_and_presents_the_same_module(pres):
+    small = minimal_presentation(pres)
+    assert not any(f.is_constant() and not f.is_zero() for row in small.matrix for f in row)
+    assert all(not vec_nf_mod_ideal(v, pres.modulus).is_zero() for v in small.columns())
+    assert small.numerator_scaled() == pres.numerator_scaled()
+    try:
+        module = realize_finite(pres)
+    except InfiniteLengthError:
+        return
+    # the minimal generator count by linear algebra: dim M - dim mM
+    assert small.nrows == module.minimal_generator_count()
+
+
+def test_minimal_presentation_cancels_a_unit_entry():
+    # coker of [[1, x], [y, 0]] over F_3[x,y]/(x^2, y^2): e_0 = -y e_1 and
+    # x e_0 = 0 leave R/(xy), one generator with the single relation x*y
+    rs = RingSpec(3, ["x", "y"], ["x^2", "y^2"])
+    one, x, y = (rs.ring.parse(t) for t in ("1", "x", "y"))
+    pres = ModulePresentation(rs.ring, rs.ideal, [[one, x], [y, Polynomial.zero(3, 2)]], (1, 0), (1, 2))
+    small = minimal_presentation(pres)
+    assert small.row_twists == (0,)
+    assert small.matrix == ((rs.ring.parse("x*y"),),)

@@ -112,7 +112,7 @@ def test_ideals_isomorphic_multiplier_stream():
 def test_canonical_ideal_stream():
     # axes at p = 101: the degree-1 slice of Hom(omega, R) spans 10303 lines
     rs = RingSpec(101, ["x", "y", "z"], ["x*y", "x*z", "y*z"])
-    ci = canonical_ideal(rs, cross_check=False)
+    ci = canonical_ideal(rs)
     assert ci.status == "found" and ci.shift == 1
     assert [poly_to_string(g, ["x", "y", "z"]) for g in ci.generators] == [
         "89*x + 38*z", "39*y + 63*z",
