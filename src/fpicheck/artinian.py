@@ -114,33 +114,6 @@ class FiniteLengthModule:
         return f"FiniteLengthModule(p={self.p}, dim={self.dim})"
 
 
-def direct_sum(modules) -> FiniteLengthModule:
-    """Block-diagonal direct sum of finite-length modules over the same ring."""
-    mods = list(modules)
-    if not mods:
-        raise ValueError("direct sum of an empty family is not supported")
-    p = mods[0].p
-    nv = mods[0].nvars
-    for m in mods:
-        if m.p != p or m.nvars != nv:
-            raise ValueError("summands live over different rings")
-    actions = []
-    for v in range(nv):
-        blocks = [m.actions[v] for m in mods]
-        total = sum(m.dim for m in mods)
-        a = np.zeros((total, total), dtype=np.int64)
-        at = 0
-        for b in blocks:
-            a[at : at + b.shape[0], at : at + b.shape[0]] = b
-            at += b.shape[0]
-        actions.append(a)
-    if all(m.degrees is not None for m in mods):
-        degrees = tuple(d for m in mods for d in m.degrees)
-    else:
-        degrees = None
-    return FiniteLengthModule(p, actions, degrees)
-
-
 def poly_action_matrix(module: FiniteLengthModule, f) -> np.ndarray:
     """Matrix of the action of a polynomial on the module."""
     out = np.zeros((module.dim, module.dim), dtype=np.int64)
@@ -209,7 +182,7 @@ def realize_finite(pres: ModulePresentation) -> FiniteLengthModule:
 
 def ring_as_module(rs: RingSpec) -> ModulePresentation:
     """R presented over itself: one generator in degree zero, no relations."""
-    return ModulePresentation(rs.ring, rs.ideal, ((),), (0,), ())
+    return ModulePresentation(rs.ring, rs.ideal, (), (0,), ())
 
 
 def realize_ring(rs: RingSpec) -> FiniteLengthModule:

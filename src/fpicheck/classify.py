@@ -30,7 +30,7 @@ ones (Krull-Remak-Schmidt for the graded category).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import (
     NoNzdFoundError,
@@ -596,27 +596,17 @@ class RingReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "label": self.label,
-            "p": self.p,
-            "variables": list(self.variables),
-            "ideal": list(self.ideal),
-            "dimension": self.dimension,
-            "depth": self.depth,
-            "cohen_macaulay": self.cohen_macaulay,
-            "gorenstein": self.gorenstein,
-            "gorenstein_witness": self.gorenstein_witness,
-            "f_pure": self.f_pure,
-            "f_pure_witness": self.f_pure_witness,
-            "weakly_fpi": self.weakly_fpi,
-            "fpi_method": self.fpi_method,
-            "fpi_witness": self.fpi_witness,
-            "canonical": self.canonical,
-            "minimal_prime_count": self.minimal_prime_count,
-            "cross_checks": list(self.cross_checks),
-            "notes": list(self.notes),
-        }
+        return {"schema": 1, **asdict(self)}
+
+
+def _canonical_entry(ci: CanonicalIdealResult, names) -> dict:
+    """The report's `canonical` entry for one canonical-ideal search."""
+    return {
+        "status": ci.status,
+        "generators": [poly_to_string(g, names) for g in ci.generators],
+        "shift": ci.shift,
+        "detail": ci.detail,
+    }
 
 
 def _fpi_dimension_zero(rs: RingSpec, report: RingReport, res):
@@ -647,12 +637,7 @@ def _fpi_dimension_one(
         }
         return
     ci = canonical_ideal(rs, seed=seed, trials=trials, res=res, nzds=nzds)
-    report.canonical = {
-        "status": ci.status,
-        "generators": [poly_to_string(g, names) for g in ci.generators],
-        "shift": ci.shift,
-        "detail": ci.detail,
-    }
+    report.canonical = _canonical_entry(ci, names)
     if ci.status == "absent":
         report.weakly_fpi = "false"
         report.fpi_witness = {
@@ -811,12 +796,7 @@ def classify_ring(
     report.cohen_macaulay = depth == dim
     if check == "canonical":
         ci = canonical_ideal(rs, seed=seed, trials=trials, res=res)
-        report.canonical = {
-            "status": ci.status,
-            "generators": [poly_to_string(g, names) for g in ci.generators],
-            "shift": ci.shift,
-            "detail": ci.detail,
-        }
+        report.canonical = _canonical_entry(ci, names)
         return report
     nzds = None
     if dim == 1 and depth == 1:

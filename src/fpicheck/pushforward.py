@@ -50,10 +50,9 @@ from .resolutions import (
     ModulePresentation,
     hom_presentation_generic,
     is_free_rank_one,
-    matrix_from_columns,
     minimal_generators,
     subquotient_presentation,
-    transpose_matrix,
+    transpose,
 )
 
 
@@ -89,8 +88,7 @@ def frobenius_pushforward(rs: RingSpec, e: int = 1) -> ModulePresentation:
             }
             cols.append(Vec._raw(rs.p, n, terms))
             ctw.append(g.degree() + sum(b))
-    matrix = matrix_from_columns(cols, len(boxes), ring)
-    return ModulePresentation(ring, rs.ideal, matrix, sigma, ctw, scale=q)
+    return ModulePresentation(ring, rs.ideal, cols, sigma, ctw, scale=q)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +179,7 @@ def _dual_numerator(pres: ModulePresentation, rs: RingSpec) -> Numerator:
         coker_t = ModulePresentation(
             rs.ring,
             rs.ideal,
-            transpose_matrix(pres.matrix),
+            transpose(pres.columns, pres.nrows, rs.ring),
             [-g for g in pres.col_twists],
             [-s for s in pres.row_twists],
             scale=q,

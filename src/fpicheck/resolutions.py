@@ -1,15 +1,17 @@
 """Graded presentations, minimal free resolutions, and canonical modules.
 
-Conventions. A presentation M = coker(A) stores A row-major; rows index the
-generators of M (degrees row_twists, so F_0 = ⊕ S(-σ_i)) and columns index
-relations (degrees col_twists). A nonzero entry a_ij must satisfy
-scale*deg(a_ij) = col_twists[j] - row_twists[i]. The `scale` field lets a
-module carry a grading in which the ambient variables have degree `scale`
-(used for Frobenius pushforwards, where generator degrees are measured in
-p-th roots); ordinary modules use scale 1.
+Conventions. Every map between free modules is a tuple of `Vec` columns: a
+map ⊕ S(-col_twists) -> ⊕ S(-row_twists) is one column in S^nrows per
+source generator, and a presentation M = coker(A) keeps the columns of A.
+Rows index the generators of M (degrees row_twists, so F_0 = ⊕ S(-σ_i)),
+columns its relations (degrees col_twists). A term of column j in row i
+must have scaled degree col_twists[j] - row_twists[i], with `scale` the
+degree of the ambient variables: Frobenius pushforwards measure generator
+degrees in p-th roots, ordinary modules use scale 1. `transpose` and
+`frobenius_columns` are the only matrix operations.
 
 `modulus` is None for modules over the polynomial ring S itself and the
-defining ideal I for modules over R = S/I; matrix entries are then
+defining ideal I for modules over R = S/I; column entries are then
 representatives in S understood mod I. A module over R is a module over S
 plus the columns I·e_j (`modgb.ideal_columns`), so one resolution loop
 (`_resolve`), one subquotient (`subquotient_presentation`) and one kernel
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InfiniteLengthError, PipelineInvariantError
+from .gfpoly import mono_degree
 from .groebner import Ideal, NormalForm, PolyRing, RingSpec, ideal_colon
 from .hilbert import Numerator, monomial_quotient, standard_monomials
 from .modgb import (
@@ -39,50 +42,45 @@ from .modgb import (
 )
 
 
-def matrix_from_columns(cols, nrows: int, ring: PolyRing):
-    """Row-major Polynomial matrix from a list of Vecs in S^nrows."""
-    zero = ring.zero()
-    rows = [[zero] * len(cols) for _ in range(nrows)]
+def transpose(cols, nrows: int, ring: PolyRing) -> list:
+    """Columns of Aᵀ, for A given by `cols` in S^nrows: row i of A becomes
+    a column in S^len(cols)."""
+    rows = [{} for _ in range(nrows)]
     for j, v in enumerate(cols):
-        for comp, f in v.as_poly_dict().items():
-            if comp >= nrows:
-                raise ValueError("column component out of range")
-            rows[comp][j] = f
-    return [tuple(r) for r in rows]
+        for (i, m), c in v.terms.items():
+            rows[i][(j, m)] = c
+    return [Vec._raw(ring.p, ring.n, terms) for terms in rows]
 
 
-def columns_of_matrix(matrix, p: int, nvars: int):
-    """Vec columns (possibly zero) of a row-major Polynomial matrix."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    out = []
-    for j in range(ncols):
-        terms: dict = {}
-        for i, row in enumerate(matrix):
-            f = row[j]
-            if f is not None and not f.is_zero():
-                for m, c in f.terms.items():
-                    terms[(i, m)] = c
-        out.append(Vec._raw(p, nvars, terms))
-    return out
+def frobenius_columns(cols, e: int, modulus: Ideal) -> list:
+    """Columns of A^[q], q = p^e: every exponent times q, the coefficients
+    fixed by Frobenius on F_p.
 
-
-def transpose_matrix(matrix):
-    if not matrix:
-        return []
-    nrows = len(matrix)
-    ncols = len(matrix[0])
-    return [tuple(matrix[i][j] for i in range(nrows)) for j in range(ncols)]
+    When R = S/modulus is Artinian with top degree t, a term of degree d
+    with q·d > t is dropped: its q-th power has degree past t and so lies
+    in I. This is an exact normal form mod I, and it keeps entries of
+    degree about q out of the module Groebner basis.
+    """
+    hd = modulus.hilbert_numerator().hilbert_data(modulus.ring.n)
+    top = len(hd.numerator) - 1 if hd.dimension == 0 else None
+    q = modulus.ring.p**e
+    return [
+        Vec._raw(v.p, v.nvars, {
+            (i, tuple(q * x for x in m)): c
+            for (i, m), c in v.terms.items()
+            if top is None or q * mono_degree(m) <= top
+        })
+        for v in cols
+    ]
 
 
 class ModulePresentation:
-    """A graded module given as the cokernel of a matrix over S or R."""
+    """A graded module coker(A) over S or R, A given by its columns."""
 
     __slots__ = (
         "ring",
         "modulus",
-        "matrix",
+        "columns",
         "row_twists",
         "col_twists",
         "scale",
@@ -93,34 +91,30 @@ class ModulePresentation:
         self,
         ring: PolyRing,
         modulus,
-        matrix,
+        columns,
         row_twists,
         col_twists,
         scale: int = 1,
     ):
         self.ring = ring
         self.modulus = modulus
-        self.matrix = tuple(tuple(row) for row in matrix)
+        self.columns = tuple(columns)
         self.row_twists = tuple(row_twists)
         self.col_twists = tuple(col_twists)
         self.scale = scale
         self._lead = None
-        if len(self.matrix) != len(self.row_twists):
-            raise ValueError("row count does not match row twists")
-        for row in self.matrix:
-            if len(row) != len(self.col_twists):
-                raise ValueError("column count does not match col twists")
-        for i, row in enumerate(self.matrix):
-            for j, f in enumerate(row):
-                if f.is_zero():
-                    continue
-                if not f.is_homogeneous():
-                    raise ValueError("presentation entries must be homogeneous")
+        if len(self.columns) != len(self.col_twists):
+            raise ValueError("column count does not match col twists")
+        nrows = len(self.row_twists)
+        for j, v in enumerate(self.columns):
+            for i, m in v.terms:
+                if not 0 <= i < nrows:
+                    raise ValueError(f"column {j} has a term in row {i} of {nrows}")
                 want = self.col_twists[j] - self.row_twists[i]
-                if self.scale * f.degree() != want:
+                if self.scale * mono_degree(m) != want:
                     raise ValueError(
-                        f"entry ({i},{j}) has scaled degree "
-                        f"{self.scale * f.degree()}, twists demand {want}"
+                        f"entry ({i},{j}) has a term of scaled degree "
+                        f"{self.scale * mono_degree(m)}, twists demand {want}"
                     )
 
     @property
@@ -131,13 +125,10 @@ class ModulePresentation:
     def ncols(self) -> int:
         return len(self.col_twists)
 
-    def columns(self):
-        return columns_of_matrix(self.matrix, self.ring.p, self.ring.n)
-
     def groebner_columns(self):
         """Module Groebner basis of (columns + modulus relations)."""
         if self._lead is None:
-            gb = module_groebner(self.columns() + ideal_columns(self.modulus, self.nrows))
+            gb = module_groebner([*self.columns, *ideal_columns(self.modulus, self.nrows)])
             self._lead = (tuple(gb), lead_module(gb))
         return self._lead[0]
 
@@ -177,25 +168,16 @@ def frobenius_functor(pres: ModulePresentation, e: int = 1) -> ModulePresentatio
     """Base change along e-fold Frobenius: entries and twists to q-th powers.
 
     For M = coker(A) over R this is coker(A^[q]), q = p^e, the right-exact
-    Frobenius functor applied to the presentation. When R is Artinian with
-    top degree t, an entry f with q·deg f > t is written as 0: f^[q] has
-    degree past t and so is 0 in R. This is an exact normal form, and it
-    keeps entries of degree about q out of the module Groebner basis.
+    Frobenius functor applied to the presentation; `frobenius_columns`
+    drops the terms that vanish in an Artinian R.
     """
     if pres.modulus is None:
         raise ValueError("Frobenius functor is applied to modules over a quotient")
     q = pres.ring.p ** e
-    hd = pres.modulus.hilbert_numerator().hilbert_data(pres.ring.n)
-    top = len(hd.numerator) - 1 if hd.dimension == 0 else None
-    zero = pres.ring.zero()
-    matrix = [
-        [zero if top is not None and q * f.degree() > top else f.frobenius_power(e) for f in row]
-        for row in pres.matrix
-    ]
     return ModulePresentation(
         pres.ring,
         pres.modulus,
-        matrix,
+        frobenius_columns(pres.columns, e, pres.modulus),
         [q * s for s in pres.row_twists],
         [q * g for g in pres.col_twists],
         pres.scale,
@@ -242,15 +224,18 @@ def minimal_generators(vecs, twists, modulus=None, image=()):
 def minimal_presentation(pres: ModulePresentation) -> ModulePresentation:
     """coker(pres) on a minimal generating set, with minimal relations.
 
-    The module is span(e_i + columns)/span(columns) in ⊕ S(-row_twists),
-    the columns including I·e_i over R = S/I, which `subquotient_presentation`
-    presents minimally: no relation has a unit entry or is zero.
+    `subquotient_presentation` presents N = span(e_i + columns)/span(columns)
+    = F/im A over S minimally: no relation has a unit entry or is zero. Over
+    R = S/I the result is read over R, and that is base change: N ⊗_S R =
+    F/(im A + I·F) = M, and I ⊆ m gives N/mN = M/mM, so the minimal
+    generators and relations of N are minimal for M, with no I·e_i adjoined.
     """
     if pres.scale != 1:
         raise ValueError("minimal presentations expect scale-1 gradings")
     units = [Vec.unit(pres.ring.p, pres.ring.n, i) for i in range(pres.nrows)]
-    image = pres.columns() + ideal_columns(pres.modulus, pres.nrows)
-    return subquotient_presentation(pres.ring, pres.modulus, pres.row_twists, units, image)
+    return subquotient_presentation(
+        pres.ring, pres.modulus, pres.row_twists, units, pres.columns
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +245,7 @@ def minimal_presentation(pres: ModulePresentation) -> ModulePresentation:
 class FreeResolution:
     """Minimal graded free resolution ... -> F_1 -> F_0 of a module.
 
-    maps[k] is the matrix of d_{k+1}: F_{k+1} -> F_k (rows = rank F_k).
+    maps[k] holds the columns of d_{k+1}: F_{k+1} -> F_k, in S^(rank F_k).
     Over the polynomial ring resolutions are finite; over a singular quotient
     they may be infinite. A resolution cut at a step budget with syzygies
     left has `truncated` set (the prefix maps are still exact where computed).
@@ -282,8 +267,8 @@ class FreeResolution:
     def rank(self, k: int) -> int:
         return len(self.twists[k]) if k < len(self.twists) else 0
 
-    def map_matrix(self, k: int):
-        """Matrix of d_k: F_k -> F_{k-1}, or None past the end."""
+    def map_columns(self, k: int):
+        """Columns of d_k: F_k -> F_{k-1}, or None past the end."""
         if 1 <= k <= len(self.maps):
             return self.maps[k - 1]
         return None
@@ -304,7 +289,7 @@ def _resolve(ring: PolyRing, modulus, twists, cols, cap: int) -> FreeResolution:
         if modulus is None and len(maps) == ring.n:
             raise PipelineInvariantError("resolution exceeds the global dimension bound")
         ctw = tuple(v.degree_with_twists(cur) for v in cols)
-        maps.append(tuple(matrix_from_columns(cols, len(cur), ring)))
+        maps.append(tuple(cols))
         all_twists.append(ctw)
         syz = kernel_over_quotient(cols, len(cur), modulus)
         cur = ctw
@@ -329,7 +314,7 @@ def resolve_presentation(pres: ModulePresentation, max_steps=None) -> FreeResolu
     """
     work = minimal_presentation(pres)
     cap = pres.ring.n + 2 if max_steps is None else max_steps
-    return _resolve(pres.ring, pres.modulus, work.row_twists, work.columns(), cap)
+    return _resolve(pres.ring, pres.modulus, work.row_twists, work.columns, cap)
 
 
 def tor_frobenius(rs: RingSpec, pres: ModulePresentation, i: int, e: int = 1):
@@ -343,7 +328,7 @@ def tor_frobenius(rs: RingSpec, pres: ModulePresentation, i: int, e: int = 1):
         raise ValueError("homological degree must be nonnegative")
     if pres.modulus is None:
         pres = ModulePresentation(
-            rs.ring, rs.ideal, pres.matrix, pres.row_twists, pres.col_twists
+            rs.ring, rs.ideal, pres.columns, pres.row_twists, pres.col_twists
         )
     if i == 0:
         result = frobenius_functor(minimal_presentation(pres), e)
@@ -353,16 +338,13 @@ def tor_frobenius(rs: RingSpec, pres: ModulePresentation, i: int, e: int = 1):
     if res.length < i:
         empty = ModulePresentation(rs.ring, rs.ideal, [], [], [])
         return _finite_or_presentation(empty)
-    d_i = [[f.frobenius_power(e) for f in row] for row in res.map_matrix(i)]
-    ker = kernel_over_quotient(
-        columns_of_matrix(d_i, rs.ring.p, rs.ring.n), res.rank(i - 1), rs.ideal
-    )
+    d_i = frobenius_columns(res.map_columns(i), e, rs.ideal)
+    ker = kernel_over_quotient(d_i, res.rank(i - 1), rs.ideal)
     # the image lives in R^(rank F_i): in S it is im d_{i+1}^[q] + I·F_i
     im_cols = ideal_columns(rs.ideal, res.rank(i))
-    next_map = res.map_matrix(i + 1)
+    next_map = res.map_columns(i + 1)
     if next_map is not None:
-        d_next = [[f.frobenius_power(e) for f in row] for row in next_map]
-        im_cols += columns_of_matrix(d_next, rs.ring.p, rs.ring.n)
+        im_cols += frobenius_columns(next_map, e, rs.ideal)
     ambient = [q * t for t in res.twists[i]]
     homology = subquotient_presentation(rs.ring, rs.ideal, ambient, ker, im_cols)
     return _finite_or_presentation(homology)
@@ -397,10 +379,10 @@ def subquotient_presentation(
     gen by image_cols), that is span(kernel_gens + image_cols)/span(image_cols).
 
     Both gen sets live in a free S-module with the given twists, and the
-    quotient is taken there, over S; it is then read as a module over
-    ring/modulus, which must kill it. A subquotient of a free R-module
-    passes `ideal_columns(modulus, rank)` among its image columns.
-    `shift` is added to all generator degrees.
+    quotient N is taken there, over S; the result presents N ⊗_S R over
+    R = ring/modulus, its relations read mod the modulus. A subquotient of a
+    free R-module passes `ideal_columns(modulus, rank)` among its image
+    columns, so that R kills N. `shift` is added to all generator degrees.
 
     The kernel generators are minimized modulo the image, so the generators
     are minimal for the subquotient itself and no relation has a unit entry.
@@ -421,8 +403,7 @@ def subquotient_presentation(
             rel_cols.append(head)
     rel_cols = minimal_generators(rel_cols, row_twists, modulus)
     col_twists = [v.degree_with_twists(row_twists) for v in rel_cols]
-    matrix = matrix_from_columns(rel_cols, len(gens), ring)
-    return ModulePresentation(ring, modulus, matrix, row_twists, col_twists)
+    return ModulePresentation(ring, modulus, rel_cols, row_twists, col_twists)
 
 
 def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresentation:
@@ -447,25 +428,22 @@ def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresenta
         raise PipelineInvariantError("canonical module requested below the support codim")
     row_twists = [n - t for t in res.twists[c]]
     if c == 0:
-        return ModulePresentation(ring, rs.ideal, [[] for _ in row_twists], row_twists, [])
-    dual_c = transpose_matrix(res.map_matrix(c))  # rows = rank F_c, cols = rank F_{c-1}
+        return ModulePresentation(ring, rs.ideal, [], row_twists, [])
+    dual_c = transpose(res.map_columns(c), res.rank(c - 1), ring)  # in S^(rank F_c)
     col_twists = [n - t for t in res.twists[c - 1]]
     if pd == c:
         # d_c of a minimal resolution has its entries in m, so no entry is a
         # unit and the generators are minimal; columns zero mod I are dropped
-        cols = [vec_nf_mod_ideal(v, rs.ideal) for v in columns_of_matrix(dual_c, ring.p, n)]
+        cols = [vec_nf_mod_ideal(v, rs.ideal) for v in dual_c]
         keep = [j for j, v in enumerate(cols) if not v.is_zero()]
-        matrix = matrix_from_columns([cols[j] for j in keep], len(row_twists), ring)
         return ModulePresentation(
-            ring, rs.ideal, matrix, row_twists, [col_twists[j] for j in keep]
+            ring, rs.ideal, [cols[j] for j in keep], row_twists, [col_twists[j] for j in keep]
         )
     # ω = ker(d_{c+1}^T) / im(d_c^T) inside F_c^*
-    dual_next = transpose_matrix(res.map_matrix(c + 1))  # rows = rank F_{c+1}, cols = rank F_c
-    next_cols = columns_of_matrix(dual_next, ring.p, ring.n)
-    ker = syzygy_basis(next_cols, nreal=res.rank(c + 1))
-    im_cols = columns_of_matrix(dual_c, ring.p, ring.n)
+    dual_next = transpose(res.map_columns(c + 1), res.rank(c), ring)  # in S^(rank F_{c+1})
+    ker = syzygy_basis(dual_next, nreal=res.rank(c + 1))
     ambient = [-t for t in res.twists[c]]
-    return subquotient_presentation(ring, rs.ideal, ambient, ker, im_cols, shift=n)
+    return subquotient_presentation(ring, rs.ideal, ambient, ker, dual_c, shift=n)
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +461,17 @@ def hom_into_ring_generators(pres: ModulePresentation):
     if pres.ncols == 0:
         kernel = [Vec.unit(pres.ring.p, pres.ring.n, i) for i in range(pres.nrows)]
     else:
-        cols_t = columns_of_matrix(transpose_matrix(pres.matrix), pres.ring.p, pres.ring.n)
+        cols_t = transpose(pres.columns, pres.nrows, pres.ring)
         kernel = kernel_over_quotient(cols_t, pres.ncols, pres.modulus)
     dual_twists = [-s for s in pres.row_twists]
     return [(w, w.degree_with_twists(dual_twists)) for w in kernel]
 
 
 def with_modulus(pres: ModulePresentation, new_ideal: Ideal) -> ModulePresentation:
-    """The same presentation matrix viewed over a further quotient ring."""
-    matrix = [[new_ideal.normal_form(f) for f in row] for row in pres.matrix]
+    """The same presentation viewed over a further quotient ring."""
+    columns = [vec_nf_mod_ideal(v, new_ideal) for v in pres.columns]
     return ModulePresentation(
-        pres.ring, new_ideal, matrix, pres.row_twists, pres.col_twists, pres.scale
+        pres.ring, new_ideal, columns, pres.row_twists, pres.col_twists, pres.scale
     )
 
 
@@ -507,20 +485,19 @@ def annihilator_is_zero(rs: RingSpec, vec: Vec) -> bool:
 
 
 def syzygy_presentation(pres: ModulePresentation) -> ModulePresentation:
-    """First syzygy module of the presentation matrix.
+    """First syzygy module of the presentation's columns.
 
-    The result presents ker(F_1 -> F_0): its generators are the kernel
-    columns, living in the free source of `pres`, with their own relations
-    left implicit (empty relation matrix, generators only).
+    The result holds ker(F_1 -> F_0) as its columns: the minimal kernel
+    generators, living in the free source of `pres`, with their own
+    relations left implicit.
     """
     if pres.scale != 1:
         raise ValueError("syzygies expect scale-1 gradings")
     # over R the kernel adjoins I·e_j, so it does not see representatives mod I
-    raw = kernel_over_quotient(pres.columns(), pres.nrows, pres.modulus)
+    raw = kernel_over_quotient(pres.columns, pres.nrows, pres.modulus)
     gens = minimal_generators(raw, pres.col_twists, pres.modulus)
-    matrix = matrix_from_columns(gens, pres.ncols, pres.ring)
     twists = [v.degree_with_twists(pres.col_twists) for v in gens]
-    return ModulePresentation(pres.ring, pres.modulus, matrix, pres.col_twists, twists)
+    return ModulePresentation(pres.ring, pres.modulus, gens, pres.col_twists, twists)
 
 
 def is_free_rank_one(pres: ModulePresentation):
@@ -566,43 +543,21 @@ def hom_presentation_generic(
     if nslots == 0:
         return ModulePresentation(ring, modulus, [], [], [])
 
-    def slot(u, j):
-        return u * f0 + j
+    def placed(v, stride, offset):
+        """v with the term in row i moved to component i·stride + offset."""
+        return Vec._raw(p, nv, {(i * stride + offset, mo): c for (i, mo), c in v.terms.items()})
 
     if f1 == 0:
         lifts = [Vec.unit(p, nv, s) for s in range(nslots)]
     else:
-        cond_cols = []
-        for u in range(g0):
-            for j in range(f0):
-                terms = {}
-                for l in range(f1):
-                    a = mm.matrix[j][l]
-                    for mo, c in a.terms.items():
-                        terms[(u * f1 + l, mo)] = c
-                cond_cols.append(Vec._raw(p, nv, terms))
-        for l in range(f1):
-            for c in range(g1):
-                terms = {}
-                for u in range(g0):
-                    f = nn.matrix[u][c]
-                    for mo, cc in f.terms.items():
-                        terms[(u * f1 + l, mo)] = cc
-                if terms:
-                    cond_cols.append(Vec._raw(p, nv, terms))
+        # slot (u, j) of X·A is row j of A in block u; then C in each block l
+        rows = transpose(mm.columns, f0, ring)
+        cond_cols = [placed(rows[j], 1, u * f1) for u in range(g0) for j in range(f0)]
+        cond_cols += [placed(col, f1, l) for l in range(f1) for col in nn.columns if col.terms]
         raw = kernel_over_quotient(cond_cols, g0 * f1, modulus)
         # over R these come normal-formed mod I, and so do their slot coordinates
         lifts = [h for w in raw if not (h := w.restrict_components(0, nslots)).is_zero()]
-    zero_homs = []
-    for j in range(f0):
-        for c in range(g1):
-            terms = {}
-            for u in range(g0):
-                f = nn.matrix[u][c]
-                for mo, cc in f.terms.items():
-                    terms[(slot(u, j), mo)] = cc
-            if terms:
-                zero_homs.append(Vec._raw(p, nv, terms))
+    zero_homs = [placed(col, f0, j) for j in range(f0) for col in nn.columns if col.terms]
     return subquotient_presentation(
         ring, modulus, slot_twists, lifts, zero_homs + ideal_columns(modulus, nslots)
     )

@@ -31,6 +31,12 @@ dicts, every pair treated, the reference for the pair criteria of
 `minimal_ideal_generators_oracle` is the ideal-membership loop that
 `classify.minimal_ideal_generators` replaced with `minimal_generators`.
 
+`matrix_of_columns` and `columns_of_matrix` convert between the `Vec`
+columns that presentations keep and row-major `Polynomial` grids, entry by
+entry; tests write small presentations as grids and check
+`resolutions.transpose` against them. `direct_sum` is the block-diagonal
+sum of finite-length modules, which only tests build.
+
 `twisted_hom_oracle` is the route to Hom(F_*R, R) that Fedder's lemma
 replaced in `pushforward.hom_pushforward_into_ring`: the kernel of the
 transposed pushforward matrix, the root action through its own box-shift
@@ -61,13 +67,7 @@ from fpicheck.hilbert import ONE, Numerator
 from fpicheck.linalg import Subspace, nullspace, rank
 from fpicheck.modgb import Vec, kernel_over_quotient, module_groebner, reduce_vec
 from fpicheck.pushforward import TwistedHom
-from fpicheck.resolutions import (
-    ModulePresentation,
-    columns_of_matrix,
-    matrix_from_columns,
-    resolve_presentation,
-    transpose_matrix,
-)
+from fpicheck.resolutions import ModulePresentation, resolve_presentation, transpose
 
 
 def _row_reduce_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -94,6 +94,50 @@ def _in_row_space(vector: list[int], rows: list[list[int]], p: int) -> bool:
     reduced = _row_reduce_mod_p(rows + [vector], p)
     alone = _row_reduce_mod_p(rows, p)
     return len(reduced) == len(alone)
+
+
+def matrix_of_columns(cols, nrows: int) -> list:
+    """Row-major Polynomial grid of Vec columns in S^nrows, entry by entry."""
+    return [[v.component(i) for v in cols] for i in range(nrows)]
+
+
+def columns_of_matrix(matrix, ring) -> list:
+    """Vec columns of a row-major Polynomial grid: the form in which tests
+    write small presentations."""
+    ncols = len(matrix[0]) if matrix else 0
+    return [
+        Vec._raw(ring.p, ring.n, {
+            (i, m): c for i, row in enumerate(matrix) for m, c in row[j].terms.items()
+        })
+        for j in range(ncols)
+    ]
+
+
+def direct_sum(modules) -> FiniteLengthModule:
+    """Block-diagonal direct sum of finite-length modules over the same ring."""
+    mods = list(modules)
+    if not mods:
+        raise ValueError("direct sum of an empty family is not supported")
+    p = mods[0].p
+    nv = mods[0].nvars
+    for m in mods:
+        if m.p != p or m.nvars != nv:
+            raise ValueError("summands live over different rings")
+    actions = []
+    for v in range(nv):
+        blocks = [m.actions[v] for m in mods]
+        total = sum(m.dim for m in mods)
+        a = np.zeros((total, total), dtype=np.int64)
+        at = 0
+        for b in blocks:
+            a[at : at + b.shape[0], at : at + b.shape[0]] = b
+            at += b.shape[0]
+        actions.append(a)
+    if all(m.degrees is not None for m in mods):
+        degrees = tuple(d for m in mods for d in m.degrees)
+    else:
+        degrees = None
+    return FiniteLengthModule(p, actions, degrees)
 
 
 def _homogeneous_components(f: Polynomial) -> dict[int, Polynomial]:
@@ -276,10 +320,11 @@ def tor_length_oracle(rs: RingSpec, pres, i: int, e: int = 1) -> int:
     basis = _standard_basis(rs)
 
     def frob_rank(k):
-        d = res.map_matrix(k)
+        d = res.map_columns(k)
         if d is None:
             return 0
-        return _rank_over_k(rs, [[f.frobenius_power(e) for f in row] for row in d], basis)
+        grid = matrix_of_columns(d, res.rank(k - 1))
+        return _rank_over_k(rs, [[f.frobenius_power(e) for f in row] for row in grid], basis)
 
     return res.rank(i) * len(basis) - frob_rank(i) - frob_rank(i + 1)
 
@@ -406,8 +451,7 @@ def present_finite(module: FiniteLengthModule, rs: RingSpec) -> ModulePresentati
         ker = nullspace(np.array(cols, dtype=np.int64).T % p, p)
         if ker.shape[0]:
             collect_relations(rs, pairs, ker, d, relations, rel_degs)
-    matrix = matrix_from_columns(relations, len(gens), rs.ring)
-    return ModulePresentation(rs.ring, rs.ideal, matrix, gen_degs, rel_degs)
+    return ModulePresentation(rs.ring, rs.ideal, relations, gen_degs, rel_degs)
 
 
 def frobenius_hull_oracle(rs: RingSpec) -> dict:
@@ -420,7 +464,11 @@ def frobenius_hull_oracle(rs: RingSpec) -> dict:
     fe = realize_finite(ModulePresentation(
         rs.ring,
         rs.ideal,
-        [[f.frobenius_power(1) for f in row] for row in pres.matrix],
+        columns_of_matrix(
+            [[f.frobenius_power(1) for f in row]
+             for row in matrix_of_columns(pres.columns, pres.nrows)],
+            rs.ring,
+        ),
         [p * s for s in pres.row_twists],
         [p * s for s in pres.col_twists],
     ))
@@ -693,7 +741,7 @@ def twisted_hom_oracle(push: ModulePresentation, rs: RingSpec) -> TwistedHom:
         target -= num_r_q.shift(-g)
     if push.ncols:
         target += ModulePresentation(
-            ring, rs.ideal, transpose_matrix(push.matrix),
+            ring, rs.ideal, transpose(push.columns, push.nrows, ring),
             [-g for g in push.col_twists], [-s for s in sigma], scale=q,
         ).numerator_scaled()
 
@@ -716,7 +764,7 @@ def twisted_hom_oracle(push: ModulePresentation, rs: RingSpec) -> TwistedHom:
         return _star_apply_monomial(lifts, push.nrows, u, m, rs.ideal)
 
     by_degree: dict = {}
-    cols_t = columns_of_matrix(transpose_matrix(push.matrix), p, n)
+    cols_t = transpose(push.columns, push.nrows, ring)
     for v in kernel_over_quotient(cols_t, push.ncols, rs.ideal):
         if not v.is_zero():
             (d,) = {q * mono_degree(m) - sigma[i] for i, m in v.terms}
@@ -739,8 +787,7 @@ def twisted_hom_oracle(push: ModulePresentation, rs: RingSpec) -> TwistedHom:
     relations, rel_degs = [], []
 
     def presented():
-        matrix = matrix_from_columns(relations, len(gens), ring)
-        return ModulePresentation(ring, rs.ideal, matrix, gen_degs, rel_degs)
+        return ModulePresentation(ring, rs.ideal, relations, gen_degs, rel_degs)
 
     d = min(gen_degs, default=0)
     cap = max(gen_degs, default=0) + 2 * q * n + 6

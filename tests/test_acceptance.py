@@ -12,6 +12,7 @@ import time
 
 import pytest
 from oracles import (
+    columns_of_matrix,
     injective_hull_of_residue_field,
     membership_oracle,
     present_finite,
@@ -126,7 +127,7 @@ def _random_finite_length_presentation(rng, rs):
             if not extra.is_zero():
                 gens.append(extra)
         return ModulePresentation(
-            ring, rs.ideal, [gens], (0,), tuple(g.degree() for g in gens)
+            ring, rs.ideal, columns_of_matrix([gens], ring), (0,), tuple(g.degree() for g in gens)
         )
     # two generators with a homogeneous coupling column
     a, b = rng.randint(1, 2), rng.randint(1, 2)
@@ -141,7 +142,7 @@ def _random_finite_length_presentation(rng, rs):
     matrix = [list(row) for row in zip(*cols)]
     row_twists = (0, c)
     col_twists = (a, b + c, c, a + c)
-    return ModulePresentation(ring, rs.ideal, matrix, row_twists, col_twists)
+    return ModulePresentation(ring, rs.ideal, columns_of_matrix(matrix, ring), row_twists, col_twists)
 
 
 def test_criterion_03_regular_rings_have_flat_frobenius():
@@ -158,7 +159,7 @@ def test_criterion_03_regular_rings_have_flat_frobenius():
     # the singular control case keeps the test honest
     dual = RingSpec(2, ["x"], ["x^2"])
     k = ModulePresentation(
-        dual.ring, dual.ideal, [[dual.ring.parse("x")]], (0,), (1,)
+        dual.ring, dual.ideal, columns_of_matrix([[dual.ring.parse("x")]], dual.ring), (0,), (1,)
     )
     t1 = tor_frobenius(dual, k, 1)
     assert t1.dim == 2

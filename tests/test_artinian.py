@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from oracles import (
     artinian_rings,
+    columns_of_matrix,
+    direct_sum,
     frobenius_hull_oracle,
     injective_hull_of_residue_field,
     present_finite,
@@ -17,7 +19,6 @@ from oracles import (
 from fpicheck import artinian
 from fpicheck.artinian import (
     FiniteLengthModule,
-    direct_sum,
     frobenius_fixes_injective_hull,
     hom_space,
     is_hull_power,
@@ -39,7 +40,7 @@ def cyclic(rs, gens):
     return ModulePresentation(
         rs.ring,
         rs.ideal,
-        [[rs.nf(f) for f in polys]],
+        columns_of_matrix([[rs.nf(f) for f in polys]], rs.ring),
         (0,),
         tuple(f.degree() for f in polys),
     )

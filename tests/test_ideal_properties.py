@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     colon_by_elimination,
+    columns_of_matrix,
     graded_dimension_oracle,
     intersect_by_elimination,
     membership_oracle,
@@ -475,7 +476,7 @@ def graded_presentation(draw):
         [draw_form(draw, p, n, c - r) if draw(st.booleans()) else Polynomial.zero(p, n) for c in cols]
         for r in rows
     ]
-    return ModulePresentation(rs.ring, rs.ideal, matrix, rows, cols)
+    return ModulePresentation(rs.ring, rs.ideal, columns_of_matrix(matrix, rs.ring), rows, cols)
 
 
 @PROPERTY

@@ -7,8 +7,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     artinian_rings,
+    columns_of_matrix,
     curve_rings,
     injective_hull_of_residue_field,
+    matrix_of_columns,
     present_finite,
     tor_length_oracle,
 )
@@ -20,7 +22,7 @@ from fpicheck.artinian import (
     ring_as_module,
 )
 from fpicheck.errors import InfiniteLengthError
-from fpicheck.gfpoly import GREVLEX, Polynomial, random_homogeneous
+from fpicheck.gfpoly import GREVLEX, Polynomial, mono_degree, random_homogeneous
 from fpicheck.groebner import Ideal, PolyRing, RingSpec
 from fpicheck.modgb import (
     Vec,
@@ -34,6 +36,7 @@ from fpicheck.resolutions import (
     ModulePresentation,
     annihilator_is_zero,
     canonical_module,
+    frobenius_columns,
     frobenius_functor,
     hom_into_ring_generators,
     hom_presentation_generic,
@@ -44,6 +47,7 @@ from fpicheck.resolutions import (
     ring_depth,
     syzygy_presentation,
     tor_frobenius,
+    transpose,
     with_modulus,
 )
 
@@ -57,8 +61,13 @@ def cyclic_presentation(rs, gens):
     polys = [rs.ring.parse(g) if isinstance(g, str) else g for g in gens]
     matrix = [[rs.nf(f) for f in polys]]
     return ModulePresentation(
-        rs.ring, rs.ideal, matrix, (0,), tuple(f.degree() for f in polys)
+        rs.ring, rs.ideal, columns_of_matrix(matrix, rs.ring), (0,), tuple(f.degree() for f in polys)
     )
+
+
+def map_grid(res, k):
+    """Row-major grid of d_k, for entrywise checks."""
+    return matrix_of_columns(res.map_columns(k), res.rank(k - 1))
 
 
 def residue_field(rs):
@@ -69,6 +78,82 @@ def column(ring, *texts):
     return Vec.from_polys(
         (i, ring.parse(t)) for i, t in enumerate(texts) if t != "0"
     )
+
+
+# -- maps as Vec columns -----------------------------------------------------------
+
+
+def test_presentation_rejects_a_term_past_the_last_row():
+    ring = PolyRing(3, ["x", "y"])
+    past = Vec.from_polys([(0, ring.parse("x")), (1, ring.parse("y"))])
+    with pytest.raises(ValueError, match="row 1 of 1"):
+        ModulePresentation(ring, None, [past], (0,), (1,))
+
+
+def test_presentation_rejects_a_term_whose_degree_disagrees_with_the_twists():
+    ring = PolyRing(3, ["x", "y"])
+    x, y2 = ring.parse("x"), ring.parse("y^2")
+    with pytest.raises(ValueError, match="twists demand 2"):
+        ModulePresentation(ring, None, [Vec.from_polys([(0, x)])], (0,), (2,))
+    # an inhomogeneous entry has a term of the wrong degree
+    with pytest.raises(ValueError, match="twists demand 1"):
+        ModulePresentation(ring, None, [Vec.from_polys([(0, x + y2)])], (0,), (1,))
+    # with scale 2, x in row twist 1 has scaled degree 2 + 1
+    ModulePresentation(ring, None, [Vec.from_polys([(0, x)])], (1,), (3,), scale=2)
+    with pytest.raises(ValueError, match="twists demand 1"):
+        ModulePresentation(ring, None, [Vec.from_polys([(0, x)])], (1,), (2,), scale=2)
+    with pytest.raises(ValueError, match="column count"):
+        ModulePresentation(ring, None, [Vec.from_polys([(0, x)])], (0,), (1, 1))
+
+
+@st.composite
+def column_maps(draw, ring=None):
+    """(ring, nrows, columns): up to 3 x 3 sparse columns over `ring`, by
+    default some F_p[x,y], entries of up to three terms, not homogeneous."""
+    if ring is None:
+        ring = PolyRing(draw(st.sampled_from([2, 3, 5])), ["x", "y"])
+    nrows = draw(st.integers(0, 3))
+    monos = st.tuples(*[st.integers(0, 2)] * ring.n)
+    cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        terms = {}
+        for i in range(nrows):
+            for m in draw(st.lists(monos, max_size=3, unique=True)):
+                terms[(i, m)] = draw(st.integers(1, ring.p - 1))
+        cols.append(Vec(ring.p, ring.n, terms))
+    return ring, nrows, cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(column_maps())
+def test_transpose_is_an_involution_and_transposes_every_entry(case):
+    ring, nrows, cols = case
+    cols_t = transpose(cols, nrows, ring)
+    assert len(cols_t) == nrows
+    assert transpose(cols_t, len(cols), ring) == cols
+    grid = matrix_of_columns(cols, nrows)
+    entrywise = [[grid[i][j] for i in range(nrows)] for j in range(len(cols))]
+    assert matrix_of_columns(cols_t, len(cols)) == entrywise
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(artinian_rings(), curve_rings()), st.data())
+def test_frobenius_columns_match_entrywise_powers_mod_the_ideal(rs, data):
+    _, _, cols = data.draw(column_maps(rs.ring))
+    e = data.draw(st.integers(1, 2))
+    got = frobenius_columns(cols, e, rs.ideal)
+    want = [
+        sum(
+            (Vec.from_polys([(i, f.frobenius_power(e))]) for i, f in v.as_poly_dict().items()),
+            Vec.zero(rs.p, rs.n),
+        )
+        for v in cols
+    ]
+    assert [vec_nf_mod_ideal(v, rs.ideal) for v in got] == [
+        vec_nf_mod_ideal(v, rs.ideal) for v in want
+    ]
+    if rs.dimension > 0:
+        assert got == want
 
 
 # -- syzygies over the polynomial ring ------------------------------------------
@@ -89,13 +174,13 @@ def test_flagship_generators_have_two_syzygies():
     syz = syzygy_basis(cols, nreal=1)
     mat = [[f for f in ("x*y", "x*z", "y*z")]]
     pres = ModulePresentation(
-        ring, None, [[ring.parse(t) for t in mat[0]]], (0,), (2, 2, 2)
+        ring, None, columns_of_matrix([[ring.parse(t) for t in mat[0]]], ring), (0,), (2, 2, 2)
     )
     first = syzygy_presentation(pres)
     assert first.nrows == 3
     assert len(first.col_twists) == 2
     # every syzygy really kills the generators
-    for v in first.columns():
+    for v in first.columns:
         combo = Polynomial.zero(2, 3)
         parts = v.as_poly_dict()
         for i, t in enumerate(("x*y", "x*z", "y*z")):
@@ -168,8 +253,8 @@ def test_resolution_is_a_complex_and_minimal():
             rs = RingSpec(p, ["x", "y", "z"], gens)
             res = minimal_free_resolution(rs)
             for k in range(1, res.length):
-                a = res.map_matrix(k)
-                b = res.map_matrix(k + 1)
+                a = map_grid(res, k)
+                b = map_grid(res, k + 1)
                 rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
                 for i in range(rows):
                     for j in range(cols):
@@ -178,7 +263,7 @@ def test_resolution_is_a_complex_and_minimal():
                             acc = acc + a[i][t] * b[t][j]
                         assert acc.is_zero()
             for k in range(1, res.length + 1):
-                for row in res.map_matrix(k):
+                for row in map_grid(res, k):
                     for f in row:
                         assert f.is_zero() or f.degree() >= 1
 
@@ -205,7 +290,7 @@ def test_frobenius_of_residue_field_over_dual_numbers():
     k = residue_field(rs)
     fk = with_modulus(frobenius_functor(k, 1), rs.ideal)
     # x^2 dies in R, so F(k) = R/(x^2) = R is free of rank one
-    assert all(f.is_zero() for row in fk.matrix for f in row)
+    assert all(v.is_zero() for v in fk.columns)
     assert realize_finite(fk).dim == 2
 
 
@@ -214,7 +299,7 @@ def test_frobenius_functor_scales_twists():
     k = residue_field(rs)
     fk = frobenius_functor(k, 1)
     assert fk.col_twists == (3, 3, 3)
-    assert fk.matrix[0][0] == rs.ring.parse("x^3")
+    assert fk.columns[0].component(0) == rs.ring.parse("x^3")
 
 
 def test_frobenius_composition_at_finite_length():
@@ -242,8 +327,8 @@ def test_differentials_stay_composable_after_frobenius():
     rs = flagship()
     res = resolve_presentation(residue_field(rs), max_steps=2)
     if res.length >= 2:
-        a = [[f.frobenius_power(1) for f in row] for row in res.map_matrix(1)]
-        b = [[f.frobenius_power(1) for f in row] for row in res.map_matrix(2)]
+        a = [[f.frobenius_power(1) for f in row] for row in map_grid(res, 1)]
+        b = [[f.frobenius_power(1) for f in row] for row in map_grid(res, 2)]
         for i in range(len(a)):
             for j in range(len(b[0])):
                 acc = Polynomial.zero(2, 3)
@@ -413,7 +498,9 @@ def test_kernel_over_the_polynomial_ring_is_the_syzygy_module():
 
 def test_a_cut_resolution_is_flagged_truncated():
     ring = PolyRing(2, ["x", "y", "z"])
-    over_s = ModulePresentation(ring, None, [[ring.parse(v) for v in "xyz"]], (0,), (1, 1, 1))
+    over_s = ModulePresentation(
+        ring, None, columns_of_matrix([[ring.parse(v) for v in "xyz"]], ring), (0,), (1, 1, 1)
+    )
     over_r = residue_field(flagship())
     for pres in (over_s, over_r):
         cut = resolve_presentation(pres, max_steps=1)
@@ -437,30 +524,34 @@ def test_resolution_over_the_quotient_is_a_complex(p, names, gens):
         res = resolve_presentation(pres, max_steps=4)
         assert res.length == 4 and res.truncated
         for k in range(1, res.length):
-            assert _composes_to_zero(rs, res.map_matrix(k), res.map_matrix(k + 1))
+            assert _composes_to_zero(rs, map_grid(res, k), map_grid(res, k + 1))
 
 
 def test_syzygies_of_a_zero_column_over_the_polynomial_ring():
     ring = PolyRing(3, ["x", "y"])
     zero = Polynomial.zero(3, 2)
     matrix = [[zero, ring.parse("x"), ring.parse("y")]]
-    syz = syzygy_presentation(ModulePresentation(ring, None, matrix, (0,), (1, 1, 1)))
-    for v in syz.columns():
+    syz = syzygy_presentation(
+        ModulePresentation(ring, None, columns_of_matrix(matrix, ring), (0,), (1, 1, 1))
+    )
+    for v in syz.columns:
         assert all(f.is_zero() for f in _apply(matrix, v))
-    assert module_contains(Vec.unit(3, 2, 0), syz.columns())
+    assert module_contains(Vec.unit(3, 2, 0), syz.columns)
     koszul = Vec.from_polys([(1, ring.parse("y")), (2, ring.parse("-x"))])
-    assert module_contains(koszul, syz.columns())
+    assert module_contains(koszul, syz.columns)
 
 
 def test_syzygies_of_a_zero_column_over_a_quotient():
     rs = RingSpec(3, ["x", "y"], ["x^2"])
     matrix = [[Polynomial.zero(3, 2), rs.ring.parse("y")]]
-    syz = syzygy_presentation(ModulePresentation(rs.ring, rs.ideal, matrix, (0,), (1, 1)))
+    syz = syzygy_presentation(
+        ModulePresentation(rs.ring, rs.ideal, columns_of_matrix(matrix, rs.ring), (0,), (1, 1))
+    )
     assert syz.nrows == 2
-    for v in syz.columns():
+    for v in syz.columns:
         assert all(f.is_zero() for f in _apply(matrix, v, rs))
     # y is a nonzerodivisor on S/(x^2), so the kernel is R·e_0
-    assert [v.as_poly_dict() for v in syz.columns()] == [{0: rs.ring.parse("1")}]
+    assert [v.as_poly_dict() for v in syz.columns] == [{0: rs.ring.parse("1")}]
 
 
 # -- Hom and Tor against linear-algebra oracles ----------------------------------------
@@ -559,15 +650,15 @@ def graded_presentations(draw):
         columns.append(col)
         col_twists.append(g)
     matrix = [[col[i] for col in columns] for i in range(len(rows))]
-    return ModulePresentation(rs.ring, rs.ideal, matrix, rows, col_twists)
+    return ModulePresentation(rs.ring, rs.ideal, columns_of_matrix(matrix, rs.ring), rows, col_twists)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(graded_presentations())
 def test_minimal_presentation_is_minimal_and_presents_the_same_module(pres):
     small = minimal_presentation(pres)
-    assert not any(f.is_constant() and not f.is_zero() for row in small.matrix for f in row)
-    assert all(not vec_nf_mod_ideal(v, pres.modulus).is_zero() for v in small.columns())
+    assert not any(mono_degree(m) == 0 for v in small.columns for _, m in v.terms)
+    assert all(not vec_nf_mod_ideal(v, pres.modulus).is_zero() for v in small.columns)
     assert small.numerator_scaled() == pres.numerator_scaled()
     try:
         module = realize_finite(pres)
@@ -582,7 +673,8 @@ def test_minimal_presentation_cancels_a_unit_entry():
     # x e_0 = 0 leave R/(xy), one generator with the single relation x*y
     rs = RingSpec(3, ["x", "y"], ["x^2", "y^2"])
     one, x, y = (rs.ring.parse(t) for t in ("1", "x", "y"))
-    pres = ModulePresentation(rs.ring, rs.ideal, [[one, x], [y, Polynomial.zero(3, 2)]], (1, 0), (1, 2))
+    matrix = [[one, x], [y, Polynomial.zero(3, 2)]]
+    pres = ModulePresentation(rs.ring, rs.ideal, columns_of_matrix(matrix, rs.ring), (1, 0), (1, 2))
     small = minimal_presentation(pres)
     assert small.row_twists == (0,)
-    assert small.matrix == ((rs.ring.parse("x*y"),),)
+    assert small.columns == (Vec.from_polys([(0, rs.ring.parse("x*y"))]),)
