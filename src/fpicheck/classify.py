@@ -30,7 +30,7 @@ ones (Krull-Remak-Schmidt for the graded category).
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .errors import (
     NoNzdFoundError,
@@ -596,7 +596,8 @@ class RingReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"schema": 1, **asdict(self)}
+        """JSON-ready data sharing the fields, which hold plain data only."""
+        return {"schema": 1, **vars(self)}
 
 
 def _canonical_entry(ci: CanonicalIdealResult, names) -> dict:

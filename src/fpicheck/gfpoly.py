@@ -222,9 +222,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(mono_is_one(m) for m in self.terms)
 
-    def constant_value(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

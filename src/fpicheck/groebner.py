@@ -242,15 +242,21 @@ def groebner_terms(elems, p: int, order: MonomialOrder, stage: str, syzygy_cutof
 
     `DEFAULT_MAX_PAIRS`, read at call time, bounds the S-vectors formed,
     dropped pairs being free; past it, ResourceLimitError names `stage`.
+
+    All-term input (monomial ideals, the I*e_j columns of a monomial R)
+    returns before any set-up: the S-vector of two monic single terms is
+    zero, so they already form a Groebner basis, whose reduced form is the
+    minimal terms (`_minimal_terms`).
     """
     rank = _rank_of(order)
 
     def term_rank(t):
         return (t[0], rank(t[1]))
 
-    led = [(g, min(g, key=term_rank)) for g in elems if g]
-    if not led:
-        return []
+    elems = [g for g in elems if g]
+    if all(len(g) == 1 for g in elems):
+        return _minimal_terms(elems, term_rank, syzygy_cutoff)
+    led = [(g, min(g, key=term_rank)) for g in elems]
     led.sort(key=lambda e: term_rank(e[1]), reverse=True)
     basis = [_monic(g, lead, p) for g, lead in led]
     leads = [lead for _, lead in led]
@@ -324,6 +330,20 @@ def groebner_terms(elems, p: int, order: MonomialOrder, stage: str, syzygy_cutof
         reducers.setdefault(lead[0], []).append((lead[1], 1, tail))
         add(len(basis) - 1)
     return _inter_reduce(leads, members, reducers, p, rank, syzygy_cutoff)
+
+
+def _minimal_terms(elems, term_rank, syzygy_cutoff):
+    """Monic {term: 1} for the minimal terms of each component, sorted as
+    `_inter_reduce` sorts; past the cutoff every term stays, repeats too."""
+    monos: dict = {}  # component -> monomials there
+    for g in elems:
+        (c, m), = g
+        monos.setdefault(c, []).append(m)
+    terms = [
+        (c, m) for c, ms in monos.items()
+        for m in (ms if syzygy_cutoff is not None and c >= syzygy_cutoff else minimal_monomials(ms))
+    ]
+    return [{t: 1} for t in sorted(terms, key=term_rank, reverse=True)]
 
 
 def _inter_reduce(leads, members, reducers, p: int, rank, syzygy_cutoff):

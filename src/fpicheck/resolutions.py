@@ -126,9 +126,16 @@ class ModulePresentation:
         return len(self.col_twists)
 
     def groebner_columns(self):
-        """Module Groebner basis of (columns + modulus relations)."""
+        """Module Groebner basis of (columns + modulus relations). With no
+        columns it is g·e_j for g in the modulus's cached basis, last component
+        first: the kernel never pairs elements led in different components."""
         if self._lead is None:
-            gb = module_groebner([*self.columns, *ideal_columns(self.modulus, self.nrows)])
+            if self.columns or self.modulus is None:
+                gb = module_groebner([*self.columns, *ideal_columns(self.modulus, self.nrows)])
+            else:
+                basis = self.modulus.groebner_basis()
+                gb = [Vec._raw(self.ring.p, self.ring.n, {(j, m): c for m, c in g.terms.items()})
+                      for j in reversed(range(self.nrows)) for g in basis]
             self._lead = (tuple(gb), lead_module(gb))
         return self._lead[0]
 

@@ -1,6 +1,8 @@
 """Command line interface: ring-spec parsing, reports, and the census."""
 
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -267,6 +269,37 @@ def test_report_inconclusive_exit_code(tmp_path, capsys, monkeypatch):
     path = write_spec(tmp_path, FLAGSHIP_TEXT)
     code = main(["report", "--input", path])
     assert code == 2
+
+
+def test_report_fields_of_the_benchmark_workloads_hold_no_dataclass(tmp_path, monkeypatch):
+    # `to_dict` shares the report's fields where `dataclasses.asdict` copied
+    # them, which gives the same data only while no field holds a dataclass:
+    # `asdict` turns a nested one into a dict, and a dataclass never equals one
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    from fpicheck.classify import classify_ring
+
+    reports = []
+
+    def keep(rs, **kw):
+        reports.append(classify_ring(rs, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "classify_ring", keep)
+    for workload in WORKLOADS.values():
+        before = len(reports)
+        if workload.census is not None:
+            run_census(CensusConfig(**{"seed": 0, **workload.census}), out=io.StringIO())
+        else:
+            extra = [] if workload.deep_checks else ["--no-deep-checks"]
+            for ring in workload.rings():
+                path = write_spec(tmp_path, ring.spec_text())
+                with contextlib.redirect_stdout(io.StringIO()):
+                    main(["report", "--input", path, "--seed", "0"] + extra)
+        assert len(reports) > before
+    for report in reports:
+        assert report.to_dict() == {"schema": 1, **dataclasses.asdict(report)}
 
 
 # -- census ------------------------------------------------------------------------

@@ -123,6 +123,57 @@ def test_kernel_matches_all_pairs_buchberger(case):
     assert got == groebner_all_pairs(elems, p, order)
 
 
+@st.composite
+def all_term_inputs(draw):
+    """(term dicts, p, order): single terms, zero elements among them, over
+    F_p[x, ...] in S^1, S^2 or S^3, under grevlex, lex or elim. Terms may
+    repeat, one monomial may lead in several components, and degree 0 gives
+    the constant monomial."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    order = draw(st.sampled_from([GREVLEX, LEX, elimination_order(1)]))
+    nvars = draw(st.integers(2 if order.kind == "elim" else 1, 3))
+    rank = draw(st.integers(1, 3))
+    terms = [(c, m) for c in range(rank) for d in range(4) for m in monomials_of_degree(nvars, d)]
+    elems = []
+    for t in draw(st.lists(st.sampled_from(terms), max_size=10)):
+        elems.append({t: draw(st.integers(1, p - 1))})
+        if draw(st.integers(0, 5)) == 0:
+            elems.append({})
+    return elems, p, order
+
+
+def term_columns(ring, *cols):
+    """Single-term dicts from (component, monomial text, coefficient) triples."""
+    return [{(c, next(iter(ring.parse(t).terms))): v} for c, t, v in cols]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(all_term_inputs())
+# a repeated term, a redundant one, and the constant monomial
+@example((term_columns(R, (0, "x*y", 2), (0, "x^2*y", 1), (0, "x*y", 1), (0, "1", 2)), 3, GREVLEX))
+# one lead shared by three components, repeated in one of them
+@example((term_columns(R5, (2, "x*z", 1), (0, "x*z", 3), (1, "x*z", 4), (0, "x*z", 1), (1, "z^2", 2)), 5, GREVLEX))
+@example((term_columns(R, (1, "y^2", 1), (0, "x^3", 2), (1, "x*y^2", 1), (0, "x*y", 1)), 3, LEX))
+@example((term_columns(R, (0, "x*y^2", 1), (0, "y^3", 1), (0, "x^2", 2), (1, "y", 1)), 3, elimination_order(1)))
+def test_all_term_input_matches_all_pairs_buchberger(case):
+    elems, p, order = case
+    assert groebner_terms(elems, p, order, "test") == groebner_all_pairs(elems, p, order)
+
+
+def test_all_term_input_keeps_every_term_past_the_syzygy_cutoff():
+    # below the cutoff the minimal terms, one per lead; at and past it every
+    # term, repeats included, in the kernel's order
+    elems = term_columns(
+        R, (0, "x^2", 1), (1, "x*y", 2), (2, "x", 1), (0, "x", 1), (1, "y", 1),
+        (2, "1", 1), (1, "y", 2), (0, "x", 2), (1, "y^2", 1), (2, "x", 1),
+    )
+    want = term_columns(
+        R, (2, "1", 1), (2, "x", 1), (2, "x", 1), (1, "y", 1), (1, "y", 1),
+        (1, "y^2", 1), (1, "x*y", 1), (0, "x", 1),
+    )
+    assert groebner_terms(elems, 3, GREVLEX, "test", syzygy_cutoff=1) == want
+
+
 def test_syzygies_of_term_columns_are_the_pairwise_ones():
     # columns that are single terms: their syzygy module is generated by the
     # pairwise syzygies (l / m_i) e_i - (l / m_j) e_j, l = lcm(m_i, m_j), of

@@ -29,6 +29,7 @@ from fpicheck.modgb import (
     ideal_columns,
     kernel_over_quotient,
     module_contains,
+    module_groebner,
     syzygy_basis,
     vec_nf_mod_ideal,
 )
@@ -478,6 +479,17 @@ def test_ideal_columns_are_the_generators_in_every_component():
     cols = ideal_columns(rs.ideal, 2)
     assert [v.as_poly_dict() for v in cols] == [{0: x2}, {0: y3}, {1: x2}, {1: y3}]
     assert ideal_columns(None, 2) == []
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_free_module_basis_is_the_ideal_basis_in_every_component(p, r, ngens, rng):
+    # a presentation with no columns takes its basis from the ideal's cached
+    # one; the general path runs the kernel on the columns I·e_j
+    ring = PolyRing(p, ["x", "y", "z"])
+    ideal = Ideal(ring, [random_homogeneous(rng, p, 3, rng.randint(1, 3)) for _ in range(ngens)])
+    pres = ModulePresentation(ring, ideal, [], [rng.randint(-1, 2) for _ in range(r)], [])
+    assert list(pres.groebner_columns()) == module_groebner(ideal_columns(ideal, r))
 
 
 def test_kernel_over_the_polynomial_ring_is_the_syzygy_module():
