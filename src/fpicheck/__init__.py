@@ -18,7 +18,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedDimensionError,
 )
-from .gfpoly import GREVLEX, LEX, Polynomial, monomials_of_degree, poly_to_string
+from .gfpoly import Polynomial, monomials_of_degree, poly_to_string
 from .groebner import (
     Ideal,
     PolyRing,

@@ -38,13 +38,7 @@ from .errors import (
     PipelineInvariantError,
     UnsupportedDimensionError,
 )
-from .gfpoly import (
-    GREVLEX,
-    Polynomial,
-    monomials_of_degree,
-    poly_to_string,
-    random_homogeneous,
-)
+from .gfpoly import Polynomial, monomials_of_degree, poly_to_string, random_homogeneous
 from .groebner import (
     Ideal,
     RingSpec,
@@ -452,7 +446,7 @@ def monomial_generically_gorenstein(rs: RingSpec):
     """
     names = rs.ring.varnames
     primes = minimal_primes_monomial(rs.ideal)
-    gens = [g.lead(GREVLEX)[0] for g in rs.ideal.groebner_basis()]
+    gens = rs.ideal.lead_monomials()
     for prime in primes:
         if not prime:
             continue

@@ -1,14 +1,17 @@
-"""Exact arithmetic over prime fields: monomials, term orders, sparse polynomials.
+"""Exact arithmetic over prime fields: monomials, sparse polynomials.
 
 Monomials are plain exponent tuples of length nvars. Polynomials are sparse
 dicts mapping exponent tuple -> coefficient in [1, p). All coefficient
 arithmetic is integer arithmetic mod p; there are no floats anywhere.
+The one term order is grevlex (`grevlex_rank`); lead terms, sorted terms and
+printing all read it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import lru_cache
 from operator import add, le, sub
 from typing import Iterable, Iterator
 
@@ -51,9 +54,6 @@ class PrimeField:
         if not isinstance(p, int) or p < 2 or p >= 2**31 or not is_prime(p):
             raise NonPrimeError(f"characteristic must be a prime in [2, 2^31), got {p!r}")
         self.p = p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -109,57 +109,19 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
 
 
 # ---------------------------------------------------------------------------
-# term orders
+# the term order: grevlex
 
-def _grevlex_key(m: Monomial):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A monomial order: 'lex', 'grevlex', or 'elim' (block of size k first).
-
-    The elimination order compares the first `block` exponents by grevlex,
-    then the remainder by grevlex; any monomial involving a block variable
-    is larger than any monomial that involves none.
-    """
-
-    kind: str
-    block: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "elim"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == "elim" and self.block < 1:
-            raise ValueError("elimination order needs a block size >= 1")
-
-    def key(self, m: Monomial):
-        """Sort key; larger key = larger monomial."""
-        if self.kind == "grevlex":
-            return _grevlex_key(m)
-        if self.kind == "lex":
-            return m
-        k = self.block
-        return _grevlex_key(m[:k]) + _grevlex_key(m[k:])
+@lru_cache(maxsize=4096)
+def grevlex_rank(m: Monomial):
+    """Grevlex rank of a monomial: a smaller rank is a larger monomial.
+    Higher degree wins, then the smaller exponent of the last variable that
+    differs."""
+    return (-sum(m),) + m[::-1]
 
 
-LEX = MonomialOrder("lex")
-GREVLEX = MonomialOrder("grevlex")
-
-def elimination_order(block: int) -> MonomialOrder:
-    return MonomialOrder("elim", block)
-
-
-def order_compare(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    """-1, 0, or 1 as a <, ==, > b in the given order."""
-    if len(a) != len(b):
-        raise ValueError("monomials live in different ambient variable counts")
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+# Only the benchmark tracer (`perfbench/tracer.py`) reads this record: it
+# keys `Ideal._gb` by (GREVLEX.kind, GREVLEX.block).
+GREVLEX = namedtuple("TermOrder", "kind block")("grevlex", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +290,12 @@ class Polynomial:
 
     # -- leading terms ------------------------------------------------------
 
-    def lead(self, order: MonomialOrder) -> tuple:
-        """(monomial, coeff) of the leading term; raises on zero."""
+    def lead(self) -> tuple:
+        """(monomial, coeff) of the grevlex leading term; raises on zero."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
+        m = min(self.terms, key=grevlex_rank)
         return m, self.terms[m]
-
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, c = self.lead(order)
-        if c == 1:
-            return self
-        inv = pow(c, self.p - 2, self.p)
-        return self * inv
-
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        return Polynomial._raw(
-            self.p, self.nvars, {m: c for m, c in self.terms.items() if sum(m) == d}
-        )
 
     def extend(self, new_nvars: int, offset: int) -> "Polynomial":
         """Reinterpret in a larger variable list, old variable i -> offset + i."""
@@ -372,22 +320,23 @@ class Polynomial:
     def __hash__(self):
         return hash((self.p, self.nvars, frozenset(self.terms.items())))
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self) -> list:
+        """(monomial, coeff) pairs, largest monomial first."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_rank(t[0]))
 
-    def to_string(self, varnames: Iterable[str], order: MonomialOrder = GREVLEX) -> str:
-        return poly_to_string(self, list(varnames), order)
+    def to_string(self, varnames: Iterable[str]) -> str:
+        return poly_to_string(self, list(varnames))
 
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self.nvars)]
         return f"Polynomial(p={self.p}, {self.to_string(names)})"
 
 
-def poly_to_string(f: Polynomial, varnames: list, order: MonomialOrder = GREVLEX) -> str:
+def poly_to_string(f: Polynomial, varnames: list) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for m, c in f.sorted_terms(order):
+    for m, c in f.sorted_terms():
         factors = []
         for name, e in zip(varnames, m):
             if e == 1:

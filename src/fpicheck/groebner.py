@@ -7,16 +7,15 @@ this module works in the ambient polynomial ring.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add, le, neg, sub
 
 from .errors import NonHomogeneousError, ResourceLimitError
 from .gfpoly import (
     GREVLEX,
-    MonomialOrder,
     Polynomial,
     PrimeField,
+    grevlex_rank,
     mono_degree,
     mono_div,
     mono_divides,
@@ -39,7 +38,7 @@ DEFAULT_MAX_PAIRS = 200_000
 
 
 class PolyRing:
-    """F_p[varnames] with a default display/computation order (grevlex)."""
+    """F_p[varnames]; its polynomials compute and print under grevlex."""
 
     def __init__(self, p: int, varnames):
         self.field = PrimeField(p)
@@ -71,7 +70,8 @@ class PolyRing:
         return [self.gen(i) for i in range(self.n)]
 
     def extended(self, extra_names) -> "PolyRing":
-        """New ring with extra variables prepended (for elimination)."""
+        """New ring with extra variables prepended (the auxiliary variable of
+        `in_radical`)."""
         return PolyRing(self.p, tuple(extra_names) + self.varnames)
 
     def __eq__(self, other):
@@ -94,34 +94,17 @@ class PolyRing:
 # One engine serves ideals and submodules of free modules S^r. Its elements
 # are term dicts {(component, monomial): coeff}; an ideal is the rank-one
 # case, every term in component 0. Terms compare position over term: a lower
-# component dominates, ties go to the monomial order. The kernel ranks terms
-# in reverse, so the lead term is the one of least rank and a min-heap hands
-# out terms largest first.
+# component dominates, ties go to grevlex. The kernel ranks terms in
+# reverse (`grevlex_rank`), so the lead term is the one of least rank and a
+# min-heap hands out terms largest first.
 
-@lru_cache(maxsize=4096)
-def _grevlex_rank(m):
-    """Grevlex rank of a monomial: a smaller rank is a larger monomial."""
-    return (-sum(m),) + m[::-1]
+def _term_rank(t):
+    return (t[0], grevlex_rank(t[1]))
 
 
-def _lex_rank(m):
-    return tuple(map(neg, m))
-
-
-def _rank_of(order: MonomialOrder):
-    """Monomial -> rank; it negates `order.key`, flattened, entrywise."""
-    if order.kind == "grevlex":
-        return _grevlex_rank
-    if order.kind == "lex":
-        return _lex_rank
-    k = order.block
-    return lambda m: _grevlex_rank(m[:k]) + _grevlex_rank(m[k:])
-
-
-def lead_term(terms: dict, order: MonomialOrder = GREVLEX):
+def lead_term(terms: dict):
     """The (component, monomial) lead of a nonzero term dict."""
-    rank = _rank_of(order)
-    return min(terms, key=lambda t: (t[0], rank(t[1])))
+    return min(terms, key=_term_rank)
 
 
 def _monic(terms: dict, lead, p: int) -> dict:
@@ -142,11 +125,12 @@ def _reducers(elems, leads, p: int) -> dict:
     return out
 
 
-def _normal_form(work: dict, reducers: dict, p: int, rank) -> dict:
+def _normal_form(work: dict, reducers: dict, p: int) -> dict:
     """Full normal form of `work` (consumed) modulo `reducers`.
 
     The monomial helpers of `gfpoly` are inlined here, the innermost loop.
     """
+    rank = grevlex_rank
     heap = [(c, rank(m), m) for c, m in work]
     heapify(heap)
     out: dict = {}
@@ -188,26 +172,25 @@ class NormalForm:
     of a presentation) keeps one of these instead of rebuilding it per call.
     """
 
-    __slots__ = ("p", "rank", "table")
+    __slots__ = ("p", "table")
 
-    def __init__(self, basis, p: int, order: MonomialOrder = GREVLEX):
+    def __init__(self, basis, p: int):
         self.p = p
-        self.rank = _rank_of(order)
-        self.table = _reducers(basis, [lead_term(g, order) for g in basis], p)
+        self.table = _reducers(basis, [lead_term(g) for g in basis], p)
 
     def __call__(self, terms: dict) -> dict:
         """Full normal form of `terms`; the dict is consumed."""
-        return _normal_form(terms, self.table, self.p, self.rank)
+        return _normal_form(terms, self.table, self.p)
 
 
-def normal_form_terms(terms: dict, basis, p: int, order: MonomialOrder = GREVLEX) -> dict:
+def normal_form_terms(terms: dict, basis, p: int) -> dict:
     """Full normal form of a term dict modulo the nonzero term dicts `basis`."""
     if not terms or not basis:
         return terms
-    return NormalForm(basis, p, order)(dict(terms))
+    return NormalForm(basis, p)(dict(terms))
 
 
-def groebner_terms(elems, p: int, order: MonomialOrder, stage: str, syzygy_cutoff=None):
+def groebner_terms(elems, p: int, stage: str, syzygy_cutoff=None):
     """Reduced Groebner basis of the submodule spanned by the term dicts `elems`.
 
     Two elements led in one component form a pair; pairs are treated by
@@ -248,16 +231,11 @@ def groebner_terms(elems, p: int, order: MonomialOrder, stage: str, syzygy_cutof
     zero, so they already form a Groebner basis, whose reduced form is the
     minimal terms (`_minimal_terms`).
     """
-    rank = _rank_of(order)
-
-    def term_rank(t):
-        return (t[0], rank(t[1]))
-
     elems = [g for g in elems if g]
     if all(len(g) == 1 for g in elems):
-        return _minimal_terms(elems, term_rank, syzygy_cutoff)
-    led = [(g, min(g, key=term_rank)) for g in elems]
-    led.sort(key=lambda e: term_rank(e[1]), reverse=True)
+        return _minimal_terms(elems, syzygy_cutoff)
+    led = [(g, lead_term(g)) for g in elems]
+    led.sort(key=lambda e: _term_rank(e[1]), reverse=True)
     basis = [_monic(g, lead, p) for g, lead in led]
     leads = [lead for _, lead in led]
     single = [len({c for c, _ in g}) == 1 for g in basis]
@@ -291,7 +269,7 @@ def groebner_terms(elems, p: int, order: MonomialOrder, stage: str, syzygy_cutof
                     continue  # known zero
                 pairs[i, j] = l
                 # ascending lcm degree, then lcm term (its negated rank)
-                heappush(pairq, (d, -comp, tuple(map(neg, rank(l))), i, j))
+                heappush(pairq, (d, -comp, tuple(map(neg, grevlex_rank(l))), i, j))
         earlier.append(j)
 
     for j in range(len(basis)):
@@ -318,10 +296,10 @@ def groebner_terms(elems, p: int, order: MonomialOrder, stage: str, syzygy_cutof
                         work[t] = w
                     else:
                         work.pop(t, None)
-        s = _normal_form(work, reducers, p, rank)
+        s = _normal_form(work, reducers, p)
         if not s:
             continue
-        lead = min(s, key=term_rank)
+        lead = lead_term(s)
         s = _monic(s, lead, p)
         basis.append(s)
         leads.append(lead)
@@ -329,10 +307,10 @@ def groebner_terms(elems, p: int, order: MonomialOrder, stage: str, syzygy_cutof
         tail = [(t, c) for t, c in s.items() if t != lead]
         reducers.setdefault(lead[0], []).append((lead[1], 1, tail))
         add(len(basis) - 1)
-    return _inter_reduce(leads, members, reducers, p, rank, syzygy_cutoff)
+    return _inter_reduce(leads, members, reducers, p, syzygy_cutoff)
 
 
-def _minimal_terms(elems, term_rank, syzygy_cutoff):
+def _minimal_terms(elems, syzygy_cutoff):
     """Monic {term: 1} for the minimal terms of each component, sorted as
     `_inter_reduce` sorts; past the cutoff every term stays, repeats too."""
     monos: dict = {}  # component -> monomials there
@@ -343,10 +321,10 @@ def _minimal_terms(elems, term_rank, syzygy_cutoff):
         (c, m) for c, ms in monos.items()
         for m in (ms if syzygy_cutoff is not None and c >= syzygy_cutoff else minimal_monomials(ms))
     ]
-    return [{t: 1} for t in sorted(terms, key=term_rank, reverse=True)]
+    return [{t: 1} for t in sorted(terms, key=_term_rank, reverse=True)]
 
 
-def _inter_reduce(leads, members, reducers, p: int, rank, syzygy_cutoff):
+def _inter_reduce(leads, members, reducers, p: int, syzygy_cutoff):
     """Minimalize then inter-reduce; output is the unique reduced basis, sorted.
     Elements led at or past `syzygy_cutoff` (None: no cutoff) are all kept.
 
@@ -378,10 +356,10 @@ def _inter_reduce(leads, members, reducers, p: int, rank, syzygy_cutoff):
         k = seen[c] = seen.get(c, -1) + 1
         tail = dict(table[c][k][2])
         if tail:
-            tail = _normal_form(tail, table, p, rank)
+            tail = _normal_form(tail, table, p)
             table[c][k] = (m, 1, list(tail.items()))
         out.append(({lead: 1, **tail}, lead))
-    out.sort(key=lambda e: (e[1][0], rank(e[1][1])), reverse=True)
+    out.sort(key=lambda e: _term_rank(e[1]), reverse=True)
     return [g for g, _ in out]
 
 
@@ -396,20 +374,20 @@ def _poly_of(terms: dict, p: int, nvars: int) -> Polynomial:
     return Polynomial._raw(p, nvars, {m: c for (_, m), c in terms.items()})
 
 
-def reduce_poly(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
+def reduce_poly(f: Polynomial, basis) -> Polynomial:
     """Full normal form of f modulo the list `basis` (every term reduced)."""
     if f.is_zero() or not basis:
         return f
     elems = [_terms_of(g) for g in basis if not g.is_zero()]
-    return _poly_of(normal_form_terms(_terms_of(f), elems, f.p, order), f.p, f.nvars)
+    return _poly_of(normal_form_terms(_terms_of(f), elems, f.p), f.p, f.nvars)
 
 
-def divide_exact(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
+def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g for exact division; raises when g does not divide f.
     The remainder's leads come off a min-heap by rank, as in `_normal_form`."""
     p = f.p
-    rank = _rank_of(order)
-    lm, lc = g.lead(order)
+    rank = grevlex_rank
+    lm, lc = g.lead()
     lc_inv = pow(lc, p - 2, p)
     tail = [(m, c) for m, c in g.terms.items() if m != lm]
     work = dict(f.terms)
@@ -434,21 +412,27 @@ def divide_exact(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     return Polynomial(p, f.nvars, quot)
 
 
-def buchberger(gens, order: MonomialOrder = GREVLEX):
+def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by `gens`, sorted by lead."""
     elems = [_terms_of(g) for g in gens if not g.is_zero()]
     if not elems:
         return []
     p, nvars = gens[0].p, gens[0].nvars
-    gb = groebner_terms(elems, p, order, "ideal Buchberger")
+    gb = groebner_terms(elems, p, "ideal Buchberger")
     return [_poly_of(g, p, nvars) for g in gb]
 
 
 # ---------------------------------------------------------------------------
 # ideals
 
+# The one key of `Ideal._gb`. The benchmark tracer (`perfbench/tracer.py`)
+# tests it against `_gb` to tell a cached basis from a fresh one.
+_GB_KEY = (GREVLEX.kind, GREVLEX.block)
+
+
 class Ideal:
-    """An ideal of a PolyRing, with cached reduced Groebner bases per order."""
+    """An ideal of a PolyRing, with its reduced grevlex Groebner basis and the
+    reducer table of that basis, each computed once and cached."""
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -461,24 +445,22 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         self.generators = tuple(gens)
-        self._gb: dict = {}
-        self._normal_forms: dict = {}  # order key -> NormalForm of that basis
+        self._gb: dict = {}  # {_GB_KEY: basis}, once computed
+        self._nf = None  # NormalForm of the basis, once needed
 
-    def groebner_basis(self, order: MonomialOrder = GREVLEX):
-        key = (order.kind, order.block)
-        got = self._gb.get(key)
+    def groebner_basis(self):
+        got = self._gb.get(_GB_KEY)
         if got is None:
-            got = tuple(buchberger(list(self.generators), order))
-            self._gb[key] = got  # idempotent; concurrent recomputation is identical
+            got = tuple(buchberger(list(self.generators)))
+            self._gb[_GB_KEY] = got  # idempotent; concurrent recomputation is identical
         return got
 
-    def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-        """Full normal form of f against the cached reducer table of `order`."""
-        key = (order.kind, order.block)
-        nf = self._normal_forms.get(key)
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        """Full normal form of f against the cached reducer table."""
+        nf = self._nf
         if nf is None:
-            elems = [_terms_of(g) for g in self.groebner_basis(order)]
-            nf = self._normal_forms[key] = NormalForm(elems, self.ring.p, order)
+            elems = [_terms_of(g) for g in self.groebner_basis()]
+            nf = self._nf = NormalForm(elems, self.ring.p)
         if f.is_zero() or not nf.table:
             return f
         return _poly_of(nf(_terms_of(f)), f.p, f.nvars)
@@ -493,8 +475,8 @@ class Ideal:
         gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].is_constant()
 
-    def lead_monomials(self, order: MonomialOrder = GREVLEX):
-        return tuple(g.lead(order)[0] for g in self.groebner_basis(order))
+    def lead_monomials(self):
+        return tuple(g.lead()[0] for g in self.groebner_basis())
 
     def hilbert_numerator(self) -> Numerator:
         """N(t) with HS(S/self) = N(t) / (1 - t)^n, from the grevlex lead terms."""
@@ -621,9 +603,9 @@ def _module_colon(ring: PolyRing, entries, ideals) -> Ideal:
         for j, a in enumerate(ideals)
         for g in a.generators
     ]
-    gb = groebner_terms(elems, p, GREVLEX, "colon Buchberger")
+    gb = groebner_terms(elems, p, "colon Buchberger")
     colon = Ideal(ring, [_poly_of(g, p, nvars) for g in gb if lead_term(g)[0] == k])
-    colon._gb[(GREVLEX.kind, GREVLEX.block)] = colon.generators
+    colon._gb[_GB_KEY] = colon.generators
     return colon
 
 
@@ -645,7 +627,7 @@ def in_radical(f: Polynomial, a: Ideal) -> bool:
     t = big.gen(0)
     gens = [g.extend(big.n, 1) for g in a.generators]
     gens.append(big.one() - t * f.extend(big.n, 1))
-    gb = buchberger(gens, GREVLEX)
+    gb = buchberger(gens)
     return len(gb) == 1 and gb[0].is_constant()
 
 
@@ -657,8 +639,7 @@ def minimal_primes_monomial(a: Ideal):
     """
     if not a.is_monomial():
         raise ValueError("minimal_primes_monomial needs a monomial ideal")
-    gens = [g.lead(GREVLEX)[0] for g in a.groebner_basis()]
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in gens]
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in a.lead_monomials()]
     if any(not s for s in supports):
         return []  # unit ideal
     n = a.ring.n

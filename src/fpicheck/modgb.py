@@ -1,7 +1,7 @@
 """Groebner machinery for submodules of free modules over F_p[x_1..x_n].
 
 Elements of a free module S^r are sparse vectors whose terms are keyed by
-(component, monomial). The only order used is position-over-term with grevlex
+(component, monomial). The one order is position-over-term with grevlex
 ties: lower component indices dominate, so placing "real" components before
 tag components turns a Groebner basis into an elimination device for syzygies.
 
@@ -16,7 +16,7 @@ A module over R = S/I is a module over S plus the columns I·e_j
 
 from __future__ import annotations
 
-from .gfpoly import GREVLEX, Polynomial, mono_degree, mono_mul
+from .gfpoly import Polynomial, mono_degree, mono_mul
 from .groebner import groebner_terms, lead_term, normal_form_terms
 
 
@@ -176,9 +176,7 @@ def module_groebner(gens, syzygy_cutoff=None):
     if not gens:
         return []
     p, nvars = gens[0].p, gens[0].nvars
-    gb = groebner_terms(
-        [g.terms for g in gens], p, GREVLEX, "module Buchberger", syzygy_cutoff
-    )
+    gb = groebner_terms([g.terms for g in gens], p, "module Buchberger", syzygy_cutoff)
     return [Vec._raw(p, nvars, g) for g in gb]
 
 

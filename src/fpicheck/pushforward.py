@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iterproduct
-from math import prod
+from math import comb, prod
 
-from .errors import PipelineInvariantError
+from .errors import PipelineInvariantError, ResourceLimitError
 from .gfpoly import Polynomial
 from .groebner import Ideal, RingSpec, bracket_power, divide_exact, ideal_colon
 from .hilbert import ONE, Numerator
@@ -94,6 +94,10 @@ def frobenius_pushforward(rs: RingSpec, e: int = 1) -> ModulePresentation:
 # ---------------------------------------------------------------------------
 # the Frobenius colon (I^[q] : I)
 
+# terms that (f_1 ⋯ f_c)^(q-1) may have before the Fedder colon refuses it
+FEDDER_POWER_TERM_CAP = 10**6
+
+
 def _complete_intersection_generators(rs: RingSpec):
     """A minimal homogeneous generating set f_1..f_c of I when I is a
     homogeneous complete intersection (c = n - dim R = ht I), else None.
@@ -133,6 +137,12 @@ def frobenius_colon(rs: RingSpec, e: int = 1) -> Ideal:
     is already the reduced basis of I^[q], and the only new element is the
     product. Reduced bases are unique, so every branch gives the same
     reduced basis of (I^[q] : I).
+
+    Before the power is formed its terms are bounded: u = f_1 ⋯ f_c with t
+    terms has u^(q-1) a sum of products of q - 1 of them, at most
+    C(q+t-2, t-1), each a monomial of degree (q-1)·deg u, of which there are
+    C((q-1)·deg u+n-1, n-1). Past `FEDDER_POWER_TERM_CAP` it raises
+    ResourceLimitError.
     """
     ideal = rs.ideal
     fs = None
@@ -141,6 +151,13 @@ def frobenius_colon(rs: RingSpec, e: int = 1) -> Ideal:
     if fs is None:
         return ideal_colon(bracket_power(ideal, e), ideal)
     product = prod(fs, start=rs.ring.one())
+    q, t, n = rs.p**e, len(product.terms), rs.n
+    bound = min(comb(q + t - 2, t - 1), comb((q - 1) * product.degree() + n - 1, n - 1))
+    if bound > FEDDER_POWER_TERM_CAP:
+        raise ResourceLimitError(
+            f"F-purity (Fedder colon): (f_1*...*f_c)^(q-1) may have {bound} terms, "
+            f"past the cap of {FEDDER_POWER_TERM_CAP}"
+        )
     # u^(q-1) = u^q / u: u^q = u^[q] costs nothing, and the exact division
     # is far cheaper than repeated squaring of a dense power
     power = divide_exact(product.frobenius_power(e), product)

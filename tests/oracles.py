@@ -1,18 +1,19 @@
-"""Independent brute-force oracles used to cross-check the main engine.
+"""Independent oracles used to cross-check the main engine.
 
-Everything in this file deliberately avoids the Groebner machinery.  Ideal
-membership is decided degree by degree with dense linear algebra over F_p:
-for a homogeneous ideal I = (g_1, ..., g_r), the degree-d slice I_d is the
-span of the products m * g_i with deg(m) + deg(g_i) = d, so membership of an
-arbitrary polynomial reduces to solving a linear system per homogeneous
-component.  Only the sparse polynomial arithmetic layer is shared with the
-code under test, with two exceptions. `realize_finite_oracle` is the general
-path that `artinian.realize_finite` replaced, one `reduce_vec` per column,
-kept so that the table-once construction is checked against it. And
-`intersect_by_elimination`/`colon_by_elimination` compute intersections and
-colons by eliminating an auxiliary variable with ideal Groebner bases under
-a block order, the path that the module colon of `groebner.ideal_colon` and
-`groebner.ideal_intersect` replaced. `tor_length_oracle` takes the engine's
+The membership, Hilbert-function and module-membership oracles avoid the
+Groebner machinery. Ideal membership is decided degree by degree with dense
+linear algebra over F_p: for a homogeneous ideal I = (g_1, ..., g_r), the
+degree-d slice I_d is the span of the products m * g_i with
+deg(m) + deg(g_i) = d, so membership of an arbitrary polynomial reduces to
+solving a linear system per homogeneous component. The other oracles below
+use the engine, each on a path other than the one it checks.
+`realize_finite_oracle` is the general path that `artinian.realize_finite`
+replaced, one `reduce_vec` per column, kept so that the table-once
+construction is checked against it. `intersect_by_elimination` reads a ∩ b
+off the syzygies of the generators of a and b (`modgb.syzygy_basis`), and
+`colon_by_elimination` builds colons on it with exact division: not the
+tagged module colon of `groebner.ideal_colon` and
+`groebner.ideal_intersect`. `tor_length_oracle` takes the engine's
 resolution and the ring's normal forms, and replaces the homology
 subquotient of `resolutions.tor_frobenius` by two ranks over F_p.
 
@@ -25,9 +26,10 @@ pushes that presentation through the Frobenius functor with plain
 
 `syzygies_by_full_basis` is the syzygy path without the pair cutoff of
 `modgb.syzygy_basis`. `groebner_all_pairs` is plain Buchberger on term
-dicts, every pair treated, the reference for the pair criteria of
-`groebner.groebner_terms`. `artinian_rings` and `curve_rings` are the shared
-`hypothesis` strategies for Artinian rings and for binomial plane curves.
+dicts, every pair treated, under its own grevlex key: the reference for
+the pair criteria of `groebner.groebner_terms`. `artinian_rings` and
+`curve_rings` are the shared `hypothesis` strategies for Artinian rings and
+for binomial plane curves.
 `minimal_ideal_generators_oracle` is the ideal-membership loop that
 `classify.minimal_ideal_generators` replaced with `minimal_generators`.
 
@@ -55,17 +57,16 @@ from hypothesis import strategies as st
 from fpicheck.artinian import FiniteLengthModule, realize_finite, realize_ring
 from fpicheck.gfpoly import (
     Polynomial,
-    elimination_order,
     mono_degree,
     mono_divides,
     mono_mul,
     monomials_of_degree,
 )
-from fpicheck.groebner import Ideal, RingSpec, buchberger, divide_exact
+from fpicheck.groebner import Ideal, RingSpec, divide_exact
 from fpicheck.errors import ResourceLimitError
 from fpicheck.hilbert import ONE, Numerator
 from fpicheck.linalg import Subspace, nullspace, rank
-from fpicheck.modgb import Vec, kernel_over_quotient, module_groebner, reduce_vec
+from fpicheck.modgb import Vec, kernel_over_quotient, module_groebner, reduce_vec, syzygy_basis
 from fpicheck.pushforward import TwistedHom
 from fpicheck.resolutions import ModulePresentation, resolve_presentation, transpose
 
@@ -496,13 +497,15 @@ def syzygies_by_full_basis(cols, nreal: int) -> list:
     ]
 
 
-def groebner_all_pairs(elems, p: int, order) -> list:
+def groebner_all_pairs(elems, p: int) -> list:
     """Reduced Groebner basis of the submodule spanned by the term dicts
     `elems` ({(component, monomial): coeff}), by plain Buchberger: every pair
     of elements led in one component is reduced, with no criterion.
 
     Terms compare position over term, as in the kernel: a lower component
-    is larger, ties go to `order.key`. A normal form cancels the largest
+    is larger, ties go to grevlex, written out here on its own (higher
+    degree first, then the smaller exponent of the last variable that
+    differs). A normal form cancels the largest
     reducible term with the first element, in list order, whose lead divides
     it. The result is minimalized (an element whose lead another lead
     divides goes, equal leads keeping the first), made monic, each tail put
@@ -511,7 +514,8 @@ def groebner_all_pairs(elems, p: int, order) -> list:
     """
 
     def term_key(t):
-        return (-t[0], order.key(t[1]))
+        comp, m = t
+        return (-comp, sum(m), tuple(-e for e in reversed(m)))
 
     def lead(g):
         return max(g, key=term_key)
@@ -632,20 +636,20 @@ def module_membership_oracle(v, gens, twists) -> bool:
 
 
 def intersect_by_elimination(a: Ideal, b: Ideal) -> Ideal:
-    """a ∩ b via a single auxiliary variable t: the elements of the
-    elimination basis of t*a + (1 - t)*b that do not involve t."""
+    """a ∩ b from the syzygies of (a_1, ..., a_r, b_1, ..., b_s) in S^1:
+    h lies in a ∩ b exactly when h = Σ c_i a_i = -Σ d_j b_j for some
+    syzygy (c, d), so the Σ c_i a_i over generators (c, d) of the syzygy
+    module generate a ∩ b. The zero ideal on either side gives 0. This is
+    elimination in S^(1+r+s) under position over term (the tag components
+    of `modgb.syzygy_basis`), not the tagged colon of `groebner._module_colon`."""
     ring = a.ring
-    big = ring.extended(("_t",))
-    t = big.gen(0)
-    one = big.one()
-    gens = [t * g.extend(big.n, 1) for g in a.generators]
-    gens += [(one - t) * g.extend(big.n, 1) for g in b.generators]
-    kept = [
-        Polynomial(ring.p, ring.n, {m[1:]: c for m, c in g.terms.items()})
-        for g in buchberger(gens, elimination_order(1))
-        if all(m[0] == 0 for m in g.terms)
-    ]
-    return Ideal(ring, kept)
+    if not a.generators or not b.generators:
+        return Ideal(ring, [])
+    columns = [Vec.from_polys([(0, g)]) for g in a.generators + b.generators]
+    return Ideal(ring, [
+        sum((s.component(i) * g for i, g in enumerate(a.generators)), ring.zero())
+        for s in syzygy_basis(columns, 1)
+    ])
 
 
 def colon_by_elimination(a: Ideal, b: Ideal) -> Ideal:

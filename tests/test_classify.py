@@ -1,5 +1,7 @@
 """Verdict layer: nonzerodivisors, Gorenstein, F-purity, canonical ideals."""
 
+import csv
+import io
 import signal
 from contextlib import contextmanager
 from unittest import mock
@@ -9,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import artinian_rings, curve_rings, minimal_ideal_generators_oracle
 
-from fpicheck import classify, pushforward
+from fpicheck import classify, cli, pushforward
 from fpicheck.artinian import frobenius_fixes_injective_hull, ring_as_module
 from fpicheck.classify import (
     canonical_ideal,
@@ -132,6 +134,32 @@ def test_classify_at_the_top_of_the_prime_range():
     assert report.gorenstein is False
     assert report.f_pure is False
     assert report.weakly_fpi == "false"
+
+
+def test_fedder_power_past_its_term_cap_names_its_stage(tmp_path, capsys):
+    # u = x^2 - y*z has two terms, so u^(p-1) may have p of them; at
+    # p = 307 that is inside the cap and the colon answers
+    assert is_f_pure(RingSpec(307, ["x", "y", "z"], ["x^2 - y*z"]))[0] is True
+    spec = tmp_path / "cone.txt"
+    spec.write_text(f"p = {TOP_P}\nvars = x, y, z\nideal = x^2 - y*z\n")
+    with deadline(20):
+        code = cli.main(["report", "--check", "fpure", "--input", str(spec)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: F-purity (Fedder colon): ")
+
+
+def test_fedder_power_past_its_term_cap_is_a_census_error_row(monkeypatch):
+    # a complete-intersection curve, so the census classifies it and the
+    # refused Fedder power ends the row, not the census
+    curve = RingSpec(TOP_P, ["x", "y", "z"], ["x*y - 2*z^2", "x^2 - y*z"])
+    monkeypatch.setattr(cli, "_census_rings", lambda config: iter([(0, curve)]))
+    out = io.StringIO()
+    with deadline(20):
+        summary = cli.run_census(cli.CensusConfig(primes=(TOP_P,)), out)
+    assert summary["errors"] == 1
+    row = dict(zip(cli.CSV_COLUMNS, list(csv.reader(io.StringIO(out.getvalue())))[1]))
+    assert row["dim"] == "1"
+    assert row["caveat"].startswith("error: F-purity (Fedder colon): ")
 
 
 # -- Gorenstein ---------------------------------------------------------------------

@@ -22,7 +22,7 @@ from oracles import (
 
 from fpicheck import classify, groebner, pushforward
 from fpicheck.errors import ResourceLimitError
-from fpicheck.gfpoly import GREVLEX, LEX, Polynomial, monomials_of_degree, poly_to_string
+from fpicheck.gfpoly import Polynomial, monomials_of_degree, poly_to_string
 from fpicheck.groebner import (
     Ideal,
     PolyRing,
@@ -265,18 +265,7 @@ def test_hilbert_function_matches_oracle(rs):
 @given(homogeneous_ring(), st.data())
 def test_cached_normal_form_matches_fresh_reduction(rs, data):
     f = draw_form(data.draw, rs.p, rs.n, data.draw(st.integers(0, 4)))
-    for order in (GREVLEX, LEX):
-        basis = list(rs.ideal.groebner_basis(order))
-        assert rs.ideal.normal_form(f, order) == reduce_poly(f, basis, order)
-
-
-def test_normal_form_tables_are_kept_per_order():
-    # the grevlex lead of y^2 + x*z is y^2, the lex lead is x*z
-    a = Ideal(PolyRing(3, NAMES), ["y^2 + x*z"])
-    f = a.ring.parse("x*y*z")
-    assert a.normal_form(f, GREVLEX) == f
-    assert a.normal_form(f, LEX) == a.ring.parse("-y^3")
-    assert a.normal_form(f, GREVLEX) == f
+    assert rs.ideal.normal_form(f) == reduce_poly(f, list(rs.ideal.groebner_basis()))
 
 
 # -- F-purity of complete intersections against the elimination colon ----------
@@ -511,9 +500,8 @@ def division_case(draw):
 def test_divide_exact_inverts_multiplication(case):
     f, g = case
     one = Polynomial.constant(f.p, 3, 1)
-    for order in (GREVLEX, LEX):
-        assert divide_exact(f * g, g, order) == f
-        if not g.is_constant():
-            # g divides f*g, so it does not divide f*g + 1
-            with pytest.raises(ValueError):
-                divide_exact(f * g + one, g, order)
+    assert divide_exact(f * g, g) == f
+    if not g.is_constant():
+        # g divides f*g, so it does not divide f*g + 1
+        with pytest.raises(ValueError):
+            divide_exact(f * g + one, g)

@@ -8,15 +8,7 @@ from hypothesis import strategies as st
 from oracles import groebner_all_pairs, module_membership_oracle, syzygies_by_full_basis
 
 from fpicheck.errors import ResourceLimitError
-from fpicheck.gfpoly import (
-    GREVLEX,
-    LEX,
-    Polynomial,
-    elimination_order,
-    mono_div,
-    mono_lcm,
-    monomials_of_degree,
-)
+from fpicheck.gfpoly import Polynomial, mono_div, mono_lcm, monomials_of_degree
 from fpicheck import groebner
 from fpicheck.groebner import Ideal, PolyRing, buchberger, groebner_terms
 from fpicheck.modgb import Vec, module_contains, module_groebner, syzygy_basis
@@ -69,14 +61,13 @@ def test_ideal_and_rank_one_module_bases_agree():
 
 @st.composite
 def kernel_inputs(draw):
-    """(term dicts, p, order): a homogeneous ideal of degree <= 3 in <= 3
-    variables under grevlex, an ideal in 2 variables under lex or elim, or
-    a submodule of S^2 or S^3 over F_p[x, y] under grevlex."""
+    """(term dicts, p): a homogeneous ideal of degree <= 3 in <= 3 variables,
+    an inhomogeneous ideal of F_p[x, y] whose elements mix degrees 0 to 3,
+    or a submodule of S^2 or S^3 over F_p[x, y]."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
-    family = draw(st.sampled_from(["graded", "lex", "elim", "module"]))
+    family = draw(st.sampled_from(["graded", "inhomogeneous", "module"]))
     nvars = draw(st.integers(1, 3)) if family == "graded" else 2
     rank = draw(st.integers(2, 3)) if family == "module" else 1
-    order = {"lex": LEX, "elim": elimination_order(1)}.get(family, GREVLEX)
 
     def element():
         d = draw(st.integers(0 if family == "module" else 1, 3))
@@ -90,7 +81,7 @@ def kernel_inputs(draw):
         chosen = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=4, unique=True))
         return {t: draw(st.integers(1, p - 1)) for t in chosen}
 
-    return [element() for _ in range(draw(st.integers(1, 4)))], p, order
+    return [element() for _ in range(draw(st.integers(1, 4)))], p
 
 
 def terms_of(ring, *columns):
@@ -108,30 +99,29 @@ R5 = PolyRing(5, ["x", "y", "z"])
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(kernel_inputs())
 # B_k without its two guards drops both pairs of the chain and returns (x)
-@example((terms_of(R, {0: "2*x^2*y + y^3"}, {0: "x^2*y"}, {0: "x"}), 3, GREVLEX))
+@example((terms_of(R, {0: "2*x^2*y + y^3"}, {0: "x^2*y"}, {0: "x"}), 3))
 # monomial ideals with repeated and redundant generators
-@example((terms_of(R5, *({0: t} for t in ("x*y", "x^2*y", "x*y", "z^3", "x*z", "y*z^2"))), 5, GREVLEX))
-@example((terms_of(R, *({0: t} for t in ("y^2", "x^3", "y^2", "x*y^2", "x^2*y"))), 3, LEX))
+@example((terms_of(R5, *({0: t} for t in ("x*y", "x^2*y", "x*y", "z^3", "x*z", "y*z^2"))), 5))
+@example((terms_of(R, *({0: t} for t in ("y^2", "x^3", "y^2", "x*y^2", "x^2*y"))), 3))
+# an inhomogeneous ideal: x*(x*y + 1) - y*(x^2 - y) = x + y^2
+@example((terms_of(R, {0: "x^2 - y"}, {0: "x*y + 1"}), 3))
 # term modules with equal leads in several components
-@example((terms_of(R2, {0: "x"}, {1: "x"}, {2: "x"}, {0: "x*y"}, {1: "x"}, {2: "y^2"}), 2, GREVLEX))
+@example((terms_of(R2, {0: "x"}, {1: "x"}, {2: "x"}, {0: "x*y"}, {1: "x"}, {2: "y^2"}), 2))
 # a term column beside polynomial columns
-@example((terms_of(R, {0: "x*y"}, {0: "x^2", 1: "y"}, {0: "y^2", 1: "x"}, {1: "x*y + y^2"}), 3, GREVLEX))
-@example((terms_of(R5, {1: "x*z"}, {0: "x + y", 1: "z"}, {0: "y", 1: "x"}), 5, GREVLEX))
+@example((terms_of(R, {0: "x*y"}, {0: "x^2", 1: "y"}, {0: "y^2", 1: "x"}, {1: "x*y + y^2"}), 3))
+@example((terms_of(R5, {1: "x*z"}, {0: "x + y", 1: "z"}, {0: "y", 1: "x"}), 5))
 def test_kernel_matches_all_pairs_buchberger(case):
-    elems, p, order = case
-    got = groebner_terms(elems, p, order, "test")
-    assert got == groebner_all_pairs(elems, p, order)
+    elems, p = case
+    assert groebner_terms(elems, p, "test") == groebner_all_pairs(elems, p)
 
 
 @st.composite
 def all_term_inputs(draw):
-    """(term dicts, p, order): single terms, zero elements among them, over
-    F_p[x, ...] in S^1, S^2 or S^3, under grevlex, lex or elim. Terms may
-    repeat, one monomial may lead in several components, and degree 0 gives
-    the constant monomial."""
+    """(term dicts, p): single terms, zero elements among them, over
+    F_p[x, ...] in S^1, S^2 or S^3. Terms may repeat, one monomial may lead
+    in several components, and degree 0 gives the constant monomial."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
-    order = draw(st.sampled_from([GREVLEX, LEX, elimination_order(1)]))
-    nvars = draw(st.integers(2 if order.kind == "elim" else 1, 3))
+    nvars = draw(st.integers(1, 3))
     rank = draw(st.integers(1, 3))
     terms = [(c, m) for c in range(rank) for d in range(4) for m in monomials_of_degree(nvars, d)]
     elems = []
@@ -139,7 +129,7 @@ def all_term_inputs(draw):
         elems.append({t: draw(st.integers(1, p - 1))})
         if draw(st.integers(0, 5)) == 0:
             elems.append({})
-    return elems, p, order
+    return elems, p
 
 
 def term_columns(ring, *cols):
@@ -150,14 +140,14 @@ def term_columns(ring, *cols):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(all_term_inputs())
 # a repeated term, a redundant one, and the constant monomial
-@example((term_columns(R, (0, "x*y", 2), (0, "x^2*y", 1), (0, "x*y", 1), (0, "1", 2)), 3, GREVLEX))
+@example((term_columns(R, (0, "x*y", 2), (0, "x^2*y", 1), (0, "x*y", 1), (0, "1", 2)), 3))
 # one lead shared by three components, repeated in one of them
-@example((term_columns(R5, (2, "x*z", 1), (0, "x*z", 3), (1, "x*z", 4), (0, "x*z", 1), (1, "z^2", 2)), 5, GREVLEX))
-@example((term_columns(R, (1, "y^2", 1), (0, "x^3", 2), (1, "x*y^2", 1), (0, "x*y", 1)), 3, LEX))
-@example((term_columns(R, (0, "x*y^2", 1), (0, "y^3", 1), (0, "x^2", 2), (1, "y", 1)), 3, elimination_order(1)))
+@example((term_columns(R5, (2, "x*z", 1), (0, "x*z", 3), (1, "x*z", 4), (0, "x*z", 1), (1, "z^2", 2)), 5))
+@example((term_columns(R, (1, "y^2", 1), (0, "x^3", 2), (1, "x*y^2", 1), (0, "x*y", 1)), 3))
+@example((term_columns(R, (0, "x*y^2", 1), (0, "y^3", 1), (0, "x^2", 2), (1, "y", 1)), 3))
 def test_all_term_input_matches_all_pairs_buchberger(case):
-    elems, p, order = case
-    assert groebner_terms(elems, p, order, "test") == groebner_all_pairs(elems, p, order)
+    elems, p = case
+    assert groebner_terms(elems, p, "test") == groebner_all_pairs(elems, p)
 
 
 def test_all_term_input_keeps_every_term_past_the_syzygy_cutoff():
@@ -171,7 +161,7 @@ def test_all_term_input_keeps_every_term_past_the_syzygy_cutoff():
         R, (2, "1", 1), (2, "x", 1), (2, "x", 1), (1, "y", 1), (1, "y", 1),
         (1, "y^2", 1), (1, "x*y", 1), (0, "x", 1),
     )
-    assert groebner_terms(elems, 3, GREVLEX, "test", syzygy_cutoff=1) == want
+    assert groebner_terms(elems, 3, "test", syzygy_cutoff=1) == want
 
 
 def test_syzygies_of_term_columns_are_the_pairwise_ones():

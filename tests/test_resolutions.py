@@ -22,7 +22,7 @@ from fpicheck.artinian import (
     ring_as_module,
 )
 from fpicheck.errors import InfiniteLengthError
-from fpicheck.gfpoly import GREVLEX, Polynomial, mono_degree, random_homogeneous
+from fpicheck.gfpoly import Polynomial, mono_degree, random_homogeneous
 from fpicheck.groebner import Ideal, PolyRing, RingSpec
 from fpicheck.modgb import (
     Vec,
