@@ -1,52 +1,100 @@
 """Finite-length graded modules as exact mod-p linear algebra.
 
 A FiniteLengthModule fixes a k-basis and records the (commuting, nilpotent)
-action of each ambient variable as a matrix. Matlis duality is transposition,
-socles are common kernels, and hom spaces come from the linear conditions
-F A_v = B_v F. The injective hull E of the residue field of an Artinian R is
-its canonical module Ext^n_S(R, S(-n)) (graded local duality), read off the
-minimal free resolution by `resolutions.canonical_module`. A module is a
-power E^n exactly when its socle dimension is n and its length is n·λ(R)
-(`is_hull_power`); general isomorphism testing combines structural
-invariants with a search for an invertible homomorphism.
+action of each ambient variable as sparse columns of Python ints, so every
+product is exact over the whole prime range. Matlis duality is
+transposition, socles are common kernels, and hom spaces come from the
+linear conditions F A_v = B_v F. The injective hull E of the residue field
+of an Artinian R is its canonical module Ext^n_S(R, S(-n)) (graded local
+duality), read off the minimal free resolution by
+`resolutions.canonical_module`. A module is a power E^n exactly when its
+socle dimension is n and its length is n·λ(R) (`is_hull_power`); general
+isomorphism testing (`modules_isomorphic`, which the pipeline does not
+call) combines structural invariants with a search for an invertible
+homomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InfiniteLengthError, PipelineInvariantError
 from .groebner import NormalForm, RingSpec
 from .hilbert import standard_monomials
-from .linalg import Subspace, is_invertible, matmul, nullspace, rank
+from .linalg import Subspace, is_invertible, nullspace, rank
 from .modgb import lead_module_is_finite_colength
 from .resolutions import ModulePresentation, canonical_module, frobenius_functor
 
 
+def _apply(cols, vec: dict, p: int) -> dict:
+    """Image of the sparse vector {index: c} under the map whose sparse
+    columns are `cols`."""
+    if len(vec) == 1:
+        ((j, c),) = vec.items()
+        return cols[j] if c == 1 else {i: c * d % p for i, d in cols[j].items()}
+    out: dict = {}
+    for j, c in vec.items():
+        for i, d in cols[j].items():
+            out[i] = out.get(i, 0) + c * d
+    return {i: c % p for i, c in out.items() if c % p}
+
+
+def _transpose(cols, h: int) -> list:
+    """The sparse columns of the transpose of an h×h map given by columns."""
+    out: list = [{} for _ in range(h)]
+    for k, col in enumerate(cols):
+        for i, c in col.items():
+            out[i][k] = c
+    return out
+
+
+def _dense(vec: dict, h: int) -> list:
+    out = [0] * h
+    for i, c in vec.items():
+        out[i] = c
+    return out
+
+
 class FiniteLengthModule:
-    """k-basis plus one action matrix per ambient variable (columns map basis
-    vectors), with optional basis degrees for graded bookkeeping."""
+    """k-basis plus the action of each ambient variable, with optional basis
+    degrees for graded bookkeeping.
+
+    `actions[v][k]` is the image of basis vector k under x_v, a sparse
+    column {row: c} with c in [1, p). The constructor takes each action as a
+    dense square matrix (rows of integers, columns mapping basis vectors);
+    `of_columns` takes sparse columns as they are stored.
+    """
 
     __slots__ = ("p", "dim", "actions", "degrees")
 
     def __init__(self, p: int, actions, degrees=None):
-        self.p = p
-        mats = tuple(np.array(a, dtype=np.int64) % p for a in actions)
-        if not mats:
+        mats = [[[int(c) % p for c in row] for row in a] for a in actions]
+        h = len(mats[0]) if mats else 0
+        if any(len(a) != h or any(len(row) != h for row in a) for a in mats):
+            raise ValueError("action matrices must be square of equal size")
+        cols = [[{i: row[k] for i, row in enumerate(a) if row[k]} for k in range(h)] for a in mats]
+        self._build(p, cols, h, degrees)
+
+    @classmethod
+    def of_columns(cls, p: int, actions, h: int, degrees=None) -> "FiniteLengthModule":
+        """The module of dimension h on which x_v sends basis vector k to
+        `actions[v][k]`, a sparse column with entries in [1, p)."""
+        module = cls.__new__(cls)
+        module._build(p, actions, h, degrees)
+        return module
+
+    def _build(self, p: int, actions, h: int, degrees) -> None:
+        if not actions:
             raise ValueError("need at least one variable action")
-        h = mats[0].shape[0]
-        for a in mats:
-            if a.shape != (h, h):
-                raise ValueError("action matrices must be square of equal size")
-        self.actions = mats
+        self.p = p
         self.dim = h
+        self.actions = tuple(tuple(cols) for cols in actions)
         self.degrees = tuple(degrees) if degrees is not None else None
         for i, a in enumerate(self.actions):
             for b in self.actions[i + 1 :]:
-                if not np.array_equal(matmul(a, b, p), matmul(b, a, p)):
-                    raise ValueError("action matrices must commute")
+                for k in range(h):
+                    if _apply(a, b[k], p) != _apply(b, a[k], p):
+                        raise ValueError("action matrices must commute")
 
     @property
     def nvars(self) -> int:
@@ -55,26 +103,45 @@ class FiniteLengthModule:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def act_monomial(self, vec, mono):
-        """Apply the monomial action x^mono to a coordinate vector, or to
-        every column of a matrix."""
-        v = np.array(vec, dtype=np.int64) % self.p
-        for i, e in enumerate(mono):
+    def act_monomial(self, vec: dict, mono) -> dict:
+        """Apply the monomial action x^mono to a sparse vector {index: c}
+        with entries in [1, p)."""
+        for cols, e in zip(self.actions, mono):
             for _ in range(e):
-                v = matmul(self.actions[i], v, self.p)
-        return v
+                if not vec:
+                    return vec
+                vec = _apply(cols, vec, self.p)
+        return vec
+
+    def act_poly(self, vec: dict, f) -> dict:
+        """Apply the polynomial f to a sparse vector {index: c} with entries
+        in [1, p)."""
+        out: dict = {}
+        for mono, c in f.terms.items():
+            for i, d in self.act_monomial(vec, mono).items():
+                out[i] = out.get(i, 0) + c * d
+        return {i: c % self.p for i, c in out.items() if c % self.p}
 
     def socle_dimension(self) -> int:
-        if self.dim == 0:
+        """dim − rank of the stacked actions: the socle is their common
+        kernel. Row k of the stacked matrix holds column k of every action."""
+        h = self.dim
+        if h == 0:
             return 0
-        stacked = np.vstack(self.actions) % self.p
-        return self.dim - rank(stacked, self.p)
+        rows = []
+        for k in range(h):
+            row = [0] * (h * len(self.actions))
+            for v, cols in enumerate(self.actions):
+                for i, c in cols[k].items():
+                    row[v * h + i] = c
+            rows.append(row)
+        return h - rank(rows, self.p)
 
     def radical_span(self) -> Subspace:
         """Row-space object spanning m*M (images of all variable actions)."""
         sub = Subspace(self.dim, self.p)
-        for a in self.actions:
-            sub.add_rows(a.T % self.p)
+        for cols in self.actions:
+            sub.add_rows([_dense(c, self.dim) for c in cols])
         return sub
 
     def minimal_generator_count(self) -> int:
@@ -82,18 +149,16 @@ class FiniteLengthModule:
 
     def loewy_series(self) -> tuple:
         """Dimensions (λ(M/mM), λ(mM/m^2M), ...) of the radical filtration."""
+        h, p = self.dim, self.p
         out = []
-        cur = np.eye(self.dim, dtype=np.int64)  # columns span m^0 M
-        d_cur = self.dim  # rank of cur, whose columns are an echelon basis
-        while d_cur > 0:
-            sub = Subspace(self.dim, self.p)
-            sub.add_rows(np.hstack([matmul(a, cur, self.p) for a in self.actions]).T)
-            d_nxt = sub.dim
-            out.append(d_cur - d_nxt)
-            if d_nxt == d_cur:
+        cur = [{k: 1} for k in range(h)]  # spans m^0 M
+        while cur:
+            sub = Subspace(h, p)
+            sub.add_rows([_dense(_apply(cols, v, p), h) for cols in self.actions for v in cur])
+            if sub.dim == len(cur):
                 raise PipelineInvariantError("radical filtration does not descend")
-            cur = sub.basis.T.copy()
-            d_cur = d_nxt
+            out.append(len(cur) - sub.dim)
+            cur = [{i: c for i, c in enumerate(row) if c} for row in sub.basis]
         return tuple(out)
 
     def invariants(self) -> dict:
@@ -106,21 +171,12 @@ class FiniteLengthModule:
 
     def matlis_dual(self) -> "FiniteLengthModule":
         degs = tuple(-d for d in self.degrees) if self.degrees is not None else None
-        return FiniteLengthModule(
-            self.p, [a.T % self.p for a in self.actions], degs
+        return FiniteLengthModule.of_columns(
+            self.p, [_transpose(cols, self.dim) for cols in self.actions], self.dim, degs
         )
 
     def __repr__(self):
         return f"FiniteLengthModule(p={self.p}, dim={self.dim})"
-
-
-def poly_action_matrix(module: FiniteLengthModule, f) -> np.ndarray:
-    """Matrix of the action of a polynomial on the module."""
-    out = np.zeros((module.dim, module.dim), dtype=np.int64)
-    eye = np.eye(module.dim, dtype=np.int64)
-    for mono, c in f.terms.items():
-        out = (out + c * module.act_monomial(eye, mono)) % module.p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +190,17 @@ def realize_finite(pres: ModulePresentation) -> FiniteLengthModule:
     when some component admits arbitrarily large standard monomials.
 
     Column k of the action of x_v is the normal form of x_v times basis term
-    k, against one reducer table built for the whole call. When that product
-    is itself a basis term it is written directly: no lead in its component
-    divides it, so the normal form algorithm would return it unchanged.
+    k, against one reducer table built for the whole call, written straight
+    into a sparse column. When that product is itself a basis term it is
+    written directly: no lead in its component divides it, so the normal
+    form algorithm would return it unchanged. Every defining relation of the
+    ring must then act as zero, or PipelineInvariantError is raised.
     """
     ring = pres.ring
     n = ring.n
     p = ring.p
     if pres.nrows == 0:
-        return FiniteLengthModule(p, [np.zeros((0, 0), dtype=np.int64)] * n, ())
+        return FiniteLengthModule.of_columns(p, [()] * n, 0, ())
     gb = pres.groebner_columns()
     lead = pres.lead_data()
     if not lead_module_is_finite_colength(lead, pres.nrows, n):
@@ -156,24 +214,26 @@ def realize_finite(pres: ModulePresentation) -> FiniteLengthModule:
             d += 1
     basis.sort(key=lambda t: (t[2], t[0], t[1]))
     index = {(i, m): k for k, (i, m, _) in enumerate(basis)}
-    h = len(basis)
     nf = NormalForm([g.terms for g in gb], p)
     actions = []
     for v in range(n):
-        a = np.zeros((h, h), dtype=np.int64)
-        for k, (i, m, _) in enumerate(basis):
+        cols = []
+        for i, m, _ in basis:
             target = (i, m[:v] + (m[v] + 1,) + m[v + 1 :])
             row = index.get(target)
             if row is not None:
-                a[row, k] = 1
-                continue
-            for t, c in nf({target: 1}).items():
-                a[index[t], k] = c
-        actions.append(a)
-    module = FiniteLengthModule(p, actions, tuple(d for _, _, d in basis))
+                cols.append({row: 1})
+            else:
+                cols.append({index[t]: c for t, c in nf({target: 1}).items()})
+        actions.append(cols)
+    module = FiniteLengthModule.of_columns(p, actions, len(basis), tuple(d for _, _, d in basis))
     if pres.modulus is not None:
+        # basis term (i, m) is x^m times the term (i, 1), and the actions
+        # commute, so a relation that kills every (i, 1) kills the module
+        one = (0,) * n
+        gens = [index[(i, one)] for i in range(pres.nrows) if (i, one) in index]
         for g in pres.modulus.generators:
-            if poly_action_matrix(module, g).any():
+            if any(module.act_poly({k: 1}, g) for k in gens):
                 raise PipelineInvariantError(
                     "a defining relation of the ring acts nontrivially"
                 )
@@ -209,68 +269,61 @@ def socle_dimension_of_ring(rs: RingSpec) -> int:
 # ---------------------------------------------------------------------------
 # hom spaces and isomorphism testing
 
-def hom_space(src: FiniteLengthModule, dst: FiniteLengthModule):
-    """k-basis of module homomorphisms src -> dst, as (dst.dim, src.dim) arrays."""
-    p = src.p
+def hom_space(src: FiniteLengthModule, dst: FiniteLengthModule) -> list:
+    """k-basis of module homomorphisms src -> dst, as dense (dst.dim × src.dim)
+    matrices (lists of rows). Graded modules are solved one degree shift at
+    a time: every hom splits into graded parts."""
     hM, hN = src.dim, dst.dim
     if hM == 0 or hN == 0:
         return []
+    entries = [(i, j) for i in range(hN) for j in range(hM)]
     if src.degrees is not None and dst.degrees is not None:
-        return _hom_space_graded(src, dst)
-    rows = []
-    eyeM = np.eye(hM, dtype=np.int64)
-    eyeN = np.eye(hN, dtype=np.int64)
-    for a, b in zip(src.actions, dst.actions):
-        rows.append((np.kron(eyeN, a.T) - np.kron(b, eyeM)) % p)
-    big = np.vstack(rows) % p
-    basis = nullspace(big, p)
-    return [np.array(v, dtype=np.int64).reshape(hN, hM) % p for v in basis]
-
-
-def _hom_space_graded(src: FiniteLengthModule, dst: FiniteLengthModule):
-    """Hom basis assembled shift by shift (every hom splits into graded parts)."""
-    p = src.p
-    hM, hN = src.dim, dst.dim
-    shifts = sorted({dst.degrees[i] - src.degrees[j] for i in range(hN) for j in range(hM)})
+        shift = {(i, j): dst.degrees[i] - src.degrees[j] for i, j in entries}
+        groups = [[u for u in entries if shift[u] == s] for s in sorted(set(shift.values()))]
+    else:
+        groups = [entries]
     out = []
-    for s in shifts:
-        unknowns = [
-            (i, j)
-            for i in range(hN)
-            for j in range(hM)
-            if dst.degrees[i] - src.degrees[j] == s
-        ]
-        if not unknowns:
-            continue
-        pos = {u: k for k, u in enumerate(unknowns)}
-        eq_rows = []
-        for v in range(src.nvars):
-            A = src.actions[v]
-            B = dst.actions[v]
-            for i in range(hN):
-                for j in range(hM):
-                    if dst.degrees[i] - src.degrees[j] != s + 1:
-                        continue
-                    row = [0] * len(unknowns)
-                    for k in range(hM):
-                        if A[k, j] and (i, k) in pos:
-                            row[pos[(i, k)]] = (row[pos[(i, k)]] + int(A[k, j])) % p
-                    for k in range(hN):
-                        if B[i, k] and (k, j) in pos:
-                            row[pos[(k, j)]] = (row[pos[(k, j)]] - int(B[i, k])) % p
-                    if any(row):
-                        eq_rows.append(row)
-        if eq_rows:
-            basis = nullspace(np.array(eq_rows, dtype=np.int64) % p, p)
-        else:
-            basis = np.eye(len(unknowns), dtype=np.int64)
-        for vec in basis:
-            mat = np.zeros((hN, hM), dtype=np.int64)
-            for (i, j), k in pos.items():
-                mat[i, j] = vec[k] % p
-            if mat.any():
-                out.append(mat)
+    for unknowns in groups:
+        for vec in _hom_kernel(src, dst, unknowns):
+            mat = [[0] * hM for _ in range(hN)]
+            for (i, j), c in zip(unknowns, vec):
+                mat[i][j] = c
+            out.append(mat)
     return out
+
+
+def _hom_kernel(src: FiniteLengthModule, dst: FiniteLengthModule, unknowns) -> list:
+    """Basis of the solutions of F A_v = B_v F for every variable v, over
+    the entries (i, j) of F listed in `unknowns` (the others are zero)."""
+    p = src.p
+    equations: dict = {}  # (v, i, j) -> {unknown: coefficient} of entry (i, j) of F A_v - B_v F
+    for v, (a, b) in enumerate(zip(src.actions, dst.actions)):
+        a_rows = _transpose(a, src.dim)
+        for u, (i, k) in enumerate(unknowns):
+            for j, c in a_rows[k].items():  # F[i,k] A[k,j]
+                eq = equations.setdefault((v, i, j), {})
+                eq[u] = eq.get(u, 0) + c
+            for i2, c in b[i].items():  # B[i2,i] F[i,k]
+                eq = equations.setdefault((v, i2, k), {})
+                eq[u] = eq.get(u, 0) - c
+    rows = []
+    for eq in equations.values():
+        row = [0] * len(unknowns)
+        for u, c in eq.items():
+            row[u] = c % p
+        if any(row):
+            rows.append(row)
+    if not rows:
+        return [[int(u == w) for w in range(len(unknowns))] for u in range(len(unknowns))]
+    return nullspace(rows, p)
+
+
+class DenseMatrix(list):
+    """A matrix as a list of rows of Python ints; `tolist` gives plain nested
+    lists, as an array's does."""
+
+    def tolist(self) -> list:
+        return [list(row) for row in self]
 
 
 @dataclass(frozen=True)
@@ -336,8 +389,9 @@ def modules_isomorphic(
 
     Invariant mismatches refute; otherwise `span_search` looks for an
     invertible element of the hom space, exhaustively up to HOM_SPAN_CAP
-    classes and by seeded numpy sampling past it (a sampled miss is only
-    "inconclusive").
+    classes and by draws from numpy's seeded `default_rng` past it (a
+    sampled miss is only "inconclusive"). numpy is imported there alone, so
+    the sampled streams stay those of earlier releases.
     """
     p = src.p
     if dst.p != p or dst.nvars != src.nvars:
@@ -349,23 +403,31 @@ def modules_isomorphic(
                 "not_isomorphic", f"invariant mismatch: {key} {inv_s[key]} vs {inv_d[key]}"
             )
     if src.dim == 0:
-        return IsoResult("isomorphic", "both modules are zero", np.zeros((0, 0), dtype=np.int64))
+        return IsoResult("isomorphic", "both modules are zero", DenseMatrix())
     basis = hom_space(src, dst)
     if not basis:
         return IsoResult("not_isomorphic", "hom space is zero")
-    d = len(basis)
-    stacked = np.stack([b.reshape(-1) for b in basis])
+    d, hN, hM = len(basis), dst.dim, src.dim
+    flat_basis = [[x for row in b for x in row] for b in basis]
 
     def combination(coeffs):
-        return matmul(np.array(coeffs, dtype=np.int64), stacked, p).reshape(basis[0].shape)
+        flat = [0] * (hN * hM)
+        for c, b in zip(coeffs, flat_basis):
+            if c:
+                flat = [x + c * y for x, y in zip(flat, b)]
+        flat = [x % p for x in flat]
+        return DenseMatrix(flat[i * hM : (i + 1) * hM] for i in range(hN))
 
     def sampler():
-        rng = np.random.default_rng(seed)
-        return lambda: combination(rng.integers(0, p, size=d))
+        import numpy as np
 
-    cand, exhaustive = span_search(
-        p, d, combination, lambda m: m.any() and is_invertible(m, p), HOM_SPAN_CAP, trials, sampler
-    )
+        rng = np.random.default_rng(seed)
+        return lambda: combination([int(c) for c in rng.integers(0, p, size=d)])
+
+    def accept(m):
+        return any(map(any, m)) and is_invertible(m, p)
+
+    cand, exhaustive = span_search(p, d, combination, accept, HOM_SPAN_CAP, trials, sampler)
     if cand is not None:
         return IsoResult("isomorphic", "invertible homomorphism found", cand)
     if exhaustive:

@@ -270,26 +270,43 @@ def is_f_pure(rs: RingSpec):
     `pushforward.frobenius_colon` (closed forms for monomial ideals and
     complete intersections, the module colon otherwise); every branch gives
     the same reduced basis of (I^[p] : I), and so the same witness: its
-    first element outside (x_1^p, ..., x_n^p). Returns (verdict, witness
-    dict).
+    first element outside (x_1^p, ..., x_n^p). On a graded Artinian ring the
+    verdict is cross-checked against I = m. Returns (verdict, witness dict).
     """
     names = rs.ring.varnames
     colon = frobenius_colon(rs)
     mp = bracket_power(rs.maximal_ideal(), 1)
-    contained = []
-    for g in colon.groebner_basis():
-        if not mp.contains(g):
-            return True, {
-                "splitting_witness": poly_to_string(g, names),
-                "statement": "this element of (I^[p] : I) lies outside "
-                "(x_1^p, ..., x_n^p)",
-            }
-        contained.append(poly_to_string(g, names))
+    basis = colon.groebner_basis()
+    outside = next((g for g in basis if not mp.contains(g)), None)
+    _dimension_zero_f_purity_check(rs, outside is not None)
+    if outside is not None:
+        return True, {
+            "splitting_witness": poly_to_string(outside, names),
+            "statement": "this element of (I^[p] : I) lies outside "
+            "(x_1^p, ..., x_n^p)",
+        }
     return False, {
-        "colon_generators": contained,
+        "colon_generators": [poly_to_string(g, names) for g in basis],
         "statement": "every generator of (I^[p] : I) lies in "
         "(x_1^p, ..., x_n^p)",
     }
+
+
+def _dimension_zero_f_purity_check(rs: RingSpec, f_pure: bool) -> None:
+    """Cross-check Fedder's verdict on a graded Artinian ring.
+
+    An F-pure ring is reduced, and a reduced graded Artinian quotient of S
+    is S/m = F_p, which is F-pure. So for homogeneous I with dim R = 0, R is
+    F-pure exactly when I = m, that is when R has length one.
+    """
+    if not rs.ideal.is_homogeneous_ideal() or rs.dimension != 0:
+        return
+    is_m = rs.hilbert().colength == 1
+    if f_pure != is_m:
+        raise PipelineInvariantError(
+            f"Fedder's criterion gives F-pure = {f_pure} for an Artinian ring "
+            f"with I {'=' if is_m else '!='} m"
+        )
 
 
 # ---------------------------------------------------------------------------

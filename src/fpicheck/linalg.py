@@ -1,76 +1,74 @@
-"""Exact linear algebra over F_p on numpy integer matrices.
+"""Exact linear algebra over F_p on lists of Python ints.
 
-Entries are kept reduced to [0, p). Row operations do one product plus one
-addition per entry, so int64 never overflows for p < 2^31. Matrix products
-use Python-object arithmetic when p is large enough that accumulated dot
-products could overflow.
+A vector is a list of ints and a matrix is a list of rows; entries are kept
+reduced to [0, p). Python ints never wrap, so every routine is exact over
+the whole prime range that `PrimeField` accepts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-import numpy as np
 
-_INT64_MATMUL_MAX_P = 46337  # p^2 * dim stays below 2^63 for practical dims
-
-
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if p <= _INT64_MATMUL_MAX_P:
-        return (a @ b) % p
-    return np.mod(a.astype(object) @ b.astype(object), p).astype(np.int64)
-
-
-def rref(a: np.ndarray, p: int):
-    """Reduced row echelon form. Returns (matrix, pivot column list)."""
-    m = np.mod(a.astype(np.int64, copy=True), p)
-    rows, cols = m.shape
+def rref(a, p: int):
+    """Reduced row echelon form of the rows of `a`. Returns (rows, pivots):
+    the nonzero rows of the form, top to bottom, and the column of each
+    row's leading 1."""
+    m = [[x % p for x in row] for row in a]
+    ncols = len(m[0]) if m else 0
     pivots = []
     r = 0
-    for c in range(cols):
-        if r >= rows:
+    for c in range(ncols):
+        if r == len(m):
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        for i in range(r, len(m)):
+            if m[i][c]:
+                break
+        else:
             continue
-        pr = r + nz[0]
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
-        col = m[:, c].copy()
-        col[r] = 0
-        nzr = np.nonzero(col)[0]
-        if nzr.size:
-            m[nzr] = (m[nzr] - np.outer(col[nzr], m[r])) % p
+        row = m[i]
+        m[i] = m[r]
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row = [x * inv % p for x in row]
+        m[r] = row
+        # the pivot row is zero left of c, so no entry there changes
+        tail = row[c:]
+        for i, other in enumerate(m):
+            f = other[c]
+            if f and i != r:
+                other[c:] = [(x - f * y) % p for x, y in zip(other[c:], tail)]
         pivots.append(c)
         r += 1
-    return m, pivots
+    return m[:r], pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
+def rank(a, p: int) -> int:
+    if not a or not a[0]:
         return 0
     return len(rref(a, p)[1])
 
 
-def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Rows of the result are a basis of {x : a @ x = 0 mod p}."""
-    rows, cols = a.shape
+def nullspace(a, p: int) -> list:
+    """A basis, as rows, of {x : a x = 0 mod p}; `a` has at least one row."""
+    cols = len(a[0]) if a else 0
     if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    r, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, fc]) % p
+        return []
+    rows, pivots = rref(a, p)
+    bound = set(pivots)
+    free = [c for c in range(cols) if c not in bound]
+    basis = []
+    for fc in free:
+        v = [0] * cols
+        v[fc] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc] % p
+        basis.append(v)
     return basis
 
 
-def is_invertible(a: np.ndarray, p: int) -> bool:
-    return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
+def is_invertible(a, p: int) -> bool:
+    return all(len(row) == len(a) for row in a) and rank(a, p) == len(a)
 
 
 class Subspace:
@@ -88,42 +86,46 @@ class Subspace:
     def __init__(self, ambient: int, p: int):
         self.ambient = ambient
         self.p = p
-        self.basis = np.zeros((0, ambient), dtype=np.int64)
+        self.basis: list = []
         self._pivots: list = []
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return len(self.basis)
 
-    def _reduce(self, v: np.ndarray) -> np.ndarray:
-        v = v % self.p
+    def _reduce(self, v) -> list:
+        p = self.p
+        v = [x % p for x in v]
         for row, pc in zip(self.basis, self._pivots):
-            if v[pc]:
-                v = (v - v[pc] * row) % self.p
+            f = v[pc]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
         return v
 
-    def contains(self, v: np.ndarray) -> bool:
-        return not self._reduce(np.asarray(v, dtype=np.int64)).any()
+    def contains(self, v) -> bool:
+        return not any(self._reduce(v))
 
-    def add(self, v: np.ndarray) -> bool:
+    def add(self, v) -> bool:
         """Insert a vector; returns True when the dimension grew."""
-        v = self._reduce(np.asarray(v, dtype=np.int64))
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
+        p = self.p
+        v = self._reduce(v)
+        pc = next((c for c, x in enumerate(v) if x), None)
+        if pc is None:
             return False
-        pc = int(nz[0])
-        v = v * pow(int(v[pc]), self.p - 2, self.p) % self.p
-        nzb = np.nonzero(self.basis[:, pc])[0]
-        if nzb.size:
-            self.basis[nzb] = (self.basis[nzb] - np.outer(self.basis[nzb, pc], v)) % self.p
+        if v[pc] != 1:
+            inv = pow(v[pc], -1, p)
+            v = [x * inv % p for x in v]
+        for k, row in enumerate(self.basis):
+            f = row[pc]
+            if f:
+                self.basis[k] = [(x - f * y) % p for x, y in zip(row, v)]
         at = bisect_left(self._pivots, pc)
-        self.basis = np.concatenate((self.basis[:at], v[None], self.basis[at:]))
+        self.basis.insert(at, v)
         self._pivots.insert(at, pc)
         return True
 
-    def add_rows(self, rows: np.ndarray) -> None:
-        """Insert every row of a 2-D array, with one `rref` for the batch."""
+    def add_rows(self, rows) -> None:
+        """Insert every row of `rows`, with one `rref` for the batch."""
         if len(rows) == 0:
             return
-        m, self._pivots = rref(np.vstack((self.basis, rows)), self.p)
-        self.basis = m[: len(self._pivots)]
+        self.basis, self._pivots = rref(self.basis + list(rows), self.p)

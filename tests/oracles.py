@@ -39,6 +39,11 @@ entry; tests write small presentations as grids and check
 `resolutions.transpose` against them. `direct_sum` is the block-diagonal
 sum of finite-length modules, which only tests build.
 
+`dense_rref` and `dense_nullspace` are the int64 numpy elimination that
+`linalg` replaced with Python-int rows, kept as its dense reference;
+`action_matrices` reads a finite-length module's sparse columns back as
+dense matrices.
+
 `twisted_hom_oracle` is the route to Hom(F_*R, R) that Fedder's lemma
 replaced in `pushforward.hom_pushforward_into_ring`: the kernel of the
 transposed pushforward matrix, the root action through its own box-shift
@@ -65,10 +70,68 @@ from fpicheck.gfpoly import (
 from fpicheck.groebner import Ideal, RingSpec, divide_exact
 from fpicheck.errors import ResourceLimitError
 from fpicheck.hilbert import ONE, Numerator
-from fpicheck.linalg import Subspace, nullspace, rank
+from fpicheck.linalg import Subspace, nullspace
 from fpicheck.modgb import Vec, kernel_over_quotient, module_groebner, reduce_vec, syzygy_basis
 from fpicheck.pushforward import TwistedHom
 from fpicheck.resolutions import ModulePresentation, resolve_presentation, transpose
+
+
+def dense_rref(a, p: int):
+    """Reduced row echelon form of a 2-D integer array on int64 numpy rows,
+    one pivot column at a time. Returns (matrix, pivot column list); the
+    matrix keeps its zero rows at the bottom. The reference for
+    `linalg.rref`; exact for p < 2^31, as each row operation forms one
+    product of reduced entries."""
+    m = np.mod(np.array(a, dtype=np.int64), p)
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + nz[0]
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        inv = pow(int(m[r, c]), p - 2, p)
+        m[r] = m[r] * inv % p
+        col = m[:, c].copy()
+        col[r] = 0
+        nzr = np.nonzero(col)[0]
+        if nzr.size:
+            m[nzr] = (m[nzr] - np.outer(col[nzr], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def dense_nullspace(a, p: int) -> np.ndarray:
+    """Rows of the result are a basis of {x : a @ x = 0 mod p}: one row per
+    free column of `dense_rref`, with 1 there and minus the free column's
+    entries at the pivots. The reference for `linalg.nullspace`."""
+    rows, cols = np.shape(a)
+    if cols == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    r, pivots = dense_rref(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-r[i, fc]) % p
+    return basis
+
+
+def action_matrices(module: FiniteLengthModule) -> list:
+    """The action of each variable on a finite-length module as a dense
+    row-major matrix (lists of ints)."""
+    h = module.dim
+    return [
+        [[module.actions[v][k].get(i, 0) for k in range(h)] for i in range(h)]
+        for v in range(module.nvars)
+    ]
 
 
 def _row_reduce_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -126,19 +189,16 @@ def direct_sum(modules) -> FiniteLengthModule:
             raise ValueError("summands live over different rings")
     actions = []
     for v in range(nv):
-        blocks = [m.actions[v] for m in mods]
-        total = sum(m.dim for m in mods)
-        a = np.zeros((total, total), dtype=np.int64)
-        at = 0
-        for b in blocks:
-            a[at : at + b.shape[0], at : at + b.shape[0]] = b
-            at += b.shape[0]
-        actions.append(a)
+        cols, at = [], 0
+        for m in mods:
+            cols.extend({i + at: c for i, c in col.items()} for col in m.actions[v])
+            at += m.dim
+        actions.append(cols)
     if all(m.degrees is not None for m in mods):
         degrees = tuple(d for m in mods for d in m.degrees)
     else:
         degrees = None
-    return FiniteLengthModule(p, actions, degrees)
+    return FiniteLengthModule.of_columns(p, actions, sum(m.dim for m in mods), degrees)
 
 
 def _homogeneous_components(f: Polynomial) -> dict[int, Polynomial]:
@@ -307,7 +367,7 @@ def _rank_over_k(rs: RingSpec, matrix, basis) -> int:
                 image = rs.nf(matrix[i][j].mul_term(m, 1))
                 for t, c in image.terms.items():
                     a[i * h + index[t], j * h + k] = c
-    return rank(a, rs.p)
+    return len(dense_rref(a, rs.p)[1])
 
 
 def tor_length_oracle(rs: RingSpec, pres, i: int, e: int = 1) -> int:
@@ -446,11 +506,10 @@ def present_finite(module: FiniteLengthModule, rs: RingSpec) -> ModulePresentati
             continue
         cols = []
         for g_idx, m in pairs:
-            unit = [0] * h
-            unit[gens[g_idx]] = 1
-            cols.append(module.act_monomial(unit, m))
-        ker = nullspace(np.array(cols, dtype=np.int64).T % p, p)
-        if ker.shape[0]:
+            image = module.act_monomial({gens[g_idx]: 1}, m)
+            cols.append([image.get(i, 0) for i in range(h)])
+        ker = nullspace([list(row) for row in zip(*cols)], p)
+        if ker:
             collect_relations(rs, pairs, ker, d, relations, rel_degs)
     return ModulePresentation(rs.ring, rs.ideal, relations, gen_degs, rel_degs)
 
@@ -808,9 +867,9 @@ def twisted_hom_oracle(push: ModulePresentation, rs: RingSpec) -> TwistedHom:
             for k, m in domain
         ]
         if pairs:
-            ker = nullspace(np.array(cols, dtype=np.int64).T % p, p)
+            ker = nullspace([list(row) for row in zip(*cols)], p)
         else:
-            ker = np.eye(len(domain), dtype=np.int64)
-        if ker.shape[0]:
+            ker = [[int(j == k) for j in range(len(domain))] for k in range(len(domain))]
+        if ker:
             collect_relations(rs, domain, ker, d, relations, rel_degs)
     return TwistedHom(push, gens, gen_degs, presented(), target)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from oracles import (
+    action_matrices,
     artinian_rings,
     columns_of_matrix,
+    dense_rref,
     direct_sum,
     frobenius_hull_oracle,
     injective_hull_of_residue_field,
@@ -16,14 +18,13 @@ from oracles import (
     staircase_rings,
 )
 
-from fpicheck import artinian
+from fpicheck import artinian, resolutions
 from fpicheck.artinian import (
     FiniteLengthModule,
     frobenius_fixes_injective_hull,
     hom_space,
     is_hull_power,
     modules_isomorphic,
-    poly_action_matrix,
     realize_finite,
     ring_as_module,
     socle_dimension_of_ring,
@@ -79,11 +80,35 @@ def test_realize_rejects_infinite_length():
         realize_finite(ring_as_module(rs))
 
 
+def test_non_commuting_actions_are_rejected():
+    # x e0 = e1 and y e1 = e2: y x e0 = e2 but x y e0 = 0
+    x = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+    y = [[0, 0, 0], [0, 0, 0], [0, 1, 0]]
+    with pytest.raises(ValueError, match="commute"):
+        FiniteLengthModule(3, [x, y])
+    with pytest.raises(ValueError, match="commute"):
+        FiniteLengthModule.of_columns(3, [[{1: 1}, {}, {}], [{}, {2: 1}, {}]], 3)
+
+
+def test_a_relation_that_acts_nontrivially_is_caught(monkeypatch):
+    # coker(x^3) over F_2[x]/(x^2) is R itself; with the x^2·e_0 column
+    # dropped from its Groebner input it becomes F_2[x]/(x^3), on which the
+    # defining relation x^2 does not act as zero
+    rs = dual_numbers()
+    pres = ModulePresentation(
+        rs.ring, rs.ideal, columns_of_matrix([[rs.ring.parse("x^3")]], rs.ring), (0,), (3,)
+    )
+    assert realize_finite(pres).dim == 2
+    monkeypatch.setattr(resolutions, "ideal_columns", lambda ideal, nrows: [])
+    pres = ModulePresentation(pres.ring, pres.modulus, pres.columns, (0,), (3,))
+    with pytest.raises(PipelineInvariantError, match="acts nontrivially"):
+        realize_finite(pres)
+
+
 def test_action_matrices_satisfy_ring_relations():
     rs = RingSpec(3, ["x", "y"], ["x^2", "y^3"])
     r = realize_finite(ring_as_module(rs))
-    ax = poly_action_matrix(r, rs.ring.parse("x"))
-    ay = poly_action_matrix(r, rs.ring.parse("y"))
+    ax, ay = (np.array(a) for a in action_matrices(r))
     assert not (ax @ ax % 3).any()
     assert not (ay @ ay @ ay % 3).any()
     assert ((ax @ ay - ay @ ax) % 3 == 0).all()
@@ -153,7 +178,8 @@ def test_hom_space_entries_are_module_maps():
     a = realize_finite(cyclic(rs, ["x^2"]))
     b = realize_finite(ring_as_module(rs))
     for mat in hom_space(a, b):
-        for act_a, act_b in zip(a.actions, b.actions):
+        mat = np.array(mat)
+        for act_a, act_b in zip(action_matrices(a), action_matrices(b)):
             assert ((mat @ act_a - act_b @ mat) % 3 == 0).all()
 
 
@@ -191,7 +217,7 @@ def test_isomorphism_witness_is_invertible_map():
     assert out.verdict == "isomorphic"
     w = np.array(out.witness) % 3
     assert int(round(abs(np.linalg.det(w.astype(float))))) % 3 != 0
-    for act_a, act_b in zip(r.actions, e.actions):
+    for act_a, act_b in zip(action_matrices(r), action_matrices(e)):
         assert ((w @ act_a - act_b @ w) % 3 == 0).all()
 
 
@@ -436,7 +462,7 @@ def test_big_prime_commutation_check_is_exact():
 def test_big_prime_act_monomial_is_exact():
     # the all-(p-1) matrix is -J; -J applied to (-1, -1, -1) is (3, 3, 3)
     m = FiniteLengthModule(BIG_P, [np.full((3, 3), BIG_P - 1, dtype=np.int64)])
-    assert m.act_monomial([BIG_P - 1] * 3, (1,)).tolist() == [3, 3, 3]
+    assert m.act_monomial(dict.fromkeys(range(3), BIG_P - 1), (1,)) == dict.fromkeys(range(3), 3)
 
 
 def test_big_prime_loewy_series_is_exact():
@@ -456,16 +482,17 @@ def test_big_prime_isomorphism_witness_is_a_module_map():
         assert np.array_equal(_exact(res.witness, plain), _exact(dense, res.witness))
 
 
-def test_big_prime_poly_action_matrix_is_exact():
-    # against the action applied to one unit column at a time; the dense
-    # basis makes the square of x wrap around in int64
+def test_big_prime_act_poly_is_exact():
+    # against the action applied one monomial at a time and summed with
+    # object-dtype numpy; the dense basis makes the square of x wrap around
+    # in int64
     m = FiniteLengthModule(BIG_P, [_conjugate(np.diag([1, 1, 0, 1, 1], k=1))])
     f = Polynomial(BIG_P, 1, {(0,): BIG_P - 1, (1,): BIG_P - 3, (2,): 5, (3,): 7})
-    want = np.zeros((6, 6), dtype=object)
-    for mono, c in f.terms.items():
-        cols = [m.act_monomial(np.eye(6, dtype=np.int64)[:, k], mono) for k in range(6)]
-        want = (want + c * np.column_stack(cols).astype(object)) % BIG_P
-    assert poly_action_matrix(m, f).tolist() == want.tolist()
+    x = np.array(action_matrices(m)[0], dtype=object)
+    want = sum(c * np.linalg.matrix_power(x, e) for (e,), c in f.terms.items()) % BIG_P
+    for k in range(6):
+        got = m.act_poly({k: 1}, f)
+        assert [got.get(i, 0) for i in range(6)] == want[:, k].tolist()
 
 
 def test_loewy_series_rejects_a_non_nilpotent_action():
@@ -481,7 +508,7 @@ def assert_realizes_like_oracle(pres):
     module = realize_finite(pres)
     actions, degrees = realize_finite_oracle(pres)
     assert module.degrees == degrees
-    assert [a.tolist() for a in module.actions] == [a.tolist() for a in actions]
+    assert action_matrices(module) == [a.tolist() for a in actions]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -497,6 +524,23 @@ def test_realize_finite_matches_oracle_on_staircases(p):
     # E of a non-Gorenstein staircase has several generators, and relations
     # such as y*e0 - x*e1 make some columns reduce to non-monomial images
     assert several_components and binomial_basis
+
+
+def socle_and_length_oracle(pres):
+    """(length, socle dimension) of the module from the oracle's dense
+    actions: the socle is the kernel of the stacked action matrices."""
+    actions, degrees = realize_finite_oracle(pres)
+    stacked = np.vstack(actions) if degrees else np.zeros((0, 0), dtype=np.int64)
+    return len(degrees), len(degrees) - len(dense_rref(stacked, pres.ring.p)[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_socle_and_length_match_oracle_on_staircases(p):
+    for _, rs in staircase_rings(p):
+        pres_e = canonical_module(rs)
+        for pres in (ring_as_module(rs), pres_e, frobenius_functor(pres_e)):
+            module = realize_finite(pres)
+            assert (module.dim, module.socle_dimension()) == socle_and_length_oracle(pres)
 
 
 def test_big_prime_realize_finite_matches_oracle():

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import artinian_rings, curve_rings, minimal_ideal_generators_oracle
 
@@ -242,6 +242,24 @@ def test_non_reduced_ring_is_not_f_pure():
 def test_cross_is_f_pure(p):
     flag, _ = is_f_pure(coordinate_cross(p))
     assert flag
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(artinian_rings())
+@example(RingSpec(3, ["x", "y"], ["x", "y"]))
+@example(RingSpec(5, ["x", "y", "z"], ["x", "y^2", "z"]))
+def test_artinian_ring_is_f_pure_exactly_when_it_is_the_field(rs):
+    # F-pure rings are reduced, and the one reduced graded Artinian ring is F_p
+    assert is_f_pure(rs)[0] == (rs.ideal == rs.maximal_ideal())
+
+
+@pytest.mark.parametrize("gens", [["x^2", "y"], ["x^2", "x*y", "y^3"]])
+def test_always_true_fedder_is_caught_in_dimension_zero(monkeypatch, gens):
+    # a colon (I^[p] : I) that is all of S puts 1 outside (x^p, y^p)
+    rs = RingSpec(3, ["x", "y"], gens)
+    monkeypatch.setattr(classify, "frobenius_colon", lambda rs: Ideal(rs.ring, [rs.ring.one()]))
+    with pytest.raises(PipelineInvariantError, match="Fedder"):
+        is_f_pure(rs)
 
 
 # Two rings of the seed-0 binomial census at p = 7 that are not complete

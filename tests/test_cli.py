@@ -510,3 +510,33 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert "census" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_report_and_census_never_import_numpy(tmp_path):
+    # numpy serves only the sampled branch of `artinian.modules_isomorphic`,
+    # which neither command reaches
+    artinian = tmp_path / "artinian.txt"
+    artinian.write_text("p = 3\nvars = x, y\nideal = x^2, x*y, y^3\n")
+    curve = tmp_path / "curve.txt"
+    curve.write_text(FLAGSHIP_TEXT)
+    code = f"""
+import contextlib, io, sys
+from fpicheck import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["report", "--input", {str(artinian)!r}]),
+        cli.main(["report", "--input", {str(curve)!r}]),
+        cli.main(["census", "--p", "2", "--vars", "2", "--max-degree", "2"]),
+    ]
+assert codes == [0, 0, 0], codes
+assert "numpy" not in sys.modules
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

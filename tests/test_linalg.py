@@ -1,14 +1,22 @@
-"""Exact linear algebra over F_p: batched Subspace rows against the
-row-by-row path and against `rref`, and the shape and defining property of
-`nullspace`, at small primes and at the largest prime `PrimeField` accepts."""
+"""Exact linear algebra over F_p on Python-int rows, against the dense int64
+reference in `oracles` (`dense_rref`, `dense_nullspace`): reduced rows and
+pivots, rank, invertibility, nullspaces and growing subspaces, over small
+primes, the largest prime whose square fits an int64 dot product of two
+terms, and the largest prime `PrimeField` accepts, on empty, zero, wide
+and tall matrices."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from oracles import dense_nullspace, dense_rref
 
-from fpicheck.linalg import Subspace, matmul, nullspace, rank, rref
+from fpicheck.linalg import Subspace, is_invertible, nullspace, rank, rref
 
-PRIMES = [2, 3, 5, 2147483647]
+PRIMES = [2, 3, 5, 7, 46349, 2147483647]
+
+
+def _entries(p):
+    return st.one_of(st.integers(0, 2), st.integers(p - 2, p - 1), st.integers(0, p - 1))
 
 
 @st.composite
@@ -17,7 +25,7 @@ def rows_over_fp(draw):
     that mixes random rows with zero rows and rows already in the span."""
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(1, 6))
-    entry = st.one_of(st.integers(0, 2), st.integers(p - 2, p - 1), st.integers(0, p - 1))
+    entry = _entries(p)
 
     def row():
         return [x % p for x in draw(st.lists(entry, min_size=n, max_size=n))]
@@ -37,8 +45,67 @@ def rows_over_fp(draw):
     return p, n, first, batch
 
 
-def _as_matrix(rows, n):
-    return np.array(rows, dtype=np.int64).reshape(-1, n)
+@st.composite
+def matrix_over_fp(draw):
+    """A prime and a rows × cols matrix, each dimension 0 to 6 (so empty,
+    wide and tall shapes occur), whose rows are random, zero, or
+    combinations of the earlier rows."""
+    p = draw(st.sampled_from(PRIMES))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = _entries(p)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "random", "zero", "in span"]))
+        if kind == "zero" or (kind == "in span" and not rows):
+            rows.append([0] * ncols)
+        elif kind == "in span":
+            coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(ncols)])
+        else:
+            rows.append([x % p for x in draw(st.lists(entry, min_size=ncols, max_size=ncols))])
+    return p, ncols, rows
+
+
+def _dense(rows, ncols):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+
+
+MATRIX_EXAMPLES = [
+    (5, 3, []),
+    (3, 0, [[], []]),
+    (7, 4, [[0] * 4] * 3),
+    (2147483647, 2, [[2147483646, 2], [1, 2147483645], [3, 5], [0, 0]]),
+    (46349, 5, [[46348, 1, 0, 46347, 2], [2, 46347, 0, 3, 46345]]),
+]
+
+
+def _with_examples(test):
+    for case in MATRIX_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrix_over_fp())
+@_with_examples
+def test_rref_matches_the_dense_reference(case):
+    p, ncols, a = case
+    rows, pivots = rref(a, p)
+    ref, ref_pivots = dense_rref(_dense(a, ncols), p)
+    assert pivots == ref_pivots
+    assert rows == ref[: len(pivots)].tolist()
+    assert rank(a, p) == len(ref_pivots)
+    # with no rows there is no column count: [] is the 0 × 0 matrix
+    assert is_invertible(a, p) == (len(a) == (ncols if a else 0) == len(ref_pivots))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrix_over_fp())
+@_with_examples
+def test_nullspace_matches_the_dense_reference(case):
+    p, ncols, a = case
+    if a:
+        assert nullspace(a, p) == dense_nullspace(_dense(a, ncols), p).tolist()
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -49,10 +116,10 @@ def test_add_rows_matches_adding_row_by_row(case):
     for r in first:
         batched.add(r)
         looped.add(r)
-    batched.add_rows(_as_matrix(batch, n))
+    batched.add_rows(batch)
     for r in batch:
         looped.add(r)
-    assert batched.basis.tolist() == looped.basis.tolist()
+    assert batched.basis == looped.basis
     assert batched._pivots == looped._pivots
     assert batched.dim == looped.dim
 
@@ -64,30 +131,23 @@ def test_subspace_basis_is_the_rref_of_its_rows(case):
     sub = Subspace(n, p)
     for r in first:
         sub.add(r)
-    sub.add_rows(_as_matrix(batch, n))
-    m, pivots = rref(_as_matrix(first + batch, n), p)
+    sub.add_rows(batch)
+    m, pivots = dense_rref(_dense(first + batch, n), p)
     assert sub._pivots == pivots
-    assert sub.basis.tolist() == m[: len(pivots)].tolist()
+    assert sub.basis == m[: len(pivots)].tolist()
     for r in first + batch:
         assert sub.contains(r)
         assert not sub.add(r)
 
 
-@st.composite
-def matrix_over_fp(draw):
-    p = draw(st.sampled_from(PRIMES))
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    entry = st.one_of(st.integers(0, 1), st.just(p - 1), st.integers(0, p - 1))
-    flat = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
-    return p, np.array(flat, dtype=np.int64).reshape(rows, cols) % p
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(matrix_over_fp())
 def test_nullspace_has_the_right_size_and_is_killed(case):
-    p, a = case
+    p, cols, a = case
+    if not a or not cols:
+        return
     basis = nullspace(a, p)
-    cols = a.shape[1]
-    assert basis.shape == (cols - rank(a, p), cols)
-    assert not matmul(a, basis.T, p).any()
-    assert rank(basis, p) == basis.shape[0]
+    assert len(basis) == cols - rank(a, p)
+    for v in basis:
+        assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in a)
+    assert rank(basis, p) == len(basis)
