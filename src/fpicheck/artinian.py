@@ -16,7 +16,9 @@ homomorphism.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import InfiniteLengthError, PipelineInvariantError
 from .groebner import NormalForm, RingSpec
@@ -313,24 +315,14 @@ def _hom_kernel(src: FiniteLengthModule, dst: FiniteLengthModule, unknowns) -> l
             row[u] = c % p
         if any(row):
             rows.append(row)
-    if not rows:
-        return [[int(u == w) for w in range(len(unknowns))] for u in range(len(unknowns))]
-    return nullspace(rows, p)
-
-
-class DenseMatrix(list):
-    """A matrix as a list of rows of Python ints; `tolist` gives plain nested
-    lists, as an array's does."""
-
-    def tolist(self) -> list:
-        return [list(row) for row in self]
+    return nullspace(rows, len(unknowns), p)
 
 
 @dataclass(frozen=True)
 class IsoResult:
     verdict: str  # "isomorphic" | "not_isomorphic" | "inconclusive"
     reason: str
-    witness: object = None
+    witness: object = None  # an invertible homomorphism, as a list of rows
 
     @property
     def decided(self) -> bool:
@@ -346,21 +338,21 @@ class IsoResult:
 
 def _normalized_coefficient_vectors(p: int, d: int):
     """All length-d coefficient vectors with first nonzero entry 1."""
-    from itertools import product
-
     for lead in range(d):
         for tail in product(range(p), repeat=d - lead - 1):
             yield (0,) * lead + (1,) + tail
 
 
-def span_search(p: int, k: int, combine, accept, cap: int, trials: int, sampler):
+def span_search(p: int, k: int, combine, accept, cap: int, trials: int, tag: str, draw=None):
     """Find a candidate that `accept` takes in the F_p-span of k basis elements.
 
     While the span has (p^k - 1)/(p - 1) <= cap lines, `combine` maps each
     normalized coefficient vector to a candidate, so every line is tried
-    once and a miss refutes. Past the cap, `sampler()` gives the site's
-    seeded draw function and `trials` draws are tried. Returns
-    (hit or None, whether the scan was exhaustive).
+    once and a miss refutes. Past the cap, `trials` candidates are drawn
+    from `random.Random(tag)`: `draw(rng)` when the site gives a draw,
+    otherwise `combine` of a uniform coefficient vector. The same tag gives
+    the same candidates. Returns (hit or None, whether the scan was
+    exhaustive).
     """
     if (p**k - 1) // (p - 1) <= cap:
         for coeffs in _normalized_coefficient_vectors(p, k):
@@ -368,9 +360,9 @@ def span_search(p: int, k: int, combine, accept, cap: int, trials: int, sampler)
             if accept(cand):
                 return cand, True
         return None, True
-    draw = sampler()
+    rng = random.Random(tag)
     for _ in range(trials):
-        cand = draw()
+        cand = draw(rng) if draw else combine(tuple(rng.randrange(p) for _ in range(k)))
         if accept(cand):
             return cand, False
     return None, False
@@ -389,9 +381,9 @@ def modules_isomorphic(
 
     Invariant mismatches refute; otherwise `span_search` looks for an
     invertible element of the hom space, exhaustively up to HOM_SPAN_CAP
-    classes and by draws from numpy's seeded `default_rng` past it (a
-    sampled miss is only "inconclusive"). numpy is imported there alone, so
-    the sampled streams stay those of earlier releases.
+    classes and by uniform draws from the stream tagged `hom:{seed}` past
+    it (a sampled miss is only "inconclusive"). The witness is the
+    invertible map as a list of rows.
     """
     p = src.p
     if dst.p != p or dst.nvars != src.nvars:
@@ -403,7 +395,7 @@ def modules_isomorphic(
                 "not_isomorphic", f"invariant mismatch: {key} {inv_s[key]} vs {inv_d[key]}"
             )
     if src.dim == 0:
-        return IsoResult("isomorphic", "both modules are zero", DenseMatrix())
+        return IsoResult("isomorphic", "both modules are zero", [])
     basis = hom_space(src, dst)
     if not basis:
         return IsoResult("not_isomorphic", "hom space is zero")
@@ -416,18 +408,12 @@ def modules_isomorphic(
             if c:
                 flat = [x + c * y for x, y in zip(flat, b)]
         flat = [x % p for x in flat]
-        return DenseMatrix(flat[i * hM : (i + 1) * hM] for i in range(hN))
-
-    def sampler():
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        return lambda: combination([int(c) for c in rng.integers(0, p, size=d)])
+        return [flat[i * hM : (i + 1) * hM] for i in range(hN)]
 
     def accept(m):
         return any(map(any, m)) and is_invertible(m, p)
 
-    cand, exhaustive = span_search(p, d, combination, accept, HOM_SPAN_CAP, trials, sampler)
+    cand, exhaustive = span_search(p, d, combination, accept, HOM_SPAN_CAP, trials, f"hom:{seed}")
     if cand is not None:
         return IsoResult("isomorphic", "invertible homomorphism found", cand)
     if exhaustive:
@@ -497,7 +483,7 @@ def frobenius_fixes_injective_hull(rs: RingSpec, res=None) -> ArtinianFrobeniusR
     else:
         iso = IsoResult("isomorphic", "socle dimension 1 and length λ(R) certify F^1E ≅ E")
     n, rest = divmod(fe.dim, length)
-    if not rest and is_hull_power(fe, length, n):
+    if not rest and s == n:  # is_hull_power(fe, length, n): λ(F(E)) = n·λ(R) holds
         injective, n_witness = "true", n
     else:
         injective, n_witness = "false", None

@@ -29,8 +29,8 @@ ones (Krull-Remak-Schmidt for the graded category).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (
     NoNzdFoundError,
@@ -42,7 +42,6 @@ from .gfpoly import Polynomial, monomials_of_degree, poly_to_string, random_homo
 from .groebner import (
     Ideal,
     RingSpec,
-    bracket_power,
     ideal_colon,
     minimal_primes_monomial,
 )
@@ -96,17 +95,11 @@ def _combine(zero, basis):
     return combine
 
 
-def _search_span(basis, zero, accept, cap: int, trials: int, tag: str):
+def _search_span(basis, zero, accept, cap: int, trials: int, tag: str, draw=None):
     """`span_search` over the combinations of `basis`; past the cap it draws
-    uniform coefficient vectors from the stream seeded by `tag`."""
-    p, k = zero.p, len(basis)
-    combine = _combine(zero, basis)
-
-    def sampler():
-        rng = random.Random(tag)
-        return lambda: combine(tuple(rng.randrange(p) for _ in range(k)))
-
-    return span_search(p, k, combine, accept, cap, trials, sampler)
+    from the stream seeded by `tag`, uniform coefficient vectors unless
+    `draw` is given."""
+    return span_search(zero.p, len(basis), _combine(zero, basis), accept, cap, trials, tag, draw)
 
 
 def _distinct_nonzero(fs) -> list:
@@ -167,18 +160,13 @@ def find_nzds(
     for d in range(1, max_degree + 1):
         monos = list(monomials_of_degree(n, d))
         basis = [Polynomial.from_monomial(p, m) for m in monos]
-        if d == 1:
-            # dense draws: an associated prime other than m meets the linear
-            # forms in a proper subspace, which a uniform form misses with
-            # probability 1 - 1/p, while short forms may all lie in primes
-            hit, _ = _search_span(basis, zero, consider, NZD_SPAN_CAP, trials, f"nzd:{seed}:1")
-        else:
-            def sampler():
-                rng = random.Random(f"nzd:{seed}:{d}")
-                return lambda: random_homogeneous(rng, p, n, d, max_terms=min(len(monos), 4))
-
-            combine = _combine(zero, basis)
-            hit, _ = span_search(p, len(monos), combine, consider, NZD_SPAN_CAP, trials, sampler)
+        # linear forms are drawn dense: an associated prime other than m
+        # meets them in a proper subspace, which a uniform form misses with
+        # probability 1 - 1/p, while short forms may all lie in primes
+        draw = None if d == 1 else partial(
+            random_homogeneous, p=p, nvars=n, degree=d, max_terms=min(len(monos), 4)
+        )
+        hit, _ = _search_span(basis, zero, consider, NZD_SPAN_CAP, trials, f"nzd:{seed}:{d}", draw)
         if hit is not None:
             return found
     if found:
@@ -270,14 +258,16 @@ def is_f_pure(rs: RingSpec):
     `pushforward.frobenius_colon` (closed forms for monomial ideals and
     complete intersections, the module colon otherwise); every branch gives
     the same reduced basis of (I^[p] : I), and so the same witness: its
-    first element outside (x_1^p, ..., x_n^p). On a graded Artinian ring the
-    verdict is cross-checked against I = m. Returns (verdict, witness dict).
+    first element outside (x_1^p, ..., x_n^p). A monomial ideal holds a
+    polynomial exactly when it holds each of its terms, so an element lies
+    outside exactly when some term has every exponent below p. On a graded
+    Artinian ring the verdict is cross-checked against I = m. Returns
+    (verdict, witness dict).
     """
     names = rs.ring.varnames
-    colon = frobenius_colon(rs)
-    mp = bracket_power(rs.maximal_ideal(), 1)
-    basis = colon.groebner_basis()
-    outside = next((g for g in basis if not mp.contains(g)), None)
+    p = rs.p
+    basis = frobenius_colon(rs).groebner_basis()
+    outside = next((g for g in basis if any(max(m, default=0) < p for m in g.terms)), None)
     _dimension_zero_f_purity_check(rs, outside is not None)
     if outside is not None:
         return True, {

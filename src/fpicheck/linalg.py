@@ -49,11 +49,9 @@ def rank(a, p: int) -> int:
     return len(rref(a, p)[1])
 
 
-def nullspace(a, p: int) -> list:
-    """A basis, as rows, of {x : a x = 0 mod p}; `a` has at least one row."""
-    cols = len(a[0]) if a else 0
-    if cols == 0:
-        return []
+def nullspace(a, cols: int, p: int) -> list:
+    """A basis, as rows, of {x : a x = 0 mod p} for the rows `a` of a
+    matrix with `cols` columns; with no rows that is all of F_p^cols."""
     rows, pivots = rref(a, p)
     bound = set(pivots)
     free = [c for c in range(cols) if c not in bound]

@@ -508,7 +508,7 @@ def present_finite(module: FiniteLengthModule, rs: RingSpec) -> ModulePresentati
         for g_idx, m in pairs:
             image = module.act_monomial({gens[g_idx]: 1}, m)
             cols.append([image.get(i, 0) for i in range(h)])
-        ker = nullspace([list(row) for row in zip(*cols)], p)
+        ker = nullspace([list(row) for row in zip(*cols)], len(cols), p)
         if ker:
             collect_relations(rs, pairs, ker, d, relations, rel_degs)
     return ModulePresentation(rs.ring, rs.ideal, relations, gen_degs, rel_degs)
@@ -866,10 +866,7 @@ def twisted_hom_oracle(push: ModulePresentation, rs: RingSpec) -> TwistedHom:
             coords(img, pairs) if (img := act(gens[k].as_poly_dict(), m)) else [0] * len(pairs)
             for k, m in domain
         ]
-        if pairs:
-            ker = nullspace([list(row) for row in zip(*cols)], p)
-        else:
-            ker = [[int(j == k) for j in range(len(domain))] for k in range(len(domain))]
+        ker = nullspace([list(row) for row in zip(*cols)], len(cols), p)
         if ker:
             collect_relations(rs, domain, ker, d, relations, rel_degs)
     return TwistedHom(push, gens, gen_degs, presented(), target)

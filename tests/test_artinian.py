@@ -1,5 +1,6 @@
 """Finite-length modules, Matlis duality, and the depth-zero Frobenius test."""
 
+import random
 from itertools import product
 
 import numpy as np
@@ -359,23 +360,18 @@ def _line(v, p):
     return tuple(c * inv % p for c in v)
 
 
-def _no_sampler():
-    raise AssertionError("the exhaustive path seeded a sampler")
+def _no_draw(_):
+    raise AssertionError("the exhaustive path drew a candidate")
 
 
-def _counting_sampler(calls):
-    """A sampler that records its own calls and the draws of its draw function."""
+def _counting_draw(calls):
+    """A draw that records each call and the stream it was handed."""
 
-    def sampler():
-        calls.append("seed")
+    def draw(rng):
+        calls.append(rng)
+        return len(calls)
 
-        def draw():
-            calls.append("draw")
-            return len(calls)
-
-        return draw
-
-    return sampler
+    return draw
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -386,7 +382,7 @@ def test_span_search_walks_every_line_once_up_to_the_cap(p, k):
     for cap in (lines, lines + 1):
         tried = []
         hit, exhaustive = span_search(
-            p, k, lambda v: v, lambda v: tried.append(v), cap, 5, _no_sampler
+            p, k, lambda v: v, lambda v: tried.append(v), cap, 5, "walk", _no_draw
         )
         assert (hit, exhaustive) == (None, True)
         assert len(tried) == lines
@@ -398,7 +394,7 @@ def test_span_search_walks_every_line_once_up_to_the_cap(p, k):
 def test_span_search_returns_an_exhaustive_hit(p, k):
     last = (0,) * (k - 1) + (1,)
     lines = (p**k - 1) // (p - 1)
-    hit = span_search(p, k, lambda v: v, lambda v: v == last, lines, 5, _no_sampler)
+    hit = span_search(p, k, lambda v: v, lambda v: v == last, lines, 5, "hit", _no_draw)
     assert hit == (last, True)
 
 
@@ -408,16 +404,26 @@ def test_span_search_samples_past_the_cap(p, k):
     lines = (p**k - 1) // (p - 1)
     calls = []
     hit, exhaustive = span_search(
-        p, k, _no_sampler, lambda c: False, lines - 1, 7, _counting_sampler(calls)
+        p, k, _no_draw, lambda c: False, lines - 1, 7, "miss", _counting_draw(calls)
     )
     assert (hit, exhaustive) == (None, False)
-    assert calls == ["seed"] + ["draw"] * 7
+    assert len(calls) == 7 and len({id(rng) for rng in calls}) == 1
     calls.clear()
     hit, exhaustive = span_search(
-        p, k, _no_sampler, lambda c: c == 4, lines - 1, 7, _counting_sampler(calls)
+        p, k, _no_draw, lambda c: c == 3, lines - 1, 7, "hit", _counting_draw(calls)
     )
-    assert (hit, exhaustive) == (4, False)
-    assert calls == ["seed"] + ["draw"] * 3
+    assert (hit, exhaustive) == (3, False)
+    assert len(calls) == 3
+    # without a draw, uniform coefficient vectors from random.Random(tag)
+    streams = []
+    for tag in ("same", "same", "other"):
+        tried = []
+        span_search(p, k, tuple, lambda c: tried.append(c), lines - 1, 7, tag)
+        streams.append(tried)
+    assert streams[0] == streams[1]
+    rng = random.Random("same")
+    assert streams[0] == [tuple(rng.randrange(p) for _ in range(k)) for _ in range(7)]
+    assert k < 2 or streams[2] != streams[0]
 
 
 # -- products exact at the top of the prime range --------------------------------

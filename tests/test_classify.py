@@ -4,6 +4,7 @@ import csv
 import io
 import signal
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -31,7 +32,7 @@ from fpicheck.errors import (
     PipelineInvariantError,
     UnsupportedDimensionError,
 )
-from fpicheck.gfpoly import random_homogeneous
+from fpicheck.gfpoly import Polynomial, poly_to_string, random_homogeneous
 from fpicheck.groebner import Ideal, RingSpec, bracket_power, ideal_colon
 from fpicheck.resolutions import ring_depth
 
@@ -238,6 +239,11 @@ def test_non_reduced_ring_is_not_f_pure():
     assert not flag
 
 
+def test_field_in_no_variables_is_f_pure():
+    # (I^[p] : I) = (1), and the term 1 has no exponent reaching p
+    assert is_f_pure(RingSpec(2, [], []))[0] is True
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_cross_is_f_pure(p):
     flag, _ = is_f_pure(coordinate_cross(p))
@@ -260,6 +266,41 @@ def test_always_true_fedder_is_caught_in_dimension_zero(monkeypatch, gens):
     monkeypatch.setattr(classify, "frobenius_colon", lambda rs: Ideal(rs.ring, [rs.ring.one()]))
     with pytest.raises(PipelineInvariantError, match="Fedder"):
         is_f_pure(rs)
+
+
+@st.composite
+def colon_bases(draw):
+    """A prime, a variable count and a few polynomials whose exponents sit
+    at and around p, standing in for the basis of (I^[p] : I)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(2, 3))
+    exponent = st.sampled_from([0, 1, p - 1, p, p + 1, 2 * p])
+    term = st.tuples(*[exponent] * n)
+    polys = [
+        Polynomial(p, n, dict.fromkeys(draw(st.lists(term, min_size=1, max_size=4)), 1))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return p, n, polys
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(colon_bases())
+@example((2, 2, [Polynomial(2, 2, {(2, 0): 1, (0, 2): 1})]))
+@example((7, 3, [Polynomial(7, 3, {(7, 0, 0): 1}), Polynomial(7, 3, {(6, 6, 6): 1, (0, 0, 7): 1})]))
+def test_fedder_containment_matches_ideal_membership(case):
+    # the colon basis is stubbed, so only the containment test in
+    # (x_1^p, ..., x_n^p) decides the verdict and the witness
+    p, n, polys = case
+    names = ["x", "y", "z"][:n]
+    rs = RingSpec(p, names, ["x*y"])
+    mp = bracket_power(rs.maximal_ideal(), 1)
+    outside = next((g for g in polys if not mp.contains(g)), None)
+    colon = SimpleNamespace(groebner_basis=lambda: polys)
+    with mock.patch.object(classify, "frobenius_colon", lambda rs: colon):
+        flag, witness = is_f_pure(rs)
+    assert flag == (outside is not None)
+    if outside is not None:
+        assert witness["splitting_witness"] == poly_to_string(outside, names)
 
 
 # Two rings of the seed-0 binomial census at p = 7 that are not complete

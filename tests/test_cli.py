@@ -11,7 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_artinian import BIG_P, _conjugate
 
 from fpicheck import cli
 from fpicheck.cli import (
@@ -512,24 +514,36 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.stderr == ""
 
 
-def test_report_and_census_never_import_numpy(tmp_path):
-    # numpy serves only the sampled branch of `artinian.modules_isomorphic`,
-    # which neither command reaches
+def test_fpicheck_runs_with_numpy_refused(tmp_path):
+    # fpicheck needs nothing beyond the standard library: with every import
+    # of numpy refused, report, census and the sampled branch of
+    # `artinian.modules_isomorphic` (the BIG_P pair of test_artinian) finish
     artinian = tmp_path / "artinian.txt"
     artinian.write_text("p = 3\nvars = x, y\nideal = x^2, x*y, y^3\n")
-    curve = tmp_path / "curve.txt"
-    curve.write_text(FLAGSHIP_TEXT)
+    axes = tmp_path / "axes.txt"
+    axes.write_text(FLAGSHIP_TEXT.replace("p = 2", "p = 3"))
+    plain = np.diag([1, 1, 0, 1, 1], k=1)
     code = f"""
 import contextlib, io, sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError("numpy is refused")
+
+sys.meta_path.insert(0, RefuseNumpy())
 from fpicheck import cli
+from fpicheck.artinian import FiniteLengthModule, modules_isomorphic
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         cli.main(["report", "--input", {str(artinian)!r}]),
-        cli.main(["report", "--input", {str(curve)!r}]),
+        cli.main(["report", "--input", {str(axes)!r}]),
         cli.main(["census", "--p", "2", "--vars", "2", "--max-degree", "2"]),
     ]
 assert codes == [0, 0, 0], codes
-assert "numpy" not in sys.modules
+src = FiniteLengthModule({BIG_P}, [{plain.tolist()!r}])
+dst = FiniteLengthModule({BIG_P}, [{_conjugate(plain).tolist()!r}])
+assert modules_isomorphic(src, dst).verdict == "isomorphic"
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -128,10 +128,10 @@ def test_modules_isomorphic_witness_stream(invertible_calls):
     assert res.verdict == "isomorphic"
     assert len(invertible_calls) == 1
     assert _digest(invertible_calls) == (
-        "a9316d031a5827faacfcfe19eb0c5dafe316eefaa24a47210cb8b3b8ced4e4c5"
+        "be934766a5b599b75e966ab8507c7b882a7429941a4ac0120e3d80cd99ed0c5c"
     )
-    assert _digest(res.witness.tolist()) == (
-        "5aafd51c04805536607c24cf157e5fa7537c33a31d14662662452e790d018ce7"
+    assert _digest(res.witness) == (
+        "9c536ea84e38756b56da0de0b8b9ce591837e91d665c440f42059b56f2e3e758"
     )
 
 
@@ -147,11 +147,11 @@ def test_modules_isomorphic_refutation_stream(invertible_calls):
     assert res.verdict == "inconclusive"
     assert len(invertible_calls) == 500
     assert invertible_calls[0] == [
-        [1367864806, 0, 0, 0],
-        [1826701614, 1367864806, 1097657231, 0],
-        [661058651, 0, 0, 0],
-        [579362555, 661058651, 87989972, 0],
+        [673887960, 0, 0, 0],
+        [1209182493, 673887960, 842974865, 0],
+        [1243360, 0, 0, 0],
+        [1568892619, 1243360, 1874531801, 0],
     ]
     assert _digest(invertible_calls[:20]) == (
-        "a60de08c377c39e0658464e9ee636bfca524f74fb84024dfc75aef185ce94593"
+        "ffdf88a927c240437bff9914ad9ffb0e54cdafea01d9769669ca978f84b2a3b5"
     )
