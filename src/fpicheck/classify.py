@@ -83,13 +83,12 @@ def _poly_key(f):
 
 def _combine(zero, basis):
     """`combine` for `span_search` over Polynomials or Vecs."""
-    one = (0,) * zero.nvars
 
     def combine(coeffs):
         out = zero
         for c, b in zip(coeffs, basis):
             if c:
-                out = out + b.mul_term(one, c)
+                out = out + b.scale(c)
         return out
 
     return combine
@@ -362,11 +361,13 @@ def ideals_isomorphic(
             return IdealIsoResult("true", None, 0, "both ideals are zero")
         return IdealIsoResult("false", None, None, "exactly one ideal is zero")
     one = Polynomial.constant(p, n, 1)
-    if rs.ideal_eq_in_r(gi, gj):
+    # each preimage in S is built once, so its Groebner basis is computed once
+    pre_i, pre_j = rs.preimage_ideal(gi), rs.preimage_ideal(gj)
+    if pre_i == pre_j:
         return IdealIsoResult("true", (one, one), 0, "the ideals are equal")
     num_r = rs.ideal.hilbert_numerator()
-    num_i = num_r - rs.preimage_ideal(gi).hilbert_numerator()
-    num_j = num_r - rs.preimage_ideal(gj).hilbert_numerator()
+    num_i = num_r - pre_i.hilbert_numerator()
+    num_j = num_r - pre_j.hilbert_numerator()
     shift = num_i.lowest() - num_j.lowest()
     if num_j.shift(shift) != num_i:
         return IdealIsoResult(
@@ -394,9 +395,9 @@ def ideals_isomorphic(
         return IdealIsoResult(
             "false", None, shift, "the multiplier degree forced by Hilbert series is negative"
         )
-    rhs = [f * g for g in mj]
+    pre_rhs = rs.preimage_ideal([f * g for g in mj])
     # I lies in the preimage of f*J, so (f*J + I : (mi) + I) = (f*J + I : (mi))
-    colon = ideal_colon(rs.preimage_ideal(rhs), Ideal(rs.ring, mi))
+    colon = ideal_colon(pre_rhs, Ideal(rs.ring, mi))
     h_gens = minimal_ideal_generators(rs, colon.groebner_basis())
     cands = [h for h in h_gens if h.degree() == deg_h]
     if not cands:
@@ -408,7 +409,7 @@ def ideals_isomorphic(
         )
     h, exhaustive = _search_span(
         cands, Polynomial.zero(p, n),
-        lambda h: not h.is_zero() and rs.ideal_eq_in_r([h * g for g in mi], rhs),
+        lambda h: not h.is_zero() and rs.preimage_ideal([h * g for g in mi]) == pre_rhs,
         MULTIPLIER_SPAN_CAP, trials, f"ideal-iso:{seed}",
     )
     if h is not None:
@@ -751,6 +752,9 @@ def _run_cross_checks(
         add("monomial_few_primes_match_gorenstein", "not_applicable")
 
 
+CHECKS = ("all", "fpi", "gorenstein", "fpure", "canonical")
+
+
 def classify_ring(
     rs: RingSpec,
     check: str = "all",
@@ -765,8 +769,12 @@ def classify_ring(
     "gorenstein" stops after the socle tests, "fpure" runs only the colon
     containment test (any dimension, gradedness not required), and
     "canonical" reports the canonical-ideal search. Dimensions above one
-    raise UnsupportedDimensionError except for "fpure".
+    raise UnsupportedDimensionError except for "fpure", and a `check`
+    outside CHECKS raises ValueError. `max_degree` bounds the degree of the
+    non-zero-divisors searched for in dimension one.
     """
+    if check not in CHECKS:
+        raise ValueError(f"check must be one of {', '.join(CHECKS)}, got {check!r}")
     names = list(rs.ring.varnames)
     report = RingReport(
         label=rs.label,
@@ -796,13 +804,13 @@ def classify_ring(
     report.dimension = dim
     report.depth = depth
     report.cohen_macaulay = depth == dim
-    if check == "canonical":
-        ci = canonical_ideal(rs, seed=seed, trials=trials, res=res)
-        report.canonical = _canonical_entry(ci, names)
-        return report
     nzds = None
     if dim == 1 and depth == 1:
         nzds = find_nzds(rs, count=2, seed=seed, max_degree=max_degree)
+    if check == "canonical":
+        ci = canonical_ideal(rs, seed=seed, trials=trials, res=res, nzds=nzds)
+        report.canonical = _canonical_entry(ci, names)
+        return report
     report.gorenstein, report.gorenstein_witness = is_gorenstein(
         rs, seed=seed, nzds=nzds, res=res
     )

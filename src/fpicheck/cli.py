@@ -41,12 +41,11 @@ from .gfpoly import (
     PrimeField,
     mono_divides,
     monomials_of_degree,
+    parse_polynomial,
     poly_to_string,
 )
 from .groebner import RingSpec
-from .classify import classify_ring, report_is_decisive
-
-CHECKS = ("all", "fpi", "gorenstein", "fpure", "canonical")
+from .classify import CHECKS, classify_ring, report_is_decisive
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +59,8 @@ def parse_ring_spec(text: str, require_homogeneous: bool = True) -> RingSpec:
     """
     fields: dict = {}
     field_lines: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -76,7 +76,7 @@ def parse_ring_spec(text: str, require_homogeneous: bool = True) -> RingSpec:
         field_lines[key] = lineno
     for key in ("p", "vars", "ideal"):
         if key not in fields:
-            raise ParseError(f"missing required key {key!r}", len(text.splitlines()) + 1, 1)
+            raise ParseError(f"missing required key {key!r}", len(lines) + 1, 1)
     try:
         p = int(fields["p"])
     except ValueError:
@@ -91,18 +91,23 @@ def parse_ring_spec(text: str, require_homogeneous: bool = True) -> RingSpec:
             raise ParseError(f"bad variable name {name!r}", field_lines["vars"], 1)
     if len(set(varnames)) != len(varnames):
         raise ParseError("duplicate variable names", field_lines["vars"], 1)
-    gen_texts = [g.strip() for g in fields["ideal"].split(",")]
-    gen_texts = [g for g in gen_texts if g]
-    try:
-        return RingSpec(
-            p,
-            varnames,
-            gen_texts,
-            label=fields.get("label", ""),
-            require_homogeneous=require_homogeneous,
-        )
-    except ParseError as exc:
-        raise ParseError(exc.message, field_lines["ideal"], exc.col) from None
+    PrimeField(p)  # a bad characteristic fails before any generator is parsed
+    # each generator is parsed where it stands, so columns count from the line start
+    lineno = field_lines["ideal"]
+    raw = lines[lineno - 1]
+    col = raw.index("=") + 1
+    gens = []
+    for piece in raw[col:].split(","):
+        if piece.strip():
+            gens.append(parse_polynomial(piece, varnames, p, line=lineno, col_offset=col))
+        col += len(piece) + 1
+    return RingSpec(
+        p,
+        varnames,
+        gens,
+        label=fields.get("label", ""),
+        require_homogeneous=require_homogeneous,
+    )
 
 
 def _ring_display(rs: RingSpec) -> str:

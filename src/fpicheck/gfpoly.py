@@ -1,7 +1,8 @@
 """Exact arithmetic over prime fields: monomials, sparse polynomials.
 
 Monomials are plain exponent tuples of length nvars. Polynomials are sparse
-dicts mapping exponent tuple -> coefficient in [1, p). All coefficient
+dicts mapping exponent tuple -> coefficient in [1, p); they share the class
+`SparseElement` with the module vectors of `modgb`. All coefficient
 arithmetic is integer arithmetic mod p; there are no floats anywhere.
 The one term order is grevlex (`grevlex_rank`); lead terms, sorted terms and
 printing all read it.
@@ -127,10 +128,14 @@ GREVLEX = namedtuple("TermOrder", "kind block")("grevlex", 0)
 # ---------------------------------------------------------------------------
 # polynomials
 
-class Polynomial:
-    """Sparse multivariate polynomial over F_p.
+class SparseElement:
+    """Sparse element over F_p: `terms` maps a key to its coefficient in [1, p).
 
-    Immutable by convention: no method mutates `terms` after construction.
+    The shared base of `Polynomial` (keys are exponent tuples) and
+    `modgb.Vec` (keys are (component, exponent tuple) pairs). It owns the
+    arithmetic that never reads a key: sums, differences, negation, scaling
+    and comparison. Immutable by convention: no method mutates `terms` after
+    construction.
     """
 
     __slots__ = ("p", "nvars", "terms")
@@ -138,17 +143,10 @@ class Polynomial:
     def __init__(self, p: int, nvars: int, terms: dict):
         self.p = p
         self.nvars = nvars
-        clean = {}
-        for m, c in terms.items():
-            c %= p
-            if c:
-                if len(m) != nvars:
-                    raise ValueError("exponent tuple has wrong length")
-                clean[tuple(m)] = c
-        self.terms = clean
+        self.terms = {t: v for t, c in terms.items() if (v := c % p)}
 
     @classmethod
-    def _raw(cls, p: int, nvars: int, terms: dict) -> "Polynomial":
+    def _raw(cls, p: int, nvars: int, terms: dict):
         """Construct without normalization; terms must already be clean."""
         self = object.__new__(cls)
         self.p = p
@@ -157,8 +155,66 @@ class Polynomial:
         return self
 
     @classmethod
-    def zero(cls, p: int, nvars: int) -> "Polynomial":
+    def zero(cls, p: int, nvars: int):
         return cls._raw(p, nvars, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _plus(self, other, sign: int):
+        """self + sign * other, one term at a time; a Polynomial and a Vec
+        lie in different ambients too."""
+        if type(other) is not type(self) or self.p != other.p or self.nvars != other.nvars:
+            raise ValueError("elements over different ambients")
+        p = self.p
+        out = dict(self.terms)
+        for t, c in other.terms.items():
+            v = (out.get(t, 0) + sign * c) % p
+            if v:
+                out[t] = v
+            else:
+                out.pop(t, None)
+        return self._raw(p, self.nvars, out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        p = self.p
+        return self._raw(p, self.nvars, {t: p - c for t, c in self.terms.items()})
+
+    def scale(self, c: int):
+        """Multiply by the scalar c of F_p."""
+        p = self.p
+        c %= p
+        if c == 0:
+            return self.zero(p, self.nvars)
+        return self._raw(p, self.nvars, {t: v * c % p for t, v in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.p == other.p
+            and self.nvars == other.nvars
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.nvars, frozenset(self.terms.items())))
+
+
+class Polynomial(SparseElement):
+    """Sparse multivariate polynomial over F_p, keyed by exponent tuples."""
+
+    __slots__ = ()
+
+    def __init__(self, p: int, nvars: int, terms: dict):
+        super().__init__(p, nvars, terms)
+        if any(len(m) != nvars for m in self.terms):
+            raise ValueError("exponent tuple has wrong length")
 
     @classmethod
     def constant(cls, p: int, nvars: int, c: int) -> "Polynomial":
@@ -178,9 +234,6 @@ class Polynomial:
 
     # -- predicates ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(mono_is_one(m) for m in self.terms)
 
@@ -199,48 +252,12 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check(self, other: "Polynomial"):
-        if self.p != other.p or self.nvars != other.nvars:
-            raise ValueError("polynomials over different ambients")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        p = self.p
-        for m, c in other.terms.items():
-            v = (out.get(m, 0) + c) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return Polynomial._raw(p, self.nvars, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        p = self.p
-        for m, c in other.terms.items():
-            v = (out.get(m, 0) - c) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return Polynomial._raw(p, self.nvars, out)
-
-    def __neg__(self) -> "Polynomial":
-        p = self.p
-        return Polynomial._raw(p, self.nvars, {m: p - c for m, c in self.terms.items()})
-
     def __mul__(self, other) -> "Polynomial":
         p = self.p
         if isinstance(other, int):
-            other %= p
-            if other == 0:
-                return Polynomial.zero(p, self.nvars)
-            return Polynomial._raw(
-                p, self.nvars, {m: c * other % p for m, c in self.terms.items()}
-            )
-        self._check(other)
+            return self.scale(other)
+        if self.p != other.p or self.nvars != other.nvars:
+            raise ValueError("elements over different ambients")
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -309,17 +326,6 @@ class Polynomial:
 
     # -- comparison / display ----------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.p == other.p
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.nvars, frozenset(self.terms.items())))
-
     def sorted_terms(self) -> list:
         """(monomial, coeff) pairs, largest monomial first."""
         return sorted(self.terms.items(), key=lambda t: grevlex_rank(t[0]))
@@ -364,7 +370,7 @@ def poly_to_string(f: Polynomial, varnames: list) -> str:
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[\^*+\-]))")
 
 
-def _tokenize(text: str, line: int):
+def _tokenize(text: str, line: int, col_offset: int):
     pos = 0
     out = []
     while pos < len(text):
@@ -373,7 +379,7 @@ def _tokenize(text: str, line: int):
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            col = pos + (len(text[pos:]) - len(stripped)) + 1
+            col = col_offset + pos + (len(text[pos:]) - len(stripped)) + 1
             raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
         pos = m.end()
         if m.group("int") is not None:
@@ -391,7 +397,7 @@ def parse_polynomial(
     """Parse the polynomial grammar; errors carry 1-based line/col positions."""
     index = {name: i for i, name in enumerate(varnames)}
     nvars = len(varnames)
-    toks = _tokenize(text, line)
+    toks = _tokenize(text, line, col_offset)
     if not toks:
         raise ParseError("empty polynomial", line, col_offset + 1)
 

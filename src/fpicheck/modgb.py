@@ -16,31 +16,14 @@ A module over R = S/I is a module over S plus the columns I·e_j
 
 from __future__ import annotations
 
-from .gfpoly import Polynomial, mono_degree, mono_mul
+from .gfpoly import Polynomial, SparseElement, mono_degree, mono_mul
 from .groebner import groebner_terms, lead_term, normal_form_terms
 
 
-class Vec:
+class Vec(SparseElement):
     """Sparse element of a free module S^r; terms map (comp, mono) to coeff."""
 
-    __slots__ = ("p", "nvars", "terms")
-
-    def __init__(self, p: int, nvars: int, terms: dict):
-        self.p = p
-        self.nvars = nvars
-        self.terms = {t: c % p for t, c in terms.items() if c % p}
-
-    @classmethod
-    def _raw(cls, p: int, nvars: int, terms: dict) -> "Vec":
-        v = object.__new__(cls)
-        v.p = p
-        v.nvars = nvars
-        v.terms = terms
-        return v
-
-    @classmethod
-    def zero(cls, p: int, nvars: int) -> "Vec":
-        return cls._raw(p, nvars, {})
+    __slots__ = ()
 
     @classmethod
     def unit(cls, p: int, nvars: int, comp: int) -> "Vec":
@@ -66,9 +49,6 @@ class Vec:
             raise ValueError("from_polys needs at least one nonzero entry")
         return cls._raw(p, nvars, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def component(self, comp: int) -> Polynomial:
         terms = {m: c for (cc, m), c in self.terms.items() if cc == comp}
         return Polynomial._raw(self.p, self.nvars, terms)
@@ -81,35 +61,6 @@ class Vec:
             comp: Polynomial._raw(self.p, self.nvars, terms)
             for comp, terms in out.items()
         }
-
-    def __add__(self, other: "Vec") -> "Vec":
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            v = (terms.get(t, 0) + c) % self.p
-            if v:
-                terms[t] = v
-            else:
-                terms.pop(t, None)
-        return Vec._raw(self.p, self.nvars, terms)
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            v = (terms.get(t, 0) - c) % self.p
-            if v:
-                terms[t] = v
-            else:
-                terms.pop(t, None)
-        return Vec._raw(self.p, self.nvars, terms)
-
-    def __neg__(self) -> "Vec":
-        return Vec._raw(self.p, self.nvars, {t: self.p - c for t, c in self.terms.items()})
-
-    def scale(self, c: int) -> "Vec":
-        c %= self.p
-        if c == 0:
-            return Vec.zero(self.p, self.nvars)
-        return Vec._raw(self.p, self.nvars, {t: c * v % self.p for t, v in self.terms.items()})
 
     def mul_term(self, mono, coeff: int) -> "Vec":
         coeff %= self.p
@@ -141,17 +92,6 @@ class Vec:
         if len(degs) > 1:
             raise ValueError("vector is not homogeneous for the given twists")
         return degs.pop() if degs else -1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Vec)
-            and other.p == self.p
-            and other.nvars == self.nvars
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
         parts = [f"e{c}*{m}:{v}" for (c, m), v in sorted(self.terms.items())]

@@ -516,6 +516,26 @@ def test_classification_finds_its_nzds_once():
     assert spy.call_count == 1
 
 
+def test_canonical_check_honours_the_degree_budget():
+    # no form of degree at most 2 is a non-zero-divisor here; cubics are
+    rs = RingSpec(2, ["x", "y"], ["x^4*y + x*y^4"])
+    with pytest.raises(NoNzdFoundError):
+        find_nzds(rs, max_degree=2)
+    full = classify_ring(rs, max_degree=3, deep_checks=False)
+    report = classify_ring(rs, check="canonical", max_degree=3)
+    assert report.canonical["status"] == "found"
+    assert report.canonical == full.canonical
+
+
+@pytest.mark.parametrize("check", ["gorenstien", "", "ALL", "fpi "])
+def test_classify_rejects_an_unknown_check(check):
+    with mock.patch.object(classify, "minimal_free_resolution") as spy:
+        with pytest.raises(ValueError, match="check must be one of"):
+            classify_ring(coordinate_cross(), check=check)
+    assert spy.call_count == 0
+    assert cli.CHECKS is classify.CHECKS
+
+
 # -- classification reports ----------------------------------------------------------------
 
 

@@ -83,6 +83,22 @@ def test_parse_error_points_at_the_ideal_line():
     assert info.value.line == 5
 
 
+@pytest.mark.parametrize(
+    "line,col",
+    [
+        ("ideal = x*y, x*w", 16),
+        ("ideal = x*y, x +", 17),
+        ("ideal=x^2 -  q", 14),
+        ("  ideal = x, (y", 14),
+        ("IDEAL = x^", 11),
+    ],
+)
+def test_parse_error_columns_count_from_the_line_start(line, col):
+    with pytest.raises(ParseError) as info:
+        parse_ring_spec(f"p = 2\nvars = x, y\n{line}\n")
+    assert (info.value.line, info.value.col) == (3, col)
+
+
 # -- report subcommand ------------------------------------------------------------
 
 

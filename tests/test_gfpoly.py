@@ -2,8 +2,11 @@
 
 import math
 import random
+from operator import add, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpicheck.errors import NonPrimeError, ParseError
 from fpicheck.gfpoly import (
@@ -19,6 +22,7 @@ from fpicheck.gfpoly import (
     poly_to_string,
     random_homogeneous,
 )
+from fpicheck.modgb import Vec
 
 VARS3 = ["x", "y", "z"]
 
@@ -138,6 +142,63 @@ def test_char_p_coefficient_wraparound():
     f = parse("x + y", p=3)
     assert f + f + f == Polynomial.zero(3, 3)
     assert 2 * f == -f
+
+
+@st.composite
+def element_pairs(draw):
+    """(f, g, c): two polynomials over one ambient, uncleaned coefficients
+    included, and a scalar."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.integers(1, 3))
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * nvars), st.integers(-7, 7), max_size=5
+    )
+    f = Polynomial(p, nvars, draw(terms))
+    g = draw(st.sampled_from([f, Polynomial(p, nvars, draw(terms))]))
+    return f, g, draw(st.integers(-7, 7))
+
+
+def as_vec(f):
+    """f * e_0 in the free module of rank one."""
+    return Vec(f.p, f.nvars, {(0, m): c for m, c in f.terms.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_pairs())
+def test_polynomial_and_vec_share_one_arithmetic(case):
+    f, g, c = case
+    for op in (add, sub):
+        assert as_vec(op(f, g)) == op(as_vec(f), as_vec(g))
+    assert as_vec(-f) == -as_vec(f)
+    assert as_vec(f.scale(c)) == as_vec(f).scale(c) == as_vec(f * c)
+    assert (f == g) == (as_vec(f) == as_vec(g))
+    for x, y in ((f, g), (as_vec(f), as_vec(g))):
+        # built in another order, the same element hashes the same
+        assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+        assert x.is_zero() == (x == type(x).zero(x.p, x.nvars))
+    assert f != as_vec(f) and as_vec(f) != f
+    assert len({f, as_vec(f)}) == 2
+    for op in (add, sub):
+        with pytest.raises(ValueError, match="different ambients"):
+            op(f, as_vec(f))
+        with pytest.raises(ValueError, match="different ambients"):
+            op(as_vec(f), f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_pairs())
+def test_mismatched_ambients_raise_for_both_element_types(case):
+    f, _, _ = case
+    q = 7 if f.p == 5 else 5
+    for other in (Polynomial.constant(q, f.nvars, 1), Polynomial.constant(f.p, f.nvars + 1, 1)):
+        for x, y in ((f, other), (as_vec(f), as_vec(other))):
+            for op in (add, sub):
+                with pytest.raises(ValueError, match="different ambients"):
+                    op(x, y)
+                with pytest.raises(ValueError, match="different ambients"):
+                    op(y, x)
+        with pytest.raises(ValueError, match="different ambients"):
+            f * other
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1), (5, 1)])
