@@ -8,7 +8,8 @@ Every verdict is backed by an exact certificate:
 * Gorenstein reads the socle of the ring (or of an Artinian reduction by a
   verified non-zero-divisor) and is cross-checked against the last Betti
   number;
-* F-purity is the containment test of the Frobenius colon ideal
+* F-purity of a graded Artinian ring is its length being 1 (I = m); in
+  every other case it is the containment test of the Frobenius colon ideal
   (I^[p] : I) against (x_1^p, ..., x_n^p);
 * in dimension zero, Frobenius preserves injectivity exactly when
   F(E) is isomorphic to E for the injective hull E of the residue field.
@@ -34,6 +35,7 @@ from functools import partial
 
 from .errors import (
     NoNzdFoundError,
+    NonHomogeneousError,
     NotCohenMacaulayError,
     PipelineInvariantError,
     UnsupportedDimensionError,
@@ -249,25 +251,31 @@ def is_gorenstein(rs: RingSpec, seed: int = 0, nzds=None, res=None):
 # F-purity
 
 def is_f_pure(rs: RingSpec):
-    """Frobenius-splitting test via the colon containment criterion.
+    """Frobenius-splitting test; returns (verdict, witness dict).
 
-    R = S/I is F-pure exactly when (I^[p] : I) is not contained in
-    (x_1^p, ..., x_n^p) (Fedder 1983). The test is exact for any ideal;
-    homogeneity is not required. The colon comes from
+    A homogeneous R of dimension zero is F-pure exactly when its length
+    λ(R) is 1: F-pure implies reduced, a reduced graded Artinian quotient of
+    S is S/m = F_p, and F_p is F-pure. Any other R = S/I is F-pure exactly
+    when (I^[p] : I) is not contained in (x_1^p, ..., x_n^p) (Fedder 1983,
+    exact for any ideal). The colon comes from
     `pushforward.frobenius_colon` (closed forms for monomial ideals and
     complete intersections, the module colon otherwise); every branch gives
     the same reduced basis of (I^[p] : I), and so the same witness: its
     first element outside (x_1^p, ..., x_n^p). A monomial ideal holds a
     polynomial exactly when it holds each of its terms, so an element lies
-    outside exactly when some term has every exponent below p. On a graded
-    Artinian ring the verdict is cross-checked against I = m. Returns
-    (verdict, witness dict).
+    outside exactly when some term has every exponent below p.
     """
+    if rs.ideal.is_homogeneous_ideal() and rs.dimension == 0:
+        length = rs.hilbert().colength
+        return length == 1, {
+            "length": length,
+            "statement": "a graded Artinian ring is F-pure exactly when "
+            "its length is 1, that is when I = m",
+        }
     names = rs.ring.varnames
     p = rs.p
     basis = frobenius_colon(rs).groebner_basis()
     outside = next((g for g in basis if any(max(m, default=0) < p for m in g.terms)), None)
-    _dimension_zero_f_purity_check(rs, outside is not None)
     if outside is not None:
         return True, {
             "splitting_witness": poly_to_string(outside, names),
@@ -279,23 +287,6 @@ def is_f_pure(rs: RingSpec):
         "statement": "every generator of (I^[p] : I) lies in "
         "(x_1^p, ..., x_n^p)",
     }
-
-
-def _dimension_zero_f_purity_check(rs: RingSpec, f_pure: bool) -> None:
-    """Cross-check Fedder's verdict on a graded Artinian ring.
-
-    An F-pure ring is reduced, and a reduced graded Artinian quotient of S
-    is S/m = F_p, which is F-pure. So for homogeneous I with dim R = 0, R is
-    F-pure exactly when I = m, that is when R has length one.
-    """
-    if not rs.ideal.is_homogeneous_ideal() or rs.dimension != 0:
-        return
-    is_m = rs.hilbert().colength == 1
-    if f_pure != is_m:
-        raise PipelineInvariantError(
-            f"Fedder's criterion gives F-pure = {f_pure} for an Artinian ring "
-            f"with I {'=' if is_m else '!='} m"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -766,15 +757,20 @@ def classify_ring(
     """Classify one ring and return a full report with witnesses.
 
     `check` selects the work: "all" and "fpi" run the whole pipeline,
-    "gorenstein" stops after the socle tests, "fpure" runs only the colon
-    containment test (any dimension, gradedness not required), and
-    "canonical" reports the canonical-ideal search. Dimensions above one
-    raise UnsupportedDimensionError except for "fpure", and a `check`
-    outside CHECKS raises ValueError. `max_degree` bounds the degree of the
+    "gorenstein" stops after the socle tests, "fpure" runs only `is_f_pure`
+    (any dimension, gradedness not required), and "canonical" reports the
+    canonical-ideal search. Dimensions above one raise
+    UnsupportedDimensionError and an inhomogeneous ideal raises
+    NonHomogeneousError, both except for "fpure"; a `check` outside CHECKS
+    raises ValueError. `max_degree` bounds the degree of the
     non-zero-divisors searched for in dimension one.
     """
     if check not in CHECKS:
         raise ValueError(f"check must be one of {', '.join(CHECKS)}, got {check!r}")
+    if check != "fpure" and not rs.ideal.is_homogeneous_ideal():
+        raise NonHomogeneousError(
+            f"check {check!r} needs a homogeneous ideal; only 'fpure' accepts this one"
+        )
     names = list(rs.ring.varnames)
     report = RingReport(
         label=rs.label,
@@ -806,7 +802,7 @@ def classify_ring(
     report.cohen_macaulay = depth == dim
     nzds = None
     if dim == 1 and depth == 1:
-        nzds = find_nzds(rs, count=2, seed=seed, max_degree=max_degree)
+        nzds = find_nzds(rs, count=2, seed=seed, max_degree=max_degree, trials=trials)
     if check == "canonical":
         ci = canonical_ideal(rs, seed=seed, trials=trials, res=res, nzds=nzds)
         report.canonical = _canonical_entry(ci, names)

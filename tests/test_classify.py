@@ -28,12 +28,13 @@ from fpicheck.classify import (
 )
 from fpicheck.errors import (
     NoNzdFoundError,
+    NonHomogeneousError,
     NotCohenMacaulayError,
     PipelineInvariantError,
     UnsupportedDimensionError,
 )
 from fpicheck.gfpoly import Polynomial, poly_to_string, random_homogeneous
-from fpicheck.groebner import Ideal, RingSpec, bracket_power, ideal_colon
+from fpicheck.groebner import RingSpec, bracket_power, ideal_colon
 from fpicheck.resolutions import ring_depth
 
 
@@ -250,22 +251,44 @@ def test_cross_is_f_pure(p):
     assert flag
 
 
+def fedder_verdict(rs: RingSpec) -> bool:
+    """Fedder's criterion on its own: (I^[p] : I) not inside (x_1^p, ..., x_n^p)."""
+    mp = bracket_power(rs.maximal_ideal(), 1)
+    return not all(mp.contains(g) for g in pushforward.frobenius_colon(rs).groebner_basis())
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(artinian_rings())
 @example(RingSpec(3, ["x", "y"], ["x", "y"]))
+@example(RingSpec(3, ["x", "y"], ["x^2", "y"]))
 @example(RingSpec(5, ["x", "y", "z"], ["x", "y^2", "z"]))
 def test_artinian_ring_is_f_pure_exactly_when_it_is_the_field(rs):
-    # F-pure rings are reduced, and the one reduced graded Artinian ring is F_p
-    assert is_f_pure(rs)[0] == (rs.ideal == rs.maximal_ideal())
+    # F-pure rings are reduced, and the one reduced graded Artinian ring is
+    # F_p; is_f_pure reads the length, so Fedder's colon is the oracle, and
+    # the rings of length 2 catch a length bound above 1
+    assert is_f_pure(rs)[0] == fedder_verdict(rs) == (rs.ideal == rs.maximal_ideal())
 
 
-@pytest.mark.parametrize("gens", [["x^2", "y"], ["x^2", "x*y", "y^3"]])
-def test_always_true_fedder_is_caught_in_dimension_zero(monkeypatch, gens):
-    # a colon (I^[p] : I) that is all of S puts 1 outside (x^p, y^p)
+@pytest.mark.parametrize("gens", [["x^2", "y"], ["x^2", "x*y", "y^3"], ["x", "y"]])
+def test_fedder_colon_is_not_needed_in_dimension_zero(monkeypatch, gens):
     rs = RingSpec(3, ["x", "y"], gens)
-    monkeypatch.setattr(classify, "frobenius_colon", lambda rs: Ideal(rs.ring, [rs.ring.one()]))
-    with pytest.raises(PipelineInvariantError, match="Fedder"):
-        is_f_pure(rs)
+
+    def refuse(*args):
+        raise AssertionError("Fedder's colon was formed for a graded Artinian ring")
+
+    monkeypatch.setattr(classify, "frobenius_colon", refuse)
+    flag, witness = is_f_pure(rs)
+    assert flag == (gens == ["x", "y"])
+    assert witness["length"] == rs.hilbert().colength
+
+
+def test_artinian_f_purity_at_the_top_of_the_prime_range():
+    # Fedder's colon on degree-p generators does not end here; the length does
+    rs = RingSpec(TOP_P, ["x", "y"], ["x^2 - 3*x*y + 2*y^2", "x^3", "y^3"])
+    with deadline(20):
+        report = classify_ring(rs)
+    assert report.f_pure is False
+    assert report.f_pure_witness["length"] == 5
 
 
 @st.composite
@@ -525,6 +548,22 @@ def test_canonical_check_honours_the_degree_budget():
     report = classify_ring(rs, check="canonical", max_degree=3)
     assert report.canonical["status"] == "found"
     assert report.canonical == full.canonical
+
+
+def test_classification_budgets_its_nzd_search_with_trials():
+    rs = flagship(2)
+    with mock.patch.object(classify, "find_nzds", wraps=classify.find_nzds) as spy:
+        classify_ring(rs, check="gorenstein", trials=7)
+    assert spy.call_args.kwargs["trials"] == 7
+
+
+@pytest.mark.parametrize("check", [c for c in classify.CHECKS if c != "fpure"])
+def test_classify_names_the_check_that_needs_a_homogeneous_ideal(check):
+    cusp = RingSpec(3, ["x", "y"], ["y^2 - x^3"], require_homogeneous=False)
+    with mock.patch.object(classify, "minimal_free_resolution") as spy:
+        with pytest.raises(NonHomogeneousError, match=repr(check)):
+            classify_ring(cusp, check=check)
+    assert spy.call_count == 0
 
 
 @pytest.mark.parametrize("check", ["gorenstien", "", "ALL", "fpi "])
