@@ -17,8 +17,8 @@ Every verdict is backed by an exact certificate:
   resolution, and F(E) ≅ E is decided by the socle dimension and length
   of F(E) (Matlis duality);
 * in dimension one the test is whether the canonical module, realized as an
-  ideal of R, is isomorphic to its bracket power, decided by a multiplier
-  identity h*I = f*J with a certified non-zero-divisor f.
+  ideal omega, is isomorphic to omega^[p]: h*omega = f*omega^[p], with f the
+  least power of the ring's first certified non-zero-divisor inside omega.
 
 Isomorphism verdicts are three-valued ("true", "false", "inconclusive"):
 witness searches that exhaust a complete candidate space refute decisively,
@@ -75,7 +75,6 @@ from .pushforward import frobenius_colon, frobenius_pushforward, hom_pushforward
 NZD_SPAN_CAP = 4096
 MULTIPLIER_SPAN_CAP = 4096
 CANONICAL_SPAN_CAP = 2048
-NZD_DEGREE_WINDOW = 2
 CANONICAL_DEGREE_WINDOW = 3
 
 
@@ -177,22 +176,6 @@ def find_nzds(
     )
 
 
-def _nzd_inside_ideal(rs: RingSpec, gens: list, seed: int = 0, trials: int = 200):
-    """A certified homogeneous non-zero-divisor lying in the ideal (gens), or None."""
-    n, p = rs.ring.n, rs.p
-    pairs = [(g, g.degree()) for g in gens]
-    degs = sorted({d for _, d in pairs})
-    for target in range(degs[0], degs[-1] + NZD_DEGREE_WINDOW + 1):
-        f, _ = _search_span(
-            _degree_slice(pairs, n, target, rs.nf), Polynomial.zero(p, n),
-            lambda f: not f.is_zero() and rs.is_nzd(f),
-            NZD_SPAN_CAP, trials, f"nzd-in-ideal:{seed}:{target}",
-        )
-        if f is not None:
-            return f
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Gorenstein
 
@@ -202,8 +185,9 @@ def is_gorenstein(rs: RingSpec, seed: int = 0, nzds=None, res=None):
     Dimension zero reads the socle dimension of R. Dimension one requires
     depth one and reads the socle of R/(f) for a verified non-zero-divisor
     f; when two distinct ones are available both reductions are used and
-    must agree. For Cohen-Macaulay rings the socle dimension is also checked
-    against the last Betti number of the minimal free resolution.
+    must agree (the first two of `nzds`, found up to degree 2 when not given;
+    `nzds=find_nzds(rs, count=2, max_degree=d)` goes further). For Cohen-Macaulay
+    rings the socle dimension is also checked against the last Betti number.
     """
     dim = rs.dimension
     if dim < 0 or dim > 1:
@@ -332,17 +316,24 @@ def ideals_isomorphic(
     gens_j,
     seed: int = 0,
     trials: int = 400,
+    nzds=None,
 ) -> IdealIsoResult:
     """Decide whether two homogeneous ideals of R are isomorphic as modules.
 
-    Any isomorphism I -> J sends a fixed non-zero-divisor f of I to an
-    element h of J with h*I = f*J, and modulo the part killed by Nakayama,
-    h can be taken in the F_p-span of the minimal generators of the colon
-    ideal ((f*J) : I) in the single degree allowed by the Hilbert series.
-    Scanning that span is therefore a complete search: a hit certifies the
+    Any isomorphism I -> J sends a non-zero-divisor f of I to an element h
+    of J with h*I = f*J, and modulo the part killed by Nakayama, h can be
+    taken in the F_p-span of the minimal generators of the colon ideal
+    ((f*J) : I) in the single degree allowed by the Hilbert series. For every
+    such f, scanning that span is a complete search: a hit certifies the
     isomorphism and an exhausted scan refutes it (past MULTIPLIER_SPAN_CAP
     lines the span is sampled, and a miss is inconclusive). Hilbert series and
     minimal generator counts are used as cheap exact filters first.
+
+    f = l^k, l the first of the certified `nzds` (found up to degree 2 when
+    not given; `nzds=find_nzds(rs, max_degree=d)` goes further) and k least
+    with l^k in I; l^k is a non-zero-divisor too. If R/I has finite length,
+    I_d = R_d past its top degree, so k exists; if not (read off HS(R/I)),
+    the verdict is inconclusive, and in dimension one I has no such element.
     """
     n, p = rs.ring.n, rs.p
     gi = [g for g in (rs.nf(f) for f in gens_i) if not g.is_zero()]
@@ -373,14 +364,19 @@ def ideals_isomorphic(
             shift,
             f"minimal generator counts differ ({len(mi)} vs {len(mj)})",
         )
-    f = _nzd_inside_ideal(rs, mi, seed=seed, trials=trials)
-    if f is None:
+    if pre_i.hilbert_numerator().hilbert_data(n).colength is None:
         return IdealIsoResult(
-            "inconclusive",
-            None,
-            shift,
-            "no certified non-zero-divisor was found inside the first ideal",
+            "inconclusive", None, shift,
+            "R/I does not have finite length, so no power of a non-zero-divisor lies in I",
         )
+    if nzds is None:
+        try:
+            nzds = find_nzds(rs, count=1, seed=seed, trials=trials)
+        except NoNzdFoundError as exc:
+            return IdealIsoResult("inconclusive", None, shift, str(exc))
+    ell = f = rs.nf(nzds[0])
+    while not pre_i.contains(f):
+        f = rs.nf(f * ell)
     deg_h = f.degree() - shift
     if deg_h < 0:
         return IdealIsoResult(
@@ -504,8 +500,9 @@ def canonical_ideal(
 
     Raises NotCohenMacaulayError at depth zero and UnsupportedDimensionError
     outside dimension one. A found copy is cross-checked by reducing omega
-    modulo a non-zero-divisor (the first of `nzds`, found afresh when none
-    are given) and comparing with the injective hull.
+    modulo the first of `nzds` (found up to degree 2 when not given;
+    `nzds=find_nzds(rs, max_degree=d)` goes further) and comparing with the
+    injective hull.
     """
     dim = rs.dimension
     if dim != 1:
@@ -644,7 +641,7 @@ def _fpi_dimension_one(
         return
     gens = list(ci.generators)
     bracket = [g.frobenius_power(1) for g in gens]
-    iso = ideals_isomorphic(rs, gens, bracket, seed=seed, trials=trials)
+    iso = ideals_isomorphic(rs, gens, bracket, seed=seed, trials=trials, nzds=nzds)
     report.weakly_fpi = iso.verdict
     witness = {
         "canonical_ideal": [poly_to_string(g, names) for g in gens],

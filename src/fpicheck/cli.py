@@ -39,12 +39,12 @@ from .errors import CasError, ParseError
 from .gfpoly import (
     Polynomial,
     PrimeField,
-    mono_divides,
     monomials_of_degree,
     parse_polynomial,
     poly_to_string,
 )
 from .groebner import RingSpec
+from .hilbert import minimal_monomials
 from .classify import CHECKS, classify_ring, report_is_decisive
 
 
@@ -222,6 +222,8 @@ class CensusConfig:
         )
         for p in self.primes:
             PrimeField(p)
+        if len(set(self.primes)) != len(self.primes):
+            raise ValueError(f"--p lists a prime more than once: {self.primes}")
 
 
 def _row_seed(seed: int, index: int) -> int:
@@ -239,15 +241,7 @@ def enumerate_monomial_ideals(nvars: int, max_degree: int, max_gens: int):
         monos.extend(sorted(monomials_of_degree(nvars, d)))
     for size in range(1, max_gens + 1):
         for combo in combinations(monos, size):
-            ok = True
-            for a in combo:
-                for b in combo:
-                    if a != b and mono_divides(a, b):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if len(minimal_monomials(combo)) == size:
                 yield combo
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfiniteLengthError, PipelineInvariantError
+from .errors import InfiniteLengthError, NotCohenMacaulayError, PipelineInvariantError
 from .gfpoly import mono_degree
 from .groebner import Ideal, NormalForm, PolyRing, RingSpec, ideal_colon
 from .hilbert import Numerator, monomial_quotient, standard_monomials
@@ -416,14 +416,10 @@ def subquotient_presentation(
 def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresentation:
     """Graded canonical module ω = Ext^c_S(R, S(-n)), c = n - dim R.
 
-    For Cohen-Macaulay R (pd = c) this is the cokernel of the transposed
-    last map. That covers every Artinian R, where c = n and ω is the
-    injective hull of the residue field (graded local duality). Past the
-    codimension (pd > c) it is the cohomology of the dualized resolution at
-    F_c^*, presented as a subquotient. That cohomology is taken inside the
-    free S-module F_c^*, so the subquotient gets no ideal columns:
-    I·F_c^* ∩ ker need not lie in im, and adjoining I·F_c^* would change
-    the module.
+    R must be Cohen-Macaulay (pd = c); then this is the cokernel of the
+    transposed last map. That covers every Artinian R, where c = n and ω is
+    the injective hull of the residue field (graded local duality). Past the
+    codimension (pd > c) it raises NotCohenMacaulayError.
     """
     ring = rs.ring
     n = ring.n
@@ -433,24 +429,22 @@ def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresenta
     c = n - rs.dimension
     if pd < c:
         raise PipelineInvariantError("canonical module requested below the support codim")
+    if pd > c:
+        raise NotCohenMacaulayError(
+            f"projective dimension {pd} exceeds the codimension {c}: R is not Cohen-Macaulay"
+        )
     row_twists = [n - t for t in res.twists[c]]
     if c == 0:
         return ModulePresentation(ring, rs.ideal, [], row_twists, [])
     dual_c = transpose(res.map_columns(c), res.rank(c - 1), ring)  # in S^(rank F_c)
     col_twists = [n - t for t in res.twists[c - 1]]
-    if pd == c:
-        # d_c of a minimal resolution has its entries in m, so no entry is a
-        # unit and the generators are minimal; columns zero mod I are dropped
-        cols = [vec_nf_mod_ideal(v, rs.ideal) for v in dual_c]
-        keep = [j for j, v in enumerate(cols) if not v.is_zero()]
-        return ModulePresentation(
-            ring, rs.ideal, [cols[j] for j in keep], row_twists, [col_twists[j] for j in keep]
-        )
-    # ω = ker(d_{c+1}^T) / im(d_c^T) inside F_c^*
-    dual_next = transpose(res.map_columns(c + 1), res.rank(c), ring)  # in S^(rank F_{c+1})
-    ker = syzygy_basis(dual_next, nreal=res.rank(c + 1))
-    ambient = [-t for t in res.twists[c]]
-    return subquotient_presentation(ring, rs.ideal, ambient, ker, dual_c, shift=n)
+    # d_c of a minimal resolution has its entries in m, so no entry is a
+    # unit and the generators are minimal; columns zero mod I are dropped
+    cols = [vec_nf_mod_ideal(v, rs.ideal) for v in dual_c]
+    keep = [j for j, v in enumerate(cols) if not v.is_zero()]
+    return ModulePresentation(
+        ring, rs.ideal, [cols[j] for j in keep], row_twists, [col_twists[j] for j in keep]
+    )
 
 
 # ---------------------------------------------------------------------------

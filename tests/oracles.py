@@ -29,9 +29,14 @@ pushes that presentation through the Frobenius functor with plain
 dicts, every pair treated, under its own grevlex key: the reference for
 the pair criteria of `groebner.groebner_terms`. `artinian_rings` and
 `curve_rings` are the shared `hypothesis` strategies for Artinian rings and
-for binomial plane curves.
+for binomial plane curves; `moved_axes_rings` draws non-Gorenstein curves,
+the axes and a non-F-pure relative, in random coordinates.
 `minimal_ideal_generators_oracle` is the ideal-membership loop that
 `classify.minimal_ideal_generators` replaced with `minimal_generators`.
+`nzd_inside_ideal` is the seeded search for a non-zero-divisor inside an
+ideal that `classify.ideals_isomorphic` replaced with the least power of a
+non-zero-divisor of R lying in the ideal; passed as `nzds=[f]`, its f is
+that least power with exponent one.
 
 `matrix_of_columns` and `columns_of_matrix` convert between the `Vec`
 columns that presentations keep and row-major `Polynomial` grids, entry by
@@ -60,6 +65,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from fpicheck.artinian import FiniteLengthModule, realize_finite, realize_ring
+from fpicheck.classify import NZD_SPAN_CAP, _degree_slice, _search_span
 from fpicheck.gfpoly import (
     Polynomial,
     mono_degree,
@@ -341,6 +347,23 @@ def curve_rings(draw):
     monos = list(monomials_of_degree(2, draw(st.integers(2, 3))))
     a, b = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=2, unique=True))
     return RingSpec(p, ["x", "y"], [Polynomial(p, 2, {a: 1, b: draw(st.integers(1, p - 1))})])
+
+
+@st.composite
+def moved_axes_rings(draw):
+    """(l1*l2, l1*l3, l2*l3), the three axes, or (l1^2, l1*l2, l2*l3), which
+    is not F-pure, for independent linear forms l1, l2, l3 of F_p[x,y,z]:
+    one-dimensional Cohen-Macaulay rings that are not Gorenstein, so their
+    canonical ideals need two generators."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    while True:
+        rows = [[draw(st.integers(0, p - 1)) for _ in range(3)] for _ in range(3)]
+        if len(_row_reduce_mod_p(rows, p)) == 3:
+            break
+    l1, l2, l3 = (Polynomial(p, 3, {u: c for u, c in zip(units, row) if c}) for row in rows)
+    first = l1 * l3 if draw(st.booleans()) else l1 * l1
+    return RingSpec(p, ["x", "y", "z"], [l1 * l2, first, l2 * l3])
 
 
 def _standard_basis(rs: RingSpec) -> list:
@@ -734,6 +757,25 @@ def minimal_ideal_generators_oracle(rs: RingSpec, gens) -> list:
         if not rs.preimage_ideal(accepted).contains(f):
             accepted.append(f)
     return accepted
+
+
+NZD_DEGREE_WINDOW = 2
+
+
+def nzd_inside_ideal(rs: RingSpec, gens: list, seed: int = 0, trials: int = 200):
+    """A certified homogeneous non-zero-divisor lying in the ideal (gens), or None."""
+    n, p = rs.ring.n, rs.p
+    pairs = [(g, g.degree()) for g in gens]
+    degs = sorted({d for _, d in pairs})
+    for target in range(degs[0], degs[-1] + NZD_DEGREE_WINDOW + 1):
+        f, _ = _search_span(
+            _degree_slice(pairs, n, target, rs.nf), Polynomial.zero(p, n),
+            lambda f: not f.is_zero() and rs.is_nzd(f),
+            NZD_SPAN_CAP, trials, f"nzd-in-ideal:{seed}:{target}",
+        )
+        if f is not None:
+            return f
+    return None
 
 
 # ---------------------------------------------------------------------------

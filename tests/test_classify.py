@@ -8,9 +8,15 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import artinian_rings, curve_rings, minimal_ideal_generators_oracle
+from oracles import (
+    artinian_rings,
+    curve_rings,
+    minimal_ideal_generators_oracle,
+    moved_axes_rings,
+    nzd_inside_ideal,
+)
 
 from fpicheck import classify, cli, pushforward
 from fpicheck.artinian import frobenius_fixes_injective_hull, ring_as_module
@@ -474,6 +480,59 @@ def test_hilbert_series_mismatch_refutes_quickly():
     assert out.shift == -1
 
 
+def _iso_outcome(rs, gens, bracket, nzds=None):
+    out = ideals_isomorphic(rs, gens, bracket, nzds=nzds)
+    return out.verdict, out.shift, out.multiplier
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(curve_rings(), moved_axes_rings()))
+@example(flagship(3))
+def test_multiplier_f_from_any_nzd_gives_the_same_verdict(rs):
+    # the least power of the ring's first NZD inside K, the NZD of K that the
+    # replaced search found (exponent one, so its f comes back unchanged) and
+    # the ring's second NZD must all decide K ≅ K^[p] alike. The plane curves
+    # are Gorenstein, so K = K^[p] there; the moved axes reach the multiplier
+    # with both verdicts and exponents 1 and 2
+    ci = canonical_ideal(rs)
+    assume(ci.status == "found")
+    gens = list(ci.generators)
+    bracket = [g.frobenius_power(1) for g in gens]
+    verdict, shift, multiplier = _iso_outcome(rs, gens, bracket)
+    assert verdict in ("true", "false")
+    if multiplier is not None:
+        assert rs.preimage_ideal(gens).contains(multiplier[1])
+    searched = nzd_inside_ideal(rs, minimal_ideal_generators(rs, gens))
+    assert searched is not None
+    got = _iso_outcome(rs, gens, bracket, nzds=[searched])
+    assert got[:2] == (verdict, shift)
+    assert got[2] is None or got[2][1] == searched
+    second = find_nzds(rs, count=2)[1:]
+    if second:
+        assert _iso_outcome(rs, gens, bracket, nzds=second)[:2] == (verdict, shift)
+
+
+def test_an_ideal_of_infinite_colength_is_inconclusive():
+    # R/(x) = F_3[y,z]/(yz) is a curve, so no power of an NZD lies in (x);
+    # (x) and (y) share Hilbert series and generator count
+    rs = flagship(3)
+    parse = rs.ring.parse
+    with deadline(10):
+        out = ideals_isomorphic(rs, [parse("x")], [parse("y")])
+    assert out.verdict == "inconclusive"
+    assert out.detail.startswith("R/I does not have finite length")
+
+
+def test_a_ring_without_nzd_makes_the_multiplier_inconclusive():
+    # depth zero: x is killed by m, so find_nzds has nothing to return; (y)
+    # and (x + y) pass the Hilbert series and generator count filters
+    rs = RingSpec(2, ["x", "y"], ["x^2", "x*y"])
+    parse = rs.ring.parse
+    out = ideals_isomorphic(rs, [parse("y")], [parse("x + y")])
+    assert out.verdict == "inconclusive"
+    assert out.detail == "no homogeneous non-zero-divisor of degree at most 2 was found"
+
+
 # -- canonical ideals -------------------------------------------------------------------
 
 
@@ -548,6 +607,20 @@ def test_canonical_check_honours_the_degree_budget():
     report = classify_ring(rs, check="canonical", max_degree=3)
     assert report.canonical["status"] == "found"
     assert report.canonical == full.canonical
+
+
+def test_library_entry_points_take_nzds_past_degree_two():
+    # the degree-2 default finds nothing here; NZDs found up to degree 3 and
+    # passed as `nzds` decide the canonical ideal, Gorenstein and K ≅ K^[p]
+    rs = RingSpec(2, ["x", "y"], ["x^4*y + x*y^4"])
+    nzds = find_nzds(rs, count=2, max_degree=3)
+    ci = canonical_ideal(rs, nzds=nzds)
+    assert ci.status == "found"
+    gorenstein, _ = is_gorenstein(rs, nzds=nzds)
+    assert gorenstein is True
+    gens = list(ci.generators)
+    out = ideals_isomorphic(rs, gens, [g.frobenius_power(1) for g in gens], nzds=nzds)
+    assert out.verdict == "true"
 
 
 def test_classification_budgets_its_nzd_search_with_trials():

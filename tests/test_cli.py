@@ -136,15 +136,15 @@ PINNED_FPI_WITNESSES = {
         "canonical_ideal": ["x + z", "y + 2*z"],
         "bracket_power": ["x^3 + z^3", "y^3 + 2*z^3"],
         "shift": -2,
-        "h": "x^3 + 2*y^3 + 2*z^3",
-        "f": "x + 2*y + 2*z",
+        "h": "x^4 + y^4 + z^4",
+        "f": "x^2 + y^2 + z^2",
     },
     5: {
         "canonical_ideal": ["x + z", "y + 4*z"],
         "bracket_power": ["x^5 + z^5", "y^5 + 4*z^5"],
         "shift": -4,
-        "h": "x^5 + 2*y^5 + 4*z^5",
-        "f": "x + 2*y + 4*z",
+        "h": "x^6 + y^6 + z^6",
+        "f": "x^2 + y^2 + z^2",
     },
 }
 
@@ -362,6 +362,24 @@ def test_census_rejects_composite_prime_before_output(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "monomial", "--p", "2,2", "--vars", "2", "--max-degree", "1", "--max-gens", "2"],
+        ["--family", "binomial-sample", "--p", "3,3", "--samples", "3"],
+    ],
+)
+def test_census_rejects_a_repeated_prime(capsys, argv):
+    # each prime's rings would be classified and written once per repeat
+    rc = cli.main(["census"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: --p lists a prime more than once")
+    assert captured.out == ""
+    with pytest.raises(ValueError, match="--p"):
+        CensusConfig(primes=(2, 3, 2))
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["report", "--trials", "-5"], "--trials"),
@@ -511,6 +529,18 @@ def test_census_cli_entry_point(tmp_path, capsys):
     content = out_path.read_text()
     assert content.splitlines()[0] == ",".join(cli.CSV_COLUMNS)
     assert "F_2[x,y]/(x*y)" in content
+
+
+def test_census_cli_writes_to_stdout(capsys):
+    code = main(
+        ["census", "--family", "monomial", "--p", "2", "--vars", "2", "--max-degree", "2",
+         "--max-gens", "2"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == ",".join(cli.CSV_COLUMNS)
+    assert lines[-1].startswith("# summary: rows=")
+    assert '"F_2[x,y]/(x*y)",2,1,true,true,true,true,2,' in lines
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -21,7 +21,7 @@ from fpicheck.artinian import (
     realize_finite,
     ring_as_module,
 )
-from fpicheck.errors import InfiniteLengthError
+from fpicheck.errors import InfiniteLengthError, NotCohenMacaulayError
 from fpicheck.gfpoly import Polynomial, mono_degree, random_homogeneous
 from fpicheck.groebner import Ideal, PolyRing, RingSpec
 from fpicheck.modgb import (
@@ -379,6 +379,14 @@ def test_canonical_module_of_hypersurface_is_free():
     omega = canonical_module(rs)
     flag, twist = is_free_rank_one(omega)
     assert flag
+
+
+def test_canonical_module_refuses_a_ring_that_is_not_cohen_macaulay():
+    # dimension 1, but x is killed by m, so depth 0 and pd 2 exceeds c = 1
+    rs = RingSpec(2, ["x", "y"], ["x^2", "x*y"])
+    assert minimal_free_resolution(rs).length == 2
+    with pytest.raises(NotCohenMacaulayError, match="projective dimension 2"):
+        canonical_module(rs)
 
 
 def test_canonical_module_of_flagship_needs_two_generators():
