@@ -5,9 +5,10 @@ most one.
 Every verdict is backed by an exact certificate:
 
 * depth and dimension come from a minimal free resolution and Hilbert data;
-* Gorenstein reads the socle of the ring (or of an Artinian reduction by a
-  verified non-zero-divisor) and is cross-checked against the last Betti
-  number;
+* Gorenstein reads the socle of R, or in dimension one of R/lR for the one
+  certified non-zero-divisor l that every check shares, and is
+  cross-checked against the last Betti number; a monomial R is generically
+  Gorenstein when its localized generators minimalize to pure powers;
 * F-purity of a graded Artinian ring is its length being 1 (I = m); in
   every other case it is the containment test of the Frobenius colon ideal
   (I^[p] : I) against (x_1^p, ..., x_n^p);
@@ -18,7 +19,7 @@ Every verdict is backed by an exact certificate:
   of F(E) (Matlis duality);
 * in dimension one the test is whether the canonical module, realized as an
   ideal omega, is isomorphic to omega^[p]: h*omega = f*omega^[p], with f the
-  least power of the ring's first certified non-zero-divisor inside omega.
+  least power of l inside omega.
 
 Isomorphism verdicts are three-valued ("true", "false", "inconclusive"):
 witness searches that exhaust a complete candidate space refute decisively,
@@ -41,6 +42,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .gfpoly import Polynomial, monomials_of_degree, poly_to_string, random_homogeneous
+from .hilbert import minimal_monomials
 from .groebner import (
     Ideal,
     RingSpec,
@@ -126,35 +128,30 @@ def _degree_slice(gens, n: int, target: int, reduce) -> list:
 
 def find_nzds(
     rs: RingSpec,
-    count: int = 1,
     seed: int = 0,
     max_degree: int = 2,
     trials: int = 200,
-) -> list:
-    """Up to `count` distinct homogeneous non-zero-divisors on R, low degree first.
+) -> Polynomial:
+    """The first certified homogeneous non-zero-divisor on R, reduced mod I.
 
     The forms of each degree up to `max_degree` are walked exhaustively up
     to NZD_SPAN_CAP lines and sampled past it (`span_search`): linear forms
     with uniform coefficients, higher degrees with at most four terms. Every
     candidate is verified exactly by `RingSpec.is_nzd`, which compares the
-    Hilbert series of R/fR with (1 - t^deg f) HS(R). Raises NoNzdFoundError
-    when the whole budget yields nothing.
+    Hilbert series of R/fR with (1 - t^deg f) HS(R). One f serves every
+    check: the type of a Cohen-Macaulay R is dim soc(R/fR) for any such f,
+    and a power of f is the multiplier's f in `ideals_isomorphic`. Raises
+    NoNzdFoundError when the whole budget yields nothing.
     """
     n, p = rs.ring.n, rs.p
-    found: list = []
     seen: set = set()
 
     def consider(f: Polynomial) -> bool:
-        g = rs.nf(f)
-        if g.is_zero():
-            return False
-        key = _poly_key(g)
-        if key in seen:
+        key = _poly_key(rs.nf(f))
+        if not key or key in seen:  # zero modulo I, or tried already
             return False
         seen.add(key)
-        if rs.is_nzd(f):
-            found.append(g)
-        return len(found) >= count
+        return rs.is_nzd(f)
 
     zero = Polynomial.zero(p, n)
     for d in range(1, max_degree + 1):
@@ -168,9 +165,7 @@ def find_nzds(
         )
         hit, _ = _search_span(basis, zero, consider, NZD_SPAN_CAP, trials, f"nzd:{seed}:{d}", draw)
         if hit is not None:
-            return found
-    if found:
-        return found
+            return rs.nf(hit)
     raise NoNzdFoundError(
         f"no homogeneous non-zero-divisor of degree at most {max_degree} was found"
     )
@@ -179,15 +174,17 @@ def find_nzds(
 # ---------------------------------------------------------------------------
 # Gorenstein
 
-def is_gorenstein(rs: RingSpec, seed: int = 0, nzds=None, res=None):
+def is_gorenstein(rs: RingSpec, seed: int = 0, nzd=None, res=None):
     """Gorenstein test in dimension zero or one; returns (verdict, witness).
 
-    Dimension zero reads the socle dimension of R. Dimension one requires
-    depth one and reads the socle of R/(f) for a verified non-zero-divisor
-    f; when two distinct ones are available both reductions are used and
-    must agree (the first two of `nzds`, found up to degree 2 when not given;
-    `nzds=find_nzds(rs, count=2, max_degree=d)` goes further). For Cohen-Macaulay
-    rings the socle dimension is also checked against the last Betti number.
+    Gorenstein is Cohen-Macaulay of type 1. Dimension zero reads the type
+    as dim soc R. Dimension one requires depth one and reads dim soc(R/fR)
+    for the certified non-zero-divisor f = `nzd` (found up to degree 2 when
+    not given; `nzd=find_nzds(rs, max_degree=d)` goes further): for a
+    Cohen-Macaulay R and a homogeneous non-zero-divisor f, that is the type
+    of R. It is also the last Betti number β_c, since the mapping cone of f
+    on the minimal resolution of R is minimal (Bruns-Herzog, Cohen-Macaulay
+    Rings, 1.2 and 3.3); the check of that equality raises on a wrong socle.
     """
     dim = rs.dimension
     if dim < 0 or dim > 1:
@@ -207,20 +204,10 @@ def is_gorenstein(rs: RingSpec, seed: int = 0, nzds=None, res=None):
                 "reason": "depth 0 is smaller than dimension 1, so the ring "
                 "is not Cohen-Macaulay and in particular not Gorenstein"
             }
-        if nzds is None:
-            nzds = find_nzds(rs, count=2, seed=seed)
-        socles = [
-            socle_dimension_of_ring(rs.quotient_by([f])) for f in nzds[:2]
-        ]
-        if len(set(socles)) != 1:
-            raise PipelineInvariantError(
-                "the Cohen-Macaulay type changed with the reduction parameter"
-            )
-        s = socles[0]
-        witness = {
-            "socle_dimension": s,
-            "parameters": [poly_to_string(f, names) for f in nzds[:2]],
-        }
+        if nzd is None:
+            nzd = find_nzds(rs, seed=seed)
+        s = socle_dimension_of_ring(rs.quotient_by([nzd]))
+        witness = {"socle_dimension": s, "parameters": [poly_to_string(nzd, names)]}
     if depth == dim:
         last_betti = len(res.twists[res.length])
         if last_betti != s:
@@ -316,7 +303,7 @@ def ideals_isomorphic(
     gens_j,
     seed: int = 0,
     trials: int = 400,
-    nzds=None,
+    nzd=None,
 ) -> IdealIsoResult:
     """Decide whether two homogeneous ideals of R are isomorphic as modules.
 
@@ -329,11 +316,12 @@ def ideals_isomorphic(
     lines the span is sampled, and a miss is inconclusive). Hilbert series and
     minimal generator counts are used as cheap exact filters first.
 
-    f = l^k, l the first of the certified `nzds` (found up to degree 2 when
-    not given; `nzds=find_nzds(rs, max_degree=d)` goes further) and k least
-    with l^k in I; l^k is a non-zero-divisor too. If R/I has finite length,
-    I_d = R_d past its top degree, so k exists; if not (read off HS(R/I)),
-    the verdict is inconclusive, and in dimension one I has no such element.
+    f = l^k, l the certified non-zero-divisor `nzd` (found up to degree 2
+    when not given; `nzd=find_nzds(rs, max_degree=d)` goes further) and k
+    least with l^k in I; l^k is a non-zero-divisor too. If R/I has finite
+    length, I_d = R_d past its top degree, so k exists; if not (read off
+    HS(R/I)), the verdict is inconclusive, and in dimension one I has no
+    such element.
     """
     n, p = rs.ring.n, rs.p
     gi = [g for g in (rs.nf(f) for f in gens_i) if not g.is_zero()]
@@ -369,12 +357,12 @@ def ideals_isomorphic(
             "inconclusive", None, shift,
             "R/I does not have finite length, so no power of a non-zero-divisor lies in I",
         )
-    if nzds is None:
+    if nzd is None:
         try:
-            nzds = find_nzds(rs, count=1, seed=seed, trials=trials)
+            nzd = find_nzds(rs, seed=seed, trials=trials)
         except NoNzdFoundError as exc:
             return IdealIsoResult("inconclusive", None, shift, str(exc))
-    ell = f = rs.nf(nzds[0])
+    ell = f = rs.nf(nzd)
     while not pre_i.contains(f):
         f = rs.nf(f * ell)
     deg_h = f.degree() - shift
@@ -434,36 +422,31 @@ def monomial_generically_gorenstein(rs: RingSpec):
     """Is a monomial quotient Gorenstein at every minimal prime?
 
     Localizing at the monomial prime spanned by the variables in A turns
-    the remaining variables into units, so the local ring is the Artinian
-    quotient by the A-parts of the generators, base-changed to a larger
-    field; socle dimensions are insensitive to that base change. Returns
-    (True, detail) or (False, detail) naming a failing prime.
+    the other variables into units, so the local ring is the Artinian
+    K[x_A]/J, K a larger field and J spanned by the A-parts of the
+    generators. Such a ring is Gorenstein exactly when every minimal
+    generator of J is a pure power: the socle is spanned by the maximal
+    standard monomials, and a single one, x^b, is divided by every standard
+    monomial, so J = (x_i^(b_i+1)) (Beintema 1993); conversely
+    (x_i^(a_i)) has the one socle monomial x^(a-1). Returns (True, detail)
+    or (False, detail) naming a failing prime.
     """
     names = rs.ring.varnames
     primes = minimal_primes_monomial(rs.ideal)
     gens = rs.ideal.lead_monomials()
     for prime in primes:
-        if not prime:
-            continue
-        proj = set()
-        for m in gens:
-            pm = tuple(m[i] for i in prime)
-            if not any(pm):
-                raise PipelineInvariantError(
-                    "a minimal prime misses a generator of the ideal"
+        proj = [tuple(m[i] for i in prime) for m in gens]
+        if not all(any(pm) for pm in proj):
+            raise PipelineInvariantError("a minimal prime misses a generator of the ideal")
+        for m in minimal_monomials(proj):
+            if sum(1 for e in m if e) > 1:
+                sub = [names[i] for i in prime]
+                mono = poly_to_string(Polynomial.from_monomial(rs.p, m), sub)
+                return False, (
+                    f"at the minimal prime ({', '.join(sub)}) the minimal generator "
+                    f"{mono} is not a pure power, so the localization there is "
+                    "not Gorenstein and the ring is not generically Gorenstein"
                 )
-            proj.add(pm)
-        sub_gens = [
-            Polynomial._raw(rs.p, len(prime), {m: 1}) for m in sorted(proj)
-        ]
-        sub = RingSpec(rs.p, [names[i] for i in prime], sub_gens)
-        s = socle_dimension_of_ring(sub)
-        if s != 1:
-            label = ", ".join(names[i] for i in prime)
-            return False, (
-                f"the localization at ({label}) has socle dimension {s}, "
-                "so the ring is not generically Gorenstein"
-            )
     return True, f"all {len(primes)} monomial minimal primes give Gorenstein localizations"
 
 
@@ -484,7 +467,7 @@ def canonical_ideal(
     seed: int = 0,
     trials: int = 400,
     res=None,
-    nzds=None,
+    nzd=None,
 ) -> CanonicalIdealResult:
     """Realize the canonical module of a one-dimensional R as an ideal.
 
@@ -500,9 +483,11 @@ def canonical_ideal(
 
     Raises NotCohenMacaulayError at depth zero and UnsupportedDimensionError
     outside dimension one. A found copy is cross-checked by reducing omega
-    modulo the first of `nzds` (found up to degree 2 when not given;
-    `nzds=find_nzds(rs, max_degree=d)` goes further) and comparing with the
-    injective hull.
+    modulo the certified non-zero-divisor f = `nzd` (found up to degree 2,
+    with this `seed` and `trials`, when not given;
+    `nzd=find_nzds(rs, max_degree=d)` goes further) and comparing with the
+    injective hull: omega/f·omega is the canonical module of the Artinian
+    R/fR, which is its injective hull.
     """
     dim = rs.dimension
     if dim != 1:
@@ -550,8 +535,9 @@ def canonical_ideal(
                 "found", tuple(rs.nf(g) for g in image(u)), target, omega,
                 f"image of a degree-{target} map with an exact Hilbert series match",
             )
-            f = nzds[0] if nzds else find_nzds(rs, count=1, seed=seed)[0]
-            _canonical_cross_check(rs, omega, f)
+            if nzd is None:
+                nzd = find_nzds(rs, seed=seed, trials=trials)
+            _canonical_cross_check(rs, omega, nzd)
             return found
     return CanonicalIdealResult(
         "inconclusive", (), None, omega,
@@ -616,7 +602,7 @@ def _fpi_dimension_zero(rs: RingSpec, report: RingReport, res):
 
 
 def _fpi_dimension_one(
-    rs: RingSpec, report: RingReport, seed: int, trials: int, res, nzds
+    rs: RingSpec, report: RingReport, seed: int, trials: int, res, nzd
 ):
     names = rs.ring.varnames
     report.fpi_method = "canonical_ideal"
@@ -627,7 +613,7 @@ def _fpi_dimension_one(
             "forces the ring to be Cohen-Macaulay here"
         }
         return
-    ci = canonical_ideal(rs, seed=seed, trials=trials, res=res, nzds=nzds)
+    ci = canonical_ideal(rs, seed=seed, trials=trials, res=res, nzd=nzd)
     report.canonical = _canonical_entry(ci, names)
     if ci.status == "absent":
         report.weakly_fpi = "false"
@@ -641,7 +627,7 @@ def _fpi_dimension_one(
         return
     gens = list(ci.generators)
     bracket = [g.frobenius_power(1) for g in gens]
-    iso = ideals_isomorphic(rs, gens, bracket, seed=seed, trials=trials, nzds=nzds)
+    iso = ideals_isomorphic(rs, gens, bracket, seed=seed, trials=trials, nzd=nzd)
     report.weakly_fpi = iso.verdict
     witness = {
         "canonical_ideal": [poly_to_string(g, names) for g in gens],
@@ -759,8 +745,8 @@ def classify_ring(
     canonical-ideal search. Dimensions above one raise
     UnsupportedDimensionError and an inhomogeneous ideal raises
     NonHomogeneousError, both except for "fpure"; a `check` outside CHECKS
-    raises ValueError. `max_degree` bounds the degree of the
-    non-zero-divisors searched for in dimension one.
+    raises ValueError. In dimension one every check shares one certified
+    non-zero-divisor, searched for up to degree `max_degree`.
     """
     if check not in CHECKS:
         raise ValueError(f"check must be one of {', '.join(CHECKS)}, got {check!r}")
@@ -797,15 +783,15 @@ def classify_ring(
     report.dimension = dim
     report.depth = depth
     report.cohen_macaulay = depth == dim
-    nzds = None
+    nzd = None
     if dim == 1 and depth == 1:
-        nzds = find_nzds(rs, count=2, seed=seed, max_degree=max_degree, trials=trials)
+        nzd = find_nzds(rs, seed=seed, max_degree=max_degree, trials=trials)
     if check == "canonical":
-        ci = canonical_ideal(rs, seed=seed, trials=trials, res=res, nzds=nzds)
+        ci = canonical_ideal(rs, seed=seed, trials=trials, res=res, nzd=nzd)
         report.canonical = _canonical_entry(ci, names)
         return report
     report.gorenstein, report.gorenstein_witness = is_gorenstein(
-        rs, seed=seed, nzds=nzds, res=res
+        rs, seed=seed, nzd=nzd, res=res
     )
     if check == "gorenstein":
         return report
@@ -813,7 +799,7 @@ def classify_ring(
     if dim == 0:
         _fpi_dimension_zero(rs, report, res)
     else:
-        _fpi_dimension_one(rs, report, seed, trials, res, nzds)
+        _fpi_dimension_one(rs, report, seed, trials, res, nzd)
     _run_cross_checks(rs, report, seed, deep_checks)
     return report
 

@@ -31,6 +31,7 @@ import csv
 import functools
 import hashlib
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -140,6 +141,8 @@ def _format_text(report) -> str:
         extra = ""
         if "splitting_witness" in w:
             extra = f" (splitting witness {w['splitting_witness']})"
+        elif "length" in w:
+            extra = f" (length {w['length']})"
         lines.append(f"F-pure: {'yes' if d['f_pure'] else 'no'}{extra}")
     if d["weakly_fpi"] is not None:
         lines.append(
@@ -463,6 +466,13 @@ def main(argv=None) -> int:
     except CasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader of stdout stopped early (`| head`), which is no failure;
+        # stdout goes to devnull so that the flush at exit is quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

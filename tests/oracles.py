@@ -35,8 +35,12 @@ the axes and a non-F-pure relative, in random coordinates.
 `classify.minimal_ideal_generators` replaced with `minimal_generators`.
 `nzd_inside_ideal` is the seeded search for a non-zero-divisor inside an
 ideal that `classify.ideals_isomorphic` replaced with the least power of a
-non-zero-divisor of R lying in the ideal; passed as `nzds=[f]`, its f is
-that least power with exponent one.
+non-zero-divisor of R lying in the ideal; passed as `nzd=f`, its f is
+that least power with exponent one. `nzds_oracle` is the search for up to
+`count` distinct non-zero-divisors that `classify.find_nzds` ran before it
+returned the first alone; tests take a second one from it.
+`generically_gorenstein_by_socles` is the per-prime socle path that the
+pure-power test of `classify.monomial_generically_gorenstein` replaced.
 
 `matrix_of_columns` and `columns_of_matrix` convert between the `Vec`
 columns that presentations keep and row-major `Polynomial` grids, entry by
@@ -59,22 +63,29 @@ numerator.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from math import prod
 
 import numpy as np
 from hypothesis import strategies as st
 
-from fpicheck.artinian import FiniteLengthModule, realize_finite, realize_ring
-from fpicheck.classify import NZD_SPAN_CAP, _degree_slice, _search_span
+from fpicheck.artinian import (
+    FiniteLengthModule,
+    realize_finite,
+    realize_ring,
+    socle_dimension_of_ring,
+)
+from fpicheck.classify import NZD_SPAN_CAP, _degree_slice, _poly_key, _search_span
 from fpicheck.gfpoly import (
     Polynomial,
     mono_degree,
     mono_divides,
     mono_mul,
     monomials_of_degree,
+    random_homogeneous,
 )
-from fpicheck.groebner import Ideal, RingSpec, divide_exact
-from fpicheck.errors import ResourceLimitError
+from fpicheck.groebner import Ideal, RingSpec, divide_exact, minimal_primes_monomial
+from fpicheck.errors import NoNzdFoundError, PipelineInvariantError, ResourceLimitError
 from fpicheck.hilbert import ONE, Numerator
 from fpicheck.linalg import Subspace, nullspace
 from fpicheck.modgb import Vec, kernel_over_quotient, module_groebner, reduce_vec, syzygy_basis
@@ -776,6 +787,95 @@ def nzd_inside_ideal(rs: RingSpec, gens: list, seed: int = 0, trials: int = 200)
         if f is not None:
             return f
     return None
+
+
+def nzds_oracle(
+    rs: RingSpec,
+    count: int = 1,
+    seed: int = 0,
+    max_degree: int = 2,
+    trials: int = 200,
+) -> list:
+    """Up to `count` distinct homogeneous non-zero-divisors on R, low degree first.
+
+    The forms of each degree up to `max_degree` are walked exhaustively up
+    to NZD_SPAN_CAP lines and sampled past it (`span_search`): linear forms
+    with uniform coefficients, higher degrees with at most four terms. Every
+    candidate is verified exactly by `RingSpec.is_nzd`, which compares the
+    Hilbert series of R/fR with (1 - t^deg f) HS(R). Raises NoNzdFoundError
+    when the whole budget yields nothing.
+    """
+    n, p = rs.ring.n, rs.p
+    found: list = []
+    seen: set = set()
+
+    def consider(f: Polynomial) -> bool:
+        g = rs.nf(f)
+        if g.is_zero():
+            return False
+        key = _poly_key(g)
+        if key in seen:
+            return False
+        seen.add(key)
+        if rs.is_nzd(f):
+            found.append(g)
+        return len(found) >= count
+
+    zero = Polynomial.zero(p, n)
+    for d in range(1, max_degree + 1):
+        monos = list(monomials_of_degree(n, d))
+        basis = [Polynomial.from_monomial(p, m) for m in monos]
+        # linear forms are drawn dense: an associated prime other than m
+        # meets them in a proper subspace, which a uniform form misses with
+        # probability 1 - 1/p, while short forms may all lie in primes
+        draw = None if d == 1 else partial(
+            random_homogeneous, p=p, nvars=n, degree=d, max_terms=min(len(monos), 4)
+        )
+        hit, _ = _search_span(basis, zero, consider, NZD_SPAN_CAP, trials, f"nzd:{seed}:{d}", draw)
+        if hit is not None:
+            return found
+    if found:
+        return found
+    raise NoNzdFoundError(
+        f"no homogeneous non-zero-divisor of degree at most {max_degree} was found"
+    )
+
+
+def generically_gorenstein_by_socles(rs: RingSpec):
+    """Is a monomial quotient Gorenstein at every minimal prime?
+
+    Localizing at the monomial prime spanned by the variables in A turns
+    the remaining variables into units, so the local ring is the Artinian
+    quotient by the A-parts of the generators, base-changed to a larger
+    field; socle dimensions are insensitive to that base change. Returns
+    (True, detail) or (False, detail) naming a failing prime.
+    """
+    names = rs.ring.varnames
+    primes = minimal_primes_monomial(rs.ideal)
+    gens = rs.ideal.lead_monomials()
+    for prime in primes:
+        if not prime:
+            continue
+        proj = set()
+        for m in gens:
+            pm = tuple(m[i] for i in prime)
+            if not any(pm):
+                raise PipelineInvariantError(
+                    "a minimal prime misses a generator of the ideal"
+                )
+            proj.add(pm)
+        sub_gens = [
+            Polynomial._raw(rs.p, len(prime), {m: 1}) for m in sorted(proj)
+        ]
+        sub = RingSpec(rs.p, [names[i] for i in prime], sub_gens)
+        s = socle_dimension_of_ring(sub)
+        if s != 1:
+            label = ", ".join(names[i] for i in prime)
+            return False, (
+                f"the localization at ({label}) has socle dimension {s}, "
+                "so the ring is not generically Gorenstein"
+            )
+    return True, f"all {len(primes)} monomial minimal primes give Gorenstein localizations"
 
 
 # ---------------------------------------------------------------------------

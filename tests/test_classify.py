@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from oracles import (
     artinian_rings,
     curve_rings,
+    generically_gorenstein_by_socles,
     minimal_ideal_generators_oracle,
     moved_axes_rings,
     nzd_inside_ideal,
+    nzds_oracle,
 )
 
 from fpicheck import classify, cli, pushforward
@@ -57,33 +59,35 @@ def coordinate_cross(p=2):
 
 def test_flagship_linear_nzd():
     rs = flagship()
-    found = find_nzds(rs, count=1)
-    assert found[0] == rs.ring.parse("x + y + z")
-    assert rs.is_nzd(found[0])
+    found = find_nzds(rs)
+    assert found == rs.ring.parse("x + y + z")
+    assert rs.is_nzd(found)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_found_nzds_are_verified_and_distinct(p):
+    # find_nzds returns the first NZD of the search that the oracle carries
+    # on to a second, distinct one
     rs = flagship(p)
-    found = find_nzds(rs, count=2, seed=1)
-    assert len(found) == 2
-    assert found[0] != found[1]
-    for f in found:
+    found = find_nzds(rs, seed=1)
+    first, second = nzds_oracle(rs, count=2, seed=1)
+    assert found == first != second
+    for f in (first, second):
         assert rs.is_nzd(f)
 
 
 def test_depth_zero_ring_has_no_nzd():
     rs = RingSpec(2, ["x", "y"], ["x^2", "x*y"])
     with pytest.raises(NoNzdFoundError):
-        find_nzds(rs, count=1, max_degree=2)
+        find_nzds(rs, max_degree=2)
 
 
 def test_cross_skips_axis_zerodivisors():
     # x and y each kill a branch of k[x,y]/(xy); x + y misses both branches
     rs = coordinate_cross(2)
-    found = find_nzds(rs, count=1)
-    assert found[0] == rs.ring.parse("x + y")
-    assert rs.is_nzd(found[0])
+    found = find_nzds(rs)
+    assert found == rs.ring.parse("x + y")
+    assert rs.is_nzd(found)
 
 
 # the largest prime PrimeField accepts: the linear forms span about p^2 lines
@@ -107,9 +111,11 @@ def deadline(seconds):
 def test_nzds_at_the_top_of_the_prime_range():
     rs = flagship(TOP_P)
     with deadline(20):
-        found = find_nzds(rs, count=2)
-    assert len(found) == 2 and found[0] != found[1]
-    assert all(rs.is_nzd(f) for f in found)
+        found = find_nzds(rs)
+        first, second = nzds_oracle(rs, count=2)
+    assert found == first != second
+    assert found.degree() == 1
+    assert all(rs.is_nzd(f) for f in (first, second))
 
 
 def test_frobenius_hull_at_the_top_of_the_prime_range():
@@ -129,9 +135,10 @@ def test_sampled_linear_nzds_may_need_every_variable():
     # linear forms are past the cap, so the draws must be dense
     names = ["v", "w", "x", "y", "z"]
     rs = RingSpec(11, names, [f"{a}*{b}" for i, a in enumerate(names) for b in names[i + 1:]])
-    found = find_nzds(rs, count=2)
-    assert len(found) == 2 and found[0] != found[1]
-    assert all(rs.is_nzd(f) for f in found)
+    found = find_nzds(rs)
+    assert found.degree() == 1
+    assert {m.index(1) for m in found.terms} == set(range(5))
+    assert rs.is_nzd(found)
 
 
 def test_classify_at_the_top_of_the_prime_range():
@@ -203,10 +210,11 @@ def test_depth_zero_is_not_gorenstein_in_dim_one():
 
 def test_gorenstein_is_parameter_independent():
     rs = flagship(3)
-    candidates = find_nzds(rs, count=2, seed=5)
-    one, _ = is_gorenstein(rs, nzds=[candidates[0]])
-    other, _ = is_gorenstein(rs, nzds=[candidates[1]])
+    first, second = nzds_oracle(rs, count=2, seed=5)
+    one, w_one = is_gorenstein(rs, nzd=first)
+    other, w_other = is_gorenstein(rs, nzd=second)
     assert one == other is False
+    assert w_one["socle_dimension"] == w_other["socle_dimension"] == 2
 
 
 # -- F-purity ----------------------------------------------------------------------
@@ -429,6 +437,39 @@ def test_generic_gorenstein_detection():
     thick_line = RingSpec(2, ["x", "y", "z"], ["x^2", "x*y", "y^2"])
     flag, detail = monomial_generically_gorenstein(thick_line)
     assert not flag
+    assert detail.startswith("at the minimal prime (x, y) the minimal generator x*y ")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_generic_gorenstein_reads_minimal_generators(p):
+    # at (x, y) the generators localize to x^2, y^2 and x^2*y; the last is
+    # no pure power, but x^2 divides it, so the localization is the complete
+    # intersection (x^2, y^2); at (y, z) they give z, y^2 and y
+    rs = RingSpec(p, ["x", "y", "z"], ["x^2*z", "y^2", "x^2*y"])
+    assert monomial_generically_gorenstein(rs)[0] is True
+    assert generically_gorenstein_by_socles(rs)[0] is True
+
+
+@st.composite
+def monomial_rings(draw):
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    monos = draw(st.lists(exps, min_size=1, max_size=4, unique=True))
+    names = ["x", "y", "z", "w"][:n]
+    gens = ["*".join(f"{v}^{e}" for v, e in zip(names, m) if e) for m in monos]
+    return RingSpec(draw(st.sampled_from([2, 3])), names, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_rings())
+def test_generic_gorenstein_matches_the_socle_path(rs):
+    # the pure-power test and the socle of each localization agree, and
+    # fail first at the same minimal prime
+    flag, detail = monomial_generically_gorenstein(rs)
+    ref_flag, ref_detail = generically_gorenstein_by_socles(rs)
+    assert flag == ref_flag
+    if not flag:
+        assert detail.split(")")[0].split("(")[1] == ref_detail.split(")")[0].split("(")[1]
 
 
 # -- ideal isomorphism ----------------------------------------------------------------
@@ -480,8 +521,8 @@ def test_hilbert_series_mismatch_refutes_quickly():
     assert out.shift == -1
 
 
-def _iso_outcome(rs, gens, bracket, nzds=None):
-    out = ideals_isomorphic(rs, gens, bracket, nzds=nzds)
+def _iso_outcome(rs, gens, bracket, nzd=None):
+    out = ideals_isomorphic(rs, gens, bracket, nzd=nzd)
     return out.verdict, out.shift, out.multiplier
 
 
@@ -504,12 +545,12 @@ def test_multiplier_f_from_any_nzd_gives_the_same_verdict(rs):
         assert rs.preimage_ideal(gens).contains(multiplier[1])
     searched = nzd_inside_ideal(rs, minimal_ideal_generators(rs, gens))
     assert searched is not None
-    got = _iso_outcome(rs, gens, bracket, nzds=[searched])
+    got = _iso_outcome(rs, gens, bracket, nzd=searched)
     assert got[:2] == (verdict, shift)
     assert got[2] is None or got[2][1] == searched
-    second = find_nzds(rs, count=2)[1:]
+    second = nzds_oracle(rs, count=2)[1:]
     if second:
-        assert _iso_outcome(rs, gens, bracket, nzds=second)[:2] == (verdict, shift)
+        assert _iso_outcome(rs, gens, bracket, nzd=second[0])[:2] == (verdict, shift)
 
 
 def test_an_ideal_of_infinite_colength_is_inconclusive():
@@ -611,15 +652,15 @@ def test_canonical_check_honours_the_degree_budget():
 
 def test_library_entry_points_take_nzds_past_degree_two():
     # the degree-2 default finds nothing here; NZDs found up to degree 3 and
-    # passed as `nzds` decide the canonical ideal, Gorenstein and K ≅ K^[p]
+    # passed as `nzd` decide the canonical ideal, Gorenstein and K ≅ K^[p]
     rs = RingSpec(2, ["x", "y"], ["x^4*y + x*y^4"])
-    nzds = find_nzds(rs, count=2, max_degree=3)
-    ci = canonical_ideal(rs, nzds=nzds)
+    nzd = find_nzds(rs, max_degree=3)
+    ci = canonical_ideal(rs, nzd=nzd)
     assert ci.status == "found"
-    gorenstein, _ = is_gorenstein(rs, nzds=nzds)
+    gorenstein, _ = is_gorenstein(rs, nzd=nzd)
     assert gorenstein is True
     gens = list(ci.generators)
-    out = ideals_isomorphic(rs, gens, [g.frobenius_power(1) for g in gens], nzds=nzds)
+    out = ideals_isomorphic(rs, gens, [g.frobenius_power(1) for g in gens], nzd=nzd)
     assert out.verdict == "true"
 
 
@@ -628,6 +669,26 @@ def test_classification_budgets_its_nzd_search_with_trials():
     with mock.patch.object(classify, "find_nzds", wraps=classify.find_nzds) as spy:
         classify_ring(rs, check="gorenstein", trials=7)
     assert spy.call_args.kwargs["trials"] == 7
+
+
+def test_canonical_ideal_searches_its_nzd_with_its_own_budget():
+    rs = flagship(2)
+    with mock.patch.object(classify, "find_nzds", wraps=classify.find_nzds) as spy:
+        assert canonical_ideal(rs, seed=3, trials=7).status == "found"
+    assert spy.call_count == 1
+    assert spy.call_args.kwargs["seed"] == 3
+    assert spy.call_args.kwargs["trials"] == 7
+
+
+def test_the_axes_need_no_quadric_nzd():
+    # x + y + z is the one linear NZD on the axes at p = 2, and the one NZD
+    # every check reads, so no form of degree 2 is ever tried
+    rs = flagship(2)
+    with mock.patch.object(RingSpec, "is_nzd", autospec=True, side_effect=RingSpec.is_nzd) as spy:
+        report = classify_ring(rs)
+    assert spy.call_count > 0
+    assert {call.args[1].degree() for call in spy.call_args_list} == {1}
+    assert report.gorenstein_witness["parameters"] == ["x + y + z"]
 
 
 @pytest.mark.parametrize("check", [c for c in classify.CHECKS if c != "fpure"])
@@ -771,7 +832,7 @@ def test_gorenstein_matches_hull_test_after_cutting(p, names, gens):
     # both reduce to a one-dimensional socle of the Artinian reduction
     rs = RingSpec(p, names, gens)
     flag, _ = is_gorenstein(rs)
-    ell = find_nzds(rs, count=1)[0]
+    ell = find_nzds(rs)
     rq = rs.quotient_by([ell])
     rep = frobenius_fixes_injective_hull(rq)
     assert (rep.iso.verdict == "isomorphic") == flag

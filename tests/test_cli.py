@@ -226,6 +226,13 @@ def test_report_text_format(tmp_path, capsys):
     assert "Frobenius preserves injectives: true" in out
 
 
+def test_report_text_format_shows_the_artinian_f_purity_witness(tmp_path, capsys):
+    # a graded Artinian ring is F-pure by its length, with no splitting witness
+    path = write_spec(tmp_path, "p = 2\nvars = x\nideal = x\n")
+    assert main(["report", "--input", path, "--format", "text"]) == 0
+    assert "F-pure: yes (length 1)" in capsys.readouterr().out.splitlines()
+
+
 def test_report_fat_point_is_decisively_false(tmp_path, capsys):
     text = "p = 2\nvars = x, y\nideal = x^2, x*y, y^2\n"
     path = write_spec(tmp_path, text)
@@ -558,6 +565,30 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert "census" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_census_into_a_closed_pipe_is_no_error():
+    # the reader takes the header and closes the pipe, as `| head -n 1` does;
+    # the census is still writing, so its next flush meets a closed pipe
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    argv = ["--family", "monomial", "--p", "3", "--vars", "3", "--max-degree", "3", "--max-gens", "3"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fpicheck", "census", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0, stderr
+    assert header.rstrip("\n") == ",".join(cli.CSV_COLUMNS)
+    assert stderr == ""
 
 
 def test_fpicheck_runs_with_numpy_refused(tmp_path):

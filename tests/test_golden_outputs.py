@@ -28,7 +28,7 @@ from fpicheck import cli  # noqa: E402
 GOLDEN = {
     "census-monomial": "5d74fa14d25b9cac55760d37818144c14c7309929ccaf52a8a64a0aa072771ec",
     "census-binomial": "2812a1a307e03e809a8220cdda9d4630197205ef9ffee9d4c7254dd74f96573f",
-    "report-deep": "8bf868a6114c1c3602466d6d6df0b4e05198a59c6a17a1eb38088a30cda83861",
+    "report-deep": "7abb58007d73f5c510f33c5ebd283e432c9edf3a99b7e8a9de95af9fa4d92d28",
     "report-artinian": "1d35c42ea9ace4bd44e236e758bceef29f1793ba29f4ce4f2e21f548aa54c9c4",
 }
 

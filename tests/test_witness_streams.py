@@ -65,7 +65,7 @@ def _depth_zero(p):
 def test_find_nzds_degree_two_stream(nzd_calls):
     # p = 7: the 57 linear forms are walked, the 19608 quadric lines sampled
     with pytest.raises(NoNzdFoundError):
-        find_nzds(_depth_zero(7), count=1)
+        find_nzds(_depth_zero(7))
     assert len(nzd_calls) == 118
     assert nzd_calls[:2] == ["x", "x + z"] and nzd_calls[56] == "z"
     assert nzd_calls[57:77] == [
