@@ -151,9 +151,11 @@ def _format_text(report) -> str:
         w = d["fpi_witness"] or {}
         if "canonical_ideal" in w:
             lines.append(f"  canonical ideal: ({', '.join(w['canonical_ideal'])})")
-        if "multiplier" in w:
-            m = w["multiplier"]
-            lines.append(f"  multiplier: h = {m['h']}, f = {m['f']}")
+        if "socle_dimension" in w:
+            lines.append(f"  omega^[p]/l*omega^[p]: length {w['length']}, "
+                         f"socle dimension {w['socle_dimension']}")
+        if "socle_FE" in w:
+            lines.append(f"  F(E): length {w['length_FE']}, socle dimension {w['socle_FE']}")
         if "reason" in w:
             lines.append(f"  reason: {w['reason']}")
     elif d["canonical"] is not None:

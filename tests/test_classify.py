@@ -151,6 +151,17 @@ def test_classify_at_the_top_of_the_prime_range():
     assert report.weakly_fpi == "false"
 
 
+def test_the_axes_decide_fpi_at_the_top_of_the_prime_range():
+    # omega^[p] has generators of degree p; the verdict reads their syzygies
+    # modulo l over R/lR and forms no colon with them
+    with deadline(20):
+        report = classify_ring(flagship(TOP_P), check="all")
+    assert report.weakly_fpi == "true"
+    assert report.fpi_witness["socle_dimension"] == 1
+    checks = {c["name"]: c["status"] for c in report.cross_checks}
+    assert checks["f_pure_implies_fpi_in_dimension_one"] == "confirmed"
+
+
 def test_fedder_power_past_its_term_cap_names_its_stage(tmp_path, capsys):
     # u = x^2 - y*z has two terms, so u^(p-1) may have p of them; at
     # p = 307 that is inside the cap and the colon answers
@@ -572,6 +583,31 @@ def test_a_ring_without_nzd_makes_the_multiplier_inconclusive():
     out = ideals_isomorphic(rs, [parse("y")], [parse("x + y")])
     assert out.verdict == "inconclusive"
     assert out.detail == "no homogeneous non-zero-divisor of degree at most 2 was found"
+
+
+# -- FPI in dimension one ----------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(curve_rings(), moved_axes_rings()))
+@example(flagship(3))
+@example(RingSpec(5, ["x", "y", "z"], ["x*y", "x^2", "y*z"]))
+def test_fpi_socle_count_matches_ideals_isomorphic(rs):
+    # the socle of omega^[p]/l*omega^[p] over R/lR and the multiplier search
+    # of the library decide omega ≅ omega^[p] alike; (xy, x^2, yz) is false
+    nzd = find_nzds(rs, trials=400)
+    ci = canonical_ideal(rs, nzd=nzd)
+    assume(ci.status == "found")
+    gens = list(ci.generators)
+    reference = ideals_isomorphic(rs, gens, [g.frobenius_power(1) for g in gens], nzd=nzd)
+    assert classify_ring(rs, deep_checks=False).weakly_fpi == reference.verdict
+
+
+def test_classification_never_calls_ideals_isomorphic():
+    with mock.patch.object(classify, "ideals_isomorphic", side_effect=AssertionError) as spy:
+        report = classify_ring(flagship(3))
+    assert report.weakly_fpi == "true"
+    assert spy.call_count == 0
 
 
 # -- canonical ideals -------------------------------------------------------------------

@@ -122,29 +122,21 @@ def test_report_flagship_json(tmp_path, capsys):
     assert data["minimal_prime_count"] == 3
 
 
-# The weakly-FPI witness of the axes ring: its multiplier h is a minimal
-# generator of the colon ((f*J) : I), so this pins that colon's output.
+# The weakly-FPI witness of the axes ring: omega^[p] differs from omega, so
+# the verdict is the socle of omega^[p]/l*omega^[p] over the Artinian R/lR,
+# whose length is λ(R/lR) = 3 for the linear NZD l = x + y + z.
 PINNED_FPI_WITNESSES = {
     2: {
         "canonical_ideal": ["x + z", "y + z"],
         "bracket_power": ["x^2 + z^2", "y^2 + z^2"],
-        "shift": -1,
-        "h": "x^3 + y^3 + z^3",
-        "f": "x^2 + y^2 + z^2",
     },
     3: {
         "canonical_ideal": ["x + z", "y + 2*z"],
         "bracket_power": ["x^3 + z^3", "y^3 + 2*z^3"],
-        "shift": -2,
-        "h": "x^4 + y^4 + z^4",
-        "f": "x^2 + y^2 + z^2",
     },
     5: {
         "canonical_ideal": ["x + z", "y + 4*z"],
         "bracket_power": ["x^5 + z^5", "y^5 + 4*z^5"],
-        "shift": -4,
-        "h": "x^6 + y^6 + z^6",
-        "f": "x^2 + y^2 + z^2",
     },
 }
 
@@ -153,17 +145,25 @@ PINNED_FPI_WITNESSES = {
 def test_report_fpi_witness_of_the_axes_is_pinned(tmp_path, capsys, p):
     path = write_spec(tmp_path, FLAGSHIP_TEXT.replace("p = 2", f"p = {p}"))
     assert main(["report", "--input", path]) == 0
-    pin = PINNED_FPI_WITNESSES[p]
     assert json.loads(capsys.readouterr().out)["fpi_witness"] == {
-        "canonical_ideal": pin["canonical_ideal"],
-        "bracket_power": pin["bracket_power"],
-        "shift": pin["shift"],
-        "detail": "multiplier identity h*I = f*J verified by ideal equality",
-        "multiplier": {
-            "h": pin["h"],
-            "f": pin["f"],
-            "identity": "h * omega = f * omega^[p] as ideals of R",
-        },
+        **PINNED_FPI_WITNESSES[p],
+        "detail": "omega^[p]/l*omega^[p] has length λ(R/lR) and socle dimension 1: "
+        "omega^[p] ≅ omega exactly when that is 1",
+        "parameter": "x + y + z",
+        "length": 3,
+        "socle_dimension": 1,
+    }
+
+
+def test_report_fpi_witness_of_equal_ideals_is_pinned(tmp_path, capsys):
+    # the cross xy is Gorenstein: its canonical ideal is the unit ideal,
+    # which is its own bracket power
+    path = write_spec(tmp_path, "p = 3\nvars = x, y\nideal = x*y\n")
+    assert main(["report", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["fpi_witness"] == {
+        "canonical_ideal": ["1"],
+        "bracket_power": ["1"],
+        "detail": "omega^[p] = omega as ideals of R",
     }
 
 
@@ -231,6 +231,18 @@ def test_report_text_format_shows_the_artinian_f_purity_witness(tmp_path, capsys
     path = write_spec(tmp_path, "p = 2\nvars = x\nideal = x\n")
     assert main(["report", "--input", path, "--format", "text"]) == 0
     assert "F-pure: yes (length 1)" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("text,line", [
+    ("p = 3\nvars = x\nideal = x\n", "  F(E): length 1, socle dimension 1"),
+    ("p = 2\nvars = x, y\nideal = x^2, x*y, y^2\n", "  F(E): length 6, socle dimension 4"),
+    (FLAGSHIP_TEXT.replace("p = 2", "p = 3"), "  omega^[p]/l*omega^[p]: length 3, socle dimension 1"),
+], ids=["point-p3", "fat-point-p2", "axes-p3"])
+def test_report_text_format_shows_the_fpi_certificate(tmp_path, capsys, text, line):
+    # dimension zero reads F(E), dimension one omega^[p] modulo l
+    path = write_spec(tmp_path, text)
+    assert main(["report", "--input", path, "--format", "text"]) == 0
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_report_fat_point_is_decisively_false(tmp_path, capsys):
