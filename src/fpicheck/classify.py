@@ -18,8 +18,8 @@ Every verdict is backed by an exact certificate:
   resolution, and F(E) ≅ E is decided by the socle dimension and length
   of F(E) (Matlis duality);
 * in dimension one the test is whether the canonical module, realized as an
-  ideal omega, is isomorphic to omega^[p]: either the two ideals are equal, or
-  omega^[p]/l*omega^[p] is the injective hull over R/lR by socle and length.
+  ideal omega, is isomorphic to omega^[p]: omega^[p]/l*omega^[p] is the
+  injective hull over R/lR by socle dimension and length.
 
 Isomorphism verdicts are three-valued ("true", "false", "inconclusive"):
 witness searches that exhaust a complete candidate space refute decisively,
@@ -580,7 +580,7 @@ class RingReport:
 
     def to_dict(self) -> dict:
         """JSON-ready data sharing the fields, which hold plain data only."""
-        return {"schema": 1, **vars(self)}
+        return {"schema": 2, **vars(self)}
 
 
 def _canonical_entry(ci: CanonicalIdealResult, names) -> dict:
@@ -611,16 +611,16 @@ def _fpi_dimension_zero(rs: RingSpec, report: RingReport, res):
 def _fpi_dimension_one(
     rs: RingSpec, report: RingReport, seed: int, trials: int, res, nzd
 ):
-    """K ≅ K^[p] for the canonical ideal K: equal ideals, or one socle count.
+    """K ≅ K^[p] for the canonical ideal K, decided by one socle count.
 
-    K ≅ ω meets no minimal prime, so R/K and R/K^[p] have finite length, and
-    the snake lemma for l on 0 -> K^[p] -> R -> R/K^[p] -> 0 gives
-    λ(K^[p]/lK^[p]) = λ(R/lR) (checked). Socle dimension 1 then makes
-    K^[p]/lK^[p] the injective hull over R/lR (`is_hull_power`); by Rees'
-    lemma, μ^{i+1}_R(M) = μ^i_{R/l}(M/lM), the maximal Cohen-Macaulay K^[p]
-    has type 1 and finite injective dimension, so K^[p] ≅ ω ≅ K
-    (Bruns-Herzog, Cohen-Macaulay Rings, 3.1.16 and 3.3). Conversely K^[p] ≅ ω
-    has type 1.
+    K ≅ ω contains a non-zero-divisor (it lies in no minimal prime), so R/K
+    and R/K^[p] have finite length, and the snake lemma for l on
+    0 -> K^[p] -> R -> R/K^[p] -> 0 gives λ(K^[p]/lK^[p]) = λ(R/lR)
+    (checked). Socle dimension 1 then makes K^[p]/lK^[p] the injective hull
+    over R/lR (`is_hull_power`); by Rees' lemma, μ^{i+1}_R(M) =
+    μ^i_{R/l}(M/lM), the maximal Cohen-Macaulay K^[p] has type 1 and finite
+    injective dimension, so K^[p] ≅ ω ≅ K (Bruns-Herzog, Cohen-Macaulay
+    Rings, 3.1.16 and 3.3). Conversely K^[p] ≅ ω has type 1.
     """
     names = rs.ring.varnames
     report.fpi_method = "canonical_ideal"
@@ -650,9 +650,6 @@ def _fpi_dimension_one(
         "bracket_power": [poly_to_string(g, names) for g in bracket],
     }
     kept = [b for b in map(rs.nf, bracket) if not b.is_zero()]
-    if rs.ideal_eq_in_r(gens, kept):
-        report.weakly_fpi, witness["detail"] = "true", "omega^[p] = omega as ideals of R"
-        return
     cols = [Vec.from_polys([(0, b)]) for b in kept]
     pres = ModulePresentation(rs.ring, rs.ideal, cols, (0,), [b.degree() for b in kept])
     reduced, length = _artinian_reduction(rs, syzygy_presentation(pres), nzd)

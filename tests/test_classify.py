@@ -826,7 +826,7 @@ def test_report_dict_shape():
     report = classify_ring(flagship())
     data = report.to_dict()
     keys = list(data)
-    assert keys[0] == "schema" and data["schema"] == 1
+    assert keys[0] == "schema" and data["schema"] == 2
     for expected in (
         "label",
         "p",

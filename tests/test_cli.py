@@ -114,7 +114,7 @@ def test_report_flagship_json(tmp_path, capsys):
     out = capsys.readouterr().out
     data = json.loads(out)
     assert code == 0
-    assert list(data)[0] == "schema" and data["schema"] == 1
+    assert list(data)[0] == "schema" and data["schema"] == 2
     assert data["label"] == "axes"
     assert data["gorenstein"] is False
     assert data["f_pure"] is True
@@ -155,15 +155,19 @@ def test_report_fpi_witness_of_the_axes_is_pinned(tmp_path, capsys, p):
     }
 
 
-def test_report_fpi_witness_of_equal_ideals_is_pinned(tmp_path, capsys):
-    # the cross xy is Gorenstein: its canonical ideal is the unit ideal,
-    # which is its own bracket power
+def test_report_fpi_witness_of_a_gorenstein_curve_is_pinned(tmp_path, capsys):
+    # the cross xy is Gorenstein: its canonical ideal is the unit ideal, which
+    # is its own bracket power, and R/lR = F_3[x]/(x^2) has socle dimension 1
     path = write_spec(tmp_path, "p = 3\nvars = x, y\nideal = x*y\n")
     assert main(["report", "--input", path]) == 0
     assert json.loads(capsys.readouterr().out)["fpi_witness"] == {
         "canonical_ideal": ["1"],
         "bracket_power": ["1"],
-        "detail": "omega^[p] = omega as ideals of R",
+        "detail": "omega^[p]/l*omega^[p] has length λ(R/lR) and socle dimension 1: "
+        "omega^[p] ≅ omega exactly when that is 1",
+        "parameter": "x + y",
+        "length": 2,
+        "socle_dimension": 1,
     }
 
 
@@ -336,7 +340,7 @@ def test_report_fields_of_the_benchmark_workloads_hold_no_dataclass(tmp_path, mo
                     main(["report", "--input", path, "--seed", "0"] + extra)
         assert len(reports) > before
     for report in reports:
-        assert report.to_dict() == {"schema": 1, **dataclasses.asdict(report)}
+        assert report.to_dict() == {"schema": 2, **dataclasses.asdict(report)}
 
 
 # -- census ------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from fpicheck import cli  # noqa: E402
 GOLDEN = {
     "census-monomial": "5d74fa14d25b9cac55760d37818144c14c7309929ccaf52a8a64a0aa072771ec",
     "census-binomial": "2812a1a307e03e809a8220cdda9d4630197205ef9ffee9d4c7254dd74f96573f",
-    "report-deep": "bdc444d44ed8a592ac43f1afc489c756191c8c15481a3e5872b052977822f437",
-    "report-artinian": "1d35c42ea9ace4bd44e236e758bceef29f1793ba29f4ce4f2e21f548aa54c9c4",
+    "report-deep": "d854725e17fd0e824d126d76b1751b21b427f1463d8dcf537441854b1ca8ecc4",
+    "report-artinian": "02bdba4252e5edfdaa9a9d64b4926a8f542ef1571db4736123e8e26bbedc48bc",
 }
 
 
