@@ -72,6 +72,7 @@ from .classify import (
     find_nzds,
     ideals_isomorphic,
     is_f_pure,
+    is_f_pure_by_fedder,
     is_gorenstein,
     minimal_ideal_generators,
     minimal_prime_count,

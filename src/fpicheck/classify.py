@@ -9,9 +9,11 @@ Every verdict is backed by an exact certificate:
   certified non-zero-divisor l that every check shares, and is
   cross-checked against the last Betti number; a monomial R is generically
   Gorenstein when its localized generators minimalize to pure powers;
-* F-purity of a graded Artinian ring is its length being 1 (I = m); in
-  every other case it is the containment test of the Frobenius colon ideal
-  (I^[p] : I) against (x_1^p, ..., x_n^p);
+* F-purity of a graded Artinian ring is its length being 1 (I = m); of a
+  graded curve it is depth one, multiplicity HF(1) and an injective
+  Frobenius u -> u^p on R_1 (one rank over F_p); in every other case it is
+  the containment test of the Frobenius colon ideal (I^[p] : I) against
+  (x_1^p, ..., x_n^p);
 * in dimension zero, Frobenius preserves injectivity exactly when
   F(E) is isomorphic to E for the injective hull E of the residue field.
   E is the canonical module Ext^n_S(R, S(-n)), read off the minimal free
@@ -43,6 +45,7 @@ from .errors import (
 )
 from .gfpoly import Polynomial, monomials_of_degree, poly_to_string, random_homogeneous
 from .hilbert import minimal_monomials
+from .linalg import rank
 from .groebner import (
     Ideal,
     RingSpec,
@@ -222,28 +225,94 @@ def is_gorenstein(rs: RingSpec, seed: int = 0, nzd=None, res=None):
 # ---------------------------------------------------------------------------
 # F-purity
 
-def is_f_pure(rs: RingSpec):
+def is_f_pure(rs: RingSpec, res=None):
     """Frobenius-splitting test; returns (verdict, witness dict).
 
     A homogeneous R of dimension zero is F-pure exactly when its length
     λ(R) is 1: F-pure implies reduced, a reduced graded Artinian quotient of
-    S is S/m = F_p, and F_p is F-pure. Any other R = S/I is F-pure exactly
-    when (I^[p] : I) is not contained in (x_1^p, ..., x_n^p) (Fedder 1983,
-    exact for any ideal). The colon comes from
-    `pushforward.frobenius_colon` (closed forms for monomial ideals and
-    complete intersections, the module colon otherwise); every branch gives
-    the same reduced basis of (I^[p] : I), and so the same witness: its
-    first element outside (x_1^p, ..., x_n^p). A monomial ideal holds a
-    polynomial exactly when it holds each of its terms, so an element lies
-    outside exactly when some term has every exponent below p.
+    S is S/m = F_p, and F_p is F-pure.
+
+    A homogeneous R of dimension one (depth read off `res`, the minimal free
+    resolution of R, computed when not given) is decided on R_1:
+
+    * depth 0: not F-pure, since F-pure implies reduced, and a reduced ring
+      of positive dimension has positive depth;
+    * e(R) != HF_R(1): not F-pure. On the top local cohomology of an F-pure
+      graded ring Frobenius is injective and multiplies degrees by p, and
+      that module vanishes in high degrees, so it vanishes in every positive
+      degree: a(R) <= 0. An F-pure curve is Cohen-Macaulay by the first
+      case, so its h-vector has a(R) + 1 <= 1 entries past h_0, all
+      nonnegative: h = (1, e-1) and e = HF(1) (Goto-Watanabe 1977);
+    * otherwise R is F-pure exactly when the F_p-linear map R_1 -> R_p,
+      u -> u^p, is injective; its rank is one `linalg.rank` of the normal
+      forms nf(x^p) (`RingSpec.nf_power`) over the degree-one standard
+      monomials x, whose union of supports indexes the columns.
+
+    Why the rank decides. Depth, e, HF(1) and that rank do not change when
+    F_p is extended to its algebraic closure K (the map is F_p-linear with
+    an F_p-matrix, and over K it is semilinear with the same matrix). Over K
+    there is a linear non-zero-divisor l, and with h = (1, e-1) multiplication
+    by l^(p-1): R_1 -> R_p is bijective, so the map has the rank of
+    Frobenius on A = (R_l)_0 ≅ R_1, which is injective exactly when A is
+    reduced. F-pure rings are reduced, which gives "only if". If A is
+    reduced, A = K^e and R ⊗ K ⊂ R_l = A[l, 1/l] is reduced with e lines
+    through the origin spanning the e-dimensional R_1: the coordinate axes,
+    which are F-pure, and F-purity descends along the faithfully flat
+    F_p -> K. No non-zero-divisor enters the test, so it also holds when F_p
+    has no linear one.
+
+    Every other R = S/I, inhomogeneous or of dimension at least two, is
+    decided by Fedder's criterion (`is_f_pure_by_fedder`).
     """
-    if rs.ideal.is_homogeneous_ideal() and rs.dimension == 0:
+    graded_dim = rs.dimension if rs.ideal.is_homogeneous_ideal() else None
+    if graded_dim == 0:
         length = rs.hilbert().colength
         return length == 1, {
             "length": length,
             "statement": "a graded Artinian ring is F-pure exactly when "
             "its length is 1, that is when I = m",
         }
+    if graded_dim != 1:
+        return is_f_pure_by_fedder(rs)
+    if res is None:
+        res = minimal_free_resolution(rs)
+    if rs.n - res.length == 0:
+        return False, {
+            "depth": 0,
+            "statement": "a reduced ring of positive dimension has positive depth",
+        }
+    e, hf1 = rs.hilbert().multiplicity, rs.hf(1)
+    witness = {"multiplicity": e, "hilbert_function_1": hf1}
+    if e != hf1:
+        return False, {
+            **witness,
+            "statement": "an F-pure curve is Cohen-Macaulay with h-vector "
+            "(1, e-1), so its multiplicity e equals HF(1)",
+        }
+    powers = [rs.nf_power(Polynomial.from_monomial(rs.p, m), rs.p)
+              for m in rs.standard_monomials_of_degree(1)]
+    support = sorted({m for f in powers for m in f.terms})
+    r = rank([[f.terms.get(m, 0) for m in support] for f in powers], rs.p)
+    return r == hf1, {
+        **witness,
+        "frobenius_rank": r,
+        "statement": "with e = HF(1) the curve is F-pure exactly when "
+        "u -> u^p is injective on R_1, that is of rank HF(1)",
+    }
+
+
+def is_f_pure_by_fedder(rs: RingSpec):
+    """Fedder's criterion for any R = S/I; returns (verdict, witness dict).
+
+    R is F-pure exactly when (I^[p] : I) is not contained in
+    (x_1^p, ..., x_n^p) (Fedder 1983, exact for any ideal). The colon comes
+    from `pushforward.frobenius_colon` (closed forms for monomial ideals and
+    complete intersections, the module colon otherwise); every branch gives
+    the same reduced basis of (I^[p] : I), and so the same witness: its
+    first element outside (x_1^p, ..., x_n^p). A monomial ideal holds a
+    polynomial exactly when it holds each of its terms, so an element lies
+    outside exactly when some term has every exponent below p.
+    """
     names = rs.ring.varnames
     p = rs.p
     basis = frobenius_colon(rs).groebner_basis()
@@ -372,7 +441,7 @@ def ideals_isomorphic(
         return IdealIsoResult(
             "false", None, shift, "the multiplier degree forced by Hilbert series is negative"
         )
-    pre_rhs = rs.preimage_ideal([f * g for g in mj])
+    pre_rhs = rs.preimage_ideal([rs.nf(f * g) for g in mj])
     # I lies in the preimage of f*J, so (f*J + I : (mi) + I) = (f*J + I : (mi))
     colon = ideal_colon(pre_rhs, Ideal(rs.ring, mi))
     h_gens = minimal_ideal_generators(rs, colon.groebner_basis())
@@ -386,7 +455,7 @@ def ideals_isomorphic(
         )
     h, exhaustive = _search_span(
         cands, Polynomial.zero(p, n),
-        lambda h: not h.is_zero() and rs.preimage_ideal([h * g for g in mi]) == pre_rhs,
+        lambda h: not h.is_zero() and rs.preimage_ideal([rs.nf(h * g) for g in mi]) == pre_rhs,
         MULTIPLIER_SPAN_CAP, trials, f"ideal-iso:{seed}",
     )
     if h is not None:
@@ -649,7 +718,7 @@ def _fpi_dimension_one(
         "canonical_ideal": [poly_to_string(g, names) for g in gens],
         "bracket_power": [poly_to_string(g, names) for g in bracket],
     }
-    kept = [b for b in map(rs.nf, bracket) if not b.is_zero()]
+    kept = [b for b in (rs.nf_power(g, rs.p) for g in gens) if not b.is_zero()]
     cols = [Vec.from_polys([(0, b)]) for b in kept]
     pres = ModulePresentation(rs.ring, rs.ideal, cols, (0,), [b.degree() for b in kept])
     reduced, length = _artinian_reduction(rs, syzygy_presentation(pres), nzd)
@@ -813,7 +882,7 @@ def classify_ring(
     )
     if check == "gorenstein":
         return report
-    report.f_pure, report.f_pure_witness = is_f_pure(rs)
+    report.f_pure, report.f_pure_witness = is_f_pure(rs, res)
     if dim == 0:
         _fpi_dimension_zero(rs, report, res)
     else:

@@ -143,6 +143,12 @@ def _format_text(report) -> str:
             extra = f" (splitting witness {w['splitting_witness']})"
         elif "length" in w:
             extra = f" (length {w['length']})"
+        elif "depth" in w:
+            extra = f" (depth {w['depth']})"
+        elif "frobenius_rank" in w:
+            extra = f" (Frobenius on R_1 has rank {w['frobenius_rank']} of {w['hilbert_function_1']})"
+        elif "multiplicity" in w:
+            extra = f" (multiplicity {w['multiplicity']}, HF(1) = {w['hilbert_function_1']})"
         lines.append(f"F-pure: {'yes' if d['f_pure'] else 'no'}{extra}")
     if d["weakly_fpi"] is not None:
         lines.append(

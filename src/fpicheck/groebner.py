@@ -696,6 +696,22 @@ class RingSpec:
     def nf(self, f: Polynomial) -> Polynomial:
         return self.ideal.normal_form(f)
 
+    def nf_power(self, g: Polynomial, e: int) -> Polynomial:
+        """nf(g^e), by square-and-multiply with a reduction after every
+        product: nf(ab) = nf(nf(a)·nf(b)), since a - nf(a) and b - nf(b) lie
+        in I. It takes O(log e) products of normal forms and never forms
+        g^e itself, whose division would take a step per term: at
+        p = 2^31 - 1, g^p is 31 squarings."""
+        if e < 0:
+            raise ValueError("negative power")
+        base = self.nf(g)
+        out = self.nf(Polynomial.constant(self.p, self.n, 1))
+        for bit in bin(e)[2:]:
+            out = self.nf(out * out)
+            if bit == "1":
+                out = self.nf(out * base)
+        return out
+
     def hilbert(self) -> HilbertData:
         if self._hilbert is None:
             self._hilbert = hilbert_from_lead_monomials(self.ideal.lead_monomials(), self.n)

@@ -30,7 +30,9 @@ dicts, every pair treated, under its own grevlex key: the reference for
 the pair criteria of `groebner.groebner_terms`. `artinian_rings` and
 `curve_rings` are the shared `hypothesis` strategies for Artinian rings and
 for binomial plane curves; `moved_axes_rings` draws non-Gorenstein curves,
-the axes and a non-F-pure relative, in random coordinates.
+the axes and a non-F-pure relative, in random coordinates; `graded_curves`
+draws homogeneous curves of any depth, reduced or not, for the F-purity
+differential against Fedder's colon.
 `minimal_ideal_generators_oracle` is the ideal-membership loop that
 `classify.minimal_ideal_generators` replaced with `minimal_generators`.
 `nzd_inside_ideal` is the seeded search for a non-zero-divisor inside an
@@ -67,6 +69,7 @@ from functools import partial
 from math import prod
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from fpicheck.artinian import (
@@ -375,6 +378,44 @@ def moved_axes_rings(draw):
     l1, l2, l3 = (Polynomial(p, 3, {u: c for u, c in zip(units, row) if c}) for row in rows)
     first = l1 * l3 if draw(st.booleans()) else l1 * l1
     return RingSpec(p, ["x", "y", "z"], [l1 * l2, first, l2 * l3])
+
+
+def _linear_form(draw, p: int, n: int) -> Polynomial:
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, n - 1))] = 1
+    return Polynomial(p, n, {tuple(int(i == j) for j in range(n)): c for i, c in enumerate(coeffs)})
+
+
+def _curve_generator(draw, p: int, n: int, d: int) -> Polynomial:
+    """A product of d linear forms (repeats make non-reduced rings), a
+    monomial, or a binomial of degree d."""
+    kind = draw(st.sampled_from(["lines", "monomial", "binomial"]))
+    if kind == "lines":
+        return prod((_linear_form(draw, p, n) for _ in range(d)), start=Polynomial.constant(p, n, 1))
+    a, b = draw(st.lists(st.sampled_from(list(monomials_of_degree(n, d))), min_size=2, max_size=2, unique=True))
+    return Polynomial(p, n, {a: 1} if kind == "monomial" else {a: 1, b: draw(st.integers(1, p - 1))})
+
+
+@st.composite
+def graded_curves(draw, primes=(2, 3, 5, 7, 11, 101)):
+    """Homogeneous rings of dimension one, depth zero and non-reduced ones
+    included: F_p[x,y,z] modulo two or three quadrics (products of linear
+    forms, monomials, binomials) for p <= 11; past that, where Fedder's
+    colon of a non-complete intersection has degree-p generators, plane
+    curves F_p[x,y]/(f), deg f in {2, 3}, and monomial curves of
+    F_p[x,y,z], whose colons have closed forms."""
+    p = draw(st.sampled_from(primes))
+    if p <= 11:
+        gens = [_curve_generator(draw, p, 3, 2) for _ in range(draw(st.integers(2, 3)))]
+        rs = RingSpec(p, ["x", "y", "z"], gens)
+    elif draw(st.booleans()):
+        rs = RingSpec(p, ["x", "y"], [_curve_generator(draw, p, 2, draw(st.integers(2, 3)))])
+    else:
+        monos = draw(st.lists(st.sampled_from(list(monomials_of_degree(3, 2))), min_size=2, max_size=3, unique=True))
+        rs = RingSpec(p, ["x", "y", "z"], [Polynomial.from_monomial(p, m) for m in monos])
+    assume(rs.dimension == 1)
+    return rs
 
 
 def _standard_basis(rs: RingSpec) -> list:

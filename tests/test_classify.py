@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import signal
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from oracles import (
     artinian_rings,
     curve_rings,
     generically_gorenstein_by_socles,
+    graded_curves,
     minimal_ideal_generators_oracle,
     moved_axes_rings,
     nzd_inside_ideal,
@@ -28,6 +30,7 @@ from fpicheck.classify import (
     find_nzds,
     ideals_isomorphic,
     is_f_pure,
+    is_f_pure_by_fedder,
     is_gorenstein,
     minimal_ideal_generators,
     minimal_prime_count,
@@ -39,9 +42,10 @@ from fpicheck.errors import (
     NonHomogeneousError,
     NotCohenMacaulayError,
     PipelineInvariantError,
+    ResourceLimitError,
     UnsupportedDimensionError,
 )
-from fpicheck.gfpoly import Polynomial, poly_to_string, random_homogeneous
+from fpicheck.gfpoly import Polynomial, monomials_of_degree, poly_to_string, random_homogeneous
 from fpicheck.groebner import RingSpec, bracket_power, ideal_colon
 from fpicheck.resolutions import ring_depth
 
@@ -174,18 +178,76 @@ def test_fedder_power_past_its_term_cap_names_its_stage(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: F-purity (Fedder colon): ")
 
 
-def test_fedder_power_past_its_term_cap_is_a_census_error_row(monkeypatch):
-    # a complete-intersection curve, so the census classifies it and the
-    # refused Fedder power ends the row, not the census
-    curve = RingSpec(TOP_P, ["x", "y", "z"], ["x*y - 2*z^2", "x^2 - y*z"])
-    monkeypatch.setattr(cli, "_census_rings", lambda config: iter([(0, curve)]))
+def moved_axes(p):
+    """The axes (l1*l2, l1*l3, l2*l3) in the coordinates l1 = x + 2y + 3z,
+    l2 = y + 5z, l3 = x + 7y + 11z: F-pure, and no generator is a monomial."""
+    ring = RingSpec(p, ["x", "y", "z"], []).ring
+    l1, l2, l3 = (ring.parse(f) for f in ("x + 2*y + 3*z", "y + 5*z", "x + 7*y + 11*z"))
+    return RingSpec(p, ["x", "y", "z"], [l1 * l2, l1 * l3, l2 * l3])
+
+
+def cone_curve(p):
+    """The complete intersection (xy - 2z^2, x^2 - yz): a Gorenstein curve
+    of multiplicity 4 with HF(1) = 3, so not F-pure."""
+    return RingSpec(p, ["x", "y", "z"], ["x*y - 2*z^2", "x^2 - y*z"])
+
+
+def test_the_cone_curve_is_a_census_verdict_row_at_the_top_of_the_prime_range(monkeypatch):
+    # Fedder's power (f_1 f_2)^(p-1) would be past its term cap here; the
+    # multiplicity decides F-purity without it, and the row gets verdicts
+    monkeypatch.setattr(cli, "_census_rings", lambda config: iter([(0, cone_curve(TOP_P))]))
     out = io.StringIO()
     with deadline(20):
         summary = cli.run_census(cli.CensusConfig(primes=(TOP_P,)), out)
-    assert summary["errors"] == 1
+    assert summary["errors"] == 0
     row = dict(zip(cli.CSV_COLUMNS, list(csv.reader(io.StringIO(out.getvalue())))[1]))
-    assert row["dim"] == "1"
-    assert row["caveat"].startswith("error: F-purity (Fedder colon): ")
+    assert {k: row[k] for k in ("dim", "CM", "Gorenstein", "F-pure", "FPI", "caveat")} == {
+        "dim": "1", "CM": "true", "Gorenstein": "true", "F-pure": "false", "FPI": "true", "caveat": "",
+    }
+
+
+def test_a_resource_limit_ends_its_census_row_not_the_census(monkeypatch):
+    # a dimension-one stage that refuses the first ring: that row is an
+    # error row naming the stage, and the next ring still gets its verdicts
+    refused = cone_curve(5)
+    canonical = classify.canonical_ideal
+
+    def refuse_first(rs, *args, **kwargs):
+        if rs is refused:
+            raise ResourceLimitError("canonical ideal: budget exhausted")
+        return canonical(rs, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "canonical_ideal", refuse_first)
+    monkeypatch.setattr(cli, "_census_rings", lambda config: iter([(0, refused), (1, flagship(5))]))
+    out = io.StringIO()
+    summary = cli.run_census(cli.CensusConfig(primes=(5,)), out)
+    assert (summary["rows"], summary["errors"], summary["fpi_true"]) == (2, 1, 1)
+    rows = [dict(zip(cli.CSV_COLUMNS, r)) for r in list(csv.reader(io.StringIO(out.getvalue())))[1:3]]
+    assert rows[0]["dim"] == "1"
+    assert rows[0]["caveat"] == "error: canonical ideal: budget exhausted"
+    assert (rows[1]["F-pure"], rows[1]["FPI"], rows[1]["caveat"]) == ("true", "true", "")
+
+
+@pytest.mark.parametrize("ring, check, f_pure, witness, fpi", [
+    ("moved-axes", "all", True, ("frobenius_rank", 3), "true"),
+    ("moved-axes", "fpure", True, ("frobenius_rank", 3), None),
+    ("cone", "all", False, ("multiplicity", 4), "true"),
+])
+def test_reports_at_the_top_of_the_prime_range(tmp_path, capsys, ring, check, f_pure, witness, fpi):
+    # no Fedder colon and no degree-p division: F-purity reads Frobenius on
+    # R_1 through square-and-multiply normal forms, and so does the bracket
+    # of the canonical ideal
+    rs = {"moved-axes": moved_axes, "cone": cone_curve}[ring](TOP_P)
+    gens = ", ".join(poly_to_string(g, ["x", "y", "z"]) for g in rs.ideal.generators)
+    spec = tmp_path / "ring.txt"
+    spec.write_text(f"p = {TOP_P}\nvars = x, y, z\nideal = {gens}\n")
+    with deadline(20):
+        code = cli.main(["report", "--check", check, "--input", str(spec)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (report["f_pure"], report["weakly_fpi"]) == (f_pure, fpi)
+    key, value = witness
+    assert report["f_pure_witness"][key] == value
 
 
 # -- Gorenstein ---------------------------------------------------------------------
@@ -234,7 +296,15 @@ def test_gorenstein_is_parameter_independent():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_flagship_is_f_pure(p):
     rs = flagship(p)
-    flag, witness = is_f_pure(rs)
+    assert is_f_pure(rs) == (True, {
+        "multiplicity": 3,
+        "hilbert_function_1": 3,
+        "frobenius_rank": 3,
+        "statement": "with e = HF(1) the curve is F-pure exactly when "
+        "u -> u^p is injective on R_1, that is of rank HF(1)",
+    })
+    # Fedder's criterion, the oracle in dimension one, names a splitting element
+    flag, witness = is_f_pure_by_fedder(rs)
     assert flag
     w = witness["splitting_witness"]
     mono = rs.ring.parse(w) if isinstance(w, str) else w
@@ -294,6 +364,49 @@ def test_artinian_ring_is_f_pure_exactly_when_it_is_the_field(rs):
     assert is_f_pure(rs)[0] == fedder_verdict(rs) == (rs.ideal == rs.maximal_ideal())
 
 
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(graded_curves())
+@example(cone_curve(5))  # a domain, so Frobenius is injective, but e = 4 != HF(1) = 3
+@example(RingSpec(5, ["x", "y"], ["x^2"]))  # e = HF(1) = 2 and x^5 = 0: rank 1
+@example(RingSpec(2, ["x", "y"], ["x^2", "x*y"]))  # depth 0
+@example(RingSpec(101, ["x", "y"], ["x*y"]))  # the cross, F-pure
+def test_curve_f_purity_matches_fedder(rs):
+    # a homogeneous curve is decided on R_1 without Fedder's colon, which
+    # stays the oracle
+    with mock.patch.object(classify, "frobenius_colon", side_effect=AssertionError):
+        flag, witness = is_f_pure(rs)
+    assert flag == fedder_verdict(rs)
+    e, hf1 = rs.hilbert().multiplicity, rs.hf(1)
+    if ring_depth(rs) == 0:
+        assert witness["depth"] == 0 and not flag
+    elif e != hf1:
+        assert (witness["multiplicity"], witness["hilbert_function_1"]) == (e, hf1)
+        assert not flag
+    else:
+        assert witness["frobenius_rank"] <= hf1 == e
+        assert flag == (witness["frobenius_rank"] == hf1)
+
+
+@st.composite
+def curves_with_forms(draw):
+    """A graded curve and a form of degree 1 or 2 over it, with random
+    coefficients."""
+    rs = draw(graded_curves())
+    monos = list(monomials_of_degree(rs.n, draw(st.integers(1, 2))))
+    coeffs = draw(st.lists(st.integers(0, rs.p - 1), min_size=len(monos), max_size=len(monos)))
+    return rs, Polynomial(rs.p, rs.n, dict(zip(monos, coeffs)))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(curves_with_forms(), st.integers(0, 9))
+def test_nf_power_matches_the_reduced_power(case, e):
+    rs, g = case
+    assert rs.nf_power(g, rs.p) == rs.nf(g.frobenius_power(1))
+    assert rs.nf_power(g, e) == rs.nf(g ** e)
+
+
 @pytest.mark.parametrize("gens", [["x^2", "y"], ["x^2", "x*y", "y^3"], ["x", "y"]])
 def test_fedder_colon_is_not_needed_in_dimension_zero(monkeypatch, gens):
     rs = RingSpec(3, ["x", "y"], gens)
@@ -345,7 +458,7 @@ def test_fedder_containment_matches_ideal_membership(case):
     outside = next((g for g in polys if not mp.contains(g)), None)
     colon = SimpleNamespace(groebner_basis=lambda: polys)
     with mock.patch.object(classify, "frobenius_colon", lambda rs: colon):
-        flag, witness = is_f_pure(rs)
+        flag, witness = is_f_pure_by_fedder(rs)
     assert flag == (outside is not None)
     if outside is not None:
         assert witness["splitting_witness"] == poly_to_string(outside, names)
@@ -373,9 +486,9 @@ PINNED_COLON_WITNESSES = [
 def test_f_purity_witness_through_the_colon_is_pinned(gens, colon_generators):
     rs = RingSpec(7, ["x", "y", "z"], gens)
     with mock.patch.object(pushforward, "ideal_colon", wraps=pushforward.ideal_colon) as spy:
-        flag, witness = is_f_pure(rs)
+        flag, witness = is_f_pure_by_fedder(rs)
     assert spy.called
-    assert flag is False
+    assert flag is False is is_f_pure(rs)[0]
     assert witness == {
         "colon_generators": colon_generators,
         "statement": "every generator of (I^[p] : I) lies in (x_1^p, ..., x_n^p)",

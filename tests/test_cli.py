@@ -249,6 +249,18 @@ def test_report_text_format_shows_the_fpi_certificate(tmp_path, capsys, text, li
     assert line in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("text,line", [
+    (FLAGSHIP_TEXT, "F-pure: yes (Frobenius on R_1 has rank 3 of 3)"),
+    ("p = 5\nvars = x, y\nideal = x^2\n", "F-pure: no (Frobenius on R_1 has rank 1 of 2)"),
+    ("p = 3\nvars = x, y, z\nideal = x*y, z^2\n", "F-pure: no (multiplicity 4, HF(1) = 3)"),
+    ("p = 2\nvars = x, y\nideal = x^2, x*y\n", "F-pure: no (depth 0)"),
+], ids=["axes", "double-line", "double-cross", "embedded-point"])
+def test_report_text_format_shows_the_curve_f_purity_certificate(tmp_path, capsys, text, line):
+    path = write_spec(tmp_path, text)
+    main(["report", "--input", path, "--format", "text", "--check", "fpure"])
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_report_fat_point_is_decisively_false(tmp_path, capsys):
     text = "p = 2\nvars = x, y\nideal = x^2, x*y, y^2\n"
     path = write_spec(tmp_path, text)

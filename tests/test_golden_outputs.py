@@ -28,7 +28,7 @@ from fpicheck import cli  # noqa: E402
 GOLDEN = {
     "census-monomial": "5d74fa14d25b9cac55760d37818144c14c7309929ccaf52a8a64a0aa072771ec",
     "census-binomial": "2812a1a307e03e809a8220cdda9d4630197205ef9ffee9d4c7254dd74f96573f",
-    "report-deep": "d854725e17fd0e824d126d76b1751b21b427f1463d8dcf537441854b1ca8ecc4",
+    "report-deep": "7529db0d3074510eb2b7415df3d59eb6d1f616daf5cd35b41c959d970cc255a7",
     "report-artinian": "02bdba4252e5edfdaa9a9d64b4926a8f542ef1571db4736123e8e26bbedc48bc",
 }
 
