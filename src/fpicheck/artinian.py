@@ -343,29 +343,44 @@ def _normalized_coefficient_vectors(p: int, d: int):
             yield (0,) * lead + (1,) + tail
 
 
-def span_search(p: int, k: int, combine, accept, cap: int, trials: int, tag: str, draw=None):
+def _rational_normal_curve(p: int, k: int, count: int):
+    """The first `count` of the p + 1 points (1, c, ..., c^(k-1)), c = 0, ...,
+    p - 1, and (0, ..., 0, 1) of the rational normal curve in F_p^k."""
+    for c in range(min(count, p)):
+        yield tuple(pow(c, i, p) for i in range(k))
+    if count > p:
+        yield (0,) * (k - 1) + (1,)
+
+
+def span_search(p: int, k: int, combine, accept, cap: int, subspaces: int):
     """Find a candidate that `accept` takes in the F_p-span of k basis elements.
 
-    While the span has (p^k - 1)/(p - 1) <= cap lines, `combine` maps each
-    normalized coefficient vector to a candidate, so every line is tried
-    once and a miss refutes. Past the cap, `trials` candidates are drawn
-    from `random.Random(tag)`: `draw(rng)` when the site gives a draw,
-    otherwise `combine` of a uniform coefficient vector. The same tag gives
-    the same candidates. Returns (hit or None, whether the scan was
-    exhaustive).
+    While the span has (p^k - 1)/(p - 1) <= cap lines, or at most one,
+    `combine` maps each normalized coefficient vector to a candidate, so
+    every line is tried once. Past the cap the search walks the rational
+    normal curve (`_rational_normal_curve`) for a(k - 1) + 1 points,
+    a = `subspaces`, or all p + 1 when that is more. A hyperplane
+    h_0 x_0 + ... + h_(k-1) x_(k-1) = 0 holds (1, c, ..., c^(k-1)) exactly
+    when c is a root of the nonzero polynomial sum h_i t^i, and holds
+    (0, ..., 0, 1) only when h_(k-1) = 0, that is when the degree drops:
+    so it holds at most k - 1 of the points. A proper subspace lies in a
+    hyperplane, so when the rejected coefficient vectors lie in a union of
+    at most a proper subspaces, any a(k - 1) + 1 of the points hold an
+    accepted one. Returns (hit or None, complete): complete when every
+    line was tried or the walk reached a(k - 1) + 1 <= p + 1 points. A
+    complete miss means that no line is accepted, or, past the cap, that
+    the rejected vectors lie in no union of a proper subspaces.
     """
-    if (p**k - 1) // (p - 1) <= cap:
-        for coeffs in _normalized_coefficient_vectors(p, k):
-            cand = combine(coeffs)
-            if accept(cand):
-                return cand, True
-        return None, True
-    rng = random.Random(tag)
-    for _ in range(trials):
-        cand = draw(rng) if draw else combine(tuple(rng.randrange(p) for _ in range(k)))
+    if k < 2 or (p**k - 1) // (p - 1) <= cap:
+        vectors, complete = _normalized_coefficient_vectors(p, k), True
+    else:
+        need = subspaces * (k - 1) + 1
+        vectors, complete = _rational_normal_curve(p, k, need), need <= p + 1
+    for coeffs in vectors:
+        cand = combine(coeffs)
         if accept(cand):
-            return cand, False
-    return None, False
+            return cand, complete
+    return None, complete
 
 
 HOM_SPAN_CAP = 65536  # hom classes walked before the hom space is sampled
@@ -379,10 +394,12 @@ def modules_isomorphic(
 ) -> IsoResult:
     """Decide src ≅ dst (as modules, grading ignored).
 
-    Invariant mismatches refute; otherwise `span_search` looks for an
-    invertible element of the hom space, exhaustively up to HOM_SPAN_CAP
-    classes and by uniform draws from the stream tagged `hom:{seed}` past
-    it (a sampled miss is only "inconclusive"). The witness is the
+    Invariant mismatches refute; otherwise the hom space is searched for an
+    invertible element: every class while there are at most HOM_SPAN_CAP,
+    and past that `trials` uniform draws from the stream tagged `hom:{seed}`
+    (a sampled miss is only "inconclusive"). The non-invertible maps form
+    a determinantal hypersurface, not a union of subspaces, so the curve
+    walk of `span_search` proves nothing here. The witness is the
     invertible map as a list of rows.
     """
     p = src.p
@@ -413,7 +430,13 @@ def modules_isomorphic(
     def accept(m):
         return any(map(any, m)) and is_invertible(m, p)
 
-    cand, exhaustive = span_search(p, d, combination, accept, HOM_SPAN_CAP, trials, f"hom:{seed}")
+    exhaustive = (p**d - 1) // (p - 1) <= HOM_SPAN_CAP
+    if exhaustive:
+        vectors = _normalized_coefficient_vectors(p, d)
+    else:
+        rng = random.Random(f"hom:{seed}")
+        vectors = (tuple(rng.randrange(p) for _ in range(d)) for _ in range(trials))
+    cand = next((m for m in map(combination, vectors) if accept(m)), None)
     if cand is not None:
         return IsoResult("isomorphic", "invertible homomorphism found", cand)
     if exhaustive:

@@ -7,8 +7,10 @@ Every verdict is backed by an exact certificate:
 * depth and dimension come from a minimal free resolution and Hilbert data;
 * Gorenstein reads the socle of R, or in dimension one of R/lR for the one
   certified non-zero-divisor l that every check shares, and is
-  cross-checked against the last Betti number; a monomial R is generically
-  Gorenstein when its localized generators minimalize to pure powers;
+  cross-checked against the last Betti number;
+* a one-dimensional R has a canonical ideal exactly when it is generically
+  Gorenstein: a monomial R when its localized generators minimalize to
+  pure powers, any R when the trace ideal of omega has finite colength;
 * F-purity of a graded Artinian ring is its length being 1 (I = m); of a
   graded curve it is depth one, multiplicity HF(1) and an injective
   Frobenius u -> u^p on R_1 (one rank over F_p); in every other case it is
@@ -23,9 +25,11 @@ Every verdict is backed by an exact certificate:
   ideal omega, is isomorphic to omega^[p]: omega^[p]/l*omega^[p] is the
   injective hull over R/lR by socle dimension and length.
 
-Isomorphism verdicts are three-valued ("true", "false", "inconclusive"):
-witness searches that exhaust a complete candidate space refute decisively,
-while exhausted random budgets are reported as inconclusive, never guessed.
+Verdicts are three-valued ("true", "false", "inconclusive"). No search reads
+a seed: each walks every line of its span, or past a cap a rational normal
+curve for as many points as a theorem needs (`span_search`). A verdict is
+"inconclusive" only when such a search was incomplete, and its reason names
+the bound that was not met; it is never guessed.
 Graded isomorphism classes are used throughout; for finitely generated
 graded modules over a standard graded algebra these agree with the abstract
 ones (Krull-Remak-Schmidt for the graded category).
@@ -34,7 +38,6 @@ ones (Krull-Remak-Schmidt for the graded category).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from .errors import (
     NoNzdFoundError,
@@ -43,7 +46,7 @@ from .errors import (
     PipelineInvariantError,
     UnsupportedDimensionError,
 )
-from .gfpoly import Polynomial, monomials_of_degree, poly_to_string, random_homogeneous
+from .gfpoly import Polynomial, monomials_of_degree, poly_to_string
 from .hilbert import minimal_monomials
 from .linalg import rank
 from .groebner import (
@@ -77,11 +80,10 @@ from .pushforward import frobenius_colon, frobenius_pushforward, hom_pushforward
 # ---------------------------------------------------------------------------
 # the spans the element searches walk
 
-# lines of a span walked before it is sampled; degrees searched past the generators
+# lines of a span walked one by one before a rational normal curve is walked
 NZD_SPAN_CAP = 4096
 MULTIPLIER_SPAN_CAP = 4096
 CANONICAL_SPAN_CAP = 2048
-CANONICAL_DEGREE_WINDOW = 3
 
 
 def _poly_key(f):
@@ -101,11 +103,10 @@ def _combine(zero, basis):
     return combine
 
 
-def _search_span(basis, zero, accept, cap: int, trials: int, tag: str, draw=None):
-    """`span_search` over the combinations of `basis`; past the cap it draws
-    from the stream seeded by `tag`, uniform coefficient vectors unless
-    `draw` is given."""
-    return span_search(zero.p, len(basis), _combine(zero, basis), accept, cap, trials, tag, draw)
+def _search_span(basis, zero, accept, cap: int, subspaces: int):
+    """`span_search` over the combinations of `basis`, the rejected ones
+    lying in at most `subspaces` proper subspaces."""
+    return span_search(zero.p, len(basis), _combine(zero, basis), accept, cap, subspaces)
 
 
 def _distinct_nonzero(fs) -> list:
@@ -130,24 +131,27 @@ def _degree_slice(gens, n: int, target: int, reduce) -> list:
 # ---------------------------------------------------------------------------
 # non-zero-divisors
 
-def find_nzds(
-    rs: RingSpec,
-    seed: int = 0,
-    max_degree: int = 2,
-    trials: int = 200,
-) -> Polynomial:
+def find_nzds(rs: RingSpec, max_degree: int = 2) -> Polynomial:
     """The first certified homogeneous non-zero-divisor on R, reduced mod I.
 
-    The forms of each degree up to `max_degree` are walked exhaustively up
-    to NZD_SPAN_CAP lines and sampled past it (`span_search`): linear forms
-    with uniform coefficients, higher degrees with at most four terms. Every
+    The forms of each degree d up to `max_degree` are searched by
+    `span_search` in the monomial basis of S_d: every line up to
+    NZD_SPAN_CAP of them, a rational normal curve past that. Every
     candidate is verified exactly by `RingSpec.is_nzd`, which compares the
-    Hilbert series of R/fR with (1 - t^deg f) HS(R). One f serves every
-    check: the type of a Cohen-Macaulay R, or of an ideal omega^[p], is the
-    socle dimension of its reduction mod f for any such f. Raises
-    NoNzdFoundError when the whole budget yields nothing.
+    Hilbert series of R/fR with (1 - t^deg f) HS(R). The zero-divisors of
+    S_d are the union of P ∩ S_d over the associated primes P of R, each a
+    subspace, proper when P is not the maximal ideal. For a Cohen-Macaulay
+    R, Ass R = Min R, and the minimal primes number at most the
+    multiplicity e, so the walk is complete after e(k - 1) + 1 points,
+    k = dim S_d: on a Cohen-Macaulay curve the linear forms hold a
+    non-zero-divisor as soon as e(n - 1) <= p. One f serves every check:
+    the type of a Cohen-Macaulay R, or of an ideal omega^[p], is the socle
+    dimension of its reduction mod f for any such f. Raises
+    NoNzdFoundError when no degree yields one, naming the degrees whose
+    walk stayed incomplete.
     """
     n, p = rs.ring.n, rs.p
+    e = rs.hilbert().multiplicity
     seen: set = set()
 
     def consider(f: Polynomial) -> bool:
@@ -158,27 +162,27 @@ def find_nzds(
         return rs.is_nzd(f)
 
     zero = Polynomial.zero(p, n)
+    incomplete = []
     for d in range(1, max_degree + 1):
-        monos = list(monomials_of_degree(n, d))
-        basis = [Polynomial.from_monomial(p, m) for m in monos]
-        # linear forms are drawn dense: an associated prime other than m
-        # meets them in a proper subspace, which a uniform form misses with
-        # probability 1 - 1/p, while short forms may all lie in primes
-        draw = None if d == 1 else partial(
-            random_homogeneous, p=p, nvars=n, degree=d, max_terms=min(len(monos), 4)
-        )
-        hit, _ = _search_span(basis, zero, consider, NZD_SPAN_CAP, trials, f"nzd:{seed}:{d}", draw)
+        basis = [Polynomial.from_monomial(p, m) for m in monomials_of_degree(n, d)]
+        hit, complete = _search_span(basis, zero, consider, NZD_SPAN_CAP, e)
         if hit is not None:
             return rs.nf(hit)
+        if not complete:
+            incomplete.append(d)
+    detail = "every degree was searched completely"
+    if incomplete:
+        detail = (f"the curve walk in degree {', '.join(map(str, incomplete))} was incomplete: "
+                  f"its p + 1 = {p + 1} points are fewer than e(k - 1) + 1 for e = {e}")
     raise NoNzdFoundError(
-        f"no homogeneous non-zero-divisor of degree at most {max_degree} was found"
+        f"no homogeneous non-zero-divisor of degree at most {max_degree} was found; {detail}"
     )
 
 
 # ---------------------------------------------------------------------------
 # Gorenstein
 
-def is_gorenstein(rs: RingSpec, seed: int = 0, nzd=None, res=None):
+def is_gorenstein(rs: RingSpec, nzd=None, res=None):
     """Gorenstein test in dimension zero or one; returns (verdict, witness).
 
     Gorenstein is Cohen-Macaulay of type 1. Dimension zero reads the type
@@ -209,7 +213,7 @@ def is_gorenstein(rs: RingSpec, seed: int = 0, nzd=None, res=None):
                 "is not Cohen-Macaulay and in particular not Gorenstein"
             }
         if nzd is None:
-            nzd = find_nzds(rs, seed=seed)
+            nzd = find_nzds(rs)
         s = socle_dimension_of_ring(rs.quotient_by([nzd]))
         witness = {"socle_dimension": s, "parameters": [poly_to_string(nzd, names)]}
     if depth == dim:
@@ -371,8 +375,6 @@ def ideals_isomorphic(
     rs: RingSpec,
     gens_i,
     gens_j,
-    seed: int = 0,
-    trials: int = 400,
     nzd=None,
 ) -> IdealIsoResult:
     """Decide whether two homogeneous ideals of R are isomorphic as modules.
@@ -382,9 +384,10 @@ def ideals_isomorphic(
     taken in the F_p-span of the minimal generators of the colon ideal
     ((f*J) : I) in the single degree allowed by the Hilbert series. For every
     such f, scanning that span is a complete search: a hit certifies the
-    isomorphism and an exhausted scan refutes it (past MULTIPLIER_SPAN_CAP
-    lines the span is sampled, and a miss is inconclusive). Hilbert series and
-    minimal generator counts are used as cheap exact filters first.
+    isomorphism and an exhausted scan refutes it. Past MULTIPLIER_SPAN_CAP
+    lines `span_search` walks a rational normal curve for e(k - 1) + 1
+    points, and a miss is inconclusive. Hilbert series and minimal generator
+    counts are used as cheap exact filters first.
 
     f = l^k, l the certified non-zero-divisor `nzd` (found up to degree 2
     when not given; `nzd=find_nzds(rs, max_degree=d)` goes further) and k
@@ -430,7 +433,7 @@ def ideals_isomorphic(
         )
     if nzd is None:
         try:
-            nzd = find_nzds(rs, seed=seed, trials=trials)
+            nzd = find_nzds(rs)
         except NoNzdFoundError as exc:
             return IdealIsoResult("inconclusive", None, shift, str(exc))
     ell = f = rs.nf(nzd)
@@ -453,17 +456,17 @@ def ideals_isomorphic(
             shift,
             "the colon ideal has no minimal generator in the forced degree",
         )
-    h, exhaustive = _search_span(
+    h, _ = _search_span(
         cands, Polynomial.zero(p, n),
         lambda h: not h.is_zero() and rs.preimage_ideal([rs.nf(h * g) for g in mi]) == pre_rhs,
-        MULTIPLIER_SPAN_CAP, trials, f"ideal-iso:{seed}",
+        MULTIPLIER_SPAN_CAP, rs.hilbert().multiplicity,
     )
     if h is not None:
         return IdealIsoResult(
             "true", (rs.nf(h), f), shift,
             "multiplier identity h*I = f*J verified by ideal equality",
         )
-    if exhaustive:
+    if (p ** len(cands) - 1) // (p - 1) <= MULTIPLIER_SPAN_CAP:
         return IdealIsoResult(
             "false",
             None,
@@ -471,7 +474,8 @@ def ideals_isomorphic(
             "no multiplier exists in the complete degree slice of the colon ideal",
         )
     return IdealIsoResult(
-        "inconclusive", None, shift, "the random multiplier search was exhausted"
+        "inconclusive", None, shift,
+        "no multiplier on the rational normal curve walked through the colon slice",
     )
 
 
@@ -538,32 +542,57 @@ def _canonical_cross_check(rs: RingSpec, omega: ModulePresentation, f: Polynomia
         )
 
 
-def canonical_ideal(
-    rs: RingSpec,
-    seed: int = 0,
-    trials: int = 400,
-    res=None,
-    nzd=None,
-) -> CanonicalIdealResult:
+def _generically_gorenstein(rs: RingSpec, homs) -> bool:
+    """Is the Cohen-Macaulay curve R Gorenstein at every minimal prime?
+
+    The trace ideal τ of omega is the sum of the images of the maps
+    omega -> R, the ideal of every entry of the generators `homs` of
+    Hom(omega, R). Trace ideals localize. At a minimal prime P, omega_P is
+    indecomposable (End omega_P = R_P is local), so τ_P = R_P exactly when
+    omega_P has R_P as a summand, that is omega_P ≅ R_P. The primes of R
+    are its minimal primes and m, so R is generically Gorenstein exactly
+    when R/τ has finite length: one Hilbert series.
+    """
+    entries = [g for u, _ in homs for g in u.as_poly_dict().values()]
+    return rs.preimage_ideal(entries).hilbert_numerator().hilbert_data(rs.n).colength is not None
+
+
+def canonical_ideal(rs: RingSpec, res=None, nzd=None) -> CanonicalIdealResult:
     """Realize the canonical module of a one-dimensional R as an ideal.
 
-    The canonical module omega comes from the dualized minimal resolution;
-    the search space is Hom_R(omega, R) scanned degree by degree, up to
-    CANONICAL_DEGREE_WINDOW past its generators, through F_p-combinations of
-    monomial multiples of its generators (every line while there are at most
-    CANONICAL_SPAN_CAP, seeded samples past that). A candidate
-    map is accepted only on an exact certificate: its image ideal K must
-    satisfy HS(K) = t^D * HS(omega). For monomial ideals, non-existence is
-    decided by the Gorenstein test at every monomial minimal prime;
-    otherwise an exhausted budget is reported as inconclusive.
+    The canonical module omega comes from the dualized minimal resolution.
+    It embeds in R exactly when R is Gorenstein at every minimal prime
+    (Bruns-Herzog, Cohen-Macaulay Rings, 3.3.18). A monomial R that is not
+    is "absent" at once (`monomial_generically_gorenstein`). Otherwise the
+    maps are searched in Hom_R(omega, R), whose generators have degrees up
+    to D, one degree at a time from the lowest to D, through the
+    F_p-combinations of the monomial multiples of the generators
+    (`span_search`: every line up to CANONICAL_SPAN_CAP, a rational normal
+    curve past it). A map is accepted only on an exact certificate: its
+    image ideal K satisfies HS(K) = t^d * HS(omega), so it is injective.
+
+    Why D is enough. Let R be generically Gorenstein. At a minimal prime P,
+    Hom(omega, R)_P ≅ R_P is generated by one of the generators, which is
+    then an isomorphism at P, and so is its product with a power of a
+    variable outside P, of degree D. A map is injective exactly when it is an
+    isomorphism at every minimal prime, and at P the maps that are not form
+    the subspace P·Hom(omega, R)_P. So in degree D the non-injective maps
+    fill at most #Min <= e proper subspaces: every line of the slice is
+    tried, or the walk reaches e(k - 1) + 1 <= p + 1 points, and then a
+    miss is impossible once the slice has one line or e <= p (p + 1 proper
+    subspaces can cover F_p^k, e.g. the three lines of F_2^2).
+
+    After a miss up to D the trace ideal decides (`_generically_gorenstein`):
+    "absent" when R is not generically Gorenstein; a complete miss where the
+    argument above rules one out raises PipelineInvariantError; otherwise
+    the result is "inconclusive" and names the bound that was not met.
 
     Raises NotCohenMacaulayError at depth zero and UnsupportedDimensionError
     outside dimension one. A found copy is cross-checked by reducing omega
-    modulo the certified non-zero-divisor f = `nzd` (found up to degree 2,
-    with this `seed` and `trials`, when not given;
-    `nzd=find_nzds(rs, max_degree=d)` goes further) and comparing with the
-    injective hull: omega/f·omega is the canonical module of the Artinian
-    R/fR, which is its injective hull.
+    modulo the certified non-zero-divisor f = `nzd` (found up to degree 2
+    when not given; `nzd=find_nzds(rs, max_degree=d)` goes further) and
+    comparing with the injective hull: omega/f·omega is the canonical module
+    of the Artinian R/fR, which is its injective hull.
     """
     dim = rs.dimension
     if dim != 1:
@@ -588,6 +617,7 @@ def canonical_ideal(
             "Hom(omega, R) is zero, so omega embeds in no ideal",
         )
     n, p = rs.ring.n, rs.p
+    e = rs.hilbert().multiplicity
     num_r = rs.ideal.hilbert_numerator()
     num_omega = omega.numerator_scaled()
 
@@ -595,16 +625,15 @@ def canonical_ideal(
         polys = u.as_poly_dict()
         return [polys[i] for i in sorted(polys)]
 
-    deg_lo = min(d for _, d in homs)
-    deg_hi = max(d for _, d in homs) + CANONICAL_DEGREE_WINDOW
-    for target in range(deg_lo, deg_hi + 1):
+    top = max(d for _, d in homs)
+    for target in range(min(d for _, d in homs), top + 1):
         want = num_omega.shift(target)
-        u, _ = _search_span(
-            _degree_slice(homs, n, target, lambda v: vec_nf_mod_ideal(v, rs.ideal)),
-            Vec.zero(p, n),
+        span = _degree_slice(homs, n, target, lambda v: vec_nf_mod_ideal(v, rs.ideal))
+        u, complete = _search_span(
+            span, Vec.zero(p, n),
             lambda u: not u.is_zero()
             and num_r - rs.preimage_ideal(image(u)).hilbert_numerator() == want,
-            CANONICAL_SPAN_CAP, trials, f"canonical:{seed}:{target}",
+            CANONICAL_SPAN_CAP, e,
         )
         if u is not None:
             found = CanonicalIdealResult(
@@ -612,12 +641,27 @@ def canonical_ideal(
                 f"image of a degree-{target} map with an exact Hilbert series match",
             )
             if nzd is None:
-                nzd = find_nzds(rs, seed=seed, trials=trials)
+                nzd = find_nzds(rs)
             _canonical_cross_check(rs, omega, nzd)
             return found
+    if not _generically_gorenstein(rs, homs):
+        return CanonicalIdealResult(
+            "absent", (), None, omega,
+            "the trace ideal of omega has R/τ of infinite length, so R is not "
+            "Gorenstein at some minimal prime and omega embeds in no ideal",
+        )
+    k = len(span)
+    if complete and (k < 2 or e <= p):
+        raise PipelineInvariantError(
+            f"no injective map in the complete degree-{top} search on a "
+            "generically Gorenstein ring"
+        )
     return CanonicalIdealResult(
         "inconclusive", (), None, omega,
-        "no injective map onto an ideal within the degree window and trial budget",
+        f"R is generically Gorenstein, but no injective map was found up to the top "
+        f"degree {top} of the generators of Hom(omega, R), where the search of its "
+        f"{k} spanning maps is complete only when the walk reaches e(k - 1) + 1 = "
+        f"{e * (k - 1) + 1} <= p + 1 = {p + 1} points, and decisive only when e = {e} <= p",
     )
 
 
@@ -677,9 +721,7 @@ def _fpi_dimension_zero(rs: RingSpec, report: RingReport, res):
     }
 
 
-def _fpi_dimension_one(
-    rs: RingSpec, report: RingReport, seed: int, trials: int, res, nzd
-):
+def _fpi_dimension_one(rs: RingSpec, report: RingReport, res, nzd):
     """K ≅ K^[p] for the canonical ideal K, decided by one socle count.
 
     K ≅ ω contains a non-zero-divisor (it lies in no minimal prime), so R/K
@@ -700,7 +742,7 @@ def _fpi_dimension_one(
             "forces the ring to be Cohen-Macaulay here"
         }
         return
-    ci = canonical_ideal(rs, seed=seed, trials=trials, res=res, nzd=nzd)
+    ci = canonical_ideal(rs, res=res, nzd=nzd)
     report.canonical = _canonical_entry(ci, names)
     if ci.status == "absent":
         report.weakly_fpi = "false"
@@ -732,9 +774,7 @@ def _fpi_dimension_one(
     witness.update(parameter=poly_to_string(nzd, names), length=length, socle_dimension=s)
 
 
-def _run_cross_checks(
-    rs: RingSpec, report: RingReport, seed: int, deep_checks: bool
-):
+def _run_cross_checks(rs: RingSpec, report: RingReport, deep_checks: bool):
     checks = report.cross_checks
 
     def add(name: str, status: str, detail: str = ""):
@@ -819,8 +859,6 @@ CHECKS = ("all", "fpi", "gorenstein", "fpure", "canonical")
 def classify_ring(
     rs: RingSpec,
     check: str = "all",
-    seed: int = 0,
-    trials: int = 400,
     max_degree: int = 2,
     deep_checks: bool = True,
 ) -> RingReport:
@@ -872,22 +910,20 @@ def classify_ring(
     report.cohen_macaulay = depth == dim
     nzd = None
     if dim == 1 and depth == 1:
-        nzd = find_nzds(rs, seed=seed, max_degree=max_degree, trials=trials)
+        nzd = find_nzds(rs, max_degree=max_degree)
     if check == "canonical":
-        ci = canonical_ideal(rs, seed=seed, trials=trials, res=res, nzd=nzd)
+        ci = canonical_ideal(rs, res=res, nzd=nzd)
         report.canonical = _canonical_entry(ci, names)
         return report
-    report.gorenstein, report.gorenstein_witness = is_gorenstein(
-        rs, seed=seed, nzd=nzd, res=res
-    )
+    report.gorenstein, report.gorenstein_witness = is_gorenstein(rs, nzd=nzd, res=res)
     if check == "gorenstein":
         return report
     report.f_pure, report.f_pure_witness = is_f_pure(rs, res)
     if dim == 0:
         _fpi_dimension_zero(rs, report, res)
     else:
-        _fpi_dimension_one(rs, report, seed, trials, res, nzd)
-    _run_cross_checks(rs, report, seed, deep_checks)
+        _fpi_dimension_one(rs, report, res, nzd)
+    _run_cross_checks(rs, report, deep_checks)
     return report
 
 

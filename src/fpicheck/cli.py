@@ -12,7 +12,9 @@ Two subcommands:
   ideals), classifies each row, and writes a CSV table with summary
   comment lines. Rows the classifier cannot settle are flagged, never
   guessed; a row whose work fails, budget exhaustion included, becomes an
-  ``error: ...`` row and the census goes on with the next ring.
+  ``error: ...`` row and the census goes on with the next ring. The census
+  seed draws the binomial sample and nothing else: every classification is
+  deterministic.
 
 Ring-spec files are small key=value texts::
 
@@ -29,7 +31,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import os
 import random
@@ -184,15 +185,13 @@ def _require_non_negative(**budgets) -> None:
 
 
 def run_report(args) -> int:
-    _require_non_negative(trials=args.trials, max_degree=args.max_degree)
+    _require_non_negative(max_degree=args.max_degree)
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     rs = parse_ring_spec(text, require_homogeneous=args.check != "fpure")
     report = classify_ring(
         rs,
         check=args.check,
-        seed=args.seed,
-        trials=args.trials,
         max_degree=args.max_degree,
         deep_checks=not args.no_deep_checks,
     )
@@ -217,7 +216,6 @@ class CensusConfig:
     max_gens: int = 4
     seed: int = 0
     samples: int = 25
-    trials: int = 200
     deep_checks: bool = False
 
     def __post_init__(self):
@@ -229,17 +227,11 @@ class CensusConfig:
             max_degree=self.max_degree,
             max_gens=self.max_gens,
             samples=self.samples,
-            trials=self.trials,
         )
         for p in self.primes:
             PrimeField(p)
         if len(set(self.primes)) != len(self.primes):
             raise ValueError(f"--p lists a prime more than once: {self.primes}")
-
-
-def _row_seed(seed: int, index: int) -> int:
-    digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 def enumerate_monomial_ideals(nvars: int, max_degree: int, max_gens: int):
@@ -261,17 +253,15 @@ def _census_varnames(nvars: int):
 
 
 def _census_rings(config: CensusConfig):
-    """Yield (index, RingSpec) pairs for the configured family."""
+    """Yield the RingSpecs of the configured family, in order."""
     names = _census_varnames(config.nvars)
-    index = 0
     if config.family == "monomial":
         for p in config.primes:
             for combo in enumerate_monomial_ideals(
                 config.nvars, config.max_degree, config.max_gens
             ):
                 gens = [Polynomial.from_monomial(p, m) for m in combo]
-                yield index, RingSpec(p, names, gens)
-                index += 1
+                yield RingSpec(p, names, gens)
         return
     seen = set()
     for p in config.primes:
@@ -300,8 +290,7 @@ def _census_rings(config: CensusConfig):
             if key in seen or rs.ideal.is_zero():
                 continue
             seen.add(key)
-            yield index, rs
-            index += 1
+            yield rs
             produced += 1
 
 
@@ -320,11 +309,10 @@ def _bool_cell(value) -> str:
 def run_census(config: CensusConfig, out=None) -> dict:
     """Classify every ring in the family and write CSV rows to `out`.
 
-    Returns the summary dict. Per-row randomness is derived from
-    blake2b(config seed, row index) so rows are reproducible in isolation.
-    Rows of unsupported dimension and per-row failures are flagged in the
-    caveat column. A failure is confined to its row: any CasError raised
-    while computing the row's dimension or classifying it, a
+    Returns the summary dict. No row reads a seed, so each is reproducible
+    in isolation. Rows of unsupported dimension and per-row failures are
+    flagged in the caveat column. A failure is confined to its row: any
+    CasError raised while computing the row's dimension or classifying it, a
     ResourceLimitError included, writes an ``error: ...`` row (dim ``NA``
     when the dimension itself failed) and the census continues. An error
     while enumerating the family, before any row exists, ends the run.
@@ -336,9 +324,8 @@ def run_census(config: CensusConfig, out=None) -> dict:
         "rows": 0, "classified": 0, "unsupported": 0, "errors": 0,
         "fpi_true": 0, "fpi_false": 0, "inconclusive": 0,
     }
-    for index, rs in _census_rings(config):
+    for rs in _census_rings(config):
         summary["rows"] += 1
-        row_seed = _row_seed(config.seed, index)
         base = [_ring_display(rs), rs.p, "NA"]
         try:
             base[2] = dim = rs.dimension
@@ -348,13 +335,7 @@ def run_census(config: CensusConfig, out=None) -> dict:
                 )
                 summary["unsupported"] += 1
                 continue
-            rep = classify_ring(
-                rs,
-                check="all",
-                seed=row_seed,
-                trials=config.trials,
-                deep_checks=config.deep_checks,
-            )
+            rep = classify_ring(rs, check="all", deep_checks=config.deep_checks)
         except CasError as exc:
             writer.writerow(
                 base + ["NA", "NA", "NA", "NA", "NA", f"error: {exc}"]
@@ -420,15 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="classify a single ring from a spec file")
     rep.add_argument("--input", required=True, help="path to a ring-spec file")
     rep.add_argument("--check", choices=CHECKS, default="all")
-    rep.add_argument("--seed", type=int, default=0)
+    rep.add_argument(
+        "--seed", type=int, default=0,
+        help="accepted and ignored: every witness search is deterministic",
+    )
     rep.add_argument("--format", choices=("json", "text"), default="json")
     rep.add_argument(
         "--max-degree", type=int, default=2,
         help="degree budget for non-zero-divisor searches",
-    )
-    rep.add_argument(
-        "--trials", type=int, default=400,
-        help="random trial budget for witness searches",
     )
     rep.add_argument(
         "--no-deep-checks", action="store_true",
@@ -441,9 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--vars", type=int, default=3, help="number of variables (1..4)")
     cen.add_argument("--max-degree", type=int, default=2)
     cen.add_argument("--max-gens", type=int, default=4)
-    cen.add_argument("--seed", type=int, default=0)
+    cen.add_argument("--seed", type=int, default=0, help="seed of the binomial sample")
     cen.add_argument("--samples", type=int, default=25, help="rows per prime (binomial-sample)")
-    cen.add_argument("--trials", type=int, default=200)
     cen.add_argument("--deep-checks", action="store_true")
     cen.add_argument("--output", default="-", help="CSV path, or - for stdout")
     return parser
@@ -462,7 +441,6 @@ def main(argv=None) -> int:
             max_gens=args.max_gens,
             seed=args.seed,
             samples=args.samples,
-            trials=args.trials,
             deep_checks=args.deep_checks,
         )
         if args.output == "-":

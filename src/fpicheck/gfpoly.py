@@ -457,15 +457,3 @@ def parse_polynomial(
         sign = 1 if val == "+" else -1
         i += 1
     return Polynomial(p, nvars, terms)
-
-
-def random_homogeneous(rng, p: int, nvars: int, degree: int, max_terms: int = 3) -> Polynomial:
-    """Seeded random homogeneous polynomial (possibly zero); test/census helper."""
-    monos = list(monomials_of_degree(nvars, degree))
-    k = rng.randint(1, max_terms)
-    terms: dict = {}
-    for _ in range(k):
-        m = monos[rng.randrange(len(monos))]
-        c = rng.randrange(1, p) if p > 2 else 1
-        terms[m] = (terms.get(m, 0) + c) % p
-    return Polynomial(p, nvars, terms)

@@ -35,7 +35,7 @@ draws homogeneous curves of any depth, reduced or not, for the F-purity
 differential against Fedder's colon.
 `minimal_ideal_generators_oracle` is the ideal-membership loop that
 `classify.minimal_ideal_generators` replaced with `minimal_generators`.
-`nzd_inside_ideal` is the seeded search for a non-zero-divisor inside an
+`nzd_inside_ideal` is the search for a non-zero-divisor inside an
 ideal that `classify.ideals_isomorphic` replaced with the least power of a
 non-zero-divisor of R lying in the ideal; passed as `nzd=f`, its f is
 that least power with exponent one. `nzds_oracle` is the search for up to
@@ -43,6 +43,11 @@ that least power with exponent one. `nzds_oracle` is the search for up to
 returned the first alone; tests take a second one from it.
 `generically_gorenstein_by_socles` is the per-prime socle path that the
 pure-power test of `classify.monomial_generically_gorenstein` replaced.
+`canonical_embedding_degree` tries every line of every degree of
+Hom(omega, R) in a window past its generators, the exhaustive reference for
+the scan of `classify.canonical_ideal` that stops at the top generator
+degree. `random_homogeneous` draws seeded homogeneous polynomials for the
+tests; no pipeline search samples.
 
 `matrix_of_columns` and `columns_of_matrix` convert between the `Vec`
 columns that presentations keep and row-major `Polynomial` grids, entry by
@@ -65,7 +70,6 @@ numerator.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from math import prod
 
 import numpy as np
@@ -85,15 +89,28 @@ from fpicheck.gfpoly import (
     mono_divides,
     mono_mul,
     monomials_of_degree,
-    random_homogeneous,
 )
 from fpicheck.groebner import Ideal, RingSpec, divide_exact, minimal_primes_monomial
 from fpicheck.errors import NoNzdFoundError, PipelineInvariantError, ResourceLimitError
 from fpicheck.hilbert import ONE, Numerator
 from fpicheck.linalg import Subspace, nullspace
-from fpicheck.modgb import Vec, kernel_over_quotient, module_groebner, reduce_vec, syzygy_basis
+from fpicheck.modgb import (
+    Vec,
+    kernel_over_quotient,
+    module_groebner,
+    reduce_vec,
+    syzygy_basis,
+    vec_nf_mod_ideal,
+)
 from fpicheck.pushforward import TwistedHom
-from fpicheck.resolutions import ModulePresentation, resolve_presentation, transpose
+from fpicheck.resolutions import (
+    ModulePresentation,
+    canonical_module,
+    hom_into_ring_generators,
+    minimal_free_resolution,
+    resolve_presentation,
+    transpose,
+)
 
 
 def dense_rref(a, p: int):
@@ -814,7 +831,7 @@ def minimal_ideal_generators_oracle(rs: RingSpec, gens) -> list:
 NZD_DEGREE_WINDOW = 2
 
 
-def nzd_inside_ideal(rs: RingSpec, gens: list, seed: int = 0, trials: int = 200):
+def nzd_inside_ideal(rs: RingSpec, gens: list):
     """A certified homogeneous non-zero-divisor lying in the ideal (gens), or None."""
     n, p = rs.ring.n, rs.p
     pairs = [(g, g.degree()) for g in gens]
@@ -823,28 +840,22 @@ def nzd_inside_ideal(rs: RingSpec, gens: list, seed: int = 0, trials: int = 200)
         f, _ = _search_span(
             _degree_slice(pairs, n, target, rs.nf), Polynomial.zero(p, n),
             lambda f: not f.is_zero() and rs.is_nzd(f),
-            NZD_SPAN_CAP, trials, f"nzd-in-ideal:{seed}:{target}",
+            NZD_SPAN_CAP, rs.hilbert().multiplicity,
         )
         if f is not None:
             return f
     return None
 
 
-def nzds_oracle(
-    rs: RingSpec,
-    count: int = 1,
-    seed: int = 0,
-    max_degree: int = 2,
-    trials: int = 200,
-) -> list:
+def nzds_oracle(rs: RingSpec, count: int = 1, max_degree: int = 2) -> list:
     """Up to `count` distinct homogeneous non-zero-divisors on R, low degree first.
 
-    The forms of each degree up to `max_degree` are walked exhaustively up
-    to NZD_SPAN_CAP lines and sampled past it (`span_search`): linear forms
-    with uniform coefficients, higher degrees with at most four terms. Every
-    candidate is verified exactly by `RingSpec.is_nzd`, which compares the
-    Hilbert series of R/fR with (1 - t^deg f) HS(R). Raises NoNzdFoundError
-    when the whole budget yields nothing.
+    The forms of each degree up to `max_degree` are searched as in
+    `classify.find_nzds`: every line up to NZD_SPAN_CAP lines, a rational
+    normal curve past it (`span_search`). Every candidate is verified
+    exactly by `RingSpec.is_nzd`, which compares the Hilbert series of R/fR
+    with (1 - t^deg f) HS(R). Raises NoNzdFoundError when no degree yields
+    one.
     """
     n, p = rs.ring.n, rs.p
     found: list = []
@@ -864,15 +875,8 @@ def nzds_oracle(
 
     zero = Polynomial.zero(p, n)
     for d in range(1, max_degree + 1):
-        monos = list(monomials_of_degree(n, d))
-        basis = [Polynomial.from_monomial(p, m) for m in monos]
-        # linear forms are drawn dense: an associated prime other than m
-        # meets them in a proper subspace, which a uniform form misses with
-        # probability 1 - 1/p, while short forms may all lie in primes
-        draw = None if d == 1 else partial(
-            random_homogeneous, p=p, nvars=n, degree=d, max_terms=min(len(monos), 4)
-        )
-        hit, _ = _search_span(basis, zero, consider, NZD_SPAN_CAP, trials, f"nzd:{seed}:{d}", draw)
+        basis = [Polynomial.from_monomial(p, m) for m in monomials_of_degree(n, d)]
+        hit, _ = _search_span(basis, zero, consider, NZD_SPAN_CAP, rs.hilbert().multiplicity)
         if hit is not None:
             return found
     if found:
@@ -880,6 +884,45 @@ def nzds_oracle(
     raise NoNzdFoundError(
         f"no homogeneous non-zero-divisor of degree at most {max_degree} was found"
     )
+
+
+def canonical_embedding_degree(rs: RingSpec, window: int = 3, max_lines: int = 5000):
+    """The lowest degree of Hom(omega, R) holding an injective map omega -> R,
+    trying every line of every degree from the lowest generator degree to
+    `window` past the highest, or None when none of them holds one. Raises
+    ResourceLimitError when a degree spans more than `max_lines` lines."""
+    omega = canonical_module(rs, minimal_free_resolution(rs))
+    homs = hom_into_ring_generators(omega)
+    if not homs:
+        return None
+    n, p = rs.n, rs.p
+    num_r = rs.ideal.hilbert_numerator()
+    degrees = [d for _, d in homs]
+    for target in range(min(degrees), max(degrees) + window + 1):
+        want = omega.numerator_scaled().shift(target)
+        span = _degree_slice(homs, n, target, lambda v: vec_nf_mod_ideal(v, rs.ideal))
+        if (p ** len(span) - 1) // (p - 1) > max_lines:
+            raise ResourceLimitError(f"degree {target} spans more than {max_lines} lines")
+        for coeffs in itertools.product(range(p), repeat=len(span)):
+            if next((c for c in coeffs if c), 0) != 1:  # one vector per line
+                continue
+            u = sum((v.scale(c) for c, v in zip(coeffs, span) if c), Vec.zero(p, n))
+            polys = u.as_poly_dict()
+            if num_r - rs.preimage_ideal(list(polys.values())).hilbert_numerator() == want:
+                return target
+    return None
+
+
+def random_homogeneous(rng, p: int, nvars: int, degree: int, max_terms: int = 3) -> Polynomial:
+    """Seeded random homogeneous polynomial (possibly zero)."""
+    monos = list(monomials_of_degree(nvars, degree))
+    k = rng.randint(1, max_terms)
+    terms: dict = {}
+    for _ in range(k):
+        m = monos[rng.randrange(len(monos))]
+        c = rng.randrange(1, p) if p > 2 else 1
+        terms[m] = (terms.get(m, 0) + c) % p
+    return Polynomial(p, nvars, terms)
 
 
 def generically_gorenstein_by_socles(rs: RingSpec):

@@ -16,6 +16,7 @@ from oracles import (
     injective_hull_of_residue_field,
     membership_oracle,
     present_finite,
+    random_homogeneous,
     staircase_rings,
 )
 
@@ -28,7 +29,7 @@ from fpicheck.artinian import (
 )
 from fpicheck.cli import CensusConfig, main, run_census
 from fpicheck.classify import canonical_ideal, classify_ring, find_nzds, ideals_isomorphic
-from fpicheck.gfpoly import Polynomial, random_homogeneous
+from fpicheck.gfpoly import Polynomial
 from fpicheck.groebner import Ideal, PolyRing, RingSpec, bracket_power, ideal_colon
 from fpicheck.pushforward import frobenius_pushforward, hom_presentation
 from fpicheck.resolutions import (

@@ -1,6 +1,5 @@
 """Finite-length modules, Matlis duality, and the depth-zero Frobenius test."""
 
-import random
 from itertools import product
 
 import numpy as np
@@ -34,6 +33,7 @@ from fpicheck.artinian import (
 from fpicheck.errors import InfiniteLengthError, PipelineInvariantError
 from fpicheck.gfpoly import Polynomial
 from fpicheck.groebner import RingSpec
+from fpicheck.linalg import nullspace
 from fpicheck.resolutions import ModulePresentation, canonical_module, frobenius_functor
 
 
@@ -360,18 +360,10 @@ def _line(v, p):
     return tuple(c * inv % p for c in v)
 
 
-def _no_draw(_):
-    raise AssertionError("the exhaustive path drew a candidate")
-
-
-def _counting_draw(calls):
-    """A draw that records each call and the stream it was handed."""
-
-    def draw(rng):
-        calls.append(rng)
-        return len(calls)
-
-    return draw
+def _curve_point(p, k, i):
+    """The i-th point of the walk: (1, c, ..., c^(k-1)) for c = i < p, then
+    the point at infinity (0, ..., 0, 1)."""
+    return tuple(pow(i, j, p) for j in range(k)) if i < p else (0,) * (k - 1) + (1,)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -381,9 +373,7 @@ def test_span_search_walks_every_line_once_up_to_the_cap(p, k):
     every_line = {_line(v, p) for v in product(range(p), repeat=k) if any(v)}
     for cap in (lines, lines + 1):
         tried = []
-        hit, exhaustive = span_search(
-            p, k, lambda v: v, lambda v: tried.append(v), cap, 5, "walk", _no_draw
-        )
+        hit, exhaustive = span_search(p, k, lambda v: v, lambda v: tried.append(v), cap, 1)
         assert (hit, exhaustive) == (None, True)
         assert len(tried) == lines
         assert {_line(v, p) for v in tried} == every_line
@@ -394,36 +384,57 @@ def test_span_search_walks_every_line_once_up_to_the_cap(p, k):
 def test_span_search_returns_an_exhaustive_hit(p, k):
     last = (0,) * (k - 1) + (1,)
     lines = (p**k - 1) // (p - 1)
-    hit = span_search(p, k, lambda v: v, lambda v: v == last, lines, 5, "hit", _no_draw)
+    hit = span_search(p, k, lambda v: v, lambda v: v == last, lines, 1)
     assert hit == (last, True)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_span_search_samples_past_the_cap(p, k):
+    # past the cap the span is sampled along the rational normal curve:
+    # a(k - 1) + 1 points in order, or all p + 1 when that is more, and the
+    # walk is complete when a(k - 1) + 1 <= p + 1; a span of at most one
+    # line is always walked whole
     lines = (p**k - 1) // (p - 1)
-    calls = []
-    hit, exhaustive = span_search(
-        p, k, _no_draw, lambda c: False, lines - 1, 7, "miss", _counting_draw(calls)
-    )
-    assert (hit, exhaustive) == (None, False)
-    assert len(calls) == 7 and len({id(rng) for rng in calls}) == 1
-    calls.clear()
-    hit, exhaustive = span_search(
-        p, k, _no_draw, lambda c: c == 3, lines - 1, 7, "hit", _counting_draw(calls)
-    )
-    assert (hit, exhaustive) == (3, False)
-    assert len(calls) == 3
-    # without a draw, uniform coefficient vectors from random.Random(tag)
-    streams = []
-    for tag in ("same", "same", "other"):
+    for a in (1, 2, 3):
         tried = []
-        span_search(p, k, tuple, lambda c: tried.append(c), lines - 1, 7, tag)
-        streams.append(tried)
-    assert streams[0] == streams[1]
-    rng = random.Random("same")
-    assert streams[0] == [tuple(rng.randrange(p) for _ in range(k)) for _ in range(7)]
-    assert k < 2 or streams[2] != streams[0]
+        hit, complete = span_search(p, k, tuple, lambda c: tried.append(c), lines - 1, a)
+        if k < 2:
+            assert (hit, complete) == (None, True)
+            assert len(tried) == lines
+            continue
+        need = a * (k - 1) + 1
+        assert (hit, complete) == (None, need <= p + 1)
+        assert tried == [_curve_point(p, k, i) for i in range(min(need, p + 1))]
+    if k >= 2:
+        third = _curve_point(p, k, 2)
+        tried = []
+        hit = span_search(p, k, tuple, lambda c: tried.append(c) or c == third, lines - 1, 2)
+        assert hit == (third, 2 * (k - 1) + 1 <= p + 1)
+        assert len(tried) == 3
+
+
+@pytest.mark.parametrize("p, k, a", [
+    (p, k, a) for p in (2, 3, 5, 7, 11) for k in (2, 3, 4) for a in (1, 2, 3, 4, 5)
+    if a * (k - 1) + 1 <= p + 1
+])
+def test_span_search_walk_beats_adversarial_hyperplanes(p, k, a):
+    # each of a hyperplanes is put through k - 1 of the first a(k - 1) points
+    # of the walk, so only the next point escapes them all; when
+    # a(k - 1) + 1 = p + 1 that is the point at infinity
+    points = [_curve_point(p, k, i) for i in range(a * (k - 1) + 1)]
+    normals = []
+    for j in range(a):
+        chosen = points[j * (k - 1):(j + 1) * (k - 1)]
+        (normal,) = nullspace([list(v) for v in chosen], k, p)
+        normals.append(normal)
+
+    def accept(v):
+        return all(sum(h * x for h, x in zip(normal, v)) % p for normal in normals)
+
+    assert not any(accept(v) for v in points[:-1])
+    hit = span_search(p, k, tuple, accept, 0, a)
+    assert hit == (points[-1], True)
 
 
 # -- products exact at the top of the prime range --------------------------------

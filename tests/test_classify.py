@@ -20,6 +20,7 @@ from oracles import (
     moved_axes_rings,
     nzd_inside_ideal,
     nzds_oracle,
+    random_homogeneous,
 )
 
 from fpicheck import classify, cli, pushforward
@@ -45,7 +46,7 @@ from fpicheck.errors import (
     ResourceLimitError,
     UnsupportedDimensionError,
 )
-from fpicheck.gfpoly import Polynomial, monomials_of_degree, poly_to_string, random_homogeneous
+from fpicheck.gfpoly import Polynomial, monomials_of_degree, poly_to_string
 from fpicheck.groebner import RingSpec, bracket_power, ideal_colon
 from fpicheck.resolutions import ring_depth
 
@@ -73,8 +74,8 @@ def test_found_nzds_are_verified_and_distinct(p):
     # find_nzds returns the first NZD of the search that the oracle carries
     # on to a second, distinct one
     rs = flagship(p)
-    found = find_nzds(rs, seed=1)
-    first, second = nzds_oracle(rs, count=2, seed=1)
+    found = find_nzds(rs)
+    first, second = nzds_oracle(rs, count=2)
     assert found == first != second
     for f in (first, second):
         assert rs.is_nzd(f)
@@ -195,7 +196,7 @@ def cone_curve(p):
 def test_the_cone_curve_is_a_census_verdict_row_at_the_top_of_the_prime_range(monkeypatch):
     # Fedder's power (f_1 f_2)^(p-1) would be past its term cap here; the
     # multiplicity decides F-purity without it, and the row gets verdicts
-    monkeypatch.setattr(cli, "_census_rings", lambda config: iter([(0, cone_curve(TOP_P))]))
+    monkeypatch.setattr(cli, "_census_rings", lambda config: iter([cone_curve(TOP_P)]))
     out = io.StringIO()
     with deadline(20):
         summary = cli.run_census(cli.CensusConfig(primes=(TOP_P,)), out)
@@ -218,7 +219,7 @@ def test_a_resource_limit_ends_its_census_row_not_the_census(monkeypatch):
         return canonical(rs, *args, **kwargs)
 
     monkeypatch.setattr(classify, "canonical_ideal", refuse_first)
-    monkeypatch.setattr(cli, "_census_rings", lambda config: iter([(0, refused), (1, flagship(5))]))
+    monkeypatch.setattr(cli, "_census_rings", lambda config: iter([refused, flagship(5)]))
     out = io.StringIO()
     summary = cli.run_census(cli.CensusConfig(primes=(5,)), out)
     assert (summary["rows"], summary["errors"], summary["fpi_true"]) == (2, 1, 1)
@@ -283,7 +284,7 @@ def test_depth_zero_is_not_gorenstein_in_dim_one():
 
 def test_gorenstein_is_parameter_independent():
     rs = flagship(3)
-    first, second = nzds_oracle(rs, count=2, seed=5)
+    first, second = nzds_oracle(rs, count=2)
     one, w_one = is_gorenstein(rs, nzd=first)
     other, w_other = is_gorenstein(rs, nzd=second)
     assert one == other is False
@@ -695,7 +696,10 @@ def test_a_ring_without_nzd_makes_the_multiplier_inconclusive():
     parse = rs.ring.parse
     out = ideals_isomorphic(rs, [parse("y")], [parse("x + y")])
     assert out.verdict == "inconclusive"
-    assert out.detail == "no homogeneous non-zero-divisor of degree at most 2 was found"
+    assert out.detail == (
+        "no homogeneous non-zero-divisor of degree at most 2 was found; "
+        "every degree was searched completely"
+    )
 
 
 # -- FPI in dimension one ----------------------------------------------------------------
@@ -708,7 +712,7 @@ def test_a_ring_without_nzd_makes_the_multiplier_inconclusive():
 def test_fpi_socle_count_matches_ideals_isomorphic(rs):
     # the socle of omega^[p]/l*omega^[p] over R/lR and the multiplier search
     # of the library decide omega ≅ omega^[p] alike; (xy, x^2, yz) is false
-    nzd = find_nzds(rs, trials=400)
+    nzd = find_nzds(rs)
     ci = canonical_ideal(rs, nzd=nzd)
     assume(ci.status == "found")
     gens = list(ci.generators)
@@ -762,13 +766,17 @@ def test_canonical_ideal_absent_for_fat_generic_point():
     assert out.status == "absent"
 
 
-def test_canonical_ideal_is_seed_independent_up_to_isomorphism():
-    rs = flagship(3)
-    a = canonical_ideal(rs, seed=0)
-    b = canonical_ideal(rs, seed=11)
-    assert a.status == b.status == "found"
-    out = ideals_isomorphic(rs, list(a.generators), list(b.generators))
-    assert out.verdict == "true"
+def test_canonical_ideal_is_seed_independent_up_to_isomorphism(tmp_path, capsys):
+    # `report --seed` is accepted and read by no search: the canonical ideal
+    # of the axes at p = 3 comes out the same, byte for byte, at any seed
+    path = tmp_path / "axes.txt"
+    path.write_text("p = 3\nvars = x, y, z\nideal = x*y, x*z, y*z\n")
+    outs = []
+    for seed in ("0", "11"):
+        assert cli.main(["report", "--input", str(path), "--check", "canonical", "--seed", seed]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["canonical"]["status"] == "found"
 
 
 def test_canonical_cross_check_rejects_a_wrong_omega(monkeypatch):
@@ -813,20 +821,14 @@ def test_library_entry_points_take_nzds_past_degree_two():
     assert out.verdict == "true"
 
 
-def test_classification_budgets_its_nzd_search_with_trials():
-    rs = flagship(2)
-    with mock.patch.object(classify, "find_nzds", wraps=classify.find_nzds) as spy:
-        classify_ring(rs, check="gorenstein", trials=7)
-    assert spy.call_args.kwargs["trials"] == 7
-
-
 def test_canonical_ideal_searches_its_nzd_with_its_own_budget():
+    # without `nzd` the cross-check's non-zero-divisor is searched once, up to
+    # the default degree 2
     rs = flagship(2)
     with mock.patch.object(classify, "find_nzds", wraps=classify.find_nzds) as spy:
-        assert canonical_ideal(rs, seed=3, trials=7).status == "found"
+        assert canonical_ideal(rs).status == "found"
     assert spy.call_count == 1
-    assert spy.call_args.kwargs["seed"] == 3
-    assert spy.call_args.kwargs["trials"] == 7
+    assert spy.call_args == mock.call(rs)
 
 
 def test_the_axes_need_no_quadric_nzd():

@@ -3,7 +3,6 @@
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import os
@@ -372,13 +371,6 @@ def test_enumerate_monomial_ideals_are_antichains():
     assert ((2, 0), (1, 1), (0, 2)) in seen or ((0, 2), (1, 1), (2, 0)) in seen
 
 
-def test_row_seed_is_blake2b():
-    want = int.from_bytes(
-        hashlib.blake2b(b"17:3", digest_size=8).digest(), "big"
-    )
-    assert cli._row_seed(17, 3) == want
-
-
 def test_census_config_validation():
     with pytest.raises(ValueError):
         CensusConfig(family="exotic")
@@ -417,12 +409,11 @@ def test_census_rejects_a_repeated_prime(capsys, argv):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["report", "--trials", "-5"], "--trials"),
+        (["census", "--family", "monomial", "--samples", "-3"], "--samples"),
         (["report", "--max-degree", "-1"], "--max-degree"),
         (["census", "--family", "binomial-sample", "--samples", "-1"], "--samples"),
         (["census", "--max-degree", "-1"], "--max-degree"),
         (["census", "--max-gens", "-2"], "--max-gens"),
-        (["census", "--trials", "-1"], "--trials"),
     ],
 )
 def test_negative_budgets_are_rejected(tmp_path, capsys, argv, flag):
@@ -436,10 +427,10 @@ def test_negative_budgets_are_rejected(tmp_path, capsys, argv, flag):
 
 
 def test_census_config_rejects_negative_budgets():
-    for field in ("max_degree", "max_gens", "samples", "trials"):
+    for field in ("max_degree", "max_gens", "samples"):
         with pytest.raises(ValueError, match="must be non-negative"):
             CensusConfig(**{field: -1})
-    assert CensusConfig(max_degree=0, max_gens=0, samples=0, trials=0).samples == 0
+    assert CensusConfig(max_degree=0, max_gens=0, samples=0).samples == 0
 
 
 def census_rows(config):

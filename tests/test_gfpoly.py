@@ -7,6 +7,7 @@ from operator import add, sub
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import random_homogeneous
 
 from fpicheck.errors import NonPrimeError, ParseError
 from fpicheck.gfpoly import (
@@ -20,7 +21,6 @@ from fpicheck.gfpoly import (
     monomials_of_degree,
     parse_polynomial,
     poly_to_string,
-    random_homogeneous,
 )
 from fpicheck.modgb import Vec
 

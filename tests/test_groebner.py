@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from oracles import graded_dimension_oracle, membership_oracle
+from oracles import graded_dimension_oracle, membership_oracle, random_homogeneous
 
 from fpicheck.errors import NonHomogeneousError, NonPrimeError
-from fpicheck.gfpoly import Polynomial, mono_divides, random_homogeneous
+from fpicheck.gfpoly import Polynomial, mono_divides
 from fpicheck.groebner import (
     Ideal,
     PolyRing,

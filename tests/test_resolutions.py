@@ -12,6 +12,7 @@ from oracles import (
     injective_hull_of_residue_field,
     matrix_of_columns,
     present_finite,
+    random_homogeneous,
     tor_length_oracle,
 )
 
@@ -22,7 +23,7 @@ from fpicheck.artinian import (
     ring_as_module,
 )
 from fpicheck.errors import InfiniteLengthError, NotCohenMacaulayError
-from fpicheck.gfpoly import Polynomial, mono_degree, random_homogeneous
+from fpicheck.gfpoly import Polynomial, mono_degree
 from fpicheck.groebner import Ideal, PolyRing, RingSpec
 from fpicheck.modgb import (
     Vec,

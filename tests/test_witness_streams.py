@@ -1,10 +1,13 @@
-"""Pins on the seeded streams of the witness searches past their caps.
+"""Pins on the candidates the witness searches try past their caps.
 
 The benchmark workloads keep every witness search exhaustive, so nothing
-else checks what a search samples once its span is too large to walk. Each
-test feeds one site an input past its cap and pins the first candidates
-handed to the site's exact accept test, or the witness it returns, so any
-change of a site's RNG stream or of its draw order fails here.
+else checks what a search tries once its span is too large to walk line by
+line. Each test feeds one site an input past its cap and pins the first
+candidates handed to the site's exact accept test, or the witness it
+returns. The pipeline searches walk a rational normal curve
+(`artinian.span_search`), so a change of the walk's order fails here;
+`modules_isomorphic` samples a seeded stream, and a change of its stream or
+of its draw order fails here too.
 """
 
 import hashlib
@@ -63,19 +66,20 @@ def _depth_zero(p):
 
 
 def test_find_nzds_degree_two_stream(nzd_calls):
-    # p = 7: the 57 linear forms are walked, the 19608 quadric lines sampled
-    with pytest.raises(NoNzdFoundError):
+    # p = 7: the 57 linear forms are walked line by line; the 19608 quadric
+    # lines are past the cap, so the walk takes e(k - 1) + 1 = 6 points of
+    # the curve (1, c, ..., c^5) in the monomial basis x^2, xy, y^2, xz, yz,
+    # z^2 (e = 1, k = 6). The first, x^2, is zero in R and never tested
+    with pytest.raises(NoNzdFoundError, match="searched completely"):
         find_nzds(_depth_zero(7))
-    assert len(nzd_calls) == 118
+    assert len(nzd_calls) == 62
     assert nzd_calls[:2] == ["x", "x + z"] and nzd_calls[56] == "z"
-    assert nzd_calls[57:77] == [
-        "5*x^2 + 3*x*z + 4*y*z + z^2", "3*x^2 + 5*x*y + 2*y*z + 6*z^2",
-        "2*z^2", "x^2 + 5*x*z + 6*z^2", "4*y^2 + 6*y*z",
-        "3*x^2 + 2*x*z + 5*z^2", "3*x*z + y*z", "3*x^2 + 3*x*y + 5*y*z",
-        "x^2 + 4*x*y + y^2", "4*x^2 + 3*x*z + 2*y*z", "x^2 + 5*y^2 + 3*z^2",
-        "3*z^2", "3*x^2 + 2*y*z + z^2", "4*y*z + 2*z^2", "x^2 + y^2 + 6*z^2",
-        "4*x^2 + 3*y^2 + 5*x*z", "3*x*y + 5*y^2", "2*x^2 + 2*y^2",
-        "5*x^2 + 6*x*y + 3*y^2 + 6*y*z", "4*x*y + 4*y*z",
+    assert nzd_calls[57:] == [
+        "x^2 + x*y + y^2 + x*z + y*z + z^2",
+        "x^2 + 2*x*y + y^2 + 4*x*z + 2*y*z + 4*z^2",
+        "x^2 + 3*x*y + 6*y^2 + 2*x*z + 4*y*z + 5*z^2",
+        "x^2 + 4*x*y + y^2 + 2*x*z + 4*y*z + 2*z^2",
+        "x^2 + 5*x*y + 6*y^2 + 4*x*z + 2*y*z + 3*z^2",
     ]
 
 
@@ -83,23 +87,25 @@ def test_ideals_isomorphic_multiplier_stream():
     # m ≅ m^2 on the cross xy = 0 at p = 4099: both the non-zero-divisor
     # f = a*x + b*y of R (which lies in m) and the multiplier h = c*x^2 +
     # d*y^2 range over p + 1 = 4100 lines, one past the cap, so both come
-    # from their seeded streams
+    # from the curve walk: its first point (1, 0) is a zero-divisor, or no
+    # multiplier, and its second, (1, 1), is accepted
     rs = RingSpec(4099, ["x", "y"], ["x*y"])
     parse = rs.ring.parse
     res = ideals_isomorphic(rs, [parse("x"), parse("y")], [parse("x^2"), parse("y^2")])
     assert res.verdict == "true" and res.shift == -1
     h, f = res.multiplier
-    assert poly_to_string(h, ["x", "y"]) == "2230*x^2 + 3886*y^2"
-    assert poly_to_string(f, ["x", "y"]) == "864*x + 2429*y"
+    assert poly_to_string(h, ["x", "y"]) == "x^2 + y^2"
+    assert poly_to_string(f, ["x", "y"]) == "x + y"
 
 
 def test_canonical_ideal_stream():
-    # axes at p = 101: the degree-1 slice of Hom(omega, R) spans 10303 lines
+    # axes at p = 101: the degree-1 slice of Hom(omega, R) spans 10303 lines,
+    # so the curve is walked, for at most e(k - 1) + 1 = 7 points
     rs = RingSpec(101, ["x", "y", "z"], ["x*y", "x*z", "y*z"])
     ci = canonical_ideal(rs)
     assert ci.status == "found" and ci.shift == 1
     assert [poly_to_string(g, ["x", "y", "z"]) for g in ci.generators] == [
-        "89*x + 38*z", "39*y + 63*z",
+        "x + z", "y + 100*z",
     ]
 
 
