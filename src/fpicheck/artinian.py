@@ -352,6 +352,11 @@ def _rational_normal_curve(p: int, k: int, count: int):
         yield (0,) * (k - 1) + (1,)
 
 
+def span_walks_curve(p: int, k: int, cap: int) -> bool:
+    """Does `span_search` walk a curve, past `cap` lines, on a k-dim span?"""
+    return k >= 2 and (p**k - 1) // (p - 1) > cap
+
+
 def span_search(p: int, k: int, combine, accept, cap: int, subspaces: int):
     """Find a candidate that `accept` takes in the F_p-span of k basis elements.
 
@@ -371,11 +376,11 @@ def span_search(p: int, k: int, combine, accept, cap: int, subspaces: int):
     complete miss means that no line is accepted, or, past the cap, that
     the rejected vectors lie in no union of a proper subspaces.
     """
-    if k < 2 or (p**k - 1) // (p - 1) <= cap:
-        vectors, complete = _normalized_coefficient_vectors(p, k), True
-    else:
+    if span_walks_curve(p, k, cap):
         need = subspaces * (k - 1) + 1
         vectors, complete = _rational_normal_curve(p, k, need), need <= p + 1
+    else:
+        vectors, complete = _normalized_coefficient_vectors(p, k), True
     for coeffs in vectors:
         cand = combine(coeffs)
         if accept(cand):
@@ -470,13 +475,13 @@ class ArtinianFrobeniusReport:
     socle_fe: int
 
 
-def frobenius_fixes_injective_hull(rs: RingSpec, res=None) -> ArtinianFrobeniusReport:
+def frobenius_fixes_injective_hull(rs: RingSpec) -> ArtinianFrobeniusReport:
     """Test F(E) ≅ E for Artinian R, E the injective hull of the residue field.
 
     By graded local duality E ≅ Ext^n_S(R, S(-n)), the canonical module of
     R = S/I, so E is `canonical_module` read off the minimal free resolution
-    `res` (computed when not given): the cokernel of the transposed last
-    map. E is pushed through the Frobenius functor and realized. Every
+    R keeps: the cokernel of the transposed last map. E is pushed through
+    the Frobenius functor and realized. Every
     comparison with a power of E is decided by `is_hull_power`: the socle of
     a finite-length module M is essential, so M embeds in E^s for
     s = dim_k soc M; Matlis duality gives λ(E) = λ(R); so M ≅ E^n exactly
@@ -486,7 +491,7 @@ def frobenius_fixes_injective_hull(rs: RingSpec, res=None) -> ArtinianFrobeniusR
     F(E) stays injective exactly when F(E) ≅ E^n for the one n that length
     counting allows.
     """
-    pres_e = canonical_module(rs, res)
+    pres_e = canonical_module(rs)
     length = realize_ring(rs).dim
     e_mod = realize_finite(pres_e)
     if not is_hull_power(e_mod, length, 1):

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from .errors import (
     NoNzdFoundError,
     NonHomogeneousError,
-    NotCohenMacaulayError,
     PipelineInvariantError,
     UnsupportedDimensionError,
 )
@@ -63,6 +62,7 @@ from .artinian import (
     realize_ring,
     socle_dimension_of_ring,
     span_search,
+    span_walks_curve,
 )
 from .resolutions import (
     ModulePresentation,
@@ -71,6 +71,7 @@ from .resolutions import (
     is_free_rank_one,
     minimal_free_resolution,
     minimal_generators,
+    ring_depth,
     syzygy_presentation,
     with_modulus,
 )
@@ -90,8 +91,9 @@ def _poly_key(f):
     return tuple(sorted(f.terms.items()))
 
 
-def _combine(zero, basis):
-    """`combine` for `span_search` over Polynomials or Vecs."""
+def _search_span(basis, zero, accept, cap: int, subspaces: int):
+    """`span_search` over the combinations of `basis` (Polynomials or Vecs),
+    the rejected ones lying in at most `subspaces` proper subspaces."""
 
     def combine(coeffs):
         out = zero
@@ -100,13 +102,7 @@ def _combine(zero, basis):
                 out = out + b.scale(c)
         return out
 
-    return combine
-
-
-def _search_span(basis, zero, accept, cap: int, subspaces: int):
-    """`span_search` over the combinations of `basis`, the rejected ones
-    lying in at most `subspaces` proper subspaces."""
-    return span_search(zero.p, len(basis), _combine(zero, basis), accept, cap, subspaces)
+    return span_search(zero.p, len(basis), combine, accept, cap, subspaces)
 
 
 def _distinct_nonzero(fs) -> list:
@@ -144,11 +140,11 @@ def find_nzds(rs: RingSpec, max_degree: int = 2) -> Polynomial:
     R, Ass R = Min R, and the minimal primes number at most the
     multiplicity e, so the walk is complete after e(k - 1) + 1 points,
     k = dim S_d: on a Cohen-Macaulay curve the linear forms hold a
-    non-zero-divisor as soon as e(n - 1) <= p. One f serves every check:
-    the type of a Cohen-Macaulay R, or of an ideal omega^[p], is the socle
-    dimension of its reduction mod f for any such f. Raises
-    NoNzdFoundError when no degree yields one, naming the degrees whose
-    walk stayed incomplete.
+    non-zero-divisor as soon as e(n - 1) <= p. A walked degree counts as
+    complete only on a Cohen-Macaulay R, checked on a miss. One f serves
+    every check: the type of a Cohen-Macaulay R, or of an ideal omega^[p],
+    is the socle dimension of its reduction mod f for any such f. Raises
+    NoNzdFoundError when no degree yields one, naming the incomplete ones.
     """
     n, p = rs.ring.n, rs.p
     e = rs.hilbert().multiplicity
@@ -162,7 +158,7 @@ def find_nzds(rs: RingSpec, max_degree: int = 2) -> Polynomial:
         return rs.is_nzd(f)
 
     zero = Polynomial.zero(p, n)
-    incomplete = []
+    incomplete, walked = [], []
     for d in range(1, max_degree + 1):
         basis = [Polynomial.from_monomial(p, m) for m in monomials_of_degree(n, d)]
         hit, complete = _search_span(basis, zero, consider, NZD_SPAN_CAP, e)
@@ -170,10 +166,15 @@ def find_nzds(rs: RingSpec, max_degree: int = 2) -> Polynomial:
             return rs.nf(hit)
         if not complete:
             incomplete.append(d)
+        elif span_walks_curve(p, len(basis), NZD_SPAN_CAP):
+            walked.append(d)
+    why = f"its p + 1 = {p + 1} points are fewer than e(k - 1) + 1 for e = {e}"
+    if walked and ring_depth(rs) != rs.dimension:
+        incomplete = sorted(incomplete + walked)
+        why = "R is not Cohen-Macaulay, and its bound e(k - 1) + 1 needs Ass R = Min R"
     detail = "every degree was searched completely"
     if incomplete:
-        detail = (f"the curve walk in degree {', '.join(map(str, incomplete))} was incomplete: "
-                  f"its p + 1 = {p + 1} points are fewer than e(k - 1) + 1 for e = {e}")
+        detail = f"the curve walk in degree {', '.join(map(str, incomplete))} was incomplete: {why}"
     raise NoNzdFoundError(
         f"no homogeneous non-zero-divisor of degree at most {max_degree} was found; {detail}"
     )
@@ -182,7 +183,7 @@ def find_nzds(rs: RingSpec, max_degree: int = 2) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Gorenstein
 
-def is_gorenstein(rs: RingSpec, nzd=None, res=None):
+def is_gorenstein(rs: RingSpec, nzd=None):
     """Gorenstein test in dimension zero or one; returns (verdict, witness).
 
     Gorenstein is Cohen-Macaulay of type 1. Dimension zero reads the type
@@ -193,15 +194,15 @@ def is_gorenstein(rs: RingSpec, nzd=None, res=None):
     of R. It is also the last Betti number β_c, since the mapping cone of f
     on the minimal resolution of R is minimal (Bruns-Herzog, Cohen-Macaulay
     Rings, 1.2 and 3.3); the check of that equality raises on a wrong socle.
+    Depth and β_c come from R's resolution; depth zero gives False with that
+    reason, not the NotCohenMacaulayError of `canonical_module`.
     """
     dim = rs.dimension
     if dim < 0 or dim > 1:
         raise UnsupportedDimensionError(
             f"the Gorenstein test supports dimension 0 and 1, not {dim}"
         )
-    if res is None:
-        res = minimal_free_resolution(rs)
-    depth = rs.ring.n - res.length
+    depth = ring_depth(rs)
     names = rs.ring.varnames
     if dim == 0:
         s = socle_dimension_of_ring(rs)
@@ -217,7 +218,7 @@ def is_gorenstein(rs: RingSpec, nzd=None, res=None):
         s = socle_dimension_of_ring(rs.quotient_by([nzd]))
         witness = {"socle_dimension": s, "parameters": [poly_to_string(nzd, names)]}
     if depth == dim:
-        last_betti = len(res.twists[res.length])
+        last_betti = minimal_free_resolution(rs).betti()[-1]
         if last_betti != s:
             raise PipelineInvariantError(
                 f"socle dimension {s} disagrees with the last Betti number {last_betti}"
@@ -229,15 +230,14 @@ def is_gorenstein(rs: RingSpec, nzd=None, res=None):
 # ---------------------------------------------------------------------------
 # F-purity
 
-def is_f_pure(rs: RingSpec, res=None):
+def is_f_pure(rs: RingSpec):
     """Frobenius-splitting test; returns (verdict, witness dict).
 
     A homogeneous R of dimension zero is F-pure exactly when its length
     λ(R) is 1: F-pure implies reduced, a reduced graded Artinian quotient of
     S is S/m = F_p, and F_p is F-pure.
 
-    A homogeneous R of dimension one (depth read off `res`, the minimal free
-    resolution of R, computed when not given) is decided on R_1:
+    A homogeneous R of dimension one is decided on R_1:
 
     * depth 0: not F-pure, since F-pure implies reduced, and a reduced ring
       of positive dimension has positive depth;
@@ -278,9 +278,7 @@ def is_f_pure(rs: RingSpec, res=None):
         }
     if graded_dim != 1:
         return is_f_pure_by_fedder(rs)
-    if res is None:
-        res = minimal_free_resolution(rs)
-    if rs.n - res.length == 0:
+    if ring_depth(rs) == 0:
         return False, {
             "depth": 0,
             "statement": "a reduced ring of positive dimension has positive depth",
@@ -557,7 +555,7 @@ def _generically_gorenstein(rs: RingSpec, homs) -> bool:
     return rs.preimage_ideal(entries).hilbert_numerator().hilbert_data(rs.n).colength is not None
 
 
-def canonical_ideal(rs: RingSpec, res=None, nzd=None) -> CanonicalIdealResult:
+def canonical_ideal(rs: RingSpec, nzd=None) -> CanonicalIdealResult:
     """Realize the canonical module of a one-dimensional R as an ideal.
 
     The canonical module omega comes from the dualized minimal resolution.
@@ -587,35 +585,29 @@ def canonical_ideal(rs: RingSpec, res=None, nzd=None) -> CanonicalIdealResult:
     argument above rules one out raises PipelineInvariantError; otherwise
     the result is "inconclusive" and names the bound that was not met.
 
-    Raises NotCohenMacaulayError at depth zero and UnsupportedDimensionError
-    outside dimension one. A found copy is cross-checked by reducing omega
-    modulo the certified non-zero-divisor f = `nzd` (found up to degree 2
-    when not given; `nzd=find_nzds(rs, max_degree=d)` goes further) and
-    comparing with the injective hull: omega/f·omega is the canonical module
-    of the Artinian R/fR, which is its injective hull.
+    Hom(omega, R) is not zero: at a minimal prime P, R_P is Artinian with
+    canonical module omega_P ≠ 0 (Bruns-Herzog 3.3.5), so omega_P -> k ->
+    soc R_P ⊂ R_P, onto k by Nakayama, is nonzero in Hom(omega, R)_P.
+
+    Raises UnsupportedDimensionError outside dimension one; at depth zero
+    `canonical_module` raises NotCohenMacaulayError. A found copy is
+    cross-checked by reducing omega modulo the certified non-zero-divisor
+    f = `nzd` (found up to degree 2 when not given; `nzd=find_nzds(rs,
+    max_degree=d)` goes further) and comparing with the injective hull:
+    omega/f·omega is the canonical module of the Artinian R/fR, which is
+    its injective hull.
     """
     dim = rs.dimension
     if dim != 1:
         raise UnsupportedDimensionError(
             f"the canonical-ideal search works in dimension 1, not {dim}"
         )
-    if res is None:
-        res = minimal_free_resolution(rs)
-    if rs.ring.n - res.length < 1:
-        raise NotCohenMacaulayError(
-            "depth zero in dimension one: no canonical ideal exists"
-        )
-    omega = canonical_module(rs, res)
+    omega = canonical_module(rs)
     if rs.is_monomial():
         ok, detail = monomial_generically_gorenstein(rs)
         if not ok:
             return CanonicalIdealResult("absent", (), None, omega, detail)
     homs = hom_into_ring_generators(omega)
-    if not homs:
-        return CanonicalIdealResult(
-            "absent", (), None, omega,
-            "Hom(omega, R) is zero, so omega embeds in no ideal",
-        )
     n, p = rs.ring.n, rs.p
     e = rs.hilbert().multiplicity
     num_r = rs.ideal.hilbert_numerator()
@@ -706,8 +698,8 @@ def _canonical_entry(ci: CanonicalIdealResult, names) -> dict:
     }
 
 
-def _fpi_dimension_zero(rs: RingSpec, report: RingReport, res):
-    rep = frobenius_fixes_injective_hull(rs, res)
+def _fpi_dimension_zero(rs: RingSpec, report: RingReport):
+    rep = frobenius_fixes_injective_hull(rs)
     report.weakly_fpi = rep.iso.verdict_as_flag()
     report.fpi_method = "artinian_E"
     report.fpi_witness = {
@@ -721,7 +713,7 @@ def _fpi_dimension_zero(rs: RingSpec, report: RingReport, res):
     }
 
 
-def _fpi_dimension_one(rs: RingSpec, report: RingReport, res, nzd):
+def _fpi_dimension_one(rs: RingSpec, report: RingReport, nzd):
     """K ≅ K^[p] for the canonical ideal K, decided by one socle count.
 
     K ≅ ω contains a non-zero-divisor (it lies in no minimal prime), so R/K
@@ -742,7 +734,7 @@ def _fpi_dimension_one(rs: RingSpec, report: RingReport, res, nzd):
             "forces the ring to be Cohen-Macaulay here"
         }
         return
-    ci = canonical_ideal(rs, res=res, nzd=nzd)
+    ci = canonical_ideal(rs, nzd=nzd)
     report.canonical = _canonical_entry(ci, names)
     if ci.status == "absent":
         report.weakly_fpi = "false"
@@ -903,26 +895,24 @@ def classify_ring(
         raise UnsupportedDimensionError(
             f"Krull dimension {dim} is outside the supported range (0 or 1)"
         )
-    res = minimal_free_resolution(rs)
-    depth = rs.ring.n - res.length
     report.dimension = dim
-    report.depth = depth
+    report.depth = depth = ring_depth(rs)
     report.cohen_macaulay = depth == dim
     nzd = None
     if dim == 1 and depth == 1:
         nzd = find_nzds(rs, max_degree=max_degree)
     if check == "canonical":
-        ci = canonical_ideal(rs, res=res, nzd=nzd)
+        ci = canonical_ideal(rs, nzd=nzd)
         report.canonical = _canonical_entry(ci, names)
         return report
-    report.gorenstein, report.gorenstein_witness = is_gorenstein(rs, nzd=nzd, res=res)
+    report.gorenstein, report.gorenstein_witness = is_gorenstein(rs, nzd=nzd)
     if check == "gorenstein":
         return report
-    report.f_pure, report.f_pure_witness = is_f_pure(rs, res)
+    report.f_pure, report.f_pure_witness = is_f_pure(rs)
     if dim == 0:
-        _fpi_dimension_zero(rs, report, res)
+        _fpi_dimension_zero(rs, report)
     else:
-        _fpi_dimension_one(rs, report, res, nzd)
+        _fpi_dimension_one(rs, report, nzd)
     _run_cross_checks(rs, report, deep_checks)
     return report
 

@@ -662,6 +662,9 @@ class RingSpec:
 
     The irrelevant maximal ideal (all variables) plays the role of the maximal
     ideal of a complete local ring; reports note this working convention.
+    R keeps what is computed about it: Hilbert data, standard monomials and
+    quotients R/(f), filled here; R as a finite-length module, filled by
+    `artinian.realize_ring`; its resolution, by `minimal_free_resolution`.
     """
 
     def __init__(self, p: int, varnames, ideal_gens, label: str = "", *, require_homogeneous: bool = True):
@@ -684,9 +687,8 @@ class RingSpec:
             gens.append(g)
         self.ideal = Ideal(self.ring, gens)
         self.homogeneous = require_homogeneous
-        self._hilbert = None
+        self._hilbert = self._realized = self._resolution = None
         self._std_cache: dict = {}
-        self._realized = None  # R as a finite-length module, from artinian.realize_ring
         self._quotients: dict = {}  # extra generators -> RingSpec, from quotient_by
 
     @property

@@ -307,9 +307,11 @@ def _resolve(ring: PolyRing, modulus, twists, cols, cap: int) -> FreeResolution:
 
 
 def minimal_free_resolution(rs: RingSpec) -> FreeResolution:
-    """Minimal graded free resolution of R = S/I as an S-module."""
-    gens = [Vec.from_polys([(0, g)]) for g in rs.ideal.groebner_basis()]
-    return _resolve(rs.ring, None, (0,), gens, rs.ring.n + 1)
+    """Minimal graded free resolution of R = S/I as an S-module, kept on R."""
+    if rs._resolution is None:
+        gens = [Vec.from_polys([(0, g)]) for g in rs.ideal.groebner_basis()]
+        rs._resolution = _resolve(rs.ring, None, (0,), gens, rs.ring.n + 1)
+    return rs._resolution
 
 
 def resolve_presentation(pres: ModulePresentation, max_steps=None) -> FreeResolution:
@@ -413,18 +415,17 @@ def subquotient_presentation(
     return ModulePresentation(ring, modulus, rel_cols, row_twists, col_twists)
 
 
-def canonical_module(rs: RingSpec, res: FreeResolution = None) -> ModulePresentation:
+def canonical_module(rs: RingSpec) -> ModulePresentation:
     """Graded canonical module ω = Ext^c_S(R, S(-n)), c = n - dim R.
 
     R must be Cohen-Macaulay (pd = c); then this is the cokernel of the
     transposed last map. That covers every Artinian R, where c = n and ω is
     the injective hull of the residue field (graded local duality). Past the
-    codimension (pd > c) it raises NotCohenMacaulayError.
+    codimension (pd > c) it raises NotCohenMacaulayError, for every caller.
     """
     ring = rs.ring
     n = ring.n
-    if res is None:
-        res = minimal_free_resolution(rs)
+    res = minimal_free_resolution(rs)
     pd = res.length
     c = n - rs.dimension
     if pd < c:

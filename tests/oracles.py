@@ -107,7 +107,6 @@ from fpicheck.resolutions import (
     ModulePresentation,
     canonical_module,
     hom_into_ring_generators,
-    minimal_free_resolution,
     resolve_presentation,
     transpose,
 )
@@ -891,7 +890,7 @@ def canonical_embedding_degree(rs: RingSpec, window: int = 3, max_lines: int = 5
     trying every line of every degree from the lowest generator degree to
     `window` past the highest, or None when none of them holds one. Raises
     ResourceLimitError when a degree spans more than `max_lines` lines."""
-    omega = canonical_module(rs, minimal_free_resolution(rs))
+    omega = canonical_module(rs)
     homs = hom_into_ring_generators(omega)
     if not homs:
         return None

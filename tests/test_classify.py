@@ -23,7 +23,7 @@ from oracles import (
     random_homogeneous,
 )
 
-from fpicheck import classify, cli, pushforward
+from fpicheck import classify, cli, pushforward, resolutions
 from fpicheck.artinian import frobenius_fixes_injective_hull, ring_as_module
 from fpicheck.classify import (
     canonical_ideal,
@@ -85,6 +85,20 @@ def test_depth_zero_ring_has_no_nzd():
     rs = RingSpec(2, ["x", "y"], ["x^2", "x*y"])
     with pytest.raises(NoNzdFoundError):
         find_nzds(rs, max_degree=2)
+
+
+def test_a_walk_on_a_ring_that_is_not_cohen_macaulay_is_incomplete():
+    # dimension 2, depth 0, e = 1: the 57 linear lines are tried one by one,
+    # but the quadrics are past the cap and walked for e(k - 1) + 1 = 6 <= 8
+    # points, a bound on the associated primes that only Ass R = Min R gives
+    rs = RingSpec(7, ["x", "y", "z"], ["x^2", "x*y", "x*z"])
+    assert (rs.dimension, ring_depth(rs)) == (2, 0)
+    with pytest.raises(NoNzdFoundError) as info:
+        find_nzds(rs)
+    message = str(info.value)
+    assert "searched completely" not in message
+    assert "degree 2 was incomplete: R is not Cohen-Macaulay" in message
+    assert "Ass R = Min R" in message
 
 
 def test_cross_skips_axis_zerodivisors():
@@ -783,7 +797,7 @@ def test_canonical_cross_check_rejects_a_wrong_omega(monkeypatch):
     # R has type 2 on the axes at p = 2, so R/(f) has the length of the hull
     # over R/(f) but a socle of dimension 2
     rs = flagship(2)
-    monkeypatch.setattr(classify, "canonical_module", lambda rs, res=None: ring_as_module(rs))
+    monkeypatch.setattr(classify, "canonical_module", lambda rs: ring_as_module(rs))
     with pytest.raises(PipelineInvariantError, match="injective hull"):
         canonical_ideal(rs)
 
@@ -793,6 +807,37 @@ def test_classification_finds_its_nzds_once():
     with mock.patch.object(classify, "find_nzds", wraps=classify.find_nzds) as spy:
         report = classify_ring(rs, deep_checks=False)
     assert report.canonical["status"] == "found"
+    assert spy.call_count == 1
+
+
+def _resolve_spy():
+    return mock.patch.object(resolutions, "_resolve", wraps=resolutions._resolve)
+
+
+def test_a_ring_is_resolved_once_by_a_series_of_verdict_calls():
+    # the RingSpec keeps its minimal free resolution: depth, type and omega
+    # of every call read the one resolution
+    rs = moved_axes(101)
+    with _resolve_spy() as spy:
+        is_gorenstein(rs)
+        is_f_pure(rs)
+        canonical_ideal(rs)
+    assert spy.call_count == 1
+
+
+def test_an_artinian_ring_is_resolved_once_for_type_and_hull():
+    rs = RingSpec(3, ["x", "y"], ["x^3", "x^2*y", "y^2"])
+    with _resolve_spy() as spy:
+        is_gorenstein(rs)
+        frobenius_fixes_injective_hull(rs)
+    assert spy.call_count == 1
+
+
+def test_a_deep_classification_resolves_its_ring_once():
+    with _resolve_spy() as spy:
+        report = classify_ring(flagship(3), deep_checks=True)
+    checks = {c["name"]: c["status"] for c in report.cross_checks}
+    assert checks["frobenius_dual_module_freeness"] == "confirmed"
     assert spy.call_count == 1
 
 

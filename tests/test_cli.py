@@ -303,6 +303,17 @@ def test_report_error_exit_codes(tmp_path, capsys, text):
     assert err.startswith("error:")
 
 
+def test_report_canonical_check_refuses_a_curve_of_depth_zero(tmp_path, capsys):
+    # x is killed by the maximal ideal: pd = 2 exceeds the codimension 1, and
+    # the canonical module, which the search needs, says so
+    path = write_spec(tmp_path, "p = 2\nvars = x, y\nideal = x^2, x*y\n")
+    code = main(["report", "--input", path, "--check", "canonical"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "not Cohen-Macaulay" in err
+
+
 def test_report_missing_file_is_an_error(capsys):
     code = main(["report", "--input", "/nonexistent/ring.txt"])
     assert code == 1

@@ -25,7 +25,7 @@ from fpicheck.classify import canonical_ideal, find_nzds, monomial_generically_g
 from fpicheck.errors import NoNzdFoundError, PipelineInvariantError, ResourceLimitError
 from fpicheck.gfpoly import Polynomial, monomials_of_degree
 from fpicheck.groebner import RingSpec
-from fpicheck.resolutions import minimal_free_resolution
+from fpicheck.resolutions import ring_depth
 
 PRIMES = (2, 3, 5, 7, 11, 101)
 EVERY_LINE = 10**9  # a cap no test span reaches: every line is tried
@@ -37,7 +37,7 @@ SETTINGS = settings(
 
 
 def _cohen_macaulay(rs: RingSpec) -> bool:
-    return rs.n - minimal_free_resolution(rs).length == rs.dimension == 1
+    return ring_depth(rs) == rs.dimension == 1
 
 
 @st.composite

@@ -69,8 +69,9 @@ def test_find_nzds_degree_two_stream(nzd_calls):
     # p = 7: the 57 linear forms are walked line by line; the 19608 quadric
     # lines are past the cap, so the walk takes e(k - 1) + 1 = 6 points of
     # the curve (1, c, ..., c^5) in the monomial basis x^2, xy, y^2, xz, yz,
-    # z^2 (e = 1, k = 6). The first, x^2, is zero in R and never tested
-    with pytest.raises(NoNzdFoundError, match="searched completely"):
+    # z^2 (e = 1, k = 6). The first, x^2, is zero in R and never tested.
+    # R has depth 0, so e bounds no associated primes: the miss is incomplete
+    with pytest.raises(NoNzdFoundError, match="degree 2 was incomplete: R is not Cohen-Macaulay"):
         find_nzds(_depth_zero(7))
     assert len(nzd_calls) == 62
     assert nzd_calls[:2] == ["x", "x + z"] and nzd_calls[56] == "z"
