@@ -49,7 +49,6 @@ from .resolutions import (
     with_modulus,
 )
 from .artinian import (
-    ArtinianFrobeniusReport,
     FiniteLengthModule,
     IsoResult,
     frobenius_fixes_injective_hull,

@@ -8,10 +8,13 @@ linear conditions F A_v = B_v F. The injective hull E of the residue field
 of an Artinian R is its canonical module Ext^n_S(R, S(-n)) (graded local
 duality), read off the minimal free resolution by
 `resolutions.canonical_module`. A module is a power E^n exactly when its
-socle dimension is n and its length is n·λ(R) (`is_hull_power`); general
-isomorphism testing (`modules_isomorphic`, which the pipeline does not
-call) combines structural invariants with a search for an invertible
-homomorphism.
+socle dimension is n and its length is n·λ(R), and `hull_power` returns
+that n: every comparison of a finite-length module with a power of a hull
+goes through it. `canonical_cross_check` is the one check that a canonical
+module reduces to the hull of an Artinian reduction R/fR, with f = None for
+an Artinian R itself. General isomorphism testing (`modules_isomorphic`,
+which the pipeline does not call) combines structural invariants with a
+search for an invertible homomorphism.
 """
 
 from __future__ import annotations
@@ -25,7 +28,12 @@ from .groebner import NormalForm, RingSpec
 from .hilbert import standard_monomials
 from .linalg import Subspace, is_invertible, nullspace, rank
 from .modgb import lead_module_is_finite_colength
-from .resolutions import ModulePresentation, canonical_module, frobenius_functor
+from .resolutions import (
+    ModulePresentation,
+    canonical_module,
+    frobenius_functor,
+    with_modulus,
+)
 
 
 def _apply(cols, vec: dict, p: int) -> dict:
@@ -67,7 +75,7 @@ class FiniteLengthModule:
     `of_columns` takes sparse columns as they are stored.
     """
 
-    __slots__ = ("p", "dim", "actions", "degrees")
+    __slots__ = ("p", "dim", "actions", "degrees", "_socle")
 
     def __init__(self, p: int, actions, degrees=None):
         mats = [[[int(c) % p for c in row] for row in a] for a in actions]
@@ -92,6 +100,7 @@ class FiniteLengthModule:
         self.dim = h
         self.actions = tuple(tuple(cols) for cols in actions)
         self.degrees = tuple(degrees) if degrees is not None else None
+        self._socle = None
         for i, a in enumerate(self.actions):
             for b in self.actions[i + 1 :]:
                 for k in range(h):
@@ -126,18 +135,19 @@ class FiniteLengthModule:
 
     def socle_dimension(self) -> int:
         """dim − rank of the stacked actions: the socle is their common
-        kernel. Row k of the stacked matrix holds column k of every action."""
-        h = self.dim
-        if h == 0:
-            return 0
-        rows = []
-        for k in range(h):
-            row = [0] * (h * len(self.actions))
-            for v, cols in enumerate(self.actions):
-                for i, c in cols[k].items():
-                    row[v * h + i] = c
-            rows.append(row)
-        return h - rank(rows, self.p)
+        kernel. Row k of the stacked matrix holds column k of every action.
+        Computed once per module, for `hull_power` and a witness alike."""
+        if self._socle is None:
+            h = self.dim
+            rows = []
+            for k in range(h):
+                row = [0] * (h * len(self.actions))
+                for v, cols in enumerate(self.actions):
+                    for i, c in cols[k].items():
+                        row[v * h + i] = c
+                rows.append(row)
+            self._socle = h - rank(rows, self.p)
+        return self._socle
 
     def radical_span(self) -> Subspace:
         """Row-space object spanning m*M (images of all variable actions)."""
@@ -255,13 +265,40 @@ def realize_ring(rs: RingSpec) -> FiniteLengthModule:
     return rs._realized
 
 
-def is_hull_power(module: FiniteLengthModule, ring_length: int, n: int) -> bool:
-    """Is the module isomorphic to E^n, for E the injective hull of the
-    residue field of an Artinian R of length `ring_length`? Decided exactly
-    by socle dimension and length; `frobenius_fixes_injective_hull` gives
-    the proof.
+def hull_power(module: FiniteLengthModule, ring_length: int):
+    """The n with module ≅ E^n, for E the injective hull of the residue
+    field of an Artinian R of length `ring_length`, or None when there is
+    none. Decided exactly by length and socle dimension: the socle of a
+    finite-length module M is essential, so M embeds in E^s for
+    s = dim_k soc M; Matlis duality gives λ(E) = λ(R); so M ≅ E^n exactly
+    when s = n and λ(M) = n·λ(R), equal lengths forcing the embedding to be
+    onto. The socle is computed only when λ(R) divides λ(M).
     """
-    return module.dim == n * ring_length and module.socle_dimension() == n
+    n, rest = divmod(module.dim, ring_length)
+    if rest or module.socle_dimension() != n:
+        return None
+    return n
+
+
+def artinian_reduction(rs: RingSpec, pres: ModulePresentation, f=None):
+    """(M/fM realized over R/fR, λ(R/fR)) for the module M over R that
+    `pres` presents: M ⊗ R/fR keeps the presentation, read mod I + (f).
+    With f None, R is Artinian and M is realized over R itself."""
+    if f is not None:
+        rs = rs.quotient_by([f])
+        pres = with_modulus(pres, rs.ideal)
+    return realize_finite(pres), realize_ring(rs).dim
+
+
+def canonical_cross_check(rs: RingSpec, omega: ModulePresentation, f=None):
+    """Check that omega/f·omega is the injective hull over R/fR, for the
+    canonical module omega of R and a non-zero-divisor f (f None: omega of
+    an Artinian R is its injective hull): `hull_power` 1."""
+    if hull_power(*artinian_reduction(rs, omega, f)) != 1:
+        raise PipelineInvariantError(
+            "the canonical module does not reduce to the injective hull "
+            "of the Artinian reduction"
+        )
 
 
 def socle_dimension_of_ring(rs: RingSpec) -> int:
@@ -327,13 +364,6 @@ class IsoResult:
     @property
     def decided(self) -> bool:
         return self.verdict != "inconclusive"
-
-    def verdict_as_flag(self) -> str:
-        if self.verdict == "isomorphic":
-            return "true"
-        if self.verdict == "not_isomorphic":
-            return "false"
-        return "inconclusive"
 
 
 def _normalized_coefficient_vectors(p: int, d: int):
@@ -458,69 +488,38 @@ def modules_isomorphic(
 # ---------------------------------------------------------------------------
 # the depth-zero Frobenius test on injective hulls
 
-@dataclass(frozen=True)
-class ArtinianFrobeniusReport:
-    """Outcome of comparing F(E) against powers of E for Artinian R.
-
-    `iso` answers F(E) ≅ E (the weakly-FPI test); `injective` records whether
-    F(E) ≅ E^n for some n (so F(E) stays injective), with the witnessing n.
-    """
-
-    iso: IsoResult
-    injective: str  # "true" | "false"
-    n_witness: object
-    length_e: int
-    length_fe: int
-    socle_e: int
-    socle_fe: int
-
-
-def frobenius_fixes_injective_hull(rs: RingSpec) -> ArtinianFrobeniusReport:
-    """Test F(E) ≅ E for Artinian R, E the injective hull of the residue field.
+def frobenius_fixes_injective_hull(rs: RingSpec):
+    """Test F(E) ≅ E for Artinian R, E the injective hull of the residue
+    field; returns (verdict, witness dict).
 
     By graded local duality E ≅ Ext^n_S(R, S(-n)), the canonical module of
     R = S/I, so E is `canonical_module` read off the minimal free resolution
-    R keeps: the cokernel of the transposed last map. E is pushed through
-    the Frobenius functor and realized. Every
-    comparison with a power of E is decided by `is_hull_power`: the socle of
-    a finite-length module M is essential, so M embeds in E^s for
-    s = dim_k soc M; Matlis duality gives λ(E) = λ(R); so M ≅ E^n exactly
-    when s = n and λ(M) = n·λ(R), equal lengths forcing the embedding to be
-    onto. The same certificate with n = 1 checks the constructed E, and a
-    failure raises PipelineInvariantError. F(E) ≅ E is the case n = 1, and
-    F(E) stays injective exactly when F(E) ≅ E^n for the one n that length
-    counting allows.
+    R keeps: the cokernel of the transposed last map. `canonical_cross_check`
+    with no parameter checks it, as `canonical_ideal` checks omega/l·omega in
+    dimension one. E is pushed through the Frobenius functor and realized,
+    and `hull_power` gives the n with F(E) ≅ E^n, if any: F(E) ≅ E is the
+    verdict n = 1, and F(E) stays injective exactly when some n exists. The
+    witness records both lengths and socle dimensions, that n as `n_witness`
+    (None when F(E) is not injective), and the invariant that decided.
     """
     pres_e = canonical_module(rs)
+    canonical_cross_check(rs, pres_e)
     length = realize_ring(rs).dim
-    e_mod = realize_finite(pres_e)
-    if not is_hull_power(e_mod, length, 1):
-        raise PipelineInvariantError(
-            f"canonical module has length {e_mod.dim} and socle "
-            f"{e_mod.socle_dimension()}, expected {length} and 1"
-        )
     fe = realize_finite(frobenius_functor(pres_e))
+    n = hull_power(fe, length)
     s = fe.socle_dimension()
     if fe.dim != length:
-        iso = IsoResult(
-            "not_isomorphic",
-            f"length mismatch: λ(F^1E) = {fe.dim}, λ(E) = {length}",
-        )
+        detail = f"length mismatch: λ(F^1E) = {fe.dim}, λ(E) = {length}"
     elif s != 1:
-        iso = IsoResult("not_isomorphic", f"invariant mismatch: socle 1 vs {s}")
+        detail = f"invariant mismatch: socle 1 vs {s}"
     else:
-        iso = IsoResult("isomorphic", "socle dimension 1 and length λ(R) certify F^1E ≅ E")
-    n, rest = divmod(fe.dim, length)
-    if not rest and s == n:  # is_hull_power(fe, length, n): λ(F(E)) = n·λ(R) holds
-        injective, n_witness = "true", n
-    else:
-        injective, n_witness = "false", None
-    return ArtinianFrobeniusReport(
-        iso=iso,
-        injective=injective,
-        n_witness=n_witness,
-        length_e=length,
-        length_fe=fe.dim,
-        socle_e=1,
-        socle_fe=s,
-    )
+        detail = "socle dimension 1 and length λ(R) certify F^1E ≅ E"
+    return n == 1, {
+        "length_E": length,
+        "length_FE": fe.dim,
+        "socle_E": 1,
+        "socle_FE": s,
+        "frobenius_image_injective": "false" if n is None else "true",
+        "n_witness": n,
+        "detail": detail,
+    }

@@ -20,10 +20,12 @@ Every verdict is backed by an exact certificate:
   F(E) is isomorphic to E for the injective hull E of the residue field.
   E is the canonical module Ext^n_S(R, S(-n)), read off the minimal free
   resolution, and F(E) ≅ E is decided by the socle dimension and length
-  of F(E) (Matlis duality);
+  of F(E) (Matlis duality, `artinian.hull_power`);
 * in dimension one the test is whether the canonical module, realized as an
   ideal omega, is isomorphic to omega^[p]: omega^[p]/l*omega^[p] is the
-  injective hull over R/lR by socle dimension and length.
+  injective hull over R/lR by socle dimension and length. The canonical
+  module is checked in both dimensions by one `artinian.canonical_cross_check`:
+  omega/l*omega, or E itself, is the injective hull of the Artinian reduction.
 
 Verdicts are three-valued ("true", "false", "inconclusive"). No search reads
 a seed: each walks every line of its span, or past a cap a rational normal
@@ -56,10 +58,10 @@ from .groebner import (
 )
 from .modgb import Vec, vec_nf_mod_ideal
 from .artinian import (
+    artinian_reduction,
+    canonical_cross_check,
     frobenius_fixes_injective_hull,
-    is_hull_power,
-    realize_finite,
-    realize_ring,
+    hull_power,
     socle_dimension_of_ring,
     span_search,
     span_walks_curve,
@@ -73,7 +75,6 @@ from .resolutions import (
     minimal_generators,
     ring_depth,
     syzygy_presentation,
-    with_modulus,
 )
 from .pushforward import frobenius_colon, frobenius_pushforward, hom_pushforward_into_ring
 
@@ -144,8 +145,12 @@ def find_nzds(rs: RingSpec, max_degree: int = 2) -> Polynomial:
     complete only on a Cohen-Macaulay R, checked on a miss. One f serves
     every check: the type of a Cohen-Macaulay R, or of an ideal omega^[p],
     is the socle dimension of its reduction mod f for any such f. Raises
-    NoNzdFoundError when no degree yields one, naming the incomplete ones.
+    NoNzdFoundError when no degree yields one, naming the incomplete ones,
+    and ValueError when `max_degree` is below 1, since no degree would be
+    searched.
     """
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     n, p = rs.ring.n, rs.p
     e = rs.hilbert().multiplicity
     seen: set = set()
@@ -487,7 +492,6 @@ class CanonicalIdealResult:
     status: str  # "found" | "absent" | "inconclusive"
     generators: tuple = ()
     shift: object = None
-    omega: object = None
     detail: str = ""
 
 
@@ -521,23 +525,6 @@ def monomial_generically_gorenstein(rs: RingSpec):
                     "not Gorenstein and the ring is not generically Gorenstein"
                 )
     return True, f"all {len(primes)} monomial minimal primes give Gorenstein localizations"
-
-
-def _artinian_reduction(rs: RingSpec, pres: ModulePresentation, f: Polynomial):
-    """(M/fM realized over R/fR, λ(R/fR)) for the module M over R that
-    `pres` presents: M ⊗ R/fR keeps the presentation, read mod I + (f)."""
-    rq = rs.quotient_by([f])
-    return realize_finite(with_modulus(pres, rq.ideal)), realize_ring(rq).dim
-
-
-def _canonical_cross_check(rs: RingSpec, omega: ModulePresentation, f: Polynomial):
-    """Check that omega/(f)omega is the injective hull over R/(f), for a
-    non-zero-divisor f: socle dimension 1 and length λ(R/(f))."""
-    if not is_hull_power(*_artinian_reduction(rs, omega, f), 1):
-        raise PipelineInvariantError(
-            "the canonical module does not reduce to the injective hull "
-            "of the Artinian reduction"
-        )
 
 
 def _generically_gorenstein(rs: RingSpec, homs) -> bool:
@@ -593,9 +580,10 @@ def canonical_ideal(rs: RingSpec, nzd=None) -> CanonicalIdealResult:
     `canonical_module` raises NotCohenMacaulayError. A found copy is
     cross-checked by reducing omega modulo the certified non-zero-divisor
     f = `nzd` (found up to degree 2 when not given; `nzd=find_nzds(rs,
-    max_degree=d)` goes further) and comparing with the injective hull:
-    omega/f·omega is the canonical module of the Artinian R/fR, which is
-    its injective hull.
+    max_degree=d)` goes further) and comparing with the injective hull by
+    `canonical_cross_check`, the check `frobenius_fixes_injective_hull`
+    makes of E: omega/f·omega is the canonical module of the Artinian R/fR,
+    which is its injective hull.
     """
     dim = rs.dimension
     if dim != 1:
@@ -606,7 +594,7 @@ def canonical_ideal(rs: RingSpec, nzd=None) -> CanonicalIdealResult:
     if rs.is_monomial():
         ok, detail = monomial_generically_gorenstein(rs)
         if not ok:
-            return CanonicalIdealResult("absent", (), None, omega, detail)
+            return CanonicalIdealResult("absent", (), None, detail)
     homs = hom_into_ring_generators(omega)
     n, p = rs.ring.n, rs.p
     e = rs.hilbert().multiplicity
@@ -629,16 +617,16 @@ def canonical_ideal(rs: RingSpec, nzd=None) -> CanonicalIdealResult:
         )
         if u is not None:
             found = CanonicalIdealResult(
-                "found", tuple(rs.nf(g) for g in image(u)), target, omega,
+                "found", tuple(rs.nf(g) for g in image(u)), target,
                 f"image of a degree-{target} map with an exact Hilbert series match",
             )
             if nzd is None:
                 nzd = find_nzds(rs)
-            _canonical_cross_check(rs, omega, nzd)
+            canonical_cross_check(rs, omega, nzd)
             return found
     if not _generically_gorenstein(rs, homs):
         return CanonicalIdealResult(
-            "absent", (), None, omega,
+            "absent", (), None,
             "the trace ideal of omega has R/τ of infinite length, so R is not "
             "Gorenstein at some minimal prime and omega embeds in no ideal",
         )
@@ -649,7 +637,7 @@ def canonical_ideal(rs: RingSpec, nzd=None) -> CanonicalIdealResult:
             "generically Gorenstein ring"
         )
     return CanonicalIdealResult(
-        "inconclusive", (), None, omega,
+        "inconclusive", (), None,
         f"R is generically Gorenstein, but no injective map was found up to the top "
         f"degree {top} of the generators of Hom(omega, R), where the search of its "
         f"{k} spanning maps is complete only when the walk reaches e(k - 1) + 1 = "
@@ -698,21 +686,6 @@ def _canonical_entry(ci: CanonicalIdealResult, names) -> dict:
     }
 
 
-def _fpi_dimension_zero(rs: RingSpec, report: RingReport):
-    rep = frobenius_fixes_injective_hull(rs)
-    report.weakly_fpi = rep.iso.verdict_as_flag()
-    report.fpi_method = "artinian_E"
-    report.fpi_witness = {
-        "length_E": rep.length_e,
-        "length_FE": rep.length_fe,
-        "socle_E": rep.socle_e,
-        "socle_FE": rep.socle_fe,
-        "frobenius_image_injective": rep.injective,
-        "n_witness": rep.n_witness,
-        "detail": rep.iso.reason,
-    }
-
-
 def _fpi_dimension_one(rs: RingSpec, report: RingReport, nzd):
     """K ≅ K^[p] for the canonical ideal K, decided by one socle count.
 
@@ -720,7 +693,7 @@ def _fpi_dimension_one(rs: RingSpec, report: RingReport, nzd):
     and R/K^[p] have finite length, and the snake lemma for l on
     0 -> K^[p] -> R -> R/K^[p] -> 0 gives λ(K^[p]/lK^[p]) = λ(R/lR)
     (checked). Socle dimension 1 then makes K^[p]/lK^[p] the injective hull
-    over R/lR (`is_hull_power`); by Rees' lemma, μ^{i+1}_R(M) =
+    over R/lR (`hull_power`); by Rees' lemma, μ^{i+1}_R(M) =
     μ^i_{R/l}(M/lM), the maximal Cohen-Macaulay K^[p] has type 1 and finite
     injective dimension, so K^[p] ≅ ω ≅ K (Bruns-Herzog, Cohen-Macaulay
     Rings, 3.1.16 and 3.3). Conversely K^[p] ≅ ω has type 1.
@@ -755,12 +728,12 @@ def _fpi_dimension_one(rs: RingSpec, report: RingReport, nzd):
     kept = [b for b in (rs.nf_power(g, rs.p) for g in gens) if not b.is_zero()]
     cols = [Vec.from_polys([(0, b)]) for b in kept]
     pres = ModulePresentation(rs.ring, rs.ideal, cols, (0,), [b.degree() for b in kept])
-    reduced, length = _artinian_reduction(rs, syzygy_presentation(pres), nzd)
+    reduced, length = artinian_reduction(rs, syzygy_presentation(pres), nzd)
     if reduced.dim != length:
         raise PipelineInvariantError(
             f"λ(omega^[p]/l*omega^[p]) = {reduced.dim}, not λ(R/lR) = {length}")
     s = reduced.socle_dimension()
-    report.weakly_fpi = "true" if s == 1 else "false"
+    report.weakly_fpi = "true" if hull_power(reduced, length) == 1 else "false"
     witness["detail"] = (f"omega^[p]/l*omega^[p] has length λ(R/lR) and socle dimension {s}: "
                          "omega^[p] ≅ omega exactly when that is 1")
     witness.update(parameter=poly_to_string(nzd, names), length=length, socle_dimension=s)
@@ -910,7 +883,9 @@ def classify_ring(
         return report
     report.f_pure, report.f_pure_witness = is_f_pure(rs)
     if dim == 0:
-        _fpi_dimension_zero(rs, report)
+        report.fpi_method = "artinian_E"
+        fixed, report.fpi_witness = frobenius_fixes_injective_hull(rs)
+        report.weakly_fpi = "true" if fixed else "false"
     else:
         _fpi_dimension_one(rs, report, nzd)
     _run_cross_checks(rs, report, deep_checks)

@@ -185,7 +185,8 @@ def _require_non_negative(**budgets) -> None:
 
 
 def run_report(args) -> int:
-    _require_non_negative(max_degree=args.max_degree)
+    if args.max_degree < 1:
+        raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     rs = parse_ring_spec(text, require_homogeneous=args.check != "fpure")
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--format", choices=("json", "text"), default="json")
     rep.add_argument(
         "--max-degree", type=int, default=2,
-        help="degree budget for non-zero-divisor searches",
+        help="degree budget for non-zero-divisor searches, at least 1",
     )
     rep.add_argument(
         "--no-deep-checks", action="store_true",

@@ -23,7 +23,7 @@ from fpicheck.artinian import (
     FiniteLengthModule,
     frobenius_fixes_injective_hull,
     hom_space,
-    is_hull_power,
+    hull_power,
     modules_isomorphic,
     realize_finite,
     ring_as_module,
@@ -235,17 +235,26 @@ def test_direct_sum_adds_invariants():
 
 
 def test_frobenius_fixes_hull_of_dual_numbers():
-    rep = frobenius_fixes_injective_hull(dual_numbers())
-    assert rep.iso.verdict == "isomorphic"
-    assert rep.injective == "true"
-    assert rep.n_witness == 1
-    assert rep.length_e == rep.length_fe == 2
+    fixed, w = frobenius_fixes_injective_hull(dual_numbers())
+    assert fixed is True
+    assert w["frobenius_image_injective"] == "true"
+    assert w["n_witness"] == 1
+    assert w["length_E"] == w["length_FE"] == 2
 
 
 def test_frobenius_moves_hull_of_fat_point():
-    rep = frobenius_fixes_injective_hull(fat_point())
-    assert rep.iso.verdict == "not_isomorphic"
-    assert rep.length_e == 3
+    fixed, w = frobenius_fixes_injective_hull(fat_point())
+    assert fixed is False
+    assert w["length_E"] == 3
+
+
+def test_the_hull_check_rejects_a_wrong_e(monkeypatch):
+    # R of the fat point has type 2: it has the length of E but a socle of
+    # dimension 2, so it is no injective hull
+    rs = RingSpec(3, ["x", "y"], ["x^2", "x*y", "y^2"])
+    monkeypatch.setattr(artinian, "canonical_module", ring_as_module)
+    with pytest.raises(PipelineInvariantError, match="injective hull"):
+        frobenius_fixes_injective_hull(rs)
 
 
 @pytest.mark.parametrize(
@@ -260,24 +269,24 @@ def test_frobenius_moves_hull_of_fat_point():
 )
 def test_hull_comparison_matches_gorenstein_property(p, names, gens, expected):
     rs = RingSpec(p, names, gens)
-    rep = frobenius_fixes_injective_hull(rs)
-    assert rep.iso.verdict_as_flag() == expected
+    fixed, _ = frobenius_fixes_injective_hull(rs)
+    assert ("true" if fixed else "false") == expected
     assert (socle_dimension_of_ring(rs) == 1) == (expected == "true")
 
 
 def test_field_case_is_trivially_fixed():
     rs = RingSpec(5, ["x"], ["x"])
-    rep = frobenius_fixes_injective_hull(rs)
-    assert rep.iso.verdict == "isomorphic"
-    assert rep.length_e == 1
+    fixed, w = frobenius_fixes_injective_hull(rs)
+    assert fixed is True
+    assert w["length_E"] == 1
 
 
 def test_seeded_results_are_reproducible():
     rs = RingSpec(3, ["x", "y"], ["x^3", "y^3"])
     a = frobenius_fixes_injective_hull(rs)
     b = frobenius_fixes_injective_hull(rs)
-    assert a.iso.verdict == b.iso.verdict == "isomorphic"
-    assert a.n_witness == b.n_witness == 1
+    assert a[0] is b[0] is True
+    assert a[1]["n_witness"] == b[1]["n_witness"] == 1
 
 
 # -- E from the canonical module against the Matlis-dual route --------------------
@@ -293,8 +302,9 @@ def test_canonical_hull_matches_the_matlis_dual_route(rs):
     # their Frobenius entries have degree exactly t and are not zero in R
     hull = realize_finite(canonical_module(rs))
     assert (hull.dim, hull.socle_dimension()) == (realize_finite(ring_as_module(rs)).dim, 1)
-    rep = frobenius_fixes_injective_hull(rs)
-    got = {"length_fe": rep.length_fe, "socle_fe": rep.socle_fe, "injective": rep.injective}
+    _, w = frobenius_fixes_injective_hull(rs)
+    got = {"length_fe": w["length_FE"], "socle_fe": w["socle_FE"],
+           "injective": w["frobenius_image_injective"]}
     assert got == frobenius_hull_oracle(rs)
 
 
@@ -312,31 +322,37 @@ def hull_and_frobenius(rs):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(artinian_rings())
 @example(fat_point())
-def test_is_hull_power_matches_the_hom_space_search(rs):
+def test_hull_power_matches_the_hom_space_search(rs):
     # R of a non-Gorenstein ring has the length of E and a larger socle: the
     # one way found to reach the socle refutation with equal lengths
     r, e, fe = hull_and_frobenius(rs)
+    powers = [FiniteLengthModule.of_columns(e.p, [()] * e.nvars, 0)]
+    powers += [direct_sum([e] * n) for n in (1, 2, 3)]
     for m in (r, e, fe, direct_sum([e, e]), direct_sum([r, e])):
-        for n in (1, 2):
-            oracle = modules_isomorphic(direct_sum([e] * n), m)
-            if oracle.decided:
-                assert is_hull_power(m, r.dim, n) == (oracle.verdict == "isomorphic")
+        got = hull_power(m, r.dim)
+        verdicts = [modules_isomorphic(power, m).verdict for power in powers]
+        for n, verdict in enumerate(verdicts):
+            if verdict != "inconclusive":
+                assert (got == n) == (verdict == "isomorphic")
+        if set(verdicts) == {"not_isomorphic"}:
+            assert got is None
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(artinian_rings())
 def test_frobenius_hull_verdicts_match_the_hom_space_search(rs):
     _, e, fe = hull_and_frobenius(rs)
-    rep = frobenius_fixes_injective_hull(rs)
-    assert (rep.length_e, rep.length_fe, rep.socle_fe) == (e.dim, fe.dim, fe.socle_dimension())
+    fixed, w = frobenius_fixes_injective_hull(rs)
+    assert (w["length_E"], w["length_FE"], w["socle_FE"]) == (e.dim, fe.dim, fe.socle_dimension())
     iso = modules_isomorphic(e, fe)
     if iso.decided:
-        assert rep.iso.verdict == iso.verdict
+        assert fixed == (iso.verdict == "isomorphic")
     n, rest = divmod(fe.dim, e.dim)
     power = modules_isomorphic(direct_sum([e] * n), fe) if n and not rest else None
     if power is None or power.decided:
         found = power is not None and power.verdict == "isomorphic"
-        assert (rep.injective, rep.n_witness) == (("true", n) if found else ("false", None))
+        got = (w["frobenius_image_injective"], w["n_witness"])
+        assert got == (("true", n) if found else ("false", None))
 
 
 def test_equal_lengths_with_a_larger_socle_refute_like_the_search(monkeypatch):
@@ -345,10 +361,11 @@ def test_equal_lengths_with_a_larger_socle_refute_like_the_search(monkeypatch):
     rs = fat_point()
     r, e, _ = hull_and_frobenius(rs)
     monkeypatch.setattr(artinian, "frobenius_functor", lambda pres, e=1: ring_as_module(rs))
-    rep = frobenius_fixes_injective_hull(rs)
-    assert rep.iso == modules_isomorphic(e, r)
-    assert rep.iso.reason == "invariant mismatch: socle 1 vs 2"
-    assert (rep.injective, rep.n_witness) == ("false", None)
+    fixed, w = frobenius_fixes_injective_hull(rs)
+    oracle = modules_isomorphic(e, r)
+    assert (fixed, w["detail"]) == (oracle.verdict == "isomorphic", oracle.reason)
+    assert w["detail"] == "invariant mismatch: socle 1 vs 2"
+    assert (w["frobenius_image_injective"], w["n_witness"]) == ("false", None)
 
 
 # -- the capped span search ------------------------------------------------------

@@ -425,15 +425,20 @@ def test_census_rejects_a_repeated_prime(capsys, argv):
         (["census", "--family", "binomial-sample", "--samples", "-1"], "--samples"),
         (["census", "--max-degree", "-1"], "--max-degree"),
         (["census", "--max-gens", "-2"], "--max-gens"),
+        # no degree would be searched for a non-zero-divisor, so the axes
+        # would be reported as searched completely without one
+        (["report", "--max-degree", "0"], "--max-degree"),
     ],
 )
 def test_negative_budgets_are_rejected(tmp_path, capsys, argv, flag):
+    bound = "non-negative"
     if argv[0] == "report":
         argv = argv + ["--input", write_spec(tmp_path, FLAGSHIP_TEXT)]
+        bound = "at least 1"
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith(f"error: {flag} must be non-negative")
+    assert captured.err.startswith(f"error: {flag} must be {bound}")
     assert captured.out == ""
 
 
