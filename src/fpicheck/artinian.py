@@ -70,30 +70,13 @@ class FiniteLengthModule:
     degrees for graded bookkeeping.
 
     `actions[v][k]` is the image of basis vector k under x_v, a sparse
-    column {row: c} with c in [1, p). The constructor takes each action as a
-    dense square matrix (rows of integers, columns mapping basis vectors);
-    `of_columns` takes sparse columns as they are stored.
+    column {row: c} with c in [1, p), and h is the dimension. The actions
+    must commute.
     """
 
     __slots__ = ("p", "dim", "actions", "degrees", "_socle")
 
-    def __init__(self, p: int, actions, degrees=None):
-        mats = [[[int(c) % p for c in row] for row in a] for a in actions]
-        h = len(mats[0]) if mats else 0
-        if any(len(a) != h or any(len(row) != h for row in a) for a in mats):
-            raise ValueError("action matrices must be square of equal size")
-        cols = [[{i: row[k] for i, row in enumerate(a) if row[k]} for k in range(h)] for a in mats]
-        self._build(p, cols, h, degrees)
-
-    @classmethod
-    def of_columns(cls, p: int, actions, h: int, degrees=None) -> "FiniteLengthModule":
-        """The module of dimension h on which x_v sends basis vector k to
-        `actions[v][k]`, a sparse column with entries in [1, p)."""
-        module = cls.__new__(cls)
-        module._build(p, actions, h, degrees)
-        return module
-
-    def _build(self, p: int, actions, h: int, degrees) -> None:
+    def __init__(self, p: int, actions, h: int, degrees=None):
         if not actions:
             raise ValueError("need at least one variable action")
         self.p = p
@@ -183,7 +166,7 @@ class FiniteLengthModule:
 
     def matlis_dual(self) -> "FiniteLengthModule":
         degs = tuple(-d for d in self.degrees) if self.degrees is not None else None
-        return FiniteLengthModule.of_columns(
+        return FiniteLengthModule(
             self.p, [_transpose(cols, self.dim) for cols in self.actions], self.dim, degs
         )
 
@@ -212,7 +195,7 @@ def realize_finite(pres: ModulePresentation) -> FiniteLengthModule:
     n = ring.n
     p = ring.p
     if pres.nrows == 0:
-        return FiniteLengthModule.of_columns(p, [()] * n, 0, ())
+        return FiniteLengthModule(p, [()] * n, 0, ())
     gb = pres.groebner_columns()
     lead = pres.lead_data()
     if not lead_module_is_finite_colength(lead, pres.nrows, n):
@@ -238,7 +221,7 @@ def realize_finite(pres: ModulePresentation) -> FiniteLengthModule:
             else:
                 cols.append({index[t]: c for t, c in nf({target: 1}).items()})
         actions.append(cols)
-    module = FiniteLengthModule.of_columns(p, actions, len(basis), tuple(d for _, _, d in basis))
+    module = FiniteLengthModule(p, actions, len(basis), tuple(d for _, _, d in basis))
     if pres.modulus is not None:
         # basis term (i, m) is x^m times the term (i, 1), and the actions
         # commute, so a relation that kills every (i, 1) kills the module

@@ -27,6 +27,10 @@ Every verdict is backed by an exact certificate:
   module is checked in both dimensions by one `artinian.canonical_cross_check`:
   omega/l*omega, or E itself, is the injective hull of the Artinian reduction.
 
+Every check but F-purity needs a homogeneous ideal and refuses another one
+through `RingSpec.require_graded`; F-purity decides any ideal, inhomogeneous
+ones by Fedder's criterion. The unit ideal is refused by every check.
+
 Verdicts are three-valued ("true", "false", "inconclusive"). No search reads
 a seed: each walks every line of its span, or past a cap a rational normal
 curve for as many points as a theorem needs (`span_search`). A verdict is
@@ -43,7 +47,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     NoNzdFoundError,
-    NonHomogeneousError,
     PipelineInvariantError,
     UnsupportedDimensionError,
 )
@@ -70,7 +73,6 @@ from .resolutions import (
     ModulePresentation,
     canonical_module,
     hom_into_ring_generators,
-    is_free_rank_one,
     minimal_free_resolution,
     minimal_generators,
     ring_depth,
@@ -781,15 +783,17 @@ def _run_cross_checks(rs: RingSpec, report: RingReport, deep_checks: bool):
     decisive = wf in ("true", "false")
     if deep_checks and decisive and rs.p ** rs.ring.n <= 32:
         push = frobenius_pushforward(rs)
-        dual = hom_pushforward_into_ring(push, rs)
-        free, twist = is_free_rank_one(dual.presentation)
+        # the subquotient presentation is minimal: free of rank one is one
+        # generator and no relation
+        dual = hom_pushforward_into_ring(push, rs).presentation
+        free = dual.nrows == 1 and dual.ncols == 0
         if free != (wf == "true"):
             raise PipelineInvariantError(
                 "the freeness of Hom(F_*R, R) disagrees with the verdict"
             )
         detail = f"Hom(F_*R, R) free of rank one: {free}"
         if free:
-            detail += f" (generator degree {twist})"
+            detail += f" (generator degree {dual.row_twists[0]})"
         add("frobenius_dual_module_freeness", "confirmed", detail)
     else:
         reason = (
@@ -818,7 +822,7 @@ def _run_cross_checks(rs: RingSpec, report: RingReport, deep_checks: bool):
         add("monomial_few_primes_match_gorenstein", "not_applicable")
 
 
-CHECKS = ("all", "fpi", "gorenstein", "fpure", "canonical")
+CHECKS = ("all", "gorenstein", "fpure", "canonical")
 
 
 def classify_ring(
@@ -829,21 +833,23 @@ def classify_ring(
 ) -> RingReport:
     """Classify one ring and return a full report with witnesses.
 
-    `check` selects the work: "all" and "fpi" run the whole pipeline,
-    "gorenstein" stops after the socle tests, "fpure" runs only `is_f_pure`
-    (any dimension, gradedness not required), and "canonical" reports the
-    canonical-ideal search. Dimensions above one raise
-    UnsupportedDimensionError and an inhomogeneous ideal raises
-    NonHomogeneousError, both except for "fpure"; a `check` outside CHECKS
-    raises ValueError. In dimension one every check shares one certified
-    non-zero-divisor, searched for up to degree `max_degree`.
+    `check` selects the work: "all" runs the whole pipeline, "gorenstein"
+    stops after the socle tests, "fpure" runs only `is_f_pure` (any
+    dimension, any ideal), and "canonical" reports the canonical-ideal
+    search. The unit ideal, whose R is the zero ring, raises
+    UnsupportedDimensionError for every check. Except for "fpure",
+    dimensions above one raise UnsupportedDimensionError and an
+    inhomogeneous ideal raises NonHomogeneousError
+    (`RingSpec.require_graded`); a `check` outside CHECKS raises ValueError.
+    In dimension one every check shares one certified non-zero-divisor,
+    searched for up to degree `max_degree`.
     """
     if check not in CHECKS:
         raise ValueError(f"check must be one of {', '.join(CHECKS)}, got {check!r}")
-    if check != "fpure" and not rs.ideal.is_homogeneous_ideal():
-        raise NonHomogeneousError(
-            f"check {check!r} needs a homogeneous ideal; only 'fpure' accepts this one"
-        )
+    if rs.ideal.is_unit():
+        raise UnsupportedDimensionError("the unit ideal defines the zero ring, which has no verdicts")
+    if check != "fpure":
+        rs.require_graded(f"check {check!r}")
     names = list(rs.ring.varnames)
     report = RingReport(
         label=rs.label,

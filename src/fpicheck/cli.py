@@ -6,6 +6,9 @@ Two subcommands:
   report as JSON (stable key order) or readable text. Exit code 0 means
   every requested verdict is decisive, 2 means something stayed
   inconclusive, 1 means an error (bad input, unsupported dimension, ...).
+  Any ideal parses; the classifier refuses the unit ideal under every
+  check and an inhomogeneous ideal under every check but ``fpure``, each
+  by name.
 
 * ``census`` enumerates a deterministic family of rings (all monomial
   antichain ideals up to a degree bound, or a seeded sample of binomial
@@ -14,7 +17,7 @@ Two subcommands:
   guessed; a row whose work fails, budget exhaustion included, becomes an
   ``error: ...`` row and the census goes on with the next ring. The census
   seed draws the binomial sample and nothing else: every classification is
-  deterministic.
+  deterministic. A census runs no deep dual-module check.
 
 Ring-spec files are small key=value texts::
 
@@ -40,10 +43,10 @@ from dataclasses import dataclass
 from .errors import CasError, ParseError
 from .gfpoly import (
     Polynomial,
-    PrimeField,
     monomials_of_degree,
     parse_polynomial,
     poly_to_string,
+    require_prime,
 )
 from .groebner import RingSpec
 from .hilbert import minimal_monomials
@@ -53,11 +56,13 @@ from .classify import CHECKS, classify_ring, report_is_decisive
 # ---------------------------------------------------------------------------
 # ring-spec files
 
-def parse_ring_spec(text: str, require_homogeneous: bool = True) -> RingSpec:
+def parse_ring_spec(text: str) -> RingSpec:
     """Parse a key=value ring description into a validated RingSpec.
 
     Recognized keys: p, vars, ideal, label (optional). Errors carry the
-    line and column of the offending token.
+    line and column of the offending token. Any ideal is accepted here;
+    `classify_ring` refuses the unit ideal and, except under the "fpure"
+    check, an inhomogeneous one.
     """
     fields: dict = {}
     field_lines: dict = {}
@@ -93,7 +98,7 @@ def parse_ring_spec(text: str, require_homogeneous: bool = True) -> RingSpec:
             raise ParseError(f"bad variable name {name!r}", field_lines["vars"], 1)
     if len(set(varnames)) != len(varnames):
         raise ParseError("duplicate variable names", field_lines["vars"], 1)
-    PrimeField(p)  # a bad characteristic fails before any generator is parsed
+    require_prime(p)  # a bad characteristic fails before any generator is parsed
     # each generator is parsed where it stands, so columns count from the line start
     lineno = field_lines["ideal"]
     raw = lines[lineno - 1]
@@ -103,13 +108,7 @@ def parse_ring_spec(text: str, require_homogeneous: bool = True) -> RingSpec:
         if piece.strip():
             gens.append(parse_polynomial(piece, varnames, p, line=lineno, col_offset=col))
         col += len(piece) + 1
-    return RingSpec(
-        p,
-        varnames,
-        gens,
-        label=fields.get("label", ""),
-        require_homogeneous=require_homogeneous,
-    )
+    return RingSpec(p, varnames, gens, label=fields.get("label", ""))
 
 
 def _ring_display(rs: RingSpec) -> str:
@@ -189,7 +188,7 @@ def run_report(args) -> int:
         raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    rs = parse_ring_spec(text, require_homogeneous=args.check != "fpure")
+    rs = parse_ring_spec(text)
     report = classify_ring(
         rs,
         check=args.check,
@@ -217,7 +216,6 @@ class CensusConfig:
     max_gens: int = 4
     seed: int = 0
     samples: int = 25
-    deep_checks: bool = False
 
     def __post_init__(self):
         if self.family not in ("monomial", "binomial-sample"):
@@ -230,7 +228,7 @@ class CensusConfig:
             samples=self.samples,
         )
         for p in self.primes:
-            PrimeField(p)
+            require_prime(p)
         if len(set(self.primes)) != len(self.primes):
             raise ValueError(f"--p lists a prime more than once: {self.primes}")
 
@@ -264,6 +262,8 @@ def _census_rings(config: CensusConfig):
                 gens = [Polynomial.from_monomial(p, m) for m in combo]
                 yield RingSpec(p, names, gens)
         return
+    if not config.max_gens or not config.max_degree:
+        return  # no generator fits the budget, as in the monomial family
     seen = set()
     for p in config.primes:
         rng = random.Random(f"census:{config.seed}:{p}")
@@ -336,7 +336,7 @@ def run_census(config: CensusConfig, out=None) -> dict:
                 )
                 summary["unsupported"] += 1
                 continue
-            rep = classify_ring(rs, check="all", deep_checks=config.deep_checks)
+            rep = classify_ring(rs, check="all", deep_checks=False)
         except CasError as exc:
             writer.writerow(
                 base + ["NA", "NA", "NA", "NA", "NA", f"error: {exc}"]
@@ -424,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--max-gens", type=int, default=4)
     cen.add_argument("--seed", type=int, default=0, help="seed of the binomial sample")
     cen.add_argument("--samples", type=int, default=25, help="rows per prime (binomial-sample)")
-    cen.add_argument("--deep-checks", action="store_true")
     cen.add_argument("--output", default="-", help="CSV path, or - for stdout")
     return parser
 
@@ -442,7 +441,6 @@ def main(argv=None) -> int:
             max_gens=args.max_gens,
             seed=args.seed,
             samples=args.samples,
-            deep_checks=args.deep_checks,
         )
         if args.output == "-":
             run_census(config)

@@ -22,7 +22,7 @@ class ParseError(CasError):
 
 
 class NonHomogeneousError(CasError):
-    """A generator that must be homogeneous of positive degree is not."""
+    """A computation that needs a graded ring met an inhomogeneous ideal."""
 
 
 class ResourceLimitError(CasError):

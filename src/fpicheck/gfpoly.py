@@ -46,30 +46,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The field F_p for a prime 2 <= p < 2^31."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or p < 2 or p >= 2**31 or not is_prime(p):
-            raise NonPrimeError(f"characteristic must be a prime in [2, 2^31), got {p!r}")
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
+def require_prime(p: int) -> int:
+    """p itself when it is a prime in [2, 2^31), the characteristics this
+    package computes in; NonPrimeError otherwise."""
+    if not isinstance(p, int) or p < 2 or p >= 2**31 or not is_prime(p):
+        raise NonPrimeError(f"characteristic must be a prime in [2, 2^31), got {p!r}")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Ideals of a quotient ring R = S/I are always handled through their full
 preimages in S (generators plus the defining ideal), so every operation in
-this module works in the ambient polynomial ring.
+this module works in the ambient polynomial ring. `RingSpec` takes any I;
+its `require_graded` is the one place that refuses an inhomogeneous I, for
+the computations that need a grading.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from .errors import NonHomogeneousError, ResourceLimitError
 from .gfpoly import (
     GREVLEX,
     Polynomial,
-    PrimeField,
     grevlex_rank,
     mono_degree,
     mono_div,
@@ -23,6 +24,7 @@ from .gfpoly import (
     mono_mul,
     parse_polynomial,
     poly_to_string,
+    require_prime,
 )
 from .hilbert import (
     HilbertData,
@@ -41,8 +43,7 @@ class PolyRing:
     """F_p[varnames]; its polynomials compute and print under grevlex."""
 
     def __init__(self, p: int, varnames):
-        self.field = PrimeField(p)
-        self.p = p
+        self.p = require_prime(p)
         self.varnames = tuple(varnames)
         if len(set(self.varnames)) != len(self.varnames):
             raise ValueError("duplicate variable names")
@@ -658,35 +659,24 @@ def minimal_primes_monomial(a: Ideal):
 # quotient rings
 
 class RingSpec:
-    """A standard graded quotient R = F_p[vars]/I with cached invariants.
+    """A quotient R = F_p[vars]/I with cached invariants.
 
-    The irrelevant maximal ideal (all variables) plays the role of the maximal
-    ideal of a complete local ring; reports note this working convention.
+    Any ideal is accepted; the graded computations (resolutions, the
+    non-zero-divisor test, every check but F-purity) refuse an inhomogeneous
+    one through `require_graded`. For a homogeneous I the irrelevant maximal
+    ideal (all variables) plays the role of the maximal ideal of a complete
+    local ring; reports note this working convention.
     R keeps what is computed about it: Hilbert data, standard monomials and
     quotients R/(f), filled here; R as a finite-length module, filled by
     `artinian.realize_ring`; its resolution, by `minimal_free_resolution`.
     """
 
-    def __init__(self, p: int, varnames, ideal_gens, label: str = "", *, require_homogeneous: bool = True):
+    def __init__(self, p: int, varnames, ideal_gens, label: str = ""):
         self.ring = PolyRing(p, varnames)
         self.p = p
         self.label = label
-        gens = []
-        for g in ideal_gens:
-            if isinstance(g, str):
-                g = self.ring.parse(g)
-            if g.is_zero():
-                continue
-            if require_homogeneous:
-                if not g.is_homogeneous():
-                    raise NonHomogeneousError(
-                        f"generator {self.ring.show(g)} is not homogeneous"
-                    )
-                if g.degree() == 0:
-                    raise NonHomogeneousError("constant generator makes the unit ideal")
-            gens.append(g)
-        self.ideal = Ideal(self.ring, gens)
-        self.homogeneous = require_homogeneous
+        # Ideal parses string generators and drops zero ones
+        self.ideal = Ideal(self.ring, ideal_gens)
         self._hilbert = self._realized = self._resolution = None
         self._std_cache: dict = {}
         self._quotients: dict = {}  # extra generators -> RingSpec, from quotient_by
@@ -694,6 +684,16 @@ class RingSpec:
     @property
     def n(self) -> int:
         return self.ring.n
+
+    def require_graded(self, stage: str) -> None:
+        """The one refusal of inhomogeneous input: NonHomogeneousError naming
+        `stage` and the first generator of I that is not homogeneous."""
+        bad = next((g for g in self.ideal.generators if not g.is_homogeneous()), None)
+        if bad is not None:
+            raise NonHomogeneousError(
+                f"{stage} needs a homogeneous ideal; its generator "
+                f"{self.ring.show(bad)} is not homogeneous"
+            )
 
     def nf(self, f: Polynomial) -> Polynomial:
         return self.ideal.normal_form(f)
@@ -736,10 +736,7 @@ class RingSpec:
         got = self._quotients.get(key)
         if got is None:
             got = self._quotients[key] = RingSpec(
-                self.p,
-                self.ring.varnames,
-                list(self.ideal.generators) + list(key),
-                require_homogeneous=self.homogeneous,
+                self.p, self.ring.varnames, list(self.ideal.generators) + list(key)
             )
         return got
 
@@ -764,21 +761,23 @@ class RingSpec:
         return self.preimage_ideal(gens_a) == self.preimage_ideal(gens_b)
 
     def is_nzd(self, f: Polynomial) -> bool:
-        """Is f a non-zero-divisor on R?
+        """Is the homogeneous f a non-zero-divisor on R?
 
-        f vanishing in R is a zero-divisor. For a homogeneous ideal and a
-        homogeneous f of degree d the test reads Hilbert series: the exact
+        R must be graded (`require_graded`), and an inhomogeneous f raises
+        ValueError. f vanishing in R is a zero-divisor. Otherwise, f being of
+        degree d, the test reads Hilbert series: the exact
         sequence of graded modules 0 -> (0:f)(-d) -> R(-d) -> R -> R/fR -> 0
         gives HS(R/fR) = (1 - t^d) HS(R) + t^d HS(0:f), and the graded module
         (0:f) is zero exactly when its Hilbert series is. Over (1 - t)^n that
         is N(I + (f)) == (1 - t^d) N(I) for the raw numerators, which takes
-        one grevlex basis of I + (f). Other input is tested by (I : f) == I.
+        one grevlex basis of I + (f).
         """
+        self.require_graded("the non-zero-divisor test")
+        if not f.is_homogeneous():
+            raise ValueError(f"is_nzd needs a homogeneous element, got {self.ring.show(f)}")
         g = self.nf(f)
         if g.is_zero():
             return False
-        if not (f.is_homogeneous() and self.ideal.is_homogeneous_ideal()):
-            return ideal_colon(self.ideal, Ideal(self.ring, [f])) == self.ideal
         # nf(f) is homogeneous of degree d and generates the same I + (f)
         plus = Ideal(self.ring, list(self.ideal.groebner_basis()) + [g])
         num = self.ideal.hilbert_numerator()

@@ -2,7 +2,7 @@
 
 A vector is a list of ints and a matrix is a list of rows; entries are kept
 reduced to [0, p). Python ints never wrap, so every routine is exact over
-the whole prime range that `PrimeField` accepts.
+the whole prime range that `gfpoly.require_prime` accepts.
 """
 
 from __future__ import annotations

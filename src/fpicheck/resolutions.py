@@ -307,8 +307,10 @@ def _resolve(ring: PolyRing, modulus, twists, cols, cap: int) -> FreeResolution:
 
 
 def minimal_free_resolution(rs: RingSpec) -> FreeResolution:
-    """Minimal graded free resolution of R = S/I as an S-module, kept on R."""
+    """Minimal graded free resolution of R = S/I as an S-module, kept on R.
+    An inhomogeneous I is refused by `RingSpec.require_graded`."""
     if rs._resolution is None:
+        rs.require_graded("the minimal free resolution")
         gens = [Vec.from_polys([(0, g)]) for g in rs.ideal.groebner_basis()]
         rs._resolution = _resolve(rs.ring, None, (0,), gens, rs.ring.n + 1)
     return rs._resolution

@@ -57,8 +57,9 @@ sum of finite-length modules, which only tests build.
 
 `dense_rref` and `dense_nullspace` are the int64 numpy elimination that
 `linalg` replaced with Python-int rows, kept as its dense reference;
-`action_matrices` reads a finite-length module's sparse columns back as
-dense matrices.
+`module_of_matrices` builds a finite-length module from dense action
+matrices, and `action_matrices` reads its sparse columns back as dense
+matrices.
 
 `twisted_hom_oracle` is the route to Hom(F_*R, R) that Fedder's lemma
 replaced in `pushforward.hom_pushforward_into_ring`: the kernel of the
@@ -160,6 +161,19 @@ def dense_nullspace(a, p: int) -> np.ndarray:
     return basis
 
 
+def module_of_matrices(p: int, actions, degrees=None) -> FiniteLengthModule:
+    """The finite-length module on which x_v acts by the square matrix
+    `actions[v]` (rows of integers, numpy arrays too; column k is the image
+    of basis vector k): the dense form in which tests write small modules,
+    converted to the sparse columns `FiniteLengthModule` stores."""
+    mats = [[[int(c) % p for c in row] for row in a] for a in actions]
+    h = len(mats[0]) if mats else 0
+    if any(len(a) != h or any(len(row) != h for row in a) for a in mats):
+        raise ValueError("action matrices must be square of equal size")
+    cols = [[{i: row[k] for i, row in enumerate(a) if row[k]} for k in range(h)] for a in mats]
+    return FiniteLengthModule(p, cols, h, degrees)
+
+
 def action_matrices(module: FiniteLengthModule) -> list:
     """The action of each variable on a finite-length module as a dense
     row-major matrix (lists of ints)."""
@@ -234,7 +248,7 @@ def direct_sum(modules) -> FiniteLengthModule:
         degrees = tuple(d for m in mods for d in m.degrees)
     else:
         degrees = None
-    return FiniteLengthModule.of_columns(p, actions, sum(m.dim for m in mods), degrees)
+    return FiniteLengthModule(p, actions, sum(m.dim for m in mods), degrees)
 
 
 def _homogeneous_components(f: Polynomial) -> dict[int, Polynomial]:

@@ -278,7 +278,7 @@ def test_criterion_09_cusp_fails_fedder(tmp_path, capsys):
     assert data["f_pure"] is False
     # the refuting containment: (bracket(I) : I) lies inside (x^3, y^3),
     # with f^2 the dominant generator
-    rs = RingSpec(3, ["x", "y"], ["y^2 - x^3"], require_homogeneous=False)
+    rs = RingSpec(3, ["x", "y"], ["y^2 - x^3"])
     colon = ideal_colon(bracket_power(rs.ideal, 1), rs.ideal)
     brackets = bracket_power(rs.maximal_ideal(), 1)
     for g in colon.groebner_basis():

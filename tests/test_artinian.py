@@ -13,6 +13,7 @@ from oracles import (
     direct_sum,
     frobenius_hull_oracle,
     injective_hull_of_residue_field,
+    module_of_matrices,
     present_finite,
     realize_finite_oracle,
     staircase_rings,
@@ -86,9 +87,9 @@ def test_non_commuting_actions_are_rejected():
     x = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
     y = [[0, 0, 0], [0, 0, 0], [0, 1, 0]]
     with pytest.raises(ValueError, match="commute"):
-        FiniteLengthModule(3, [x, y])
+        module_of_matrices(3, [x, y])
     with pytest.raises(ValueError, match="commute"):
-        FiniteLengthModule.of_columns(3, [[{1: 1}, {}, {}], [{}, {2: 1}, {}]], 3)
+        FiniteLengthModule(3, [[{1: 1}, {}, {}], [{}, {2: 1}, {}]], 3)
 
 
 def test_a_relation_that_acts_nontrivially_is_caught(monkeypatch):
@@ -326,7 +327,7 @@ def test_hull_power_matches_the_hom_space_search(rs):
     # R of a non-Gorenstein ring has the length of E and a larger socle: the
     # one way found to reach the socle refutation with equal lengths
     r, e, fe = hull_and_frobenius(rs)
-    powers = [FiniteLengthModule.of_columns(e.p, [()] * e.nvars, 0)]
+    powers = [FiniteLengthModule(e.p, [()] * e.nvars, 0)]
     powers += [direct_sum([e] * n) for n in (1, 2, 3)]
     for m in (r, e, fe, direct_sum([e, e]), direct_sum([r, e])):
         got = hull_power(m, r.dim)
@@ -490,18 +491,18 @@ def _conjugate(a, p=BIG_P):
 def test_big_prime_commutation_check_is_exact():
     # a and -2a commute mod p; as integer matrices they do not
     a = _rank_one_nilpotent()
-    assert FiniteLengthModule(BIG_P, [a, (BIG_P - 2) * a % BIG_P]).dim == 4
+    assert module_of_matrices(BIG_P, [a, (BIG_P - 2) * a % BIG_P]).dim == 4
 
 
 def test_big_prime_act_monomial_is_exact():
     # the all-(p-1) matrix is -J; -J applied to (-1, -1, -1) is (3, 3, 3)
-    m = FiniteLengthModule(BIG_P, [np.full((3, 3), BIG_P - 1, dtype=np.int64)])
+    m = module_of_matrices(BIG_P, [np.full((3, 3), BIG_P - 1, dtype=np.int64)])
     assert m.act_monomial(dict.fromkeys(range(3), BIG_P - 1), (1,)) == dict.fromkeys(range(3), 3)
 
 
 def test_big_prime_loewy_series_is_exact():
     # a has rank one and square zero: layers of dimension 3 and 1
-    assert FiniteLengthModule(BIG_P, [_rank_one_nilpotent()]).loewy_series() == (3, 1)
+    assert module_of_matrices(BIG_P, [_rank_one_nilpotent()]).loewy_series() == (3, 1)
 
 
 def test_big_prime_isomorphism_witness_is_a_module_map():
@@ -509,7 +510,7 @@ def test_big_prime_isomorphism_witness_is_a_module_map():
     # 12-dimensional hom space is sampled, as p^12 is far past exhaustion
     plain = np.diag([1, 1, 0, 1, 1], k=1)
     dense = _conjugate(plain)
-    src, dst = FiniteLengthModule(BIG_P, [plain]), FiniteLengthModule(BIG_P, [dense])
+    src, dst = module_of_matrices(BIG_P, [plain]), module_of_matrices(BIG_P, [dense])
     for seed in range(5):
         res = modules_isomorphic(src, dst, seed=seed)
         assert res.verdict == "isomorphic"
@@ -520,7 +521,7 @@ def test_big_prime_act_poly_is_exact():
     # against the action applied one monomial at a time and summed with
     # object-dtype numpy; the dense basis makes the square of x wrap around
     # in int64
-    m = FiniteLengthModule(BIG_P, [_conjugate(np.diag([1, 1, 0, 1, 1], k=1))])
+    m = module_of_matrices(BIG_P, [_conjugate(np.diag([1, 1, 0, 1, 1], k=1))])
     f = Polynomial(BIG_P, 1, {(0,): BIG_P - 1, (1,): BIG_P - 3, (2,): 5, (3,): 7})
     x = np.array(action_matrices(m)[0], dtype=object)
     want = sum(c * np.linalg.matrix_power(x, e) for (e,), c in f.terms.items()) % BIG_P
@@ -532,7 +533,7 @@ def test_big_prime_act_poly_is_exact():
 def test_loewy_series_rejects_a_non_nilpotent_action():
     # the identity never shrinks the module, so the radical layers never end
     with pytest.raises(PipelineInvariantError, match="does not descend"):
-        FiniteLengthModule(3, [np.eye(3, dtype=np.int64)]).loewy_series()
+        module_of_matrices(3, [np.eye(3, dtype=np.int64)]).loewy_series()
 
 
 # -- realize_finite against the column-by-column oracle -------------------------

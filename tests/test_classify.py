@@ -118,7 +118,7 @@ def test_cross_skips_axis_zerodivisors():
     assert rs.is_nzd(found)
 
 
-# the largest prime PrimeField accepts: the linear forms span about p^2 lines
+# the largest prime require_prime accepts: the linear forms span about p^2 lines
 TOP_P = 2147483647
 
 
@@ -339,9 +339,7 @@ def test_flagship_is_f_pure(p):
 
 
 def test_cusp_is_not_f_pure_at_p_three():
-    rs = RingSpec(
-        3, ["x", "y"], ["y^2 - x^3"], require_homogeneous=False
-    )
+    rs = RingSpec(3, ["x", "y"], ["y^2 - x^3"])
     flag, witness = is_f_pure(rs)
     assert not flag
     # the whole colon ideal lands inside the bracket of the maximal ideal
@@ -898,14 +896,32 @@ def test_the_axes_need_no_quadric_nzd():
 
 @pytest.mark.parametrize("check", [c for c in classify.CHECKS if c != "fpure"])
 def test_classify_names_the_check_that_needs_a_homogeneous_ideal(check):
-    cusp = RingSpec(3, ["x", "y"], ["y^2 - x^3"], require_homogeneous=False)
+    cusp = RingSpec(3, ["x", "y"], ["y^2 - x^3"])
     with mock.patch.object(classify, "minimal_free_resolution") as spy:
         with pytest.raises(NonHomogeneousError, match=repr(check)):
             classify_ring(cusp, check=check)
     assert spy.call_count == 0
 
 
-@pytest.mark.parametrize("check", ["gorenstien", "", "ALL", "fpi "])
+@pytest.mark.parametrize("stage,call", [
+    ("the minimal free resolution", ring_depth),
+    ("the minimal free resolution", resolutions.canonical_module),
+    ("the minimal free resolution", is_gorenstein),
+    ("the minimal free resolution", frobenius_fixes_injective_hull),
+    ("the non-zero-divisor test", find_nzds),
+])
+def test_graded_stages_refuse_the_cusp_by_name(stage, call):
+    # the cusp builds, and every graded computation on it names its stage and
+    # the generator; the hull check needs dimension zero, so it gets the
+    # cusp's Artinian relative (y^2 - x^3, x^2)
+    gens = ["y^2 - x^3"] + (["x^2"] if call is frobenius_fixes_injective_hull else [])
+    rs = RingSpec(3, ["x", "y"], gens)
+    with pytest.raises(NonHomogeneousError, match=f"^{stage} needs a homogeneous ideal; "
+                       r"its generator 2\*x\^3 \+ y\^2 is not homogeneous$"):
+        call(rs)
+
+
+@pytest.mark.parametrize("check", ["gorenstien", "", "ALL", "fpi ", "fpi"])
 def test_classify_rejects_an_unknown_check(check):
     with mock.patch.object(classify, "minimal_free_resolution") as spy:
         with pytest.raises(ValueError, match="check must be one of"):
@@ -979,7 +995,7 @@ def test_classify_fpure_check_works_in_any_dimension():
     report = classify_ring(rs, check="fpure")
     assert report.f_pure is True
     assert report_is_decisive(report, check="fpure")
-    cusp = RingSpec(3, ["x", "y"], ["y^2 - x^3"], require_homogeneous=False)
+    cusp = RingSpec(3, ["x", "y"], ["y^2 - x^3"])
     report = classify_ring(cusp, check="fpure")
     assert report.f_pure is False
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import module_of_matrices
 from test_artinian import BIG_P, _conjugate
 
 from fpicheck import cli
@@ -22,7 +23,7 @@ from fpicheck.cli import (
     parse_ring_spec,
     run_census,
 )
-from fpicheck.errors import NonHomogeneousError, NonPrimeError, ParseError, ResourceLimitError
+from fpicheck.errors import NonPrimeError, ParseError, ResourceLimitError
 from fpicheck.gfpoly import mono_divides
 
 FLAGSHIP_TEXT = """\
@@ -50,12 +51,11 @@ def test_parse_ring_spec_rejects_composite_modulus():
         parse_ring_spec("p = 4\nvars = x\nideal = x^2\n")
 
 
-def test_parse_ring_spec_rejects_inhomogeneous_by_default():
-    text = "p = 2\nvars = x\nideal = x^2 + x\n"
-    with pytest.raises(NonHomogeneousError):
-        parse_ring_spec(text)
-    rs = parse_ring_spec(text, require_homogeneous=False)
+def test_parse_ring_spec_takes_any_ideal():
+    # inhomogeneous and unit ideals parse; the classifier refuses them by name
+    rs = parse_ring_spec("p = 2\nvars = x\nideal = x^2 + x\n")
     assert rs.nf(rs.ring.parse("x^2")) == rs.ring.parse("x")
+    assert parse_ring_spec("p = 2\nvars = x, y\nideal = x, x + 1\n").ideal.is_unit()
 
 
 @pytest.mark.parametrize(
@@ -278,6 +278,34 @@ def test_report_fpure_check_allows_inhomogeneous_input(tmp_path, capsys):
     assert data["f_pure"] is False
 
 
+@pytest.mark.parametrize("check", cli.CHECKS)
+def test_report_refuses_an_inhomogeneous_ideal_except_for_fpure(tmp_path, capsys, check):
+    path = write_spec(tmp_path, "p = 3\nvars = x, y\nideal = x^2 + y\n")
+    code = main(["report", "--input", path, "--check", check])
+    captured = capsys.readouterr()
+    if check == "fpure":
+        assert code == 0
+        assert json.loads(captured.out)["f_pure"] is True
+        return
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: check {check!r} needs a homogeneous ideal; "
+                            "its generator x^2 + y is not homogeneous\n")
+
+
+@pytest.mark.parametrize("check", cli.CHECKS)
+@pytest.mark.parametrize("ideal", ["1", "x, x + 1"])
+def test_report_refuses_the_unit_ideal_under_every_check(tmp_path, capsys, ideal, check):
+    # R = 0 has no verdicts; "x, x + 1" is inhomogeneous too, and the unit
+    # ideal is named first under every check
+    path = write_spec(tmp_path, f"p = 3\nvars = x, y\nideal = {ideal}\n")
+    code = main(["report", "--input", path, "--check", check])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "unit ideal" in captured.err
+
+
 def test_report_canonical_check(tmp_path, capsys):
     text = "p = 2\nvars = x, y\nideal = x*y\n"
     path = write_spec(tmp_path, text)
@@ -447,6 +475,19 @@ def test_census_config_rejects_negative_budgets():
         with pytest.raises(ValueError, match="must be non-negative"):
             CensusConfig(**{field: -1})
     assert CensusConfig(max_degree=0, max_gens=0, samples=0).samples == 0
+
+
+@pytest.mark.parametrize("family", ["monomial", "binomial-sample"])
+@pytest.mark.parametrize("budget", ["--max-gens", "--max-degree"])
+def test_census_of_a_zero_budget_is_empty(capsys, family, budget):
+    # no generator fits, so neither family has a ring: header and summary only
+    code = main(["census", "--family", family, "--p", "3", "--vars", "2", budget, "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == ",".join(cli.CSV_COLUMNS)
+    assert len(lines) == 2 and lines[1].startswith("# summary: rows=0 ")
 
 
 def census_rows(config):
@@ -635,6 +676,7 @@ def test_fpicheck_runs_with_numpy_refused(tmp_path):
     axes = tmp_path / "axes.txt"
     axes.write_text(FLAGSHIP_TEXT.replace("p = 2", "p = 3"))
     plain = np.diag([1, 1, 0, 1, 1], k=1)
+    src, dst = (module_of_matrices(BIG_P, [m]) for m in (plain, _conjugate(plain)))
     code = f"""
 import contextlib, io, sys
 
@@ -653,8 +695,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["census", "--p", "2", "--vars", "2", "--max-degree", "2"]),
     ]
 assert codes == [0, 0, 0], codes
-src = FiniteLengthModule({BIG_P}, [{plain.tolist()!r}])
-dst = FiniteLengthModule({BIG_P}, [{_conjugate(plain).tolist()!r}])
+src = FiniteLengthModule({BIG_P}, {src.actions!r}, {src.dim})
+dst = FiniteLengthModule({BIG_P}, {dst.actions!r}, {dst.dim})
 assert modules_isomorphic(src, dst).verdict == "isomorphic"
 """
     env = dict(os.environ)

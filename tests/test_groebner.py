@@ -325,11 +325,16 @@ def test_minimal_primes_are_hitting_sets():
 def test_ring_spec_validation():
     with pytest.raises(NonPrimeError):
         RingSpec(4, ["x"], ["x^2"])
-    with pytest.raises(NonHomogeneousError):
-        RingSpec(2, ["x", "y"], ["x^2 + x"])
-    # the same generators pass once grading enforcement is waived
-    rs = RingSpec(2, ["x", "y"], ["x^2 + x"], require_homogeneous=False)
+    # any quotient builds, zero generators dropped; the graded computations
+    # refuse an inhomogeneous one through require_graded
+    rs = RingSpec(2, ["x", "y"], ["x^2 + x", "0"])
     assert rs.nf(rs.ring.parse("x^2")) == rs.ring.parse("x")
+    assert len(rs.ideal.generators) == 1
+    with pytest.raises(NonHomogeneousError, match="^stage x needs a homogeneous ideal; "
+                       r"its generator x\^2 \+ x is not homogeneous$"):
+        rs.require_graded("stage x")
+    assert RingSpec(2, ["x"], ["x + 1", "x"]).ideal.is_unit()
+    RingSpec(2, ["x", "y"], ["x^2", "x*y"]).require_graded("stage x")
 
 
 def test_quotient_by_and_preimage():

@@ -21,7 +21,7 @@ from oracles import (
 )
 
 from fpicheck import classify, groebner, pushforward
-from fpicheck.errors import ResourceLimitError
+from fpicheck.errors import NonHomogeneousError, ResourceLimitError
 from fpicheck.gfpoly import Polynomial, monomials_of_degree, poly_to_string
 from fpicheck.groebner import (
     Ideal,
@@ -212,18 +212,27 @@ def inhomogeneous_ring_and_poly(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(2, 3))
     gens = [draw_poly(draw, p, n, False) for _ in range(draw(st.integers(1, 3)))]
-    rs = RingSpec(p, NAMES[:n], gens, require_homogeneous=False)
+    rs = RingSpec(p, NAMES[:n], gens)
     return rs, draw_poly(draw, p, n, False)
 
 
 @PROPERTY
 @given(inhomogeneous_ring_and_poly())
-def test_inhomogeneous_nzd_test_matches_elimination(case):
+def test_nzd_test_refuses_inhomogeneous_input(case):
+    # the Hilbert-series test needs a graded ring and a form; on those it
+    # matches the colon test by elimination
     rs, f = case
-    colon_says = not rs.nf(f).is_zero() and (
-        colon_by_elimination(rs.ideal, Ideal(rs.ring, [f])) == rs.ideal
-    )
-    assert rs.is_nzd(f) == colon_says
+    if not rs.ideal.is_homogeneous_ideal():
+        with pytest.raises(NonHomogeneousError, match="^the non-zero-divisor test"):
+            rs.is_nzd(f)
+    elif not f.is_homogeneous():
+        with pytest.raises(ValueError, match="homogeneous element"):
+            rs.is_nzd(f)
+    else:
+        colon_says = not rs.nf(f).is_zero() and (
+            colon_by_elimination(rs.ideal, Ideal(rs.ring, [f])) == rs.ideal
+        )
+        assert rs.is_nzd(f) == colon_says
 
 
 def test_module_colon_names_its_stage_when_out_of_pairs(monkeypatch):

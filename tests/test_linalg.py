@@ -2,7 +2,7 @@
 reference in `oracles` (`dense_rref`, `dense_nullspace`): reduced rows and
 pivots, rank, invertibility, nullspaces and growing subspaces, over small
 primes, the largest prime whose square fits an int64 dot product of two
-terms, and the largest prime `PrimeField` accepts, on empty, zero, wide
+terms, and the largest prime `require_prime` accepts, on empty, zero, wide
 and tall matrices."""
 
 import numpy as np

@@ -1,5 +1,8 @@
 """Frobenius pushforward presentations and the twisted dual into the ring."""
 
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,10 @@ from fpicheck.resolutions import (
     is_free_rank_one,
     minimal_presentation,
 )
+
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import report_deep_rings  # noqa: E402
 
 
 def flagship(p=2):
@@ -237,3 +244,23 @@ def test_fedder_dual_matches_the_twisted_kernel_route(case):
     assert minimal_presentation(tw.presentation).nrows == minimal_presentation(ref.presentation).nrows
     assert len(tw.generators) == len(ref.generators)
     assert sorted(tw.degrees) == sorted(ref.degrees)
+
+
+def test_the_dual_presentation_reads_freeness_directly():
+    # the deep cross-check of `classify_ring` reads Hom(F_*R, R) free of rank
+    # one off the subquotient presentation, which is minimal: one generator
+    # and no relation. The general minimization agrees on the report-deep
+    # rings (all free) and on three rings where the dual is not free: the
+    # fat point, a curve of depth zero and a curve not generically Gorenstein
+    rings = [RingSpec(r.p, r.varnames, r.gens) for r in report_deep_rings()] + [
+        RingSpec(2, ["x", "y"], ["x^2", "x*y", "y^2"]),
+        RingSpec(3, ["x", "y"], ["x^2", "x*y"]),
+        RingSpec(2, ["x", "y", "z", "w"], ["x^2", "y^2 + w^2", "x*y + y^2", "x*w"]),
+    ]
+    free = []
+    for rs in rings:
+        pres = hom_pushforward_into_ring(frobenius_pushforward(rs), rs).presentation
+        direct = pres.nrows == 1 and pres.ncols == 0
+        assert is_free_rank_one(pres) == (direct, pres.row_twists[0] if direct else None)
+        free.append(direct)
+    assert free == [True] * 18 + [False] * 3

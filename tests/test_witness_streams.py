@@ -14,10 +14,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import module_of_matrices
 from test_artinian import BIG_P, _conjugate
 
 from fpicheck import artinian
-from fpicheck.artinian import FiniteLengthModule, modules_isomorphic
+from fpicheck.artinian import modules_isomorphic
 from fpicheck.classify import (
     canonical_ideal,
     find_nzds,
@@ -113,8 +114,8 @@ def test_canonical_ideal_stream():
 def test_modules_isomorphic_witness_stream(invertible_calls):
     # the BIG_P pair of test_artinian at seed 0: the first draw is invertible
     plain = np.diag([1, 1, 0, 1, 1], k=1)
-    src = FiniteLengthModule(BIG_P, [plain])
-    dst = FiniteLengthModule(BIG_P, [_conjugate(plain)])
+    src = module_of_matrices(BIG_P, [plain])
+    dst = module_of_matrices(BIG_P, [_conjugate(plain)])
     res = modules_isomorphic(src, dst, seed=0)
     assert res.verdict == "isomorphic"
     assert len(invertible_calls) == 1
@@ -132,8 +133,8 @@ def test_modules_isomorphic_refutation_stream(invertible_calls):
     # all 500 draws from the 6-dimensional hom space fail
     x1, y1, x2 = (np.zeros((4, 4), dtype=np.int64) for _ in range(3))
     x1[1, 0] = y1[3, 2] = x2[1, 0] = x2[3, 2] = 1
-    src = FiniteLengthModule(BIG_P, [x1, y1])
-    dst = FiniteLengthModule(BIG_P, [x2, np.zeros((4, 4), dtype=np.int64)])
+    src = module_of_matrices(BIG_P, [x1, y1])
+    dst = module_of_matrices(BIG_P, [x2, np.zeros((4, 4), dtype=np.int64)])
     res = modules_isomorphic(src, dst, seed=0)
     assert res.verdict == "inconclusive"
     assert len(invertible_calls) == 500
